@@ -17,25 +17,18 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from .common import derive_seed
 from .errors import (
     BudgetExceeded,
-    DecodeFailure,
     GuardExceeded,
     InvalidOverride,
     OutOfRange,
     PatternOutOfRange,
 )
-from .highnoise import HeaderedWord, HighNoiseSpec, hn_decode, hn_encode
-from .hirate import HiRateSpec, br_decode, br_encode
-from .innercode import Codebook, CodebookKind
-from .listdec import ListDecSpec, ld_decode, ld_encode
-from .rsouter import rs_decode_ee, rs_encode
-from .seqkit import Word, is_subsequence
 
 STRATEGY_NAMES = (
     "RANDOM",
@@ -86,42 +79,15 @@ class Strategy:
 
 
 def apply_deletions(w, p: DeletionPattern):
-    """The subsequence of w omitting exactly the pattern positions."""
+    """The subsequence of w omitting exactly the pattern positions, as a
+    word of the same type and alphabet."""
     syms = w.symbols
     if p.positions and p.positions[-1] >= len(syms):
         raise PatternOutOfRange(
             f"position {p.positions[-1]} outside word of length {len(syms)}")
     drop = frozenset(p.positions)
     kept = tuple(s for i, s in enumerate(syms) if i not in drop)
-    if isinstance(w, HeaderedWord):
-        return HeaderedWord(kept, w.header_mod, w.alphabet)
-    return Word(kept, w.alphabet_size)
-
-
-# ---------------------------------------------------------------------------
-# Scheme geometry
-
-
-def _geometry(spec, length: int):
-    """Codeword and buffer spans of the clean transmitted word, clamped."""
-    if isinstance(spec, HighNoiseSpec):
-        blocks = [(i * spec.m, (i + 1) * spec.m) for i in range(spec.n)]
-        buffers = []
-    elif isinstance(spec, HiRateSpec):
-        stride = spec.m + spec.buffer_len
-        blocks = [(i * stride, i * stride + spec.m) for i in range(spec.n)]
-        buffers = [(i * stride + spec.m, (i + 1) * stride)
-                   for i in range(spec.n - 1)]
-    elif isinstance(spec, ListDecSpec):
-        blocks = [(i * spec.m, (i + 1) * spec.m) for i in range(spec.n_out)]
-        buffers = []
-    elif isinstance(spec, Codebook):
-        blocks = [(0, spec.m)]
-        buffers = []
-    else:
-        raise InvalidOverride(f"no channel geometry for {type(spec).__name__}")
-    clamp = lambda span: (min(span[0], length), min(span[1], length))
-    return [clamp(b) for b in blocks], [clamp(b) for b in buffers]
+    return replace(w, symbols=kept)
 
 
 def attack(strategy: Strategy, transmitted, scheme_spec,
@@ -137,7 +103,9 @@ def attack(strategy: Strategy, transmitted, scheme_spec,
     if not 0 <= budget <= length:
         raise OutOfRange(f"budget {budget} outside [0, {length}]")
     rng = random.Random(strategy.seed)
-    blocks, buffers = _geometry(scheme_spec, length)
+    # Codeword and buffer spans of the clean transmitted word, clamped.
+    blocks, buffers = ([(min(s, length), min(e, length)) for s, e in spans]
+                       for spans in scheme_spec.spans())
     name = strategy.name
 
     if name == "GREEDY_LCS":
@@ -188,34 +156,23 @@ def _block_erase(rng, blocks, budget: int) -> list[int]:
 
 def _merge_attack(rng, spec, blocks, buffers, budget: int,
                   length: int) -> list[int]:
-    if isinstance(spec, HighNoiseSpec):
-        # Erase the D-1 blocks separating two positions with equal header.
-        cost = (spec.D - 1) * spec.m
-        starts = [j for j in range(spec.n - spec.D)]
-        rng.shuffle(starts)
-        out: list[int] = []
-        erased: set[int] = set()
-        remaining = budget
-        for j in starts:
-            victims = range(j + 1, j + spec.D)
-            if remaining < cost or any(v in erased for v in victims):
-                continue
-            for v in victims:
-                out.extend(range(*blocks[v]))
-                erased.add(v)
-            remaining -= cost
-        return sorted(out)
-    if buffers:
-        # Whole buffers: the two neighbouring codewords become one segment.
-        order = list(range(len(buffers)))
+    groups = spec.merge_victims(blocks, buffers)
+    if groups is not None:
+        # Erase whole groups in random order, each while the budget lasts.
+        order = list(range(len(groups)))
         rng.shuffle(order)
-        out = []
+        out: list[int] = []
+        erased: set[tuple[int, int]] = set()
         remaining = budget
-        for b in order:
-            size = buffers[b][1] - buffers[b][0]
-            if size and size <= remaining:
-                out.extend(range(*buffers[b]))
-                remaining -= size
+        for g in order:
+            cost = sum(e - s for s, e in groups[g])
+            if (not 0 < cost <= remaining
+                    or any(span in erased for span in groups[g])):
+                continue
+            for span in groups[g]:
+                out.extend(range(*span))
+                erased.add(span)
+            remaining -= cost
         return sorted(out)
     # No headers, no buffers: chew through one block junction.
     if len(blocks) < 2 or budget == 0:
@@ -294,7 +251,7 @@ def _exhaustive_worst(transmitted, spec, budget: int) -> list[int]:
     if total > EXHAUSTIVE_PATTERN_CAP:
         raise GuardExceeded(
             f"{total} patterns exceed the exhaustive cap {EXHAUSTIVE_PATTERN_CAP}")
-    score = _confusion_score(transmitted, spec)
+    score = spec.confusion_score(transmitted)
     best: tuple[int, ...] = ()
     best_score = score(transmitted)
     for size in range(1, budget + 1):
@@ -304,60 +261,6 @@ def _exhaustive_worst(transmitted, spec, budget: int) -> list[int]:
             if sc > best_score:
                 best, best_score = combo, sc
     return list(best)
-
-
-def _confusion_score(transmitted, spec):
-    if isinstance(spec, Codebook):
-        match = [i for i, cw in enumerate(spec.codewords)
-                 if cw.symbols == transmitted.symbols]
-        if not match:
-            raise OutOfRange("transmitted word is not in the codebook")
-        t = match[0]
-        if spec.kind is CodebookKind.LISTDEC:
-            def score(received):
-                return sum(1 for cw in spec.codewords
-                           if is_subsequence(received, cw))
-        else:
-            def score(received):
-                return sum(1 for i, cw in enumerate(spec.codewords)
-                           if i != t and is_subsequence(received, cw))
-        return score
-    if isinstance(spec, HighNoiseSpec):
-        expected = hn_decode(spec, transmitted).message
-
-        def score(received):
-            try:
-                return 0 if hn_decode(spec, received).message == expected else 1
-            except DecodeFailure:
-                return 1
-        return score
-    if isinstance(spec, HiRateSpec):
-        expected = br_decode(spec, transmitted).message
-
-        def score(received):
-            try:
-                return 0 if br_decode(spec, received).message == expected else 1
-            except DecodeFailure:
-                return 1
-        return score
-    if isinstance(spec, ListDecSpec):
-        # Read the outer values straight off the clean blocks; the decode
-        # list is no use here since it may hold several messages.
-        values = []
-        for i in range(spec.n_out):
-            block = transmitted.symbols[i * spec.m:(i + 1) * spec.m]
-            hits = [j for j, cw in enumerate(spec.inner.codewords)
-                    if cw.symbols == block]
-            if not hits:
-                raise OutOfRange("transmitted word is not a clean codeword")
-            _, val = spec.pair_of_index(hits[0])
-            values.append(val)
-        expected = tuple(rs_decode_ee(spec.rs.field, values, spec.k_out))
-
-        def score(received):
-            return 0 if expected in ld_decode(spec, received).messages else 1
-        return score
-    raise InvalidOverride(f"no confusion score for {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,95 +330,7 @@ def read_reports(path) -> list[TrialReport]:
     return out
 
 
-class _SchemeOps:
-    """Encode/decode adapters the runner needs, one scheme each."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        if isinstance(spec, HighNoiseSpec):
-            self.scheme = "highnoise"
-            self.order = spec.rs.field.order
-            self.msg_len = spec.n_prime
-            self.payload_length = spec.n * spec.m
-        elif isinstance(spec, HiRateSpec):
-            self.scheme = "hirate"
-            self.order = spec.rs.field.order
-            self.msg_len = spec.n_prime
-            self.payload_length = spec.n * spec.m
-        elif isinstance(spec, ListDecSpec):
-            self.scheme = "listdec"
-            self.order = spec.rs.field.order
-            self.msg_len = spec.k_out
-            self.payload_length = spec.n_out * spec.m
-        else:
-            raise InvalidOverride(
-                f"trial runner cannot drive {type(spec).__name__}")
-
-    def encode(self, msg):
-        if self.scheme == "highnoise":
-            return hn_encode(self.spec, msg)
-        if self.scheme == "hirate":
-            return br_encode(self.spec, msg)
-        return ld_encode(self.spec, msg)
-
-    def decode_and_score(self, msg, pattern, received):
-        spec = self.spec
-        expected = tuple(spec.rs.field.elem(v) for v in msg)
-        if self.scheme == "listdec":
-            res = ld_decode(spec, received)
-            outcome = "ok" if expected in res.messages else "missing"
-            light = self._light_blocks(pattern)
-            snap = _int_snapshot(res.telemetry) + (
-                ("candidate_pairs", res.telemetry.candidates.total_size),
-                ("light_blocks", light),
-            )
-            return outcome, tuple(sorted(snap))
-        decode = hn_decode if self.scheme == "highnoise" else br_decode
-        truth = rs_encode(spec.rs.field, list(msg), spec.n)
-        try:
-            res = decode(spec, received)
-        except DecodeFailure as exc:
-            tel = exc.telemetry
-            outcome = "fail-decode"
-        else:
-            tel = res.telemetry
-            outcome = "ok" if res.message == expected else "wrong"
-        snap = _int_snapshot(tel) + (
-            ("wrong_votes", _wrong_votes(tel.pairs, truth)),
-        )
-        return outcome, tuple(sorted(snap))
-
-    def _light_blocks(self, pattern) -> int:
-        # Blocks that kept enough symbols for the window-coverage argument.
-        spec = self.spec
-        cutoff = (Fraction(1, 2) - 2 * spec.delta) * spec.m
-        per_block = [0] * spec.n_out
-        for p in pattern.positions:
-            b = p // spec.m
-            if b < spec.n_out:
-                per_block[b] += 1
-        return sum(1 for d in per_block if d <= cutoff)
-
-
-def _int_snapshot(telemetry) -> tuple[tuple[str, int], ...]:
-    return tuple((f.name, getattr(telemetry, f.name))
-                 for f in dc_fields(telemetry)
-                 if isinstance(getattr(telemetry, f.name), int))
-
-
-def _wrong_votes(pairs, truth) -> int:
-    by_pos: dict[int, set[int]] = {}
-    for i, v in pairs:
-        by_pos.setdefault(i, set()).add(v)
-    wrong = 0
-    for i, vs in by_pos.items():
-        if len(vs) == 1 and i < len(truth):
-            if next(iter(vs)) != truth[i].value:
-                wrong += 1
-    return wrong
-
-
-def run_trials(scheme_spec, strategies, budget_fractions, num_seeds: int,
+def run_trials(spec, strategies, budget_fractions, num_seeds: int,
                master_seed: int = 0,
                budget_basis: str = "transmitted") -> list[TrialReport]:
     """Full factorial sweep: strategy x budget fraction x seed.
@@ -528,7 +343,10 @@ def run_trials(scheme_spec, strategies, budget_fractions, num_seeds: int,
     """
     if budget_basis not in ("transmitted", "payload"):
         raise InvalidOverride(f"unknown budget basis {budget_basis!r}")
-    ops = _SchemeOps(scheme_spec)
+    if not hasattr(spec, "decode_and_score"):
+        raise InvalidOverride(
+            f"trial runner cannot drive {type(spec).__name__}")
+    order, msg_len = spec.rs.field.order, spec.rs.nprime
     reports: list[TrialReport] = []
     for strat in strategies:
         for frac in budget_fractions:
@@ -536,24 +354,24 @@ def run_trials(scheme_spec, strategies, budget_fractions, num_seeds: int,
             if not 0 <= frac <= 1:
                 raise OutOfRange(f"budget fraction {frac} outside [0, 1]")
             for si in range(num_seeds):
-                tseed = derive_seed(master_seed, ops.scheme, strat.name,
+                tseed = derive_seed(master_seed, spec.name, strat.name,
                                     frac, si)
                 rng = random.Random(tseed)
-                msg = [rng.randrange(ops.order) for _ in range(ops.msg_len)]
-                transmitted = ops.encode(msg)
+                msg = [rng.randrange(order) for _ in range(msg_len)]
+                transmitted = spec.encode(msg)
                 basis = (len(transmitted.symbols)
                          if budget_basis == "transmitted"
-                         else ops.payload_length)
+                         else spec.payload_length)
                 budget = min(int(frac * basis), len(transmitted.symbols))
                 t0 = time.perf_counter()
                 pattern = attack(replace(strat, seed=tseed), transmitted,
-                                 scheme_spec, budget)
+                                 spec, budget)
                 received = apply_deletions(transmitted, pattern)
-                outcome, snapshot = ops.decode_and_score(msg, pattern,
-                                                         received)
+                outcome, snapshot = spec.decode_and_score(msg, pattern,
+                                                          received)
                 wall = time.perf_counter() - t0
                 reports.append(TrialReport(
-                    scheme=ops.scheme, strategy=strat.name, fraction=frac,
+                    scheme=spec.name, strategy=strat.name, fraction=frac,
                     seed_index=si, budget=budget,
                     pattern_size=len(pattern), outcome=outcome,
                     telemetry=snapshot, wall_time=wall,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .channel import (
@@ -24,10 +23,7 @@ from .channel import (
 )
 from .common import Profile
 from .errors import DeletionCodeError, InfeasibleAtDeskScale
-from .highnoise import HighNoiseSpec, hn_rate_report
-from .hirate import HiRateSpec, br_guarantee_report, br_rate_report
 from .innercode import check_codebook, load_codebook, rate_report
-from .listdec import ListDecSpec, ld_report
 from .presets import SCHEMES, make_scheme_spec
 from .seqkit import (
     Word,
@@ -37,29 +33,6 @@ from .seqkit import (
 )
 
 _PROFILES = {"paper": Profile.PAPER_ASYMPTOTIC, "desk": Profile.DESK}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    scheme: str = "highnoise"
-    profile: Profile = Profile.DESK
-    eps: Fraction | None = None
-    seed: int = 0
-    codebook: str | None = None
-    out: str | None = None
-    strategies: list[str] | None = None
-    fractions: list[Fraction] = field(default_factory=list)
-    trials: int = 1
-    fmt: str = "text"
-    overrides: dict = field(default_factory=dict)
-    q: int | None = None
-    h: int | None = None
-    outer: tuple[int, int, int] | None = None
-    path: str | None = None
-    word: str | None = None
-    k: int = 2
-    length: int | None = None
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -97,22 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Worst-case deletion codes: build, corrupt, decode, report.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_flags=True):
-        if spec_flags:
-            p.add_argument("--scheme", choices=SCHEMES, default="highnoise")
-            p.add_argument("--profile", choices=sorted(_PROFILES),
-                           default="desk")
-            p.add_argument("--eps", type=_parse_fraction, default=None,
-                           metavar="NUM/DEN")
-            p.add_argument("--q", type=int, default=None)
-            p.add_argument("--h", type=int, default=None)
-            p.add_argument("--outer", type=int, nargs=3, default=None,
-                           metavar=("Q", "N", "K"))
-            p.add_argument("--set", action="append", default=[],
-                           metavar="KEY=VALUE", dest="overrides")
+    def common(p):
+        p.add_argument("--scheme", choices=SCHEMES, default="highnoise")
+        p.add_argument("--profile", choices=sorted(_PROFILES),
+                       default="desk")
+        p.add_argument("--eps", type=_parse_fraction, default=None,
+                       metavar="NUM/DEN")
+        p.add_argument("--q", type=int, default=None)
+        p.add_argument("--h", type=int, default=None)
+        p.add_argument("--outer", type=int, nargs=3, default=None,
+                       metavar=("Q", "N", "K"))
+        p.add_argument("--set", action="append", default=[],
+                       metavar="KEY=VALUE", dest="overrides")
         p.add_argument("--seed", type=int, default=0, metavar="U64")
         p.add_argument("--codebook", default=None, metavar="PATH")
-        p.add_argument("--out", default=None, metavar="PATH")
+
+    def records_format(p):
         p.add_argument("--format", choices=["text", "records"],
                        default="text", dest="fmt")
 
@@ -123,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip",
                        help="encode a random message, attack, decode, compare")
     common(p)
+    p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--strategy", type=_parse_strategies, default=["RANDOM"],
                    metavar="NAME[,NAME...]")
     p.add_argument("--fraction", type=_parse_fraction, default=None,
@@ -131,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full strategy x fraction x seed sweep")
     common(p)
+    p.add_argument("--out", default=None, metavar="PATH")
+    records_format(p)
     p.add_argument("--strategy", type=_parse_strategies, default=None,
                    metavar="NAME[,NAME...]")
     p.add_argument("--fraction", type=lambda t: [Fraction(x) for x in t.split(",")],
@@ -139,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize a sweep records file")
     p.add_argument("path", metavar="RECORDS")
-    p.add_argument("--format", choices=["text", "records"], default="text",
-                   dest="fmt")
+    records_format(p)
 
     p = sub.add_parser("verify-inner",
                        help="re-verify a cached codebook's defining property")
@@ -155,39 +130,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in ("scheme", "eps", "seed", "codebook", "out", "fmt",
-                 "trials", "q", "h", "path", "word", "k", "length"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "profile"):
-        cfg.profile = _PROFILES[ns.profile]
-    if hasattr(ns, "outer") and ns.outer is not None:
-        cfg.outer = tuple(ns.outer)
-    if hasattr(ns, "overrides"):
-        cfg.overrides = _parse_overrides(ns.overrides)
-    if hasattr(ns, "strategy") and ns.strategy is not None:
-        cfg.strategies = list(ns.strategy)
-    if hasattr(ns, "fraction") and ns.fraction is not None:
-        fr = ns.fraction
-        cfg.fractions = list(fr) if isinstance(fr, list) else [fr]
-    return cfg
-
-
-def _spec_for(cfg: RunConfig):
-    return make_scheme_spec(cfg.scheme, cfg.profile, epsilon=cfg.eps,
-                            overrides=cfg.overrides, q=cfg.q, h=cfg.h,
-                            outer=cfg.outer, cache_path=cfg.codebook)
+def _spec_for(ns: argparse.Namespace):
+    return make_scheme_spec(
+        ns.scheme, _PROFILES[ns.profile], epsilon=ns.eps,
+        overrides=_parse_overrides(ns.overrides), q=ns.q, h=ns.h,
+        outer=ns.outer, cache_path=ns.codebook)
 
 
 def _guarantee_fraction(spec) -> Fraction:
     """Largest deletion fraction the scheme's theorem still covers."""
-    if isinstance(spec, HighNoiseSpec):
-        return 1 - spec.epsilon
-    if isinstance(spec, HiRateSpec):
-        return spec.epsilon
-    return Fraction(1, 2) - spec.epsilon
+    return spec.guarantee_fraction
 
 
 def _print_report(title: str, report: dict) -> None:
@@ -196,15 +148,10 @@ def _print_report(title: str, report: dict) -> None:
         print(f"  {key} = {value}")
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    spec = _spec_for(cfg)
-    if isinstance(spec, HighNoiseSpec):
-        _print_report("rate", hn_rate_report(spec))
-    elif isinstance(spec, HiRateSpec):
-        _print_report("rate", br_rate_report(spec))
-        _print_report("guarantee", br_guarantee_report(spec))
-    else:
-        _print_report("rate and recovery", ld_report(spec))
+def cmd_build(ns: argparse.Namespace) -> int:
+    spec = _spec_for(ns)
+    for title, report in spec.report_sections():
+        _print_report(title, report)
     book = spec.inner
     inner = rate_report(book)
     _print_report("inner counting", {
@@ -217,8 +164,8 @@ def cmd_build(cfg: RunConfig) -> int:
     })
     print(f"inner codebook: {len(book.codewords)} codewords, kind "
           f"{book.kind.value}, full_book={spec.full_book}")
-    if cfg.codebook:
-        print(f"codebook cached at {cfg.codebook}")
+    if ns.codebook:
+        print(f"codebook cached at {ns.codebook}")
     return 0
 
 
@@ -226,18 +173,17 @@ def _default_strategies() -> list[str]:
     return [n for n in STRATEGY_NAMES if n != "GREEDY_LCS"]
 
 
-def _sweep(cfg: RunConfig, default_fraction_list, always_lines=False) -> int:
-    spec = _spec_for(cfg)
+def _sweep(ns: argparse.Namespace, fractions_for, always_lines=False) -> int:
+    spec = _spec_for(ns)
     guarantee = _guarantee_fraction(spec)
-    names = cfg.strategies if cfg.strategies is not None else _default_strategies()
+    names = ns.strategy if ns.strategy is not None else _default_strategies()
     strategies = [Strategy(n) for n in names]
-    fractions = cfg.fractions or default_fraction_list(guarantee)
-    reports = run_trials(spec, strategies, fractions, cfg.trials,
-                         master_seed=cfg.seed)
-    if cfg.out:
-        write_reports(reports, cfg.out)
-        print(f"{len(reports)} trial records written to {cfg.out}")
-    if always_lines or cfg.fmt == "records":
+    reports = run_trials(spec, strategies, fractions_for(guarantee), ns.trials,
+                         master_seed=ns.seed)
+    if ns.out:
+        write_reports(reports, ns.out)
+        print(f"{len(reports)} trial records written to {ns.out}")
+    if always_lines or ns.fmt == "records":
         for r in reports:
             print(trial_line(r))
     else:
@@ -251,12 +197,14 @@ def _sweep(cfg: RunConfig, default_fraction_list, always_lines=False) -> int:
     return 0
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    return _sweep(cfg, lambda guarantee: [guarantee], always_lines=True)
+def cmd_roundtrip(ns: argparse.Namespace) -> int:
+    return _sweep(ns, lambda guarantee: [guarantee if ns.fraction is None
+                                         else ns.fraction],
+                  always_lines=True)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    return _sweep(cfg, lambda guarantee: [Fraction(0), guarantee])
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    return _sweep(ns, lambda guarantee: ns.fraction or [Fraction(0), guarantee])
 
 
 def _summary(reports) -> None:
@@ -274,9 +222,9 @@ def _summary(reports) -> None:
         print(f"{strategy:<{width}}{str(fraction):>12}{f'{ok}/{total}':>12}")
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    reports = read_reports(cfg.path)
-    if cfg.fmt == "records":
+def cmd_report(ns: argparse.Namespace) -> int:
+    reports = read_reports(ns.path)
+    if ns.fmt == "records":
         for r in reports:
             print(trial_line(r))
     else:
@@ -284,8 +232,8 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify_inner(cfg: RunConfig) -> int:
-    book = load_codebook(cfg.codebook)
+def cmd_verify_inner(ns: argparse.Namespace) -> int:
+    book = load_codebook(ns.codebook)
     report = check_codebook(book)
     for key, value in report.items():
         if key != "violations":
@@ -295,20 +243,20 @@ def cmd_verify_inner(cfg: RunConfig) -> int:
     return 0 if report["ok"] else 1
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    if cfg.k <= 10:
-        digits = [int(c) for c in cfg.word]
+def cmd_count(ns: argparse.Namespace) -> int:
+    if ns.k <= 10:
+        digits = [int(c) for c in ns.word]
     else:
-        digits = [int(c) for c in cfg.word.split(",")]
-    w = Word(tuple(digits), cfg.k)
+        digits = [int(c) for c in ns.word.split(",")]
+    w = Word(tuple(digits), ns.k)
     ell = len(digits)
-    m = cfg.length
-    exact = count_supersequences(w, m, cfg.k)
-    general = count_bound_general(ell, m, cfg.k)
-    print(f"word length {ell}, target length {m}, alphabet {cfg.k}")
+    m = ns.length
+    exact = count_supersequences(w, m, ns.k)
+    general = count_bound_general(ell, m, ns.k)
+    print(f"word length {ell}, target length {m}, alphabet {ns.k}")
     print(f"exact supersequence count = {exact}")
     print(f"general bound k^(m-l)*C(m,l) = {general}")
-    if cfg.k == 2:
+    if ns.k == 2:
         if 2 * ell > m:
             print(f"binary bound (m-l)*C(m,l) = {count_bound_binary(ell, m)}")
         else:
@@ -334,8 +282,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        cfg = _config(ns)
-        return _COMMANDS[ns.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except InfeasibleAtDeskScale as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -194,9 +194,6 @@ class Field:
     def elem(self, v: int) -> FieldElem:
         return FieldElem(self._check(v), self)
 
-    def elements(self):
-        return (FieldElem(v, self) for v in range(self.order))
-
 
 @dataclass(frozen=True)
 class FieldElem:
@@ -258,11 +255,3 @@ def make_field(order: int) -> Field:
         coeffs = tuple((f >> i) & 1 for i in range(w + 1))
         return Field(order, 2, w, coeffs)
     raise NotPrimePower(f"{order} is neither prime nor a supported power of 2")
-
-
-def ff_mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def ff_inv(a: FieldElem) -> FieldElem:
-    return a.inv()

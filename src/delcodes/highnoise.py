@@ -16,40 +16,28 @@ telemetry: with s wrong votes and r missing positions, recovery needs
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import Profile
+from .common import ConcatenatedSpec, Profile
 from .errors import (
     AlphabetMismatch,
     Ambiguous,
     DecodeFailure,
-    InfeasibleAtDeskScale,
     InvalidOverride,
-    LengthMismatch,
     NoMatch,
     OutOfRange,
-    TargetUnreachable,
 )
 from .gf import FieldElem
 from .gf import make_field
 from .innercode import (
-    CandidatePolicy,
     Codebook,
     CodebookKind,
-    greedy_unique,
     inner_decode_unique,
-    inner_encode,
-    load_codebook,
-    save_codebook,
+    spec_codebook,
 )
-from .rsouter import ERASED, RsParams, rs_decode_ee, rs_encode
+from .rsouter import ERASED, RsParams, outer_word, rs_decode_ee
 from .seqkit import Word
-
-# Largest lexicographic search space before spec construction switches to
-# seeded random candidates.
-_LEX_SPACE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,34 +63,6 @@ class HeaderedWord:
     def headers(self) -> tuple[int, ...]:
         return tuple(h for h, _ in self.symbols)
 
-    def to_text(self) -> str:
-        return "\n".join(f"{h}:{p}" for h, p in self.symbols)
-
-    @classmethod
-    def from_text(cls, text: str, header_mod: int, alphabet: int) -> "HeaderedWord":
-        syms = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            h, _, p = line.partition(":")
-            syms.append((int(h), int(p)))
-        return cls(tuple(syms), header_mod, alphabet)
-
-    def to_binary(self) -> bytes:
-        if self.header_mod > 0x10000 or self.alphabet > 0x10000:
-            raise OutOfRange("binary form packs each half into 16 bits")
-        return b"".join(struct.pack("<HH", h, p) for h, p in self.symbols)
-
-    @classmethod
-    def from_binary(cls, data: bytes, header_mod: int, alphabet: int) -> "HeaderedWord":
-        if len(data) % 4:
-            raise LengthMismatch(f"binary form is 4 bytes per symbol, got {len(data)} bytes")
-        syms = tuple(
-            struct.unpack_from("<HH", data, off) for off in range(0, len(data), 4)
-        )
-        return cls(syms, header_mod, alphabet)
-
 
 @dataclass(frozen=True)
 class Block:
@@ -117,7 +77,7 @@ class Block:
 
 
 @dataclass(frozen=True)
-class HighNoiseSpec:
+class HighNoiseSpec(ConcatenatedSpec):
     epsilon: Fraction
     D: int
     k: int
@@ -128,6 +88,8 @@ class HighNoiseSpec:
     inner: Codebook
     rs: RsParams
     profile: Profile
+
+    name = "highnoise"
 
     @property
     def delta_in(self) -> Fraction:
@@ -140,22 +102,22 @@ class HighNoiseSpec:
         return math.ceil(self.epsilon * self.m / 2)
 
     @property
-    def pair_count(self) -> int:
-        return self.n * self.q
+    def guarantee_fraction(self) -> Fraction:
+        """Largest deletion fraction the theorem still covers."""
+        return 1 - self.epsilon
 
-    @property
-    def full_book(self) -> bool:
-        return len(self.inner.codewords) >= self.pair_count
+    def encode(self, message) -> HeaderedWord:
+        return hn_encode(self, message)
 
-    def pair_index(self, position: int, value: int) -> int:
-        if not 0 <= position < self.n:
-            raise OutOfRange(f"position {position} outside [0, {self.n})")
-        if not 0 <= value < self.q:
-            raise OutOfRange(f"value {value} outside [0, {self.q})")
-        return position * self.q + value
+    def decode(self, received: HeaderedWord) -> HnDecodeResult:
+        return hn_decode(self, received)
 
-    def pair_of_index(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.q)
+    def merge_victims(self, blocks, buffers):
+        # The D - 1 blocks separating two positions with equal header.
+        return [blocks[j + 1:j + self.D] for j in range(self.n - self.D)]
+
+    def report_sections(self) -> list[tuple[str, dict]]:
+        return [("rate", hn_rate_report(self))]
 
 
 @dataclass(frozen=True)
@@ -214,43 +176,10 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     if not 1 <= n_prime <= n <= q:
         raise OutOfRange(f"need 1 <= n_prime <= n <= q, got {n_prime}, {n}, {q}")
 
-    delta_in = 1 - eps / 2
-    target = n * q
-    seed = int(overrides.get("seed", 0))
-    if "policy" in overrides:
-        policy = CandidatePolicy(overrides["policy"])
-    else:
-        policy = (CandidatePolicy.LEX if k**m <= _LEX_SPACE_CAP
-                  else CandidatePolicy.SEEDED_RANDOM)
-    attempt_cap = int(overrides.get("attempt_cap", 200_000))
-
-    inner = None
-    if cache_path is not None:
-        try:
-            cached = load_codebook(cache_path)
-        except FileNotFoundError:
-            cached = None
-        if cached is not None:
-            if (cached.kind is not CodebookKind.UNIQUE or cached.k != k
-                    or cached.m != m or cached.delta != delta_in):
-                raise InvalidOverride(
-                    f"cache {cache_path} holds a different codebook shape")
-            inner = cached
-    if inner is None:
-        try:
-            inner = greedy_unique(k, m, delta_in, target_size=target,
-                                  policy=policy, seed=seed,
-                                  attempt_cap=attempt_cap)
-        except TargetUnreachable as exc:
-            if profile is Profile.PAPER_ASYMPTOTIC:
-                raise InfeasibleAtDeskScale(
-                    f"inner codebook reached {len(exc.codebook.codewords)} of "
-                    f"{target} codewords within {attempt_cap} attempts"
-                ) from exc
-            inner = exc.codebook
-        if cache_path is not None:
-            save_codebook(inner, cache_path)
-
+    inner = spec_codebook(CodebookKind.UNIQUE, k, m, 1 - eps / 2,
+                          target=n * q, overrides=overrides,
+                          require_full=profile is Profile.PAPER_ASYMPTOTIC,
+                          cache_path=cache_path)
     rs = RsParams(field, n, n_prime)
     return HighNoiseSpec(eps, D, k, m, n, q, n_prime, inner, rs, profile)
 
@@ -276,35 +205,11 @@ def hn_rate_report(spec: HighNoiseSpec) -> dict:
 def hn_encode(spec: HighNoiseSpec, message) -> HeaderedWord:
     """RS-encode, wrap each outer symbol as (position, value), inner-encode,
     and tag every inner symbol with the position header."""
-    values = _message_values(spec, message)
-    code = rs_encode(spec.rs.field, values, spec.n)
     syms: list[tuple[int, int]] = []
-    for i, c in enumerate(code):
-        pair = spec.pair_index(i, c.value)
-        if pair >= len(spec.inner.codewords):
-            raise InfeasibleAtDeskScale(
-                f"pair ({i}, {c.value}) needs inner index {pair} but the book "
-                f"holds {len(spec.inner.codewords)} codewords")
-        w = inner_encode(spec.inner, pair)
+    for i, w in enumerate(spec.inner_words(message)):
         h = i % spec.D
         syms.extend((h, s) for s in w.symbols)
     return HeaderedWord(tuple(syms), spec.D, spec.k)
-
-
-def _message_values(spec: HighNoiseSpec, message) -> list[int]:
-    msg = list(message)
-    if len(msg) != spec.n_prime:
-        raise LengthMismatch(
-            f"message length {len(msg)} != dimension {spec.n_prime}")
-    out = []
-    for v in msg:
-        if isinstance(v, FieldElem):
-            if v.field != spec.rs.field:
-                raise AlphabetMismatch("message element from a different field")
-            out.append(v.value)
-        else:
-            out.append(spec.rs.field.elem(int(v)).value)
-    return out
 
 
 def hn_partition_blocks(received: HeaderedWord) -> list[Block]:
@@ -346,14 +251,7 @@ def hn_decode(spec: HighNoiseSpec, received: HeaderedWord) -> HnDecodeResult:
         successes += 1
         pairs.add(spec.pair_of_index(idx))
 
-    by_pos: dict[int, set[int]] = {}
-    for i, v in pairs:
-        by_pos.setdefault(i, set()).add(v)
-    conflicts = sum(1 for vs in by_pos.values() if len(vs) > 1)
-    vector: list = []
-    for i in range(spec.n):
-        vs = by_pos.get(i)
-        vector.append(next(iter(vs)) if vs and len(vs) == 1 else ERASED)
+    vector, conflicts = outer_word(pairs, spec.n)
     erasures = sum(1 for v in vector if v is ERASED)
 
     telemetry = HnTelemetry(

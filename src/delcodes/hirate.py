@@ -20,35 +20,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import Profile
+from .common import ConcatenatedSpec, Profile
 from .errors import (
-    AlphabetMismatch,
     Ambiguous,
     DecodeFailure,
-    InfeasibleAtDeskScale,
     InvalidOverride,
-    LengthMismatch,
     NoMatch,
     NotBinary,
     OutOfRange,
-    TargetUnreachable,
 )
 from .gf import FieldElem, make_field
 from .innercode import (
-    CandidatePolicy,
     Codebook,
     CodebookKind,
-    greedy_dense,
     inner_decode_unique,
-    inner_encode,
-    load_codebook,
-    save_codebook,
     separation_threshold,
+    spec_codebook,
 )
-from .rsouter import ERASED, RsParams, rs_decode_ee, rs_encode
+from .rsouter import ERASED, RsParams, outer_word, rs_decode_ee
 from .seqkit import Word, runs_of_zero
-
-_LEX_SPACE_CAP = 1 << 20
 
 
 def frac_sqrt(x: Fraction) -> Fraction:
@@ -74,7 +64,7 @@ class DecodingWindow:
 
 
 @dataclass(frozen=True)
-class HiRateSpec:
+class HiRateSpec(ConcatenatedSpec):
     epsilon: Fraction
     delta: Fraction
     beta: Fraction
@@ -88,9 +78,7 @@ class HiRateSpec:
     rs: RsParams
     profile: Profile
 
-    @property
-    def field_order(self) -> int:
-        return self.q**self.h
+    name = "hirate"
 
     @property
     def run_threshold(self) -> int:
@@ -106,22 +94,31 @@ class HiRateSpec:
         return self.n * self.m + (self.n - 1) * self.buffer_len
 
     @property
-    def pair_count(self) -> int:
-        return self.n * self.field_order
+    def guarantee_fraction(self) -> Fraction:
+        """Largest deletion fraction the theorem still covers."""
+        return self.epsilon
 
-    @property
-    def full_book(self) -> bool:
-        return len(self.inner.codewords) >= self.pair_count
+    def encode(self, message) -> Word:
+        return br_encode(self, message)
 
-    def pair_index(self, position: int, value: int) -> int:
-        if not 0 <= position < self.n:
-            raise OutOfRange(f"position {position} outside [0, {self.n})")
-        if not 0 <= value < self.field_order:
-            raise OutOfRange(f"value {value} outside [0, {self.field_order})")
-        return position * self.field_order + value
+    def decode(self, received: Word) -> BrDecodeResult:
+        return br_decode(self, received)
 
-    def pair_of_index(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.field_order)
+    def spans(self):
+        """Inner codeword spans, each followed by a buffer but the last."""
+        stride = self.m + self.buffer_len
+        blocks = [(i * stride, i * stride + self.m) for i in range(self.n)]
+        buffers = [(i * stride + self.m, (i + 1) * stride)
+                   for i in range(self.n - 1)]
+        return blocks, buffers
+
+    def merge_victims(self, blocks, buffers):
+        # A whole buffer: its two neighbouring codewords become one window.
+        return [[b] for b in buffers]
+
+    def report_sections(self) -> list[tuple[str, dict]]:
+        return [("rate", br_rate_report(self)),
+                ("guarantee", br_guarantee_report(self))]
 
 
 @dataclass(frozen=True)
@@ -207,45 +204,10 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
             f"buffer of {buffer_len} zeros is below the run threshold {thr}; "
             "the decoder could never find it")
 
-    target = n * q**h
-    seed = int(overrides.get("seed", 0))
-    if "policy" in overrides:
-        policy = CandidatePolicy(overrides["policy"])
-    else:
-        policy = (CandidatePolicy.LEX if 2**m <= _LEX_SPACE_CAP
-                  else CandidatePolicy.SEEDED_RANDOM)
-    attempt_cap = int(overrides.get("attempt_cap", 200_000))
-    zeros = overrides.get("zeros")
-    min_gap = overrides.get("min_gap")
-
-    inner = None
-    if cache_path is not None:
-        try:
-            cached = load_codebook(cache_path)
-        except FileNotFoundError:
-            cached = None
-        if cached is not None:
-            if (cached.kind is not CodebookKind.DENSE or cached.m != m
-                    or cached.delta != delta or cached.beta != beta):
-                raise InvalidOverride(
-                    f"cache {cache_path} holds a different codebook shape")
-            inner = cached
-    if inner is None:
-        try:
-            inner = greedy_dense(m, delta, beta, target_size=target,
-                                 policy=policy, seed=seed,
-                                 attempt_cap=attempt_cap,
-                                 zeros=zeros, min_gap=min_gap)
-        except TargetUnreachable as exc:
-            if profile is Profile.PAPER_ASYMPTOTIC:
-                raise InfeasibleAtDeskScale(
-                    f"inner codebook reached {len(exc.codebook.codewords)} of "
-                    f"{target} codewords within {attempt_cap} attempts"
-                ) from exc
-            inner = exc.codebook
-        if cache_path is not None:
-            save_codebook(inner, cache_path)
-
+    inner = spec_codebook(CodebookKind.DENSE, 2, m, delta, beta=beta,
+                          target=n * field.order, overrides=overrides,
+                          require_full=profile is Profile.PAPER_ASYMPTOTIC,
+                          cache_path=cache_path)
     rs = RsParams(field, n, n_prime)
     return HiRateSpec(eps, delta, beta, buffer_len, m, n, q, h, n_prime,
                       inner, rs, profile)
@@ -339,35 +301,12 @@ def _min_erase(best, symbols, zpos, loss_needed):
 
 def br_encode(spec: HiRateSpec, message) -> Word:
     """RS-encode over GF(q^h), pair-label, inner-encode, join with buffers."""
-    values = _message_values(spec, message)
-    code = rs_encode(spec.rs.field, values, spec.n)
     out: list[int] = []
-    for i, c in enumerate(code):
-        pair = spec.pair_index(i, c.value)
-        if pair >= len(spec.inner.codewords):
-            raise InfeasibleAtDeskScale(
-                f"pair ({i}, {c.value}) needs inner index {pair} but the book "
-                f"holds {len(spec.inner.codewords)} codewords")
+    for i, w in enumerate(spec.inner_words(message)):
         if i:
             out.extend([0] * spec.buffer_len)
-        out.extend(inner_encode(spec.inner, pair).symbols)
+        out.extend(w.symbols)
     return Word(tuple(out), 2)
-
-
-def _message_values(spec: HiRateSpec, message) -> list[int]:
-    msg = list(message)
-    if len(msg) != spec.n_prime:
-        raise LengthMismatch(
-            f"message length {len(msg)} != dimension {spec.n_prime}")
-    out = []
-    for v in msg:
-        if isinstance(v, FieldElem):
-            if v.field != spec.rs.field:
-                raise AlphabetMismatch("message element from a different field")
-            out.append(v.value)
-        else:
-            out.append(spec.rs.field.elem(int(v)).value)
-    return out
 
 
 def br_windows(spec: HiRateSpec, received: Word) -> list[DecodingWindow]:
@@ -419,14 +358,7 @@ def br_decode(spec: HiRateSpec, received: Word) -> BrDecodeResult:
         successes += 1
         pairs.add(spec.pair_of_index(idx))
 
-    by_pos: dict[int, set[int]] = {}
-    for i, v in pairs:
-        by_pos.setdefault(i, set()).add(v)
-    conflicts = sum(1 for vs in by_pos.values() if len(vs) > 1)
-    vector: list = []
-    for i in range(spec.n):
-        vs = by_pos.get(i)
-        vector.append(next(iter(vs)) if vs and len(vs) == 1 else ERASED)
+    vector, conflicts = outer_word(pairs, spec.n)
     erasures = sum(1 for v in vector if v is ERASED)
 
     telemetry = BrTelemetry(

@@ -30,6 +30,8 @@ from .errors import (
     AlphabetMismatch,
     GuardExceeded,
     IndexOutOfRange,
+    InfeasibleAtDeskScale,
+    InvalidOverride,
     NoMatch,
     NotBinary,
     OutOfRange,
@@ -38,6 +40,10 @@ from .errors import (
 from .seqkit import Word
 
 DEFAULT_ATTEMPT_CAP = 200_000
+
+# Largest lexicographic search space before a scheme spec's inner book
+# switches to seeded random candidates.
+_LEX_SPACE_CAP = 1 << 20
 
 
 class CodebookKind(Enum):
@@ -73,6 +79,30 @@ class Codebook:
         """Codeword pairs (or list_size-subsets) share no common subsequence
         of this length."""
         return separation_threshold(self.m, self.delta)
+
+    # A bare codebook is a channel target too: one codeword sent alone.
+
+    def spans(self):
+        """The codeword span of a transmission, and no buffers."""
+        return [(0, self.m)], []
+
+    def merge_victims(self, blocks, buffers):
+        """No headers or buffers for MERGE_ATTACK to exploit."""
+        return None
+
+    def confusion_score(self, transmitted: Word):
+        """Scorer of received words: the number of codewords other than the
+        transmitted one that contain it (LISTDEC: all that contain it)."""
+        match = [i for i, cw in enumerate(self.codewords)
+                 if cw.symbols == transmitted.symbols]
+        if not match:
+            raise OutOfRange("transmitted word is not in the codebook")
+        t = -1 if self.kind is CodebookKind.LISTDEC else match[0]
+
+        def score(received):
+            return sum(1 for i, cw in enumerate(self.codewords)
+                       if i != t and seqkit.is_subsequence(received, cw))
+        return score
 
 
 def separation_threshold(m: int, delta: Fraction) -> int:
@@ -564,3 +594,67 @@ def check_codebook(cb: Codebook, exhaustive_limit: int = 1 << 14,
             )
     report["max_list_size"] = worst_list
     return report
+
+
+# ---------------------------------------------------------------------------
+# Scheme inner books
+
+
+def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
+                  target: int, overrides: dict, require_full: bool,
+                  cache_path=None, beta: Fraction | None = None,
+                  list_size: int | None = None) -> Codebook:
+    """The inner book a scheme spec asks for, from cache_path or built.
+
+    overrides may set seed, policy, attempt_cap and, for DENSE books, zeros
+    and min_gap.  Without a policy, LEX is used while the k^m candidate
+    space stays small, SEEDED_RANDOM beyond.  A book cached at cache_path
+    is used only if its shape, seed and policy are the spec's and it passes
+    check_codebook; otherwise InvalidOverride.  With no cache there, the
+    book is built greedily and saved to cache_path.  A build that stops
+    short of target raises InfeasibleAtDeskScale when require_full, else
+    the short book is returned.
+    """
+    seed = int(overrides.get("seed", 0))
+    if "policy" in overrides:
+        policy = CandidatePolicy(overrides["policy"])
+    else:
+        policy = (CandidatePolicy.LEX if k**m <= _LEX_SPACE_CAP
+                  else CandidatePolicy.SEEDED_RANDOM)
+    attempt_cap = int(overrides.get("attempt_cap", DEFAULT_ATTEMPT_CAP))
+
+    if cache_path is not None:
+        try:
+            cached = load_codebook(cache_path)
+        except FileNotFoundError:
+            cached = None
+        if cached is not None:
+            if ((cached.kind, cached.k, cached.m, cached.delta, cached.beta,
+                 cached.list_size) != (kind, k, m, delta, beta, list_size)):
+                raise InvalidOverride(
+                    f"cache {cache_path} holds a different codebook shape")
+            if cached.seed != seed or cached.candidate_policy is not policy:
+                raise InvalidOverride(
+                    f"cache {cache_path} was built with seed {cached.seed} "
+                    f"and policy {cached.candidate_policy.value}, the spec "
+                    f"asks for seed {seed} and policy {policy.value}")
+            if not check_codebook(cached)["ok"]:
+                raise InvalidOverride(
+                    f"cache {cache_path} fails its codebook check")
+            return cached
+
+    try:
+        inner = _build(kind, k, m, delta, beta, list_size, target, policy,
+                       seed, attempt_cap, seqkit.DEFAULT_TABLE_GUARD,
+                       zeros=overrides.get("zeros"),
+                       min_gap=overrides.get("min_gap"))
+    except TargetUnreachable as exc:
+        if require_full:
+            raise InfeasibleAtDeskScale(
+                f"inner codebook reached {len(exc.codebook.codewords)} of "
+                f"{target} codewords within {attempt_cap} attempts"
+            ) from exc
+        inner = exc.codebook
+    if cache_path is not None:
+        save_codebook(inner, cache_path)
+    return inner

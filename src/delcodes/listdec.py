@@ -25,41 +25,31 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import Profile
+from .common import ConcatenatedSpec, Profile, int_snapshot
 from .errors import (
     AlphabetMismatch,
     InfeasibleAtDeskScale,
     InvalidOverride,
-    LengthMismatch,
     OutOfRange,
-    TargetUnreachable,
 )
 from .gf import FieldElem, make_field
 from .innercode import (
-    CandidatePolicy,
     Codebook,
     CodebookKind,
-    greedy_listdec,
     inner_decode_list,
-    inner_encode,
-    load_codebook,
-    save_codebook,
+    spec_codebook,
 )
 from .rsouter import (
     DEFAULT_LIST_GUARD,
     RsParams,
-    rs_encode,
+    rs_decode_ee,
     rs_list_recover_bruteforce,
 )
 from .seqkit import Word
 
-# Largest lexicographic search space before spec construction switches to
-# seeded random candidates.
-_LEX_SPACE_CAP = 1 << 20
-
 
 @dataclass(frozen=True)
-class ListDecSpec:
+class ListDecSpec(ConcatenatedSpec):
     epsilon: Fraction
     delta: Fraction
     m: int
@@ -70,6 +60,8 @@ class ListDecSpec:
     ell: int
     rs: RsParams
     profile: Profile
+
+    name = "listdec"
 
     @property
     def alpha(self) -> Fraction:
@@ -98,22 +90,61 @@ class ListDecSpec:
         return self.n_out * self.m
 
     @property
-    def pair_count(self) -> int:
-        return self.n_out * self.q
+    def guarantee_fraction(self) -> Fraction:
+        """Largest deletion fraction the list guarantee still covers."""
+        return Fraction(1, 2) - self.epsilon
 
-    @property
-    def full_book(self) -> bool:
-        return len(self.inner.codewords) >= self.pair_count
+    def encode(self, message) -> Word:
+        return ld_encode(self, message)
 
-    def pair_index(self, position: int, value: int) -> int:
-        if not 0 <= position < self.n_out:
-            raise OutOfRange(f"position {position} outside [0, {self.n_out})")
-        if not 0 <= value < self.q:
-            raise OutOfRange(f"value {value} outside [0, {self.q})")
-        return position * self.q + value
+    def decode(self, received: Word) -> LdDecodeResult:
+        return ld_decode(self, received)
 
-    def pair_of_index(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.q)
+    def report_sections(self) -> list[tuple[str, dict]]:
+        return [("rate and recovery", ld_report(self))]
+
+    def decode_and_score(self, msg, pattern, received):
+        """List-decode a received word of the message msg: "ok" when the
+        list holds the message, else "missing", and the telemetry
+        snapshot."""
+        expected = tuple(self.rs.field.elem(v) for v in msg)
+        res = ld_decode(self, received)
+        outcome = "ok" if expected in res.messages else "missing"
+        snap = int_snapshot(res.telemetry) + (
+            ("candidate_pairs", res.telemetry.candidates.total_size),
+            ("light_blocks", self._light_blocks(pattern)),
+        )
+        return outcome, tuple(sorted(snap))
+
+    def _light_blocks(self, pattern) -> int:
+        # Blocks that kept enough symbols for the window-coverage argument.
+        cutoff = (Fraction(1, 2) - 2 * self.delta) * self.m
+        per_block = [0] * self.n_out
+        for p in pattern.positions:
+            b = p // self.m
+            if b < self.n_out:
+                per_block[b] += 1
+        return sum(1 for d in per_block if d <= cutoff)
+
+    def confusion_score(self, transmitted: Word):
+        """Scorer of received words: 1 when the decoded list misses the
+        transmitted message."""
+        # Read the outer values straight off the clean blocks; the decode
+        # list is no use here since it may hold several messages.
+        values = []
+        for i in range(self.n_out):
+            block = transmitted.symbols[i * self.m:(i + 1) * self.m]
+            hits = [j for j, cw in enumerate(self.inner.codewords)
+                    if cw.symbols == block]
+            if not hits:
+                raise OutOfRange("transmitted word is not a clean codeword")
+            _, val = self.pair_of_index(hits[0])
+            values.append(val)
+        expected = tuple(rs_decode_ee(self.rs.field, values, self.k_out))
+
+        def score(received):
+            return 0 if expected in ld_decode(self, received).messages else 1
+        return score
 
 
 @dataclass(frozen=True)
@@ -201,44 +232,11 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
     if ell < 1:
         raise OutOfRange(f"recovery budget must be >= 1, got {ell}")
 
-    delta_in = Fraction(1, 2) - delta
-    target = n_out * q
-    seed = int(overrides.get("seed", 0))
-    if "policy" in overrides:
-        policy = CandidatePolicy(overrides["policy"])
-    else:
-        policy = (CandidatePolicy.LEX if 2**m <= _LEX_SPACE_CAP
-                  else CandidatePolicy.SEEDED_RANDOM)
-    attempt_cap = int(overrides.get("attempt_cap", 200_000))
-
-    inner = None
-    if cache_path is not None:
-        try:
-            cached = load_codebook(cache_path)
-        except FileNotFoundError:
-            cached = None
-        if cached is not None:
-            if (cached.kind is not CodebookKind.LISTDEC or cached.m != m
-                    or cached.delta != delta_in
-                    or cached.list_size != list_size):
-                raise InvalidOverride(
-                    f"cache {cache_path} holds a different codebook shape")
-            inner = cached
-    if inner is None:
-        try:
-            inner = greedy_listdec(m, delta_in, list_size, target_size=target,
-                                   policy=policy, seed=seed,
-                                   attempt_cap=attempt_cap)
-        except TargetUnreachable as exc:
-            if profile is Profile.PAPER_ASYMPTOTIC:
-                raise InfeasibleAtDeskScale(
-                    f"inner codebook reached {len(exc.codebook.codewords)} of "
-                    f"{target} codewords within {attempt_cap} attempts"
-                ) from exc
-            inner = exc.codebook
-        if cache_path is not None:
-            save_codebook(inner, cache_path)
-
+    inner = spec_codebook(CodebookKind.LISTDEC, 2, m, Fraction(1, 2) - delta,
+                          list_size=list_size, target=n_out * q,
+                          overrides=overrides,
+                          require_full=profile is Profile.PAPER_ASYMPTOTIC,
+                          cache_path=cache_path)
     rs = RsParams(field, n_out, k_out)
     return ListDecSpec(eps, delta, m, inner, n_out, k_out, q, ell, rs, profile)
 
@@ -278,33 +276,8 @@ def ld_report(spec: ListDecSpec) -> dict:
 
 def ld_encode(spec: ListDecSpec, message) -> Word:
     """Outer-encode, pair-label each coordinate, inner-encode, concatenate."""
-    values = _message_values(spec, message)
-    code = rs_encode(spec.rs.field, values, spec.n_out)
-    out: list[int] = []
-    for i, c in enumerate(code):
-        pair = spec.pair_index(i, c.value)
-        if pair >= len(spec.inner.codewords):
-            raise InfeasibleAtDeskScale(
-                f"pair ({i}, {c.value}) needs inner index {pair} but the book "
-                f"holds {len(spec.inner.codewords)} codewords")
-        out.extend(inner_encode(spec.inner, pair).symbols)
-    return Word(tuple(out), 2)
-
-
-def _message_values(spec: ListDecSpec, message) -> list[int]:
-    msg = list(message)
-    if len(msg) != spec.k_out:
-        raise LengthMismatch(
-            f"message length {len(msg)} != dimension {spec.k_out}")
-    out = []
-    for v in msg:
-        if isinstance(v, FieldElem):
-            if v.field != spec.rs.field:
-                raise AlphabetMismatch("message element from a different field")
-            out.append(v.value)
-        else:
-            out.append(spec.rs.field.elem(int(v)).value)
-    return out
+    return Word(tuple(s for w in spec.inner_words(message) for s in w.symbols),
+                2)
 
 
 def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, Word]]:

@@ -47,6 +47,24 @@ def _as_value(field: Field, v) -> int:
     return field._check(int(v))
 
 
+def outer_word(pairs, n: int) -> tuple[list, int]:
+    """The received outer word voted for by (position, value) pairs, and
+    the number of positions with conflicting votes.
+
+    A position with exactly one voted value takes it; one with no vote or
+    with conflicting votes is erased, since no vote there can be trusted.
+    """
+    by_pos: dict[int, set[int]] = {}
+    for i, v in pairs:
+        by_pos.setdefault(i, set()).add(v)
+    conflicts = sum(1 for vs in by_pos.values() if len(vs) > 1)
+    word = []
+    for i in range(n):
+        vs = by_pos.get(i)
+        word.append(next(iter(vs)) if vs and len(vs) == 1 else ERASED)
+    return word, conflicts
+
+
 def poly_eval(field: Field, coeffs: list[int], x: int) -> int:
     """Evaluate sum coeffs[i] * x^i by Horner's rule."""
     acc = 0

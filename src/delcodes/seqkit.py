@@ -65,33 +65,6 @@ class Word:
     def ones(self) -> int:
         return sum(1 for s in self.symbols if s == 1)
 
-    def packed_bits(self) -> bytes:
-        """Binary word as a 4-byte length header plus bits packed
-        little-endian within each byte; the compact form for large runs."""
-        if self.alphabet_size != 2:
-            raise NotBinary("packed bit form only defined for binary words")
-        out = bytearray(len(self).to_bytes(4, "little"))
-        byte = 0
-        for i, s in enumerate(self.symbols):
-            byte |= s << (i % 8)
-            if i % 8 == 7:
-                out.append(byte)
-                byte = 0
-        if len(self) % 8:
-            out.append(byte)
-        return bytes(out)
-
-    @staticmethod
-    def from_packed_bits(data: bytes) -> Word:
-        n = int.from_bytes(data[:4], "little")
-        body = data[4:]
-        if len(body) != (n + 7) // 8:
-            raise LengthMismatch(
-                f"packed word of {n} bits needs {(n + 7) // 8} body bytes, "
-                f"got {len(body)}")
-        syms = tuple((body[i // 8] >> (i % 8)) & 1 for i in range(n))
-        return Word(syms, 2)
-
 
 @dataclass(frozen=True)
 class Interval:

@@ -332,6 +332,10 @@ class TestRunTrials:
         with pytest.raises(OutOfRange):
             run_trials(hn_desk, [Strategy("RANDOM")], [F(3, 2)], 1)
 
+    def test_bare_codebook_is_rejected(self, tiny_book):
+        with pytest.raises(InvalidOverride, match="cannot drive Codebook"):
+            run_trials(tiny_book, [Strategy("RANDOM")], [F(0)], 1)
+
     def test_telemetry_snapshot_carries_accounting_keys(self, hn_desk):
         reports = run_trials(hn_desk, [Strategy("MERGE_ATTACK")], [F(1, 2)], 2)
         for r in reports:

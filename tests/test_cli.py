@@ -197,3 +197,10 @@ class TestContract:
                            "--set", "gremlins=9")
         assert code == 2
         assert "error:" in err
+
+    def test_flags_a_command_does_not_use_are_rejected(self, capsys):
+        code, _, _ = run(capsys, "build", "--scheme", "highnoise",
+                         "--out", "x")
+        assert code == 2
+        code, _, _ = run(capsys, "roundtrip", "--format", "records")
+        assert code == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from delcodes.channel import DeletionPattern, apply_deletions
 from delcodes.common import Profile
 from delcodes.errors import (
+    DecodeFailure,
     InfeasibleAtDeskScale,
     InvalidOverride,
     LengthMismatch,
@@ -273,6 +274,17 @@ class TestDecode:
         assert [e.value for e in res.message] == [1]
         assert res.telemetry.erasures >= 1
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decoder_is_total(self, br_desk, data):
+        # Any received word, empty included: a result or DecodeFailure.
+        syms = data.draw(st.lists(st.integers(0, 1),
+                                  max_size=br_desk.encoded_length))
+        try:
+            br_decode(br_desk, Word(tuple(syms), 2))
+        except DecodeFailure:
+            pass
+
 
 class TestBinaryWordIO:
     def test_ascii_roundtrip(self):
@@ -280,25 +292,7 @@ class TestBinaryWordIO:
         assert w.digits() == "10110"
         assert Word.from_digits("10110", 2) == w
 
-    def test_packed_roundtrip(self):
-        w = bits("1011001011")
-        assert Word.from_packed_bits(w.packed_bits()) == w
-
-    def test_packed_is_compact(self):
-        blob = bits("1" * 64).packed_bits()
-        assert len(blob) == 4 + 8  # length header plus one bit per symbol
-
-    def test_packed_rejects_wider_alphabets(self):
-        with pytest.raises(NotBinary):
-            Word((0, 2), 3).packed_bits()
-
-    def test_truncated_blob_rejected(self):
-        blob = bits("10110").packed_bits()
-        with pytest.raises(LengthMismatch):
-            Word.from_packed_bits(blob[:-1])
-
     @given(st.lists(st.integers(0, 1), max_size=70))
     def test_roundtrips_agree(self, symbols):
         w = Word(tuple(symbols), 2)
-        assert Word.from_packed_bits(w.packed_bits()) == w
         assert Word.from_digits(w.digits(), 2) == w

@@ -12,6 +12,7 @@ from delcodes import innercode, seqkit
 from delcodes.errors import (
     Ambiguous,
     IndexOutOfRange,
+    InvalidOverride,
     NoMatch,
     NotBinary,
     OutOfRange,
@@ -332,3 +333,45 @@ class TestCheckCodebook:
         cb = greedy_unique(2, 6, F(1, 2), target_size=None)
         broken = dataclasses.replace(cb, codewords=cb.codewords + cb.codewords[:1])
         assert not check_codebook(broken)["ok"]
+
+
+class TestSpecCodebookCache:
+    """A scheme spec loads its cached inner book only if that is the book
+    it would build; an edited cache is rejected, not used."""
+
+    def book(self, path):
+        return innercode.spec_codebook(
+            CodebookKind.UNIQUE, 4, 6, F(1, 2), target=12,
+            overrides={"seed": 5}, require_full=False, cache_path=path)
+
+    def edited(self, tmp_path, edit):
+        path = tmp_path / "book.txt"
+        built = self.book(path)
+        assert self.book(path).codewords == built.codewords
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_other_seed_is_rejected(self, tmp_path):
+        def reseed(lines):
+            head = lines[0].split()
+            head[8] = "999"
+            lines[0] = " ".join(head)
+
+        with pytest.raises(InvalidOverride, match="seed 999"):
+            self.book(self.edited(tmp_path, reseed))
+
+    def test_other_policy_is_rejected(self, tmp_path):
+        def repolicy(lines):
+            lines[0] = lines[0].replace(" LEX ", " SEEDED_RANDOM ")
+
+        with pytest.raises(InvalidOverride, match="policy SEEDED_RANDOM"):
+            self.book(self.edited(tmp_path, repolicy))
+
+    def test_book_failing_its_check_is_rejected(self, tmp_path):
+        def duplicate(lines):
+            lines[2] = lines[1]
+
+        with pytest.raises(InvalidOverride, match="codebook check"):
+            self.book(self.edited(tmp_path, duplicate))

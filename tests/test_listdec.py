@@ -11,6 +11,7 @@ from delcodes.channel import DeletionPattern, apply_deletions
 from delcodes.common import Profile
 from delcodes.errors import (
     AlphabetMismatch,
+    DecodeFailure,
     InfeasibleAtDeskScale,
     InvalidOverride,
     LengthMismatch,
@@ -263,3 +264,14 @@ class TestDecode:
         # empty window matches every codeword; recovery may return many
         # messages but must not fail
         assert res.telemetry.window_count == 1
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_decoder_is_total(self, ld_desk, data):
+        # Any received word, empty included: a result or DecodeFailure.
+        syms = data.draw(st.lists(st.integers(0, 1),
+                                  max_size=ld_desk.encoded_length))
+        try:
+            ld_decode(ld_desk, Word(tuple(syms), 2))
+        except DecodeFailure:
+            pass
