@@ -237,6 +237,39 @@ class TestDecode:
         got = inner_decode_unique(spec.inner, Word(kept, spec.k))
         assert got == idx
 
+    def test_two_votes_for_one_position_are_a_conflict(self, hn_desk):
+        spec = hn_desk
+        msg = [6, 1]
+        sent = hn_encode(spec, msg)
+        truth = rs_encode(spec.rs.field, msg, spec.n)
+        other = (truth[0].value + 1) % spec.q
+        # an extra block, header 2 to stand apart from its neighbours,
+        # voting a second value for position 0
+        extra = tuple((2, s) for s in
+                      inner_encode(spec.inner, spec.pair_index(0, other)).symbols)
+        syms = sent.symbols[:spec.m] + extra + sent.symbols[spec.m:]
+        res = hn_decode(spec, HeaderedWord(syms, spec.D, spec.k))
+        assert [e.value for e in res.message] == msg
+        t = res.telemetry
+        assert t.block_count == t.inner_successes == spec.n + 1
+        assert {(0, truth[0].value), (0, other)} <= set(t.pairs)
+        assert t.conflicts_removed == 1
+        assert t.erasures == 1
+
+    def test_merged_block_longer_than_m_is_skipped(self, hn_desk):
+        spec = hn_desk
+        msg = [0, 5]
+        sent = hn_encode(spec, msg)
+        # delete blocks 1..D-1: blocks 0 and D share header 0 and merge
+        pattern = DeletionPattern(tuple(range(spec.m, spec.D * spec.m)))
+        res = hn_decode(spec, apply_deletions(sent, pattern))
+        assert [e.value for e in res.message] == msg
+        t = res.telemetry
+        assert t.block_count == spec.n - spec.D
+        assert t.skipped_blocks == 1
+        assert t.inner_successes == spec.n - spec.D - 1
+        assert t.erasures == spec.D + 1
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_decoder_is_total(self, hn_desk, data):

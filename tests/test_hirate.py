@@ -274,6 +274,47 @@ class TestDecode:
         assert [e.value for e in res.message] == [1]
         assert res.telemetry.erasures >= 1
 
+    def test_window_in_several_codewords_is_an_inner_failure(self, br_desk):
+        spec = br_desk
+        sent = br_encode(spec, [2])
+        # a lone 1 after a buffer: every codeword begins with 1
+        rec = Word(sent.symbols + (0,) * spec.buffer_len + (1,), 2)
+        res = br_decode(spec, rec)
+        assert [e.value for e in res.message] == [2]
+        t = res.telemetry
+        assert t.window_count == spec.n + 1
+        assert t.inner_failures == 1
+        assert t.inner_successes == spec.n
+        assert t.erasures == 0
+
+    def test_two_votes_for_one_position_are_a_conflict(self, br_desk):
+        spec = br_desk
+        sent = br_encode(spec, [2])
+        other = inner_encode(spec.inner, spec.pair_index(0, 3)).symbols
+        rec = Word(sent.symbols + (0,) * spec.buffer_len + other, 2)
+        res = br_decode(spec, rec)
+        assert [e.value for e in res.message] == [2]
+        t = res.telemetry
+        assert t.inner_successes == spec.n + 1
+        assert {(0, 2), (0, 3)} <= set(t.pairs)
+        assert t.conflicts_removed == 1
+        assert t.erasures == 1
+
+    def test_lost_block_is_one_erasure(self, br_desk):
+        spec = br_desk
+        sent = br_encode(spec, [1])
+        # block 1 and the buffer after it
+        start = spec.m + spec.buffer_len
+        pattern = DeletionPattern(
+            tuple(range(start, start + spec.m + spec.buffer_len)))
+        res = br_decode(spec, apply_deletions(sent, pattern))
+        assert [e.value for e in res.message] == [1]
+        t = res.telemetry
+        assert t.window_count == spec.n - 1
+        assert t.inner_failures == 0
+        assert t.conflicts_removed == 0
+        assert t.erasures == 1
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_decoder_is_total(self, br_desk, data):

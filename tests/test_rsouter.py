@@ -109,6 +109,30 @@ class TestDecodeErrorsAndErasures:
         with pytest.raises(DecodeFailure):
             rs_decode_ee(f, rec, 2)
 
+    def test_no_slack_words_decode_to_the_line_through_them(self):
+        # (5, 4, 2) with 2 or 3 unerased points leaves no error slack
+        # (e = 0): the word decodes to the one line through its points when
+        # there is one, and fails otherwise.  Exhaustive over every such word.
+        f = make_field(5)
+        n, npr = 4, 2
+        lines = {msg: [c.value for c in rs_encode(f, list(msg), n)]
+                 for msg in itertools.product(range(5), repeat=npr)}
+        for kept in (2, 3):
+            for xs in itertools.combinations(range(n), kept):
+                for ys in itertools.product(range(5), repeat=kept):
+                    rec = [ERASED] * n
+                    for x, y in zip(xs, ys):
+                        rec[x] = y
+                    through = [msg for msg, code in lines.items()
+                               if all(code[x] == y for x, y in zip(xs, ys))]
+                    assert len(through) <= 1
+                    if through:
+                        got = rs_decode_ee(f, rec, npr)
+                        assert tuple(g.value for g in got) == through[0]
+                    else:
+                        with pytest.raises(DecodeFailure):
+                            rs_decode_ee(f, rec, npr)
+
     def test_dimension_beyond_block_rejected(self):
         f = make_field(5)
         with pytest.raises(OutOfRange):
