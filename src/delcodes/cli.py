@@ -2,9 +2,10 @@
 
 Exit codes are a contract for CI: 0 success, 1 a within-budget trial
 falsified a decoding guarantee (a real bug), 2 configuration or
-feasibility trouble.  Every command is deterministic given its flags
-including --seed; rationals are passed as NUM/DEN so threshold
-integerizations stay exact.
+feasibility trouble.  Every command is deterministic given its flags:
+roundtrip and sweep derive every trial from the master --seed, and an
+inner book's seed is set with --set seed=N.  Rationals are passed as
+NUM/DEN so threshold integerizations stay exact.
 """
 
 from __future__ import annotations
@@ -82,8 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("Q", "N", "K"))
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides")
-        p.add_argument("--seed", type=int, default=0, metavar="U64")
         p.add_argument("--codebook", default=None, metavar="PATH")
+
+    def trials(p):
+        p.add_argument("--seed", type=int, default=0, metavar="U64")
+        p.add_argument("--out", default=None, metavar="PATH")
 
     def records_format(p):
         p.add_argument("--format", choices=["text", "records"],
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip",
                        help="encode a random message, attack, decode, compare")
     common(p)
-    p.add_argument("--out", default=None, metavar="PATH")
+    trials(p)
     p.add_argument("--strategy", type=_parse_strategies, default=["RANDOM"],
                    metavar="NAME[,NAME...]")
     p.add_argument("--fraction", type=_parse_fraction, default=None,
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full strategy x fraction x seed sweep")
     common(p)
-    p.add_argument("--out", default=None, metavar="PATH")
+    trials(p)
     records_format(p)
     p.add_argument("--strategy", type=_parse_strategies, default=None,
                    metavar="NAME[,NAME...]")

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import (
     AlphabetMismatch,
+    Ambiguous,
     DecodeFailure,
     InfeasibleAtDeskScale,
     LengthMismatch,
+    NoMatch,
     OutOfRange,
 )
 from .gf import FieldElem
-from .innercode import inner_encode
-from .rsouter import ERASED, outer_word, rs_encode
+from .innercode import inner_decode_unique, inner_encode
+from .rsouter import ERASED, outer_word, rs_decode_ee, rs_encode
 
 
 class Profile(Enum):
@@ -52,6 +54,14 @@ def int_snapshot(telemetry) -> tuple[tuple[str, int], ...]:
                  if isinstance(getattr(telemetry, f.name), int))
 
 
+@dataclass(frozen=True)
+class DecodeResult:
+    """A unique decoder's message and the scheme's telemetry record."""
+
+    message: tuple[FieldElem, ...]
+    telemetry: object
+
+
 class ConcatenatedSpec:
     """The recipe the three scheme specs share.
 
@@ -60,10 +70,10 @@ class ConcatenatedSpec:
     a frozen dataclass with an inner block length ``m``, an inner
     ``Codebook`` ``inner`` and outer ``RsParams`` ``rs``.  It names its
     scheme in ``name`` and supplies ``encode``, ``decode``,
-    ``guarantee_fraction`` and ``report_sections``.  The trial scoring here
-    is for the unique decoders, whose results carry one ``message`` and
-    whose telemetry lists the (position, value) votes in ``pairs``; the
-    list decoder overrides it.
+    ``guarantee_fraction`` and ``report_sections``.  The vote, the outer
+    decode and the trial scoring here are for the unique decoders, whose
+    results carry one ``message`` and whose telemetry lists the (position,
+    value) votes in ``pairs``; the list decoder overrides the scoring.
     """
 
     @property
@@ -120,6 +130,35 @@ class ConcatenatedSpec:
                     f"book holds {len(self.inner.codewords)} codewords")
             words.append(inner_encode(self.inner, pair))
         return words
+
+    def vote(self, payloads) -> tuple[set[tuple[int, int]], int]:
+        """Inner-decode each received piece to a (position, value) vote.
+
+        Returns the set of voted pairs and how many pieces decoded; a piece
+        contained in no codeword, or in several, casts no vote.
+        """
+        pairs: set[tuple[int, int]] = set()
+        decoded = 0
+        for word in payloads:
+            try:
+                idx = inner_decode_unique(self.inner, word)
+            except (NoMatch, Ambiguous):
+                continue
+            decoded += 1
+            pairs.add(self.pair_of_index(idx))
+        return pairs, decoded
+
+    def outer_decode(self, vector, telemetry) -> DecodeResult:
+        """Errors-and-erasures decode of the voted outer word.
+
+        Raises DecodeFailure, with the telemetry attached, when the outer
+        decoder cannot finish.
+        """
+        try:
+            msg = rs_decode_ee(self.rs.field, vector, self.rs.nprime)
+        except DecodeFailure as exc:
+            raise DecodeFailure(str(exc), telemetry=telemetry) from exc
+        return DecodeResult(tuple(msg), telemetry)
 
     def spans(self):
         """Inner codeword spans and buffer spans of a clean transmission:

@@ -19,24 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import ConcatenatedSpec, Profile
-from .errors import (
-    AlphabetMismatch,
-    Ambiguous,
-    DecodeFailure,
-    InvalidOverride,
-    NoMatch,
-    OutOfRange,
-)
-from .gf import FieldElem
+from .common import ConcatenatedSpec, DecodeResult, Profile
+from .errors import AlphabetMismatch, InvalidOverride, OutOfRange
 from .gf import make_field
-from .innercode import (
-    Codebook,
-    CodebookKind,
-    inner_decode_unique,
-    spec_codebook,
-)
-from .rsouter import ERASED, RsParams, outer_word, rs_decode_ee
+from .innercode import Codebook, CodebookKind, spec_codebook
+from .rsouter import ERASED, RsParams, outer_word
 from .seqkit import Word
 
 
@@ -109,7 +96,7 @@ class HighNoiseSpec(ConcatenatedSpec):
     def encode(self, message) -> HeaderedWord:
         return hn_encode(self, message)
 
-    def decode(self, received: HeaderedWord) -> HnDecodeResult:
+    def decode(self, received: HeaderedWord) -> DecodeResult:
         return hn_decode(self, received)
 
     def merge_victims(self, blocks, buffers):
@@ -128,12 +115,6 @@ class HnTelemetry:
     erasures: int
     skipped_blocks: int
     pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class HnDecodeResult:
-    message: tuple[FieldElem, ...]
-    telemetry: HnTelemetry
 
 
 _OVERRIDE_KEYS = {"D", "k", "m", "n", "n_prime", "seed", "policy", "attempt_cap"}
@@ -227,7 +208,7 @@ def hn_partition_blocks(received: HeaderedWord) -> list[Block]:
     return blocks
 
 
-def hn_decode(spec: HighNoiseSpec, received: HeaderedWord) -> HnDecodeResult:
+def hn_decode(spec: HighNoiseSpec, received: HeaderedWord) -> DecodeResult:
     """Partition into blocks, vote one (position, value) pair per decodable
     block, drop conflicting positions, and outer-decode the rest.
 
@@ -237,33 +218,14 @@ def hn_decode(spec: HighNoiseSpec, received: HeaderedWord) -> HnDecodeResult:
     if received.header_mod != spec.D or received.alphabet != spec.k:
         raise AlphabetMismatch("received word does not match the spec alphabet")
     blocks = hn_partition_blocks(received)
-    pairs: set[tuple[int, int]] = set()
-    successes = 0
-    skipped = 0
-    for b in blocks:
-        if not spec.min_block <= len(b) <= spec.m:
-            skipped += 1
-            continue
-        try:
-            idx = inner_decode_unique(spec.inner, Word(b.payload, spec.k))
-        except (NoMatch, Ambiguous):
-            continue
-        successes += 1
-        pairs.add(spec.pair_of_index(idx))
-
+    fitting = [b for b in blocks if spec.min_block <= len(b) <= spec.m]
+    pairs, decoded = spec.vote(Word(b.payload, spec.k) for b in fitting)
     vector, conflicts = outer_word(pairs, spec.n)
-    erasures = sum(1 for v in vector if v is ERASED)
-
-    telemetry = HnTelemetry(
+    return spec.outer_decode(vector, HnTelemetry(
         block_count=len(blocks),
-        inner_successes=successes,
+        inner_successes=decoded,
         conflicts_removed=conflicts,
-        erasures=erasures,
-        skipped_blocks=skipped,
+        erasures=vector.count(ERASED),
+        skipped_blocks=len(blocks) - len(fitting),
         pairs=tuple(sorted(pairs)),
-    )
-    try:
-        msg = rs_decode_ee(spec.rs.field, vector, spec.n_prime)
-    except DecodeFailure as exc:
-        raise DecodeFailure(str(exc), telemetry=telemetry) from exc
-    return HnDecodeResult(tuple(msg), telemetry)
+    ))

@@ -20,25 +20,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import ConcatenatedSpec, Profile
-from .errors import (
-    Ambiguous,
-    DecodeFailure,
-    InvalidOverride,
-    NoMatch,
-    NotBinary,
-    OutOfRange,
-)
-from .gf import FieldElem, make_field
+from .common import ConcatenatedSpec, DecodeResult, Profile
+from .errors import InvalidOverride, NotBinary, OutOfRange
+from .gf import make_field
 from .innercode import (
     Codebook,
     CodebookKind,
-    inner_decode_unique,
     separation_threshold,
     spec_codebook,
 )
-from .rsouter import ERASED, RsParams, outer_word, rs_decode_ee
-from .seqkit import Word, runs_of_zero
+from .rsouter import ERASED, RsParams, outer_word
+from .seqkit import Word, entropy, runs_of_zero
 
 
 def frac_sqrt(x: Fraction) -> Fraction:
@@ -101,7 +93,7 @@ class HiRateSpec(ConcatenatedSpec):
     def encode(self, message) -> Word:
         return br_encode(self, message)
 
-    def decode(self, received: Word) -> BrDecodeResult:
+    def decode(self, received: Word) -> DecodeResult:
         return br_decode(self, received)
 
     def spans(self):
@@ -129,12 +121,6 @@ class BrTelemetry:
     conflicts_removed: int
     erasures: int
     pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class BrDecodeResult:
-    message: tuple[FieldElem, ...]
-    telemetry: BrTelemetry
 
 
 def br_derive(epsilon, q: int, h: int) -> dict:
@@ -219,15 +205,11 @@ def br_rate_report(spec: HiRateSpec) -> dict:
     d = float(spec.delta)
     achieved = (spec.n_prime * spec.h * math.log2(spec.q)) / spec.encoded_length
     outer_achieved = (spec.n_prime / spec.n) * (spec.h / (spec.h + 1))
-    if 0 < d < 1:
-        entropy = -(d * math.log2(d) + (1 - d) * math.log2(1 - d))
-    else:
-        entropy = 0.0
     return {
         "rate": achieved,
         "outer_factor_achieved": outer_achieved,
         "outer_factor_claimed": (1 - 24 * root) * spec.h / (spec.h + 1),
-        "inner_factor_claimed": 1 - 2 * entropy,
+        "inner_factor_claimed": 1 - 2 * entropy(d),
         "buffer_factor_claimed": 1 / (1 + d),
         "inner_size": len(spec.inner.codewords),
         "inner_target": spec.pair_count,
@@ -340,37 +322,20 @@ def br_windows(spec: HiRateSpec, received: Word) -> list[DecodingWindow]:
     return windows
 
 
-def br_decode(spec: HiRateSpec, received: Word) -> BrDecodeResult:
+def br_decode(spec: HiRateSpec, received: Word) -> DecodeResult:
     """Window, vote, drop conflicting positions, outer-decode.
 
     Same accounting as the high-noise scheme; the pair payload identifies
     the outer position, so window alignment is never needed.
     """
     windows = br_windows(spec, received)
-    pairs: set[tuple[int, int]] = set()
-    successes = failures = 0
-    for win in windows:
-        try:
-            idx = inner_decode_unique(spec.inner, Word(win.symbols, 2))
-        except (NoMatch, Ambiguous):
-            failures += 1
-            continue
-        successes += 1
-        pairs.add(spec.pair_of_index(idx))
-
+    pairs, decoded = spec.vote(Word(w.symbols, 2) for w in windows)
     vector, conflicts = outer_word(pairs, spec.n)
-    erasures = sum(1 for v in vector if v is ERASED)
-
-    telemetry = BrTelemetry(
+    return spec.outer_decode(vector, BrTelemetry(
         window_count=len(windows),
-        inner_successes=successes,
-        inner_failures=failures,
+        inner_successes=decoded,
+        inner_failures=len(windows) - decoded,
         conflicts_removed=conflicts,
-        erasures=erasures,
+        erasures=vector.count(ERASED),
         pairs=tuple(sorted(pairs)),
-    )
-    try:
-        msg = rs_decode_ee(spec.rs.field, vector, spec.n_prime)
-    except DecodeFailure as exc:
-        raise DecodeFailure(str(exc), telemetry=telemetry) from exc
-    return BrDecodeResult(tuple(msg), telemetry)
+    ))

@@ -178,19 +178,8 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
 
 
 def _dense_ok(syms: tuple[int, ...], win: int, need: int) -> bool:
-    if syms[0] != 1 or syms[-1] != 1:
-        return False
-    m = len(syms)
-    if win >= m:
-        return sum(syms) >= need
-    count = sum(syms[:win])
-    if count < need:
-        return False
-    for i in range(win, m):
-        count += syms[i] - syms[i - win]
-        if count < need:
-            return False
-    return True
+    return (syms[0] == 1 and syms[-1] == 1
+            and seqkit._is_dense_seq(syms, win, need))
 
 
 def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
@@ -214,12 +203,7 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
         if k != 2:
             raise NotBinary("dense codebooks are binary")
         beta = Fraction(beta)
-        if not 0 < beta <= 1:
-            raise OutOfRange(f"beta must lie in (0, 1], got {beta}")
-        if beta * m < 1:
-            raise OutOfRange(f"beta * m = {beta * m} is below 1")
-        win = math.ceil(beta * m)
-        need = math.ceil(beta * m / 10)
+        win, need = seqkit.density_rule(m, beta)
     if kind is CodebookKind.LISTDEC:
         if k != 2:
             raise NotBinary("list-decodable codebooks are binary")
@@ -420,13 +404,7 @@ class RateReport:
 def count_dense_words(m: int, beta: Fraction, guard_states: int = 1 << 21) -> int:
     """Exact number of binary length-m words that are beta-dense and begin
     and end with 1, via a sliding-window transfer dynamic program."""
-    beta = Fraction(beta)
-    if not 0 < beta <= 1:
-        raise OutOfRange(f"beta must lie in (0, 1], got {beta}")
-    if beta * m < 1:
-        raise OutOfRange(f"beta * m = {beta * m} is below 1")
-    win = math.ceil(beta * m)
-    need = math.ceil(beta * m / 10)
+    win, need = seqkit.density_rule(m, beta)
     if m == 1:
         return 1 if need <= 1 else 0
     if win >= m:
@@ -510,6 +488,8 @@ def save_codebook(cb: Codebook, path: str | Path) -> None:
 def load_codebook(path: str | Path) -> Codebook:
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"codebook file {path} is empty")
     head = lines[0].split()
     if len(head) != 11:
         raise ValueError(f"bad codebook header: {lines[0]!r}")

@@ -160,12 +160,6 @@ def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
         raise DecodeFailure(f"only {n1} unerased points for {nprime} unknowns")
     e = (n1 - nprime) // 2
 
-    if e == 0:
-        coeffs = _interpolate(field, xs[:nprime], ys[:nprime])
-        if all(poly_eval(field, coeffs, x) == y for x, y in zip(xs, ys)):
-            return [field.elem(c) for c in coeffs]
-        raise DecodeFailure("received word is not a codeword and no slack remains")
-
     # Unknowns: Q of degree < e + nprime, then E of degree <= e.
     nq = e + nprime
     ncols = nq + e + 1
@@ -196,34 +190,6 @@ def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
     if t > e:
         raise DecodeFailure(f"{t} disagreements exceed the radius {e}")
     return [field.elem(c) for c in coeffs]
-
-
-def _interpolate(field: Field, xs: list[int], ys: list[int]) -> list[int]:
-    # Lagrange interpolation, returned as coefficients (degree < len(xs)).
-    npts = len(xs)
-    coeffs = [0] * npts
-    for i in range(npts):
-        # basis polynomial through (xs[i], 1), zero elsewhere
-        basis = [1]
-        denom = 1
-        for j in range(npts):
-            if j == i:
-                continue
-            basis = _poly_mul_x_minus(field, basis, xs[j])
-            denom = field.mul(denom, field.sub(xs[i], xs[j]))
-        scale = field.mul(ys[i], field.inv(denom))
-        for d, b in enumerate(basis):
-            coeffs[d] = field.add(coeffs[d], field.mul(scale, b))
-    return coeffs
-
-
-def _poly_mul_x_minus(field: Field, poly: list[int], root: int) -> list[int]:
-    # poly * (x - root)
-    out = [0] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] = field.add(out[i + 1], c)
-        out[i] = field.sub(out[i], field.mul(c, root))
-    return out
 
 
 def rs_list_recover_bruteforce(field: Field, candidate_sets: list, nprime: int,

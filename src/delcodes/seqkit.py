@@ -62,9 +62,6 @@ class Word:
         alpha = "0123456789abcdefghijklmnopqrstuvwxyz"
         return "".join(alpha[s] for s in self.symbols)
 
-    def ones(self) -> int:
-        return sum(1 for s in self.symbols if s == 1)
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -208,24 +205,26 @@ def runs_of_zero(s: Word, min_len: int) -> list[Interval]:
     return out
 
 
-def is_beta_dense(s: Word, beta: Fraction) -> bool:
-    """Every window of ceil(beta * m) symbols holds >= ceil(beta * m / 10) ones.
+def density_rule(m: int, beta: Fraction) -> tuple[int, int]:
+    """The beta-density rule for length-m words: every window of
+    ceil(beta * m) symbols must hold at least ceil(beta * m / 10) ones.
 
-    Words shorter than one window are judged on the whole word.
+    Returns the window length and the ones it needs.
     """
-    if s.alphabet_size != 2:
-        raise NotBinary("density is defined for binary words only")
     beta = Fraction(beta)
     if not 0 < beta <= 1:
         raise OutOfRange(f"beta must lie in (0, 1], got {beta}")
-    m = len(s)
     if beta * m < 1:
         raise OutOfRange(f"beta * m = {beta * m} is below 1, no window exists")
-    win = math.ceil(beta * m)
-    need = math.ceil(beta * m / 10)
-    syms = s.symbols
+    return math.ceil(beta * m), math.ceil(beta * m / 10)
+
+
+def _is_dense_seq(syms, win: int, need: int) -> bool:
+    # Sliding-window scan of a binary symbol tuple; a word shorter than one
+    # window is judged on the whole word.
+    m = len(syms)
     if win >= m:
-        return s.ones() >= need
+        return sum(syms) >= need
     count = sum(syms[:win])
     if count < need:
         return False
@@ -234,6 +233,13 @@ def is_beta_dense(s: Word, beta: Fraction) -> bool:
         if count < need:
             return False
     return True
+
+
+def is_beta_dense(s: Word, beta: Fraction) -> bool:
+    """Whether s obeys the beta-density rule (see density_rule)."""
+    if s.alphabet_size != 2:
+        raise NotBinary("density is defined for binary words only")
+    return _is_dense_seq(s.symbols, *density_rule(len(s), beta))
 
 
 def entropy(delta: float | Fraction) -> float:

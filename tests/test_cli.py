@@ -47,6 +47,14 @@ class TestBuild:
         assert out1 == out2
         assert cache.read_bytes() == first
 
+    def test_empty_cached_book_is_config_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty.book"
+        empty.write_text("\n")
+        code, _, err = run(capsys, "build", "--scheme", "highnoise",
+                           "--codebook", str(empty))
+        assert code == 2
+        assert err.startswith("error:") and "empty" in err
+
     def test_impossible_target_names_the_budget(self, capsys):
         code, _, err = run(capsys, "build", "--scheme", "hirate",
                            "--profile", "paper")
@@ -164,6 +172,13 @@ class TestVerifyInner:
         code, out, err = run(capsys, "verify-inner", "--codebook", str(cache))
         assert code != 0
 
+    def test_empty_book_is_config_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty.book"
+        empty.write_text("")
+        code, _, err = run(capsys, "verify-inner", "--codebook", str(empty))
+        assert code == 2
+        assert err.startswith("error:") and "empty" in err
+
 
 class TestCount:
     def test_prints_exact_count_and_bounds(self, capsys):
@@ -203,4 +218,6 @@ class TestContract:
                          "--out", "x")
         assert code == 2
         code, _, _ = run(capsys, "roundtrip", "--format", "records")
+        assert code == 2
+        code, _, _ = run(capsys, "build", "--seed", "7")
         assert code == 2
