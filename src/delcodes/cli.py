@@ -85,10 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE", dest="overrides")
         p.add_argument("--codebook", default=None, metavar="PATH")
 
-    def trials(p):
-        p.add_argument("--seed", type=int, default=0, metavar="U64")
-        p.add_argument("--out", default=None, metavar="PATH")
-
     def records_format(p):
         p.add_argument("--format", choices=["text", "records"],
                        default="text", dest="fmt")
@@ -100,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip",
                        help="encode a random message, attack, decode, compare")
     common(p)
-    trials(p)
+    p.add_argument("--seed", type=int, default=0, metavar="U64")
+    p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--strategy", type=_parse_strategies, default=["RANDOM"],
                    metavar="NAME[,NAME...]")
     p.add_argument("--fraction", type=_parse_fraction, default=None,
@@ -109,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full strategy x fraction x seed sweep")
     common(p)
-    trials(p)
+    p.add_argument("--seed", type=int, default=0, metavar="U64")
+    p.add_argument("--out", default=None, metavar="PATH")
     records_format(p)
     p.add_argument("--strategy", type=_parse_strategies, default=None,
                    metavar="NAME[,NAME...]")

@@ -177,11 +177,6 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
         yield tuple(syms)
 
 
-def _dense_ok(syms: tuple[int, ...], win: int, need: int) -> bool:
-    return (syms[0] == 1 and syms[-1] == 1
-            and seqkit._is_dense_seq(syms, win, need))
-
-
 def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
            beta: Fraction | None, list_size: int | None,
            target_size: int | None, policy: CandidatePolicy, seed: int,
@@ -280,7 +275,9 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
 
     target = target_size
     for cand in stream:
-        if kind is CodebookKind.DENSE and not _dense_ok(cand, win, need):
+        if kind is CodebookKind.DENSE and not (
+                cand[0] == 1 and cand[-1] == 1
+                and seqkit.is_dense_seq(cand, win, need)):
             continue
         if kind is CodebookKind.LISTDEC:
             ok = listdec_accepts(cand)

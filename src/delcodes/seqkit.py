@@ -62,6 +62,9 @@ class Word:
         alpha = "0123456789abcdefghijklmnopqrstuvwxyz"
         return "".join(alpha[s] for s in self.symbols)
 
+    def ones(self) -> int:
+        return sum(1 for s in self.symbols if s == 1)
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -219,9 +222,9 @@ def density_rule(m: int, beta: Fraction) -> tuple[int, int]:
     return math.ceil(beta * m), math.ceil(beta * m / 10)
 
 
-def _is_dense_seq(syms, win: int, need: int) -> bool:
-    # Sliding-window scan of a binary symbol tuple; a word shorter than one
-    # window is judged on the whole word.
+def is_dense_seq(syms, win: int, need: int) -> bool:
+    """Sliding-window scan of a binary symbol tuple: every win symbols hold
+    at least need ones.  A word shorter than one window is judged whole."""
     m = len(syms)
     if win >= m:
         return sum(syms) >= need
@@ -239,7 +242,7 @@ def is_beta_dense(s: Word, beta: Fraction) -> bool:
     """Whether s obeys the beta-density rule (see density_rule)."""
     if s.alphabet_size != 2:
         raise NotBinary("density is defined for binary words only")
-    return _is_dense_seq(s.symbols, *density_rule(len(s), beta))
+    return is_dense_seq(s.symbols, *density_rule(len(s), beta))
 
 
 def entropy(delta: float | Fraction) -> float:

@@ -32,6 +32,7 @@ class TestWord:
         assert w.symbols == (1, 0, 1, 1, 0)
         assert w.digits() == "10110"
         assert len(w) == 5
+        assert w.ones() == 3
 
     def test_alphabet_validation(self):
         with pytest.raises(OutOfRange):
