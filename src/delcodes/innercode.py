@@ -586,8 +586,9 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     overrides may set seed, policy, attempt_cap and, for DENSE books, zeros
     and min_gap.  Without a policy, LEX is used while the k^m candidate
     space stays small, SEEDED_RANDOM beyond.  A book cached at cache_path
-    is used only if its shape, seed and policy are the spec's and it passes
-    check_codebook; otherwise InvalidOverride.  With no cache there, the
+    is used only if its shape, seed and policy are the spec's, it holds no
+    more than target codewords and it passes check_codebook; otherwise
+    InvalidOverride.  With no cache there, the
     book is built greedily and saved to cache_path.  A build that stops
     short of target raises InfeasibleAtDeskScale when require_full, else
     the short book is returned.
@@ -610,6 +611,10 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
                  cached.list_size) != (kind, k, m, delta, beta, list_size)):
                 raise InvalidOverride(
                     f"cache {cache_path} holds a different codebook shape")
+            if len(cached.codewords) > target:
+                raise InvalidOverride(
+                    f"cache {cache_path} holds {len(cached.codewords)} "
+                    f"codewords, more than the target {target}")
             if cached.seed != seed or cached.candidate_policy is not policy:
                 raise InvalidOverride(
                     f"cache {cache_path} was built with seed {cached.seed} "

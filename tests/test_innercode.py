@@ -339,9 +339,9 @@ class TestSpecCodebookCache:
     """A scheme spec loads its cached inner book only if that is the book
     it would build; an edited cache is rejected, not used."""
 
-    def book(self, path):
+    def book(self, path, target=12):
         return innercode.spec_codebook(
-            CodebookKind.UNIQUE, 4, 6, F(1, 2), target=12,
+            CodebookKind.UNIQUE, 4, 6, F(1, 2), target=target,
             overrides={"seed": 5}, require_full=False, cache_path=path)
 
     def edited(self, tmp_path, edit):
@@ -375,3 +375,11 @@ class TestSpecCodebookCache:
 
         with pytest.raises(InvalidOverride, match="codebook check"):
             self.book(self.edited(tmp_path, duplicate))
+
+    def test_book_larger_than_its_target_is_rejected(self, tmp_path):
+        # A spec asking for fewer pairs must not decode against the extra
+        # codewords of a book cached for a larger one.
+        path = tmp_path / "book.txt"
+        assert len(self.book(path)) == 6
+        with pytest.raises(InvalidOverride, match="more than the target 3"):
+            self.book(path, target=3)
