@@ -73,7 +73,6 @@ from .hirate import (
     br_windows,
 )
 from .listdec import (
-    CandidateList,
     ListDecSpec,
     ld_decode,
     ld_encode,

@@ -47,21 +47,6 @@ class HeaderedWord:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def headers(self) -> tuple[int, ...]:
-        return tuple(h for h, _ in self.symbols)
-
-
-@dataclass(frozen=True)
-class Block:
-    """Maximal constant-header run of a received word."""
-
-    start: int
-    header: int
-    payload: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.payload)
-
 
 @dataclass(frozen=True)
 class HighNoiseSpec(ConcatenatedSpec):
@@ -193,9 +178,10 @@ def hn_encode(spec: HighNoiseSpec, message) -> HeaderedWord:
     return HeaderedWord(tuple(syms), spec.D, spec.k)
 
 
-def hn_partition_blocks(received: HeaderedWord) -> list[Block]:
-    """Cut the received word into maximal constant-header runs."""
-    blocks: list[Block] = []
+def hn_partition_blocks(received: HeaderedWord) -> list[Word]:
+    """Cut the received word into maximal constant-header runs, and return
+    each run's payload symbols as a word over the inner alphabet."""
+    blocks: list[Word] = []
     i = 0
     syms = received.symbols
     while i < len(syms):
@@ -203,7 +189,7 @@ def hn_partition_blocks(received: HeaderedWord) -> list[Block]:
         h = syms[i][0]
         while j < len(syms) and syms[j][0] == h:
             j += 1
-        blocks.append(Block(i, h, tuple(p for _, p in syms[i:j])))
+        blocks.append(Word(tuple(p for _, p in syms[i:j]), received.alphabet))
         i = j
     return blocks
 
@@ -219,7 +205,7 @@ def hn_decode(spec: HighNoiseSpec, received: HeaderedWord) -> DecodeResult:
         raise AlphabetMismatch("received word does not match the spec alphabet")
     blocks = hn_partition_blocks(received)
     fitting = [b for b in blocks if spec.min_block <= len(b) <= spec.m]
-    pairs, decoded = spec.vote(Word(b.payload, spec.k) for b in fitting)
+    pairs, decoded = spec.vote(fitting)
     vector, conflicts = outer_word(pairs, spec.n)
     return spec.outer_decode(vector, HnTelemetry(
         block_count=len(blocks),

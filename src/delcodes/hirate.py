@@ -47,15 +47,6 @@ def frac_sqrt(x: Fraction) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DecodingWindow:
-    start: int
-    symbols: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
 class HiRateSpec(ConcatenatedSpec):
     epsilon: Fraction
     delta: Fraction
@@ -291,34 +282,31 @@ def br_encode(spec: HiRateSpec, message) -> Word:
     return Word(tuple(out), 2)
 
 
-def br_windows(spec: HiRateSpec, received: Word) -> list[DecodingWindow]:
+def br_windows(spec: HiRateSpec, received: Word) -> list[Word]:
     """Cut the received word at zero runs of threshold length, then trim
     leading zeros off the first window and trailing zeros off the last."""
     if received.alphabet_size != 2:
         raise NotBinary("received word must be binary")
-    thr = spec.run_threshold
     syms = received.symbols
-    cuts = runs_of_zero(received, thr)
-    segments: list[tuple[int, tuple[int, ...]]] = []
+    segments: list[tuple[int, ...]] = []
     pos = 0
-    for iv in cuts:
+    for iv in runs_of_zero(received, spec.run_threshold):
         if iv.start > pos:
-            segments.append((pos, syms[pos:iv.start]))
+            segments.append(syms[pos:iv.start])
         pos = iv.end
     if pos < len(syms):
-        segments.append((pos, syms[pos:]))
+        segments.append(syms[pos:])
 
-    windows: list[DecodingWindow] = []
-    for i, (start, seg) in enumerate(segments):
+    windows: list[Word] = []
+    for i, seg in enumerate(segments):
         if i == 0:
             while seg and seg[0] == 0:
                 seg = seg[1:]
-                start += 1
         if i == len(segments) - 1:
             while seg and seg[-1] == 0:
                 seg = seg[:-1]
         if seg:
-            windows.append(DecodingWindow(start, tuple(seg)))
+            windows.append(Word(seg, 2))
     return windows
 
 
@@ -329,7 +317,7 @@ def br_decode(spec: HiRateSpec, received: Word) -> DecodeResult:
     the outer position, so window alignment is never needed.
     """
     windows = br_windows(spec, received)
-    pairs, decoded = spec.vote(Word(w.symbols, 2) for w in windows)
+    pairs, decoded = spec.vote(windows)
     vector, conflicts = outer_word(pairs, spec.n)
     return spec.outer_decode(vector, BrTelemetry(
         window_count=len(windows),

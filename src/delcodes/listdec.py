@@ -42,6 +42,7 @@ from .innercode import (
 from .rsouter import (
     DEFAULT_LIST_GUARD,
     RsParams,
+    candidate_sets,
     rs_decode_ee,
     rs_list_recover_bruteforce,
 )
@@ -71,11 +72,6 @@ class ListDecSpec(ConcatenatedSpec):
     @property
     def agree_count(self) -> int:
         return math.ceil(self.alpha * self.n_out)
-
-    @property
-    def delta_inner(self) -> Fraction:
-        """Deletion fraction the inner codebook list-decodes from."""
-        return Fraction(1, 2) - self.delta
 
     @property
     def window_len(self) -> int:
@@ -111,7 +107,7 @@ class ListDecSpec(ConcatenatedSpec):
         res = ld_decode(self, received)
         outcome = "ok" if expected in res.messages else "missing"
         snap = int_snapshot(res.telemetry) + (
-            ("candidate_pairs", res.telemetry.candidates.total_size),
+            ("candidate_pairs", len(res.telemetry.pairs)),
             ("light_blocks", self._light_blocks(pattern)),
         )
         return outcome, tuple(sorted(snap))
@@ -148,29 +144,10 @@ class ListDecSpec(ConcatenatedSpec):
 
 
 @dataclass(frozen=True)
-class CandidateList:
-    """Union of inner list-decoding results across all windows."""
-
-    n_out: int
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def per_index_sets(self) -> tuple[frozenset[int], ...]:
-        sets: list[set[int]] = [set() for _ in range(self.n_out)]
-        for i, v in self.pairs:
-            sets[i].add(v)
-        return tuple(frozenset(s) for s in sets)
-
-    @property
-    def total_size(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
 class LdTelemetry:
     window_count: int
     max_inner_list: int
-    candidates: CandidateList
+    pairs: tuple[tuple[int, int], ...]
     output_size: int
 
 
@@ -280,7 +257,7 @@ def ld_encode(spec: ListDecSpec, message) -> Word:
                 2)
 
 
-def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, Word]]:
+def ld_windows(spec: ListDecSpec, received: Word) -> list[Word]:
     """Fixed grid of windows over the received word.
 
     Full windows of length window_len start at multiples of window_step,
@@ -293,11 +270,11 @@ def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, Word]]:
     syms = received.symbols
     w = spec.window_len
     if len(syms) <= w:
-        return [(0, received)]
+        return [received]
     starts = list(range(0, len(syms) - w + 1, spec.window_step))
     if starts[-1] != len(syms) - w:
         starts.append(len(syms) - w)
-    return [(s, Word(syms[s:s + w], 2)) for s in starts]
+    return [Word(syms[s:s + w], 2) for s in starts]
 
 
 def ld_decode(spec: ListDecSpec, received: Word) -> LdDecodeResult:
@@ -311,21 +288,17 @@ def ld_decode(spec: ListDecSpec, received: Word) -> LdDecodeResult:
     windows = ld_windows(spec, received)
     pairs: set[tuple[int, int]] = set()
     max_list = 0
-    for _, win in windows:
+    for win in windows:
         hits = inner_decode_list(spec.inner, win)
         max_list = max(max_list, len(hits))
-        for idx in hits:
-            i, v = spec.pair_of_index(idx)
-            if i < spec.n_out:
-                pairs.add((i, v))
-    candidates = CandidateList(spec.n_out, tuple(sorted(pairs)))
-    sets = [set(s) for s in candidates.per_index_sets]
-    messages = rs_list_recover_bruteforce(spec.rs.field, sets, spec.k_out,
-                                          spec.agree_count)
+        pairs.update(spec.pair_of_index(idx) for idx in hits)
+    messages = rs_list_recover_bruteforce(
+        spec.rs.field, candidate_sets(pairs, spec.n_out), spec.k_out,
+        spec.agree_count)
     telemetry = LdTelemetry(
         window_count=len(windows),
         max_inner_list=max_list,
-        candidates=candidates,
+        pairs=tuple(sorted(pairs)),
         output_size=len(messages),
     )
     return LdDecodeResult(tuple(tuple(m) for m in messages), telemetry)

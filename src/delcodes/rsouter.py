@@ -47,6 +47,15 @@ def _as_value(field: Field, v) -> int:
     return field._check(int(v))
 
 
+def candidate_sets(pairs, n: int) -> list[set[int]]:
+    """The values voted for at each of the positions 0..n-1 by (position,
+    value) pairs; every position must lie below n."""
+    sets: list[set[int]] = [set() for _ in range(n)]
+    for i, v in pairs:
+        sets[i].add(v)
+    return sets
+
+
 def outer_word(pairs, n: int) -> tuple[list, int]:
     """The received outer word voted for by (position, value) pairs, and
     the number of positions with conflicting votes.
@@ -54,14 +63,9 @@ def outer_word(pairs, n: int) -> tuple[list, int]:
     A position with exactly one voted value takes it; one with no vote or
     with conflicting votes is erased, since no vote there can be trusted.
     """
-    by_pos: dict[int, set[int]] = {}
-    for i, v in pairs:
-        by_pos.setdefault(i, set()).add(v)
-    conflicts = sum(1 for vs in by_pos.values() if len(vs) > 1)
-    word = []
-    for i in range(n):
-        vs = by_pos.get(i)
-        word.append(next(iter(vs)) if vs and len(vs) == 1 else ERASED)
+    sets = candidate_sets(pairs, n)
+    conflicts = sum(1 for vs in sets if len(vs) > 1)
+    word = [next(iter(vs)) if len(vs) == 1 else ERASED for vs in sets]
     return word, conflicts
 
 

@@ -118,8 +118,8 @@ class TestEncode:
         word = hn_encode(spec, zero_message(spec))
         assert len(word) == spec.n * spec.m
         for i in range(spec.n):
-            blk = word.headers()[i * spec.m:(i + 1) * spec.m]
-            assert blk == (i % spec.D,) * spec.m
+            blk = word.symbols[i * spec.m:(i + 1) * spec.m]
+            assert tuple(h for h, _ in blk) == (i % spec.D,) * spec.m
 
     def test_zero_message_concatenates_pair_codewords(self, hn_desk):
         spec = hn_desk
@@ -144,33 +144,36 @@ class TestEncode:
 class TestPartition:
     def test_three_runs(self):
         w = hw([(0, 1), (0, 2), (1, 0), (3, 3), (3, 1)])
-        blocks = hn_partition_blocks(w)
-        assert [(b.start, b.header, b.payload) for b in blocks] == [
-            (0, 0, (1, 2)), (2, 1, (0,)), (3, 3, (3, 1))]
+        assert hn_partition_blocks(w) == [
+            Word((1, 2), 4), Word((0,), 4), Word((3, 1), 4)]
 
     def test_empty_word(self):
         assert hn_partition_blocks(hw([])) == []
 
     def test_single_run(self):
         blocks = hn_partition_blocks(hw([(2, 0), (2, 1), (2, 2)]))
-        assert len(blocks) == 1
-        assert blocks[0].payload == (0, 1, 2)
+        assert blocks == [Word((0, 1, 2), 4)]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40))
     def test_partition_covers_word_in_order(self, syms):
         w = hw(syms)
         blocks = hn_partition_blocks(w)
-        rebuilt = []
+        # Each block is the payload of the next run of the word, in order,
+        # and all of that run carries one header.
+        headers = []
         pos = 0
         for b in blocks:
-            assert b.start == pos
-            assert len(set(w.headers()[b.start:b.start + len(b)])) <= 1
-            rebuilt.extend((b.header, p) for p in b.payload)
+            run = w.symbols[pos:pos + len(b)]
+            assert len(b) > 0
+            assert b.alphabet_size == w.alphabet
+            assert b.symbols == tuple(p for _, p in run)
+            assert len({h for h, _ in run}) == 1
+            headers.append(run[0][0])
             pos += len(b)
-        assert tuple(rebuilt) == w.symbols
-        # maximality: neighbors differ
-        for a, b in zip(blocks, blocks[1:]):
-            assert a.header != b.header
+        assert pos == len(w)
+        # maximality: neighbouring runs differ in header
+        for a, b in zip(headers, headers[1:]):
+            assert a != b
 
 
 class TestDecode:

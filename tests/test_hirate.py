@@ -186,25 +186,22 @@ class TestEncode:
 class TestWindows:
     def test_single_internal_buffer(self, thr3_spec):
         wins = br_windows(thr3_spec, bits("111" + "000000" + "101"))
-        assert [(w.start, w.symbols) for w in wins] == [
-            (0, (1, 1, 1)), (9, (1, 0, 1))]
+        assert wins == [bits("111"), bits("101")]
 
     def test_all_zeros_yield_nothing(self, thr3_spec):
         assert br_windows(thr3_spec, bits("0" * 10)) == []
 
     def test_leading_zeros_trimmed(self, thr3_spec):
-        wins = br_windows(thr3_spec, bits("00111"))
-        assert [(w.start, w.symbols) for w in wins] == [(2, (1, 1, 1))]
+        assert br_windows(thr3_spec, bits("00111")) == [bits("111")]
 
     def test_trailing_zeros_trimmed(self, thr3_spec):
-        wins = br_windows(thr3_spec, bits("1110"))
-        assert [(w.start, w.symbols) for w in wins] == [(0, (1, 1, 1))]
+        assert br_windows(thr3_spec, bits("1110")) == [bits("111")]
 
     def test_run_at_threshold_cuts_but_shorter_does_not(self, thr3_spec):
         cut = br_windows(thr3_spec, bits("11" + "000" + "11"))
-        assert [w.symbols for w in cut] == [(1, 1), (1, 1)]
+        assert cut == [bits("11"), bits("11")]
         kept = br_windows(thr3_spec, bits("11" + "00" + "11"))
-        assert [w.symbols for w in kept] == [(1, 1, 0, 0, 1, 1)]
+        assert kept == [bits("110011")]
 
     def test_empty_word(self, thr3_spec):
         assert br_windows(thr3_spec, bits("")) == []
@@ -216,18 +213,25 @@ class TestWindows:
     @given(st.lists(st.integers(0, 1), max_size=60))
     @settings(max_examples=120)
     def test_windows_are_clean_ordered_segments(self, thr3_spec, syms):
+        # The word must read as zeros, window, a cut of at least threshold
+        # zeros, window, ..., window, zeros; each window starts and ends
+        # with 1 and holds no cut-length zero run.
         w = Word(tuple(syms), 2)
         wins = br_windows(thr3_spec, w)
         thr = thr3_spec.run_threshold
-        pos = -1
-        for win in wins:
-            assert win.start > pos
-            pos = win.start + len(win.symbols) - 1
-            assert win.symbols == w.symbols[win.start:win.start + len(win.symbols)]
-            assert runs_of_zero(Word(win.symbols, 2), thr) == []
-        if wins:
-            assert wins[0].symbols[0] == 1
-            assert wins[-1].symbols[-1] == 1
+        pos = 0
+        for i, win in enumerate(wins):
+            gap = 0
+            while w.symbols[pos + gap] == 0:
+                gap += 1
+            if i:
+                assert gap >= thr
+            pos += gap
+            assert win.symbols == w.symbols[pos:pos + len(win)]
+            assert win.symbols[0] == win.symbols[-1] == 1
+            assert runs_of_zero(win, thr) == []
+            pos += len(win)
+        assert set(w.symbols[pos:]) <= {0}
 
 
 class TestDecode:

@@ -19,7 +19,6 @@ from delcodes.errors import (
 )
 from delcodes.innercode import inner_decode_list, inner_encode
 from delcodes.listdec import (
-    CandidateList,
     ld_decode,
     ld_encode,
     ld_make_spec,
@@ -27,7 +26,7 @@ from delcodes.listdec import (
     ld_windows,
 )
 from delcodes.presets import make_scheme_spec
-from delcodes.rsouter import rs_encode
+from delcodes.rsouter import candidate_sets, rs_encode
 from delcodes.seqkit import Word
 
 F = Fraction
@@ -69,7 +68,6 @@ class TestMakeSpec:
         assert spec.agree_count == 2
         assert spec.window_len == 6
         assert spec.window_step == 2
-        assert spec.delta_inner == F(1, 4)
         assert spec.encoded_length == 24
         assert spec.full_book
         assert len(spec.inner.codewords) == 15
@@ -143,68 +141,67 @@ class TestEncode:
             ld_encode(ld_desk, [0, 0])
 
 
+def grid(received, starts, length):
+    """The windows of the given length at the given starts."""
+    return [Word(received.symbols[s:s + length], 2) for s in starts]
+
+
 class TestWindows:
     def test_unit_step_grid_on_twenty_symbols(self, grid_spec):
         received = Word((1, 0) * 10, 2)
-        wins = ld_windows(grid_spec, received)
-        assert [s for s, _ in wins] == list(range(15))
-        assert all(len(w) == 6 for _, w in wins)
+        assert ld_windows(grid_spec, received) == grid(received, range(15), 6)
 
     def test_received_equal_to_window_length(self, grid_spec):
         received = Word((1,) * 6, 2)
-        wins = ld_windows(grid_spec, received)
-        assert [(s, w.symbols) for s, w in wins] == [(0, (1,) * 6)]
+        assert ld_windows(grid_spec, received) == [received]
 
     def test_short_received_is_one_whole_window(self, grid_spec):
         received = Word((1, 0, 1), 2)
-        assert ld_windows(grid_spec, received) == [(0, received)]
+        assert ld_windows(grid_spec, received) == [received]
 
     def test_final_suffix_window_added_off_grid(self, ld_desk):
         # step 2, len 23: grid starts 0..16, suffix start 17 appended
         received = Word(tuple(itertools.islice(itertools.cycle((1, 0)), 23)), 2)
-        starts = [s for s, _ in ld_windows(ld_desk, received)]
-        assert starts == [0, 2, 4, 6, 8, 10, 12, 14, 16, 17]
+        starts = [0, 2, 4, 6, 8, 10, 12, 14, 16, 17]
+        assert ld_windows(ld_desk, received) == grid(received, starts, 6)
 
     def test_grid_landing_on_suffix_not_duplicated(self, ld_desk):
         received = Word((0, 1) * 12, 2)
-        starts = [s for s, _ in ld_windows(ld_desk, received)]
-        assert starts == [0, 2, 4, 6, 8, 10, 12, 14, 16, 18]
+        starts = [0, 2, 4, 6, 8, 10, 12, 14, 16, 18]
+        assert ld_windows(ld_desk, received) == grid(received, starts, 6)
 
     def test_non_binary_rejected(self, ld_desk):
         with pytest.raises(AlphabetMismatch):
             ld_windows(ld_desk, Word((0, 2), 3))
 
-    @given(st.integers(0, 40))
+    @given(st.lists(st.integers(0, 1), max_size=40))
     @settings(max_examples=60)
-    def test_windows_tile_the_received_word(self, ld_desk, length):
-        received = Word(tuple(i % 2 for i in range(length)), 2)
+    def test_windows_tile_the_received_word(self, ld_desk, syms):
+        received = Word(tuple(syms), 2)
         wins = ld_windows(ld_desk, received)
-        assert wins, "at least the whole-word window"
-        w = ld_desk.window_len
-        for s, win in wins:
-            assert win.symbols == received.symbols[s:s + len(win)]
-        if length >= w:
-            assert all(len(win) == w for _, win in wins)
-            assert wins[-1][0] == length - w  # suffix coverage
-        else:
-            assert wins == [(0, received)]
+        w, step = ld_desk.window_len, ld_desk.window_step
+        if len(syms) <= w:
+            assert wins == [received]
+            return
+        # Window j starts at j * step, except the last, which is flush with
+        # the end; the grid stops exactly where it would reach the suffix.
+        assert wins[:-1] == grid(received, range(0, step * (len(wins) - 1),
+                                                 step), w)
+        assert wins[-1].symbols == received.symbols[-w:]
+        assert step * (len(wins) - 2) < len(syms) - w <= step * (len(wins) - 1)
 
 
 class TestCandidates:
     def test_sets_mirror_pairs(self):
-        cl = CandidateList(3, ((0, 1), (0, 4), (2, 2)))
-        sets = cl.per_index_sets
-        assert sets[0] == frozenset({1, 4})
-        assert sets[1] == frozenset()
-        assert sets[2] == frozenset({2})
-        assert cl.total_size == 3
+        sets = candidate_sets({(0, 1), (0, 4), (2, 2)}, 3)
+        assert sets == [{1, 4}, set(), {2}]
 
     def test_clean_word_votes_its_own_pairs(self, ld_desk):
         spec = ld_desk
         msg = [4]
         code = rs_encode(spec.rs.field, msg, spec.n_out)
         res = ld_decode(spec, ld_encode(spec, msg))
-        pairs = set(res.telemetry.candidates.pairs)
+        pairs = set(res.telemetry.pairs)
         for i, c in enumerate(code):
             assert (i, c.value) in pairs
 
@@ -253,7 +250,7 @@ class TestDecode:
             for pat in itertools.combinations(range(base, base + spec.m), light_cap):
                 received = apply_deletions(sent, DeletionPattern(pat))
                 found = set()
-                for _, win in ld_windows(spec, received):
+                for win in ld_windows(spec, received):
                     for idx in inner_decode_list(spec.inner, win):
                         if idx < spec.pair_count:
                             found.add(spec.pair_of_index(idx))
