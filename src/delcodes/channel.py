@@ -64,18 +64,11 @@ class DeletionPattern:
 class Strategy:
     name: str
     seed: int = 0
-    params: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         if self.name not in STRATEGY_NAMES:
             raise InvalidOverride(
                 f"unknown strategy {self.name!r}; valid: {', '.join(STRATEGY_NAMES)}")
-
-    def param(self, key: str, default: int) -> int:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
 
 
 def apply_deletions(w, p: DeletionPattern):
@@ -183,7 +176,7 @@ def _merge_attack(rng, spec, blocks, buffers, budget: int,
     return list(range(start, start + span))
 
 
-def _buffer_kill(rng, spec: HiRateSpec, buffers, budget: int) -> list[int]:
+def _buffer_kill(rng, spec, buffers, budget: int) -> list[int]:
     # Thin buffers by the decoder's run threshold, round-robin.
     thr = spec.run_threshold
     order = list(range(len(buffers)))
@@ -209,7 +202,7 @@ def _buffer_kill(rng, spec: HiRateSpec, buffers, budget: int) -> list[int]:
     return sorted(out)
 
 
-def _density_attack(rng, spec: HiRateSpec, transmitted, blocks,
+def _density_attack(rng, spec, transmitted, blocks,
                     budget: int) -> list[int]:
     # Delete the 1-runs between threshold many in-codeword zeros so a run
     # of run_threshold zeros appears inside a codeword and splits it.
@@ -346,6 +339,8 @@ def run_trials(spec, strategies, budget_fractions, num_seeds: int,
     if not hasattr(spec, "decode_and_score"):
         raise InvalidOverride(
             f"trial runner cannot drive {type(spec).__name__}")
+    if num_seeds < 0:
+        raise OutOfRange(f"trial count {num_seeds} is negative")
     order, msg_len = spec.rs.field.order, spec.rs.nprime
     reports: list[TrialReport] = []
     for strat in strategies:

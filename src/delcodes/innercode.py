@@ -180,7 +180,7 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
 def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
            beta: Fraction | None, list_size: int | None,
            target_size: int | None, policy: CandidatePolicy, seed: int,
-           attempt_cap: int, guard: int,
+           attempt_cap: int,
            zeros: int | None = None, min_gap: int | None = None) -> Codebook:
     delta = Fraction(delta)
     if k < 2:
@@ -240,7 +240,7 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
             for base in sharing_levels[j - 1]:
                 if all(lcs_with(i) >= ell for i in base):
                     group = [accepted[i] for i in base] + [cw]
-                    if seqkit.common_subsequence_at_least(group, ell, guard=guard):
+                    if seqkit.common_subsequence_at_least(group, ell):
                         grown.append(base + (idx,))
             new_by_size.append(grown)
         for j in range(list_size - 1):
@@ -268,7 +268,7 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
         for subset in top:
             if all(lcs_with(i) >= ell for i in subset):
                 group = [accepted[i] for i in subset] + [cw]
-                if seqkit.common_subsequence_at_least(group, ell, guard=guard):
+                if seqkit.common_subsequence_at_least(group, ell):
                     return False
         extend_sharing(cand, cw, len(accepted))
         return True
@@ -304,19 +304,18 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
 def greedy_unique(k: int, m: int, delta: Fraction,
                   target_size: int | None = None,
                   policy: CandidatePolicy = CandidatePolicy.LEX,
-                  seed: int = 0, attempt_cap: int = DEFAULT_ATTEMPT_CAP,
-                  guard: int = seqkit.DEFAULT_TABLE_GUARD) -> Codebook:
+                  seed: int = 0,
+                  attempt_cap: int = DEFAULT_ATTEMPT_CAP) -> Codebook:
     """Greedily collect words over [k]^m whose pairwise LCS stays below the
     separation threshold for a delta fraction of deletions."""
     return _build(CodebookKind.UNIQUE, k, m, delta, None, None,
-                  target_size, policy, seed, attempt_cap, guard)
+                  target_size, policy, seed, attempt_cap)
 
 
 def greedy_dense(m: int, delta: Fraction, beta: Fraction,
                  target_size: int | None = None,
                  policy: CandidatePolicy = CandidatePolicy.LEX,
                  seed: int = 0, attempt_cap: int = DEFAULT_ATTEMPT_CAP,
-                 guard: int = seqkit.DEFAULT_TABLE_GUARD,
                  zeros: int | None = None,
                  min_gap: int | None = None) -> Codebook:
     """greedy_unique over binary words restricted to beta-dense candidates
@@ -326,19 +325,19 @@ def greedy_dense(m: int, delta: Fraction, beta: Fraction,
     dense_layout; zeros/min_gap override its defaults.
     """
     return _build(CodebookKind.DENSE, 2, m, delta, beta, None,
-                  target_size, policy, seed, attempt_cap, guard,
+                  target_size, policy, seed, attempt_cap,
                   zeros=zeros, min_gap=min_gap)
 
 
 def greedy_listdec(m: int, delta: Fraction, list_size: int,
                    target_size: int | None = None,
                    policy: CandidatePolicy = CandidatePolicy.LEX,
-                   seed: int = 0, attempt_cap: int = DEFAULT_ATTEMPT_CAP,
-                   guard: int = seqkit.DEFAULT_TABLE_GUARD) -> Codebook:
+                   seed: int = 0,
+                   attempt_cap: int = DEFAULT_ATTEMPT_CAP) -> Codebook:
     """Greedily collect binary words so that no list_size of them share a
     common subsequence of the threshold length."""
     return _build(CodebookKind.LISTDEC, 2, m, delta, None, list_size,
-                  target_size, policy, seed, attempt_cap, guard)
+                  target_size, policy, seed, attempt_cap)
 
 
 def inner_encode(cb: Codebook, index: int) -> Word:
@@ -627,8 +626,7 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
 
     try:
         inner = _build(kind, k, m, delta, beta, list_size, target, policy,
-                       seed, attempt_cap, seqkit.DEFAULT_TABLE_GUARD,
-                       zeros=overrides.get("zeros"),
+                       seed, attempt_cap, zeros=overrides.get("zeros"),
                        min_gap=overrides.get("min_gap"))
     except TargetUnreachable as exc:
         if require_full:

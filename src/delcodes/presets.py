@@ -71,19 +71,27 @@ def make_scheme_spec(scheme: str, profile: Profile = Profile.DESK,
 
     Explicit arguments win over the preset; override dicts are merged
     key-by-key so a caller can retune one knob without restating the rest.
+    q, h and outer are taken only by a scheme whose preset sets them;
+    given to another scheme, they raise InvalidOverride.
     """
     if scheme not in SCHEMES:
         raise InvalidOverride(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
     preset = PRESETS[(scheme, profile)]
+    given = {key: value for key, value in
+             (("q", q), ("h", h), ("outer", outer)) if value is not None}
+    unused = sorted(given.keys() - preset.keys())
+    if unused:
+        raise InvalidOverride(
+            f"the {scheme} scheme takes no {', '.join(unused)} argument")
+    shape = {**preset, **given}
     eps = preset["epsilon"] if epsilon is None else Fraction(epsilon)
     merged = dict(preset["overrides"])
     merged.update(overrides or {})
     if scheme == "highnoise":
-        return hn_make_spec(eps, q if q is not None else preset["q"],
-                            profile, merged, cache_path=cache_path)
+        return hn_make_spec(eps, shape["q"], profile, merged,
+                            cache_path=cache_path)
     if scheme == "hirate":
-        return br_make_spec(eps, q if q is not None else preset["q"],
-                            h if h is not None else preset["h"],
-                            profile, merged, cache_path=cache_path)
-    return ld_make_spec(eps, outer if outer is not None else preset["outer"],
-                        profile, merged, cache_path=cache_path)
+        return br_make_spec(eps, shape["q"], shape["h"], profile, merged,
+                            cache_path=cache_path)
+    return ld_make_spec(eps, shape["outer"], profile, merged,
+                        cache_path=cache_path)

@@ -96,11 +96,6 @@ class TestStrategy:
         for name in STRATEGY_NAMES:
             assert name in str(ei.value)
 
-    def test_param_lookup_with_default(self):
-        s = Strategy("RANDOM", params=(("burst", 3),))
-        assert s.param("burst", 1) == 3
-        assert s.param("other", 7) == 7
-
 
 class TestAttackDiscipline:
     def encoded(self, request_spec):
@@ -331,6 +326,10 @@ class TestRunTrials:
                        budget_basis="wire")
         with pytest.raises(OutOfRange):
             run_trials(hn_desk, [Strategy("RANDOM")], [F(3, 2)], 1)
+
+    def test_negative_trial_count_rejected(self, hn_desk):
+        with pytest.raises(OutOfRange, match="-1"):
+            run_trials(hn_desk, [Strategy("RANDOM")], [F(0)], -1)
 
     def test_bare_codebook_is_rejected(self, tiny_book):
         with pytest.raises(InvalidOverride, match="cannot drive Codebook"):

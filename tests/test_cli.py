@@ -115,6 +115,13 @@ class TestSweep:
         assert code == 0
         assert "no trials" in out
 
+    def test_negative_trial_count_is_config_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--scheme", "highnoise",
+                             "--trials", "-1")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "no trials" not in out
+
     def test_unknown_strategy_exits_two_with_valid_names(self, capsys):
         code, _, err = run(capsys, "sweep", "--scheme", "highnoise",
                            "--strategy", "SCRAMBLE", "--trials", "1")
@@ -221,3 +228,10 @@ class TestContract:
         assert code == 2
         code, _, _ = run(capsys, "build", "--seed", "7")
         assert code == 2
+        # shape flags of another scheme
+        for argv in (("--scheme", "highnoise", "--h", "3"),
+                     ("--scheme", "listdec", "--q", "7"),
+                     ("--scheme", "highnoise", "--outer", "5", "3", "1")):
+            code, _, err = run(capsys, "build", *argv)
+            assert code == 2
+            assert err.startswith("error:") and "takes no" in err
