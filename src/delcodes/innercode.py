@@ -587,10 +587,10 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     space stays small, SEEDED_RANDOM beyond.  A book cached at cache_path
     is used only if its shape, seed and policy are the spec's, it holds no
     more than target codewords and it passes check_codebook; otherwise
-    InvalidOverride.  With no cache there, the
-    book is built greedily and saved to cache_path.  A build that stops
-    short of target raises InfeasibleAtDeskScale when require_full, else
-    the short book is returned.
+    InvalidOverride.  With no cache there, the book is built greedily and
+    saved to cache_path.  A build that stops short of target raises
+    InfeasibleAtDeskScale when require_full, else the short book is
+    returned.
     """
     seed = int(overrides.get("seed", 0))
     if "policy" in overrides:
