@@ -39,7 +39,7 @@ class LengthMismatch(DeletionCodeError, ValueError):
 
 
 class GuardExceeded(DeletionCodeError):
-    """A configured work guard (table size, enumeration count) would be exceeded."""
+    """A configured work guard (search size, enumeration count) would be exceeded."""
 
 
 class TargetUnreachable(DeletionCodeError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import le
 
 from .errors import (
     AlphabetMismatch,
@@ -21,7 +21,7 @@ from .errors import (
     OutOfRange,
 )
 
-DEFAULT_TABLE_GUARD = 10**8
+DEFAULT_DOMINANT_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -95,22 +95,23 @@ def lcs(a: Word, b: Word) -> int:
 
 
 def _lcs_seq(xs, ys) -> int:
-    # Classic O(|xs| * |ys|) dynamic program with one rolling row.
+    # Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004).  Bit j of v is 0
+    # where the LCS of the text read so far with ys[:j+1] grows by one over
+    # ys[:j]; each text symbol updates every column in one big-int step.
     if len(xs) < len(ys):
         xs, ys = ys, xs
-    if not ys:
-        return 0
-    row = [0] * (len(ys) + 1)
+    masks: dict[int, int] = {}
+    bit = 1
+    for y in ys:
+        masks[y] = masks.get(y, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
+    mask_of = masks.get
     for x in xs:
-        prev_diag = 0
-        for j, y in enumerate(ys, start=1):
-            tmp = row[j]
-            if x == y:
-                row[j] = prev_diag + 1
-            elif row[j - 1] > row[j]:
-                row[j] = row[j - 1]
-            prev_diag = tmp
-    return row[len(ys)]
+        u = v & mask_of(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(ys) - v.bit_count()
 
 
 def is_subsequence(s: Word, t: Word) -> bool:
@@ -127,13 +128,14 @@ def _is_subseq_seq(s, t) -> bool:
 
 
 def common_subsequence_at_least(words: list[Word], ell: int,
-                                guard: int = DEFAULT_TABLE_GUARD) -> bool:
+                                guard: int = DEFAULT_DOMINANT_GUARD) -> bool:
     """Do all given words share a common subsequence of length >= ell?
 
-    Runs the full multi-dimensional LCS dynamic program; the flat table has
-    prod(len(w) + 1) cells and the call is refused with GuardExceeded when
-    that product exceeds ``guard``.  A cheap pairwise pre-pass answers False
-    early, since a subsequence common to all words is common to every pair.
+    Runs a dominant-point multi-word LCS search, level by level over the
+    Pareto-minimal embedding points; the call is refused with GuardExceeded
+    once the levels have generated more than ``guard`` dominant points.  A
+    cheap pairwise pre-pass answers False early, since a subsequence common
+    to all words is common to every pair.
     """
     if not words:
         raise LengthMismatch("need at least one word")
@@ -155,36 +157,55 @@ def common_subsequence_at_least(words: list[Word], ell: int,
 
 
 def _multi_lcs(seqs, guard: int) -> int:
-    dims = [len(s) + 1 for s in seqs]
-    total = math.prod(dims)
-    if total > guard:
-        raise GuardExceeded(
-            f"multi-LCS table of {total} cells exceeds guard {guard}"
-        )
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-    small = all(len(s) < 255 for s in seqs)
-    table = bytearray(total) if small else [0] * total
-    all_stride = sum(strides)
-    n = len(seqs)
-    for coords in product(*(range(d) for d in dims)):
-        if 0 in coords:
-            continue
-        idx = sum(c * st for c, st in zip(coords, strides))
-        sym = seqs[0][coords[0] - 1]
-        if all(seqs[i][coords[i] - 1] == sym for i in range(1, n)):
-            best = table[idx - all_stride] + 1
-        else:
-            best = 0
-        for st in strides:
-            v = table[idx - st]
-            if v > best:
-                best = v
-        table[idx] = best
-    return table[total - 1]
+    # Dominant-point search (Hakata & Imai 1992).  A point holds one prefix
+    # length per word; level l is the set of Pareto-minimal points at which
+    # some common subsequence of length l ends, each word embedding it
+    # leftmost.  A point that dominates another can be extended by nothing
+    # the smaller one cannot, so level l + 1 is the minimal set of the
+    # one-symbol successors of level l, and the LCS length is the number of
+    # non-empty levels.
+    common = set(seqs[0]).intersection(*seqs[1:])
+    steps = []
+    for c in common:
+        # cols[i][p] is the prefix length just past the first c at or after
+        # position p of word i, or None when word i has no such c.
+        cols = []
+        for s in seqs:
+            col = [None] * (len(s) + 1)
+            nxt = None
+            for p in range(len(s) - 1, -1, -1):
+                if s[p] == c:
+                    nxt = p + 1
+                col[p] = nxt
+            cols.append(col)
+        steps.append(cols)
+    frontier = [(0,) * len(seqs)]
+    length = generated = 0
+    while True:
+        successors = set()
+        for cols in steps:
+            for point in frontier:
+                nxt = tuple(map(list.__getitem__, cols, point))
+                if None not in nxt:
+                    successors.add(nxt)
+        if not successors:
+            return length
+        # In lexicographic order a point can only be dominated by one
+        # before it.
+        frontier = []
+        for point in sorted(successors):
+            for kept in frontier:
+                if all(map(le, kept, point)):
+                    break
+            else:
+                frontier.append(point)
+        generated += len(frontier)
+        if generated > guard:
+            raise GuardExceeded(
+                f"multi-LCS search generated {generated} dominant points, "
+                f"over the guard {guard}"
+            )
+        length += 1
 
 
 def runs_of_zero(s: Word, min_len: int) -> list[Interval]:

@@ -1,8 +1,10 @@
 """Sequence toolkit checks: LCS and subsequence against brute force, the
+fast LCS kernels against the dynamic programs they replaced, the
 supersequence count against direct enumeration, and the counting bounds."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,59 @@ def brute_lcs(a, b):
 
 def all_words(k, m):
     return itertools.product(range(k), repeat=m)
+
+
+def rolling_lcs(xs, ys):
+    """Pairwise LCS by the O(|xs| * |ys|) dynamic program with one rolling
+    row: the reference for the bit-parallel seqkit._lcs_seq."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    if not ys:
+        return 0
+    row = [0] * (len(ys) + 1)
+    for x in xs:
+        prev_diag = 0
+        for j, y in enumerate(ys, start=1):
+            tmp = row[j]
+            if x == y:
+                row[j] = prev_diag + 1
+            elif row[j - 1] > row[j]:
+                row[j] = row[j - 1]
+            prev_diag = tmp
+    return row[len(ys)]
+
+
+def table_multi_lcs(seqs):
+    """Multi-word LCS by the full dynamic program over the flat
+    prod(len + 1) table: the reference for the dominant-point
+    seqkit._multi_lcs."""
+    dims = [len(s) + 1 for s in seqs]
+    total = math.prod(dims)
+    strides = [0] * len(dims)
+    acc = 1
+    for i in range(len(dims) - 1, -1, -1):
+        strides[i] = acc
+        acc *= dims[i]
+    table = [0] * total
+    all_stride = sum(strides)
+    for coords in itertools.product(*(range(d) for d in dims)):
+        if 0 in coords:
+            continue
+        idx = sum(c * st for c, st in zip(coords, strides))
+        sym = seqs[0][coords[0] - 1]
+        if all(s[c - 1] == sym for s, c in zip(seqs, coords)):
+            best = table[idx - all_stride] + 1
+        else:
+            best = 0
+        for st in strides:
+            best = max(best, table[idx - st])
+        table[idx] = best
+    return table[total - 1]
+
+
+# Above the guard any reference-sized instance needs, whether the guard
+# counts table cells (at most 9^5) or dominant points.
+ORACLE_GUARD = 10**6
 
 
 class TestWord:
@@ -74,6 +129,16 @@ class TestLcs:
         a = tuple(data.draw(st.lists(st.integers(0, k - 1), max_size=7)))
         b = tuple(data.draw(st.lists(st.integers(0, k - 1), max_size=7)))
         assert seqkit._lcs_seq(a, b) == brute_lcs(a, b)
+
+    @given(st.sampled_from([2, 3, 256]), st.booleans(), st.data())
+    @settings(max_examples=200)
+    def test_bit_parallel_matches_rolling_dp(self, k, private, data):
+        # With private set, symbol k - 1 can occur in b alone.  Lengths up
+        # to 100 take the bit vector past 64 bits (hirate words have 84).
+        a = tuple(data.draw(st.lists(
+            st.integers(0, k - 2 if private else k - 1), max_size=100)))
+        b = tuple(data.draw(st.lists(st.integers(0, k - 1), max_size=100)))
+        assert seqkit._lcs_seq(a, b) == rolling_lcs(a, b)
 
     @given(st.lists(st.integers(0, 2), max_size=8),
            st.lists(st.integers(0, 2), max_size=8))
@@ -132,9 +197,29 @@ class TestMultiwayCommon:
         assert not seqkit.common_subsequence_at_least([w, w], 4)
 
     def test_guard(self):
-        words = [Word((0, 1) * 20, 2) for _ in range(5)]
+        # Word r is (0^r 1^r)* cut to 60 symbols: the search generates
+        # 1741 dominant points, and the full table would hold 61^5 cells.
+        words = [Word(tuple(j // r % 2 for j in range(60)), 2)
+                 for r in range(1, 6)]
         with pytest.raises(GuardExceeded):
             seqkit.common_subsequence_at_least(words, 2, guard=1000)
+        assert seqkit.common_subsequence_at_least(words, 2)
+
+    @given(st.integers(2, 5), st.integers(2, 4), st.data())
+    @settings(max_examples=150)
+    def test_multi_lcs_matches_table_dp(self, n, k, data):
+        seqs = [tuple(data.draw(st.lists(st.integers(0, k - 1), max_size=8)))
+                for _ in range(n)]
+        assert seqkit._multi_lcs(seqs, ORACLE_GUARD) == table_multi_lcs(seqs)
+
+    def test_multi_lcs_agrees_on_3000_seeded_instances(self):
+        rng = random.Random(20141124)
+        for _ in range(3000):
+            k = rng.randint(2, 4)
+            seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
+                    for _ in range(rng.randint(2, 5))]
+            assert (seqkit._multi_lcs(seqs, ORACLE_GUARD)
+                    == table_multi_lcs(seqs)), seqs
 
     @given(st.data())
     @settings(max_examples=60)
