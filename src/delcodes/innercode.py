@@ -586,11 +586,15 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     and min_gap.  Without a policy, LEX is used while the k^m candidate
     space stays small, SEEDED_RANDOM beyond.  A book cached at cache_path
     is used only if its shape, seed and policy are the spec's, it holds no
-    more than target codewords and it passes check_codebook; otherwise
-    InvalidOverride.  With no cache there, the book is built greedily and
-    saved to cache_path.  A build that stops short of target raises
-    InfeasibleAtDeskScale when require_full, else the short book is
-    returned.
+    more than target codewords and it passes check_codebook; a book short
+    of target must also be the one the spec's own build gives, since a
+    build cut short by a smaller attempt_cap is a different book.  Any
+    other cached book raises InvalidOverride.  A full book is not rebuilt:
+    the candidate stream does not depend on the cap, so every cap that
+    reaches target gives the same book.  With no cache
+    there, the book is built greedily and saved to cache_path.  A build
+    that stops short of target raises InfeasibleAtDeskScale when
+    require_full, else the short book is returned.
     """
     seed = int(overrides.get("seed", 0))
     if "policy" in overrides:
@@ -599,6 +603,19 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
         policy = (CandidatePolicy.LEX if k**m <= _LEX_SPACE_CAP
                   else CandidatePolicy.SEEDED_RANDOM)
     attempt_cap = int(overrides.get("attempt_cap", DEFAULT_ATTEMPT_CAP))
+
+    def build() -> Codebook:
+        try:
+            return _build(kind, k, m, delta, beta, list_size, target, policy,
+                          seed, attempt_cap, zeros=overrides.get("zeros"),
+                          min_gap=overrides.get("min_gap"))
+        except TargetUnreachable as exc:
+            if require_full:
+                raise InfeasibleAtDeskScale(
+                    f"inner codebook reached {len(exc.codebook.codewords)} "
+                    f"of {target} codewords within {attempt_cap} attempts"
+                ) from exc
+            return exc.codebook
 
     if cache_path is not None:
         try:
@@ -622,19 +639,14 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
             if not check_codebook(cached)["ok"]:
                 raise InvalidOverride(
                     f"cache {cache_path} fails its codebook check")
+            if (len(cached.codewords) < target
+                    and build().codewords != cached.codewords):
+                raise InvalidOverride(
+                    f"cache {cache_path} holds {len(cached.codewords)} of "
+                    f"{target} codewords, not the book the spec builds")
             return cached
 
-    try:
-        inner = _build(kind, k, m, delta, beta, list_size, target, policy,
-                       seed, attempt_cap, zeros=overrides.get("zeros"),
-                       min_gap=overrides.get("min_gap"))
-    except TargetUnreachable as exc:
-        if require_full:
-            raise InfeasibleAtDeskScale(
-                f"inner codebook reached {len(exc.codebook.codewords)} of "
-                f"{target} codewords within {attempt_cap} attempts"
-            ) from exc
-        inner = exc.codebook
+    inner = build()
     if cache_path is not None:
         save_codebook(inner, cache_path)
     return inner

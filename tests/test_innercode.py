@@ -339,10 +339,11 @@ class TestSpecCodebookCache:
     """A scheme spec loads its cached inner book only if that is the book
     it would build; an edited cache is rejected, not used."""
 
-    def book(self, path, target=12):
+    def book(self, path, target=12, **overrides):
         return innercode.spec_codebook(
             CodebookKind.UNIQUE, 4, 6, F(1, 2), target=target,
-            overrides={"seed": 5}, require_full=False, cache_path=path)
+            overrides={"seed": 5, **overrides}, require_full=False,
+            cache_path=path)
 
     def edited(self, tmp_path, edit):
         path = tmp_path / "book.txt"
@@ -383,3 +384,14 @@ class TestSpecCodebookCache:
         assert len(self.book(path)) == 6
         with pytest.raises(InvalidOverride, match="more than the target 3"):
             self.book(path, target=3)
+
+    def test_book_cut_short_by_a_smaller_cap_is_rejected(self, tmp_path):
+        # The cache is not keyed by attempt_cap: a book cut short by a cap
+        # of 3 must not stand in for the default cap's longer build.
+        path = tmp_path / "book.txt"
+        short = self.book(path, policy="SEEDED_RANDOM", attempt_cap=3)
+        assert len(short) == 1
+        again = self.book(path, policy="SEEDED_RANDOM", attempt_cap=3)
+        assert again.codewords == short.codewords
+        with pytest.raises(InvalidOverride, match="not the book the spec"):
+            self.book(path, policy="SEEDED_RANDOM")
