@@ -45,6 +45,9 @@ DEFAULT_ATTEMPT_CAP = 200_000
 # switches to seeded random candidates.
 _LEX_SPACE_CAP = 1 << 20
 
+# Most window states count_dense_words will track.
+_DENSE_STATE_GUARD = 1 << 21
+
 
 class CodebookKind(Enum):
     UNIQUE = "UNIQUE"
@@ -397,7 +400,7 @@ class RateReport:
     satisfied: bool
 
 
-def count_dense_words(m: int, beta: Fraction, guard_states: int = 1 << 21) -> int:
+def count_dense_words(m: int, beta: Fraction) -> int:
     """Exact number of binary length-m words that are beta-dense and begin
     and end with 1, via a sliding-window transfer dynamic program."""
     win, need = seqkit.density_rule(m, beta)
@@ -407,7 +410,7 @@ def count_dense_words(m: int, beta: Fraction, guard_states: int = 1 << 21) -> in
         return sum(math.comb(m - 2, j - 2) for j in range(max(need, 2), m + 1))
     if win == 1:
         return 1 if need <= 1 else 0
-    if 1 << (win - 1) > guard_states:
+    if 1 << (win - 1) > _DENSE_STATE_GUARD:
         raise GuardExceeded(f"window of {win} needs too many states")
     states: dict[tuple[int, ...], int] = {(1,): 1}
     for _ in range(1, m):

@@ -40,7 +40,7 @@ from .innercode import (
     spec_codebook,
 )
 from .rsouter import (
-    DEFAULT_LIST_GUARD,
+    LIST_GUARD,
     RsParams,
     candidate_sets,
     rs_decode_ee,
@@ -191,10 +191,10 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
     if not 1 <= k_out <= n_out <= q:
         raise OutOfRange(f"need 1 <= k_out <= n_out <= q, got "
                          f"{k_out}, {n_out}, {q}")
-    if field.order ** k_out > DEFAULT_LIST_GUARD:
+    if field.order ** k_out > LIST_GUARD:
         raise InfeasibleAtDeskScale(
             f"outer recovery would enumerate {field.order}^{k_out} messages, "
-            f"above the brute-force guard {DEFAULT_LIST_GUARD}")
+            f"above the brute-force guard {LIST_GUARD}")
 
     delta = Fraction(overrides.get("delta", eps / 4))
     if not 0 < delta < Fraction(1, 2):

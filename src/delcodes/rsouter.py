@@ -19,7 +19,7 @@ from .gf import Field, FieldElem
 
 ERASED = None
 
-DEFAULT_LIST_GUARD = 10**7
+LIST_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -197,14 +197,13 @@ def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
 
 
 def rs_list_recover_bruteforce(field: Field, candidate_sets: list, nprime: int,
-                               agree_threshold: int,
-                               guard: int = DEFAULT_LIST_GUARD) -> list[tuple]:
+                               agree_threshold: int) -> list[tuple]:
     """All messages whose codeword hits the candidate set in at least
     agree_threshold positions.
 
     candidate_sets holds one collection of field values per evaluation point
     (empty for positions with no candidates).  Exhausts all q^nprime
-    messages; raises GuardExceeded if that count passes the guard.
+    messages; raises GuardExceeded if that count passes LIST_GUARD.
     """
     n = len(candidate_sets)
     if not 1 <= nprime <= n:
@@ -212,8 +211,8 @@ def rs_list_recover_bruteforce(field: Field, candidate_sets: list, nprime: int,
     if n > field.order:
         raise OutOfRange(f"block length {n} exceeds field order {field.order}")
     total = field.order**nprime
-    if total > guard:
-        raise GuardExceeded(f"{total} messages exceed the search guard {guard}")
+    if total > LIST_GUARD:
+        raise GuardExceeded(f"{total} messages exceed the search guard {LIST_GUARD}")
     sets = [frozenset(_as_value(field, v) for v in s) for s in candidate_sets]
     found = []
     coeffs = [0] * nprime
