@@ -1,7 +1,7 @@
 """Shared fixtures: the three desk-scale scheme specs, built once per session.
 
-The inner codebook builds dominate fixture cost (the list-decoding book takes
-a couple of seconds), so every module that needs a spec pulls it from here.
+The inner codebook builds dominate fixture cost, so every module that needs
+a spec pulls it from here.
 """
 
 import pytest
