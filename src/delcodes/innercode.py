@@ -12,7 +12,10 @@ Three codebook kinds share one greedy engine:
 
 The separation threshold for a codebook correcting a delta fraction of
 deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
-(LCS <= ell - 1, or no full subset sharing an ell-subsequence).
+(LCS <= ell - 1, or no full subset sharing an ell-subsequence).  A LISTDEC
+build keeps, level by level, the subsets of accepted words that share an
+ell-subsequence, so a candidate is tested only against the subsets it could
+complete.
 """
 
 from __future__ import annotations
@@ -47,6 +50,12 @@ _LEX_SPACE_CAP = 1 << 20
 
 # Most window states count_dense_words will track.
 _DENSE_STATE_GUARD = 1 << 21
+
+# check_codebook probes every received word of a LISTDEC book up to this
+# many, else this many seeded samples.
+_PROBE_EXHAUSTIVE_LIMIT = 1 << 14
+_PROBE_SAMPLE = 2000
+_PROBE_SEED = 0
 
 
 class CodebookKind(Enum):
@@ -180,6 +189,69 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
         yield tuple(syms)
 
 
+class _Sharing:
+    """The subsets of accepted LISTDEC words that share a common subsequence
+    of length ell: levels[j] holds the (j + 1)-subsets, as index tuples into
+    words in acceptance order.
+
+    A candidate breaks the list_size property only by completing a top-level
+    subset of list_size - 1 words.  Every subset tested already shares, so
+    once each member passes the pairwise test against the candidate, a group
+    of two shares outright and a larger group goes straight to the
+    multi-word LCS.  lcs caches one candidate's pairwise LCS by word index.
+
+    Nothing is built until list_size - 1 words are in: no subset can be
+    completed before then, and at asymptotic-recipe list sizes (far beyond
+    the target book) that moment never arrives.
+    """
+
+    def __init__(self, words: list[tuple[int, ...]], ell: int,
+                 list_size: int):
+        self.words = words
+        self.ell = ell
+        self.list_size = list_size
+        self.levels: list[list[tuple[int, ...]]] | None = None
+
+    def _shares(self, subset: tuple[int, ...], cand: tuple[int, ...],
+                lcs: dict[int, int]) -> bool:
+        for i in subset:
+            if i not in lcs:
+                lcs[i] = seqkit._lcs_seq(cand, self.words[i])
+            if lcs[i] < self.ell:
+                return False
+        return len(subset) == 1 or seqkit._multi_lcs(
+            [self.words[i] for i in subset] + [cand]) >= self.ell
+
+    def first_completed(self, cand: tuple[int, ...],
+                        lcs: dict[int, int]) -> tuple[int, ...] | None:
+        """The first top-level subset that cand completes, if any."""
+        if self.levels is None:
+            if len(self.words) < self.list_size - 1:
+                return None
+            self.levels = [[] for _ in range(self.list_size - 1)]
+            for i in range(len(self.words)):
+                self.add(i, {})
+        return next((s for s in self.levels[-1]
+                     if self._shares(s, cand, lcs)), None)
+
+    def add(self, idx: int, lcs: dict[int, int]) -> None:
+        """Thread word idx into the levels, which hold words before it.
+
+        The subsets holding idx grow from the level below as it stood
+        before idx; a level that gains nothing leaves nothing to grow above
+        it."""
+        if self.levels is None:
+            return
+        new = [[(idx,)]]
+        for below in self.levels[:-1]:
+            if not new[-1]:
+                break
+            new.append([base + (idx,) for base in below
+                        if self._shares(base, self.words[idx], lcs)])
+        for level, subsets in zip(self.levels, new):
+            level.extend(subsets)
+
+
 def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
            beta: Fraction | None, list_size: int | None,
            target_size: int | None, policy: CandidatePolicy, seed: int,
@@ -217,88 +289,34 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
     else:
         stream = _random_stream(k, m, rng, attempt_cap)
 
-    accepted: list[Word] = []
-    accepted_syms: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    # For LISTDEC: sharing_levels[j] holds the index-(j+1)-subsets of accepted
-    # codewords that still share a common subsequence of length ell.  A new
-    # codeword can only complete a violating full subset through one of these.
-    # Built lazily: with fewer than list_size - 1 accepted words no violating
-    # subset can exist, and at asymptotic-recipe list sizes (list_size far
-    # beyond the target book) that moment never arrives.
-    sharing_levels: list[list[tuple[int, ...]]] | None = None
-
-    def extend_sharing(syms: tuple[int, ...], cw: Word, idx: int) -> None:
-        # Thread word idx through the structure; words 0..idx-1 are in.
-        cache: dict[int, int] = {}
-
-        def lcs_with(i: int) -> int:
-            if i not in cache:
-                cache[i] = seqkit._lcs_seq(syms, accepted_syms[i])
-            return cache[i]
-
-        new_by_size: list[list[tuple[int, ...]]] = [[(idx,)]]
-        for j in range(1, list_size - 1):
-            grown = []
-            for base in sharing_levels[j - 1]:
-                if all(lcs_with(i) >= ell for i in base):
-                    group = [accepted[i] for i in base] + [cw]
-                    if seqkit.common_subsequence_at_least(group, ell):
-                        grown.append(base + (idx,))
-            new_by_size.append(grown)
-        for j in range(list_size - 1):
-            sharing_levels[j].extend(new_by_size[j])
-
-    def listdec_accepts(cand: tuple[int, ...]) -> bool:
-        nonlocal sharing_levels
-        if cand in seen:
-            return False
-        if len(accepted) + 1 < list_size:
-            return True
-        if sharing_levels is None:
-            sharing_levels = [[] for _ in range(list_size - 1)]
-            for i, syms in enumerate(accepted_syms):
-                extend_sharing(syms, accepted[i], i)
-        cw = Word(cand, k)
-        cache: dict[int, int] = {}
-
-        def lcs_with(i: int) -> int:
-            if i not in cache:
-                cache[i] = seqkit._lcs_seq(cand, accepted_syms[i])
-            return cache[i]
-
-        top = sharing_levels[list_size - 2]
-        for subset in top:
-            if all(lcs_with(i) >= ell for i in subset):
-                group = [accepted[i] for i in subset] + [cw]
-                if seqkit.common_subsequence_at_least(group, ell):
-                    return False
-        extend_sharing(cand, cw, len(accepted))
-        return True
-
-    target = target_size
+    accepted: list[tuple[int, ...]] = []
+    sharing = (_Sharing(accepted, ell, list_size)
+               if kind is CodebookKind.LISTDEC else None)
     for cand in stream:
         if kind is CodebookKind.DENSE and not (
                 cand[0] == 1 and cand[-1] == 1
                 and seqkit.is_dense_seq(cand, win, need)):
             continue
-        if kind is CodebookKind.LISTDEC:
-            ok = listdec_accepts(cand)
+        if sharing is None:
+            ok = all(seqkit._lcs_seq(cand, a) < ell for a in accepted)
         else:
-            ok = all(seqkit._lcs_seq(cand, a) < ell for a in accepted_syms)
+            lcs: dict[int, int] = {}
+            ok = (cand not in accepted
+                  and sharing.first_completed(cand, lcs) is None)
         if ok:
-            accepted.append(Word(cand, k))
-            accepted_syms.append(cand)
-            seen.add(cand)
-            if target is not None and len(accepted) >= target:
+            accepted.append(cand)
+            if sharing is not None:
+                sharing.add(len(accepted) - 1, lcs)
+            if target_size is not None and len(accepted) >= target_size:
                 break
 
     cb = Codebook(kind, k, m, delta, beta if kind is CodebookKind.DENSE else None,
                   list_size if kind is CodebookKind.LISTDEC else None,
-                  tuple(accepted), seed, policy)
-    if target is not None and len(accepted) < target:
+                  tuple(Word(a, k) for a in accepted), seed, policy)
+    if target_size is not None and len(accepted) < target_size:
         raise TargetUnreachable(
-            f"{kind.value} construction reached {len(accepted)} of {target} codewords",
+            f"{kind.value} construction reached {len(accepted)} of "
+            f"{target_size} codewords",
             codebook=cb,
         )
     return cb
@@ -513,13 +531,13 @@ def load_codebook(path: str | Path) -> Codebook:
 # Invariant checking (used by the verify-inner command and the test suite)
 
 
-def check_codebook(cb: Codebook, exhaustive_limit: int = 1 << 14,
-                   sample: int = 2000, seed: int = 0) -> dict:
+def check_codebook(cb: Codebook) -> dict:
     """Re-verify the defining property of a codebook.
 
     Returns a report dict with an ``ok`` flag.  UNIQUE and DENSE books get
     the full pairwise LCS check; LISTDEC books get the every-received-word
-    check, exhaustive when 2^ell is at most exhaustive_limit, else sampled.
+    check, exhaustive when 2^ell is at most _PROBE_EXHAUSTIVE_LIMIT, else
+    on _PROBE_SAMPLE words drawn with seed _PROBE_SEED.
     """
     ell = cb.separation_threshold
     report: dict = {"kind": cb.kind.value, "size": len(cb.codewords),
@@ -555,13 +573,13 @@ def check_codebook(cb: Codebook, exhaustive_limit: int = 1 << 14,
     # LISTDEC: no received word of length ell may match list_size codewords.
     lsz = cb.list_size
     worst_list = 0
-    if 2**ell <= exhaustive_limit:
+    if 2**ell <= _PROBE_EXHAUSTIVE_LIMIT:
         space = range(2**ell)
         report["mode"] = "exhaustive"
     else:
-        rng = random.Random(seed)
-        space = [rng.getrandbits(ell) for _ in range(sample)]
-        report["mode"] = f"sampled({sample})"
+        rng = random.Random(_PROBE_SEED)
+        space = [rng.getrandbits(ell) for _ in range(_PROBE_SAMPLE)]
+        report["mode"] = f"sampled({_PROBE_SAMPLE})"
     for enc in space:
         probe = tuple((enc >> (ell - 1 - i)) & 1 for i in range(ell))
         hits = sum(1 for w in words if seqkit._is_subseq_seq(probe, w.symbols))

@@ -4,6 +4,10 @@ A Word is an immutable sequence of integer symbols drawn from [0, k).  All
 counting operations return exact integers (Python bignums); thresholds that
 come from rational parameters are computed with fractions.Fraction so no
 float rounding can move an integer boundary.
+
+Pairwise LCS is bit-parallel; the LCS of several words is a dominant-point
+search that raises GuardExceeded past MULTI_LCS_GUARD dominance
+comparisons, a bound on its time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ from .errors import (
     OutOfRange,
 )
 
-DEFAULT_DOMINANT_GUARD = 10**6
+# Most dominance comparisons one _multi_lcs call may make, each new point
+# counted against every point kept before it.  The filter's time grows with
+# the square of the frontier, so a bound on points would not bound it.
+MULTI_LCS_GUARD = 10**7
 
 
 @dataclass(frozen=True)
@@ -127,36 +134,7 @@ def _is_subseq_seq(s, t) -> bool:
     return all(sym in it for sym in s)
 
 
-def common_subsequence_at_least(words: list[Word], ell: int,
-                                guard: int = DEFAULT_DOMINANT_GUARD) -> bool:
-    """Do all given words share a common subsequence of length >= ell?
-
-    Runs a dominant-point multi-word LCS search, level by level over the
-    Pareto-minimal embedding points; the call is refused with GuardExceeded
-    once the levels have generated more than ``guard`` dominant points.  A
-    cheap pairwise pre-pass answers False early, since a subsequence common
-    to all words is common to every pair.
-    """
-    if not words:
-        raise LengthMismatch("need at least one word")
-    _check_same_alphabet(*words)
-    if ell <= 0:
-        return True
-    if any(len(w) < ell for w in words):
-        return False
-    if len(words) == 1:
-        return True
-    seqs = [w.symbols for w in words]
-    if len(seqs) == 2:
-        return _lcs_seq(seqs[0], seqs[1]) >= ell
-    for i in range(len(seqs)):
-        for j in range(i + 1, len(seqs)):
-            if _lcs_seq(seqs[i], seqs[j]) < ell:
-                return False
-    return _multi_lcs(seqs, guard) >= ell
-
-
-def _multi_lcs(seqs, guard: int) -> int:
+def _multi_lcs(seqs) -> int:
     # Dominant-point search (Hakata & Imai 1992).  A point holds one prefix
     # length per word; level l is the set of Pareto-minimal points at which
     # some common subsequence of length l ends, each word embedding it
@@ -180,7 +158,7 @@ def _multi_lcs(seqs, guard: int) -> int:
             cols.append(col)
         steps.append(cols)
     frontier = [(0,) * len(seqs)]
-    length = generated = 0
+    length = compared = 0
     while True:
         successors = set()
         for cols in steps:
@@ -194,17 +172,16 @@ def _multi_lcs(seqs, guard: int) -> int:
         # before it.
         frontier = []
         for point in sorted(successors):
+            compared += len(frontier)
+            if compared > MULTI_LCS_GUARD:
+                raise GuardExceeded(
+                    f"multi-LCS search passed {MULTI_LCS_GUARD} dominance "
+                    f"comparisons")
             for kept in frontier:
                 if all(map(le, kept, point)):
                     break
             else:
                 frontier.append(point)
-        generated += len(frontier)
-        if generated > guard:
-            raise GuardExceeded(
-                f"multi-LCS search generated {generated} dominant points, "
-                f"over the guard {guard}"
-            )
         length += 1
 
 

@@ -4,11 +4,13 @@ re-verification, decode round-trips, and persistence."""
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from delcodes import innercode, seqkit
+from delcodes.common import Profile
 from delcodes.errors import (
     Ambiguous,
     IndexOutOfRange,
@@ -34,9 +36,13 @@ from delcodes.innercode import (
     rate_report,
     save_codebook,
 )
+from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word
+from test_seqkit import table_multi_lcs
 
 F = Fraction
+LEX = CandidatePolicy.LEX
+RANDOM = CandidatePolicy.SEEDED_RANDOM
 
 
 def digits(cb):
@@ -191,6 +197,52 @@ class TestGreedyListdec:
                                policy=CandidatePolicy.SEEDED_RANDOM, seed=5,
                                attempt_cap=2000)
         assert len(large) >= len(small)
+
+    @pytest.mark.parametrize("m,delta,lsz,target,policy,seed", [
+        (6, F(1, 4), 2, None, LEX, 0),
+        (6, F(1, 4), 3, 10, LEX, 0),
+        (6, F(1, 2), 3, None, LEX, 0),
+        (4, F(1, 4), 4, None, LEX, 0),
+        (5, F(1, 2), 4, None, LEX, 0),
+        (8, F(1, 4), 2, None, RANDOM, 1),
+        (8, F(1, 4), 3, 8, RANDOM, 2),
+        (8, F(1, 2), 3, None, RANDOM, 3),
+        (7, F(1, 4), 4, 7, RANDOM, 4),
+        (6, F(1, 4), 4, 8, RANDOM, 7),
+    ])
+    def test_sharing_search_matches_brute_force(self, m, delta, lsz, target,
+                                                policy, seed):
+        # The brute force rejects a candidate that shares an
+        # ell-subsequence with any list_size - 1 accepted words, found by
+        # the full multi-word LCS table.
+        ell = innercode.separation_threshold(m, delta)
+        if policy is LEX:
+            stream = innercode._lex_stream(2, m)
+        else:
+            stream = innercode._random_stream(2, m, random.Random(seed), 400)
+        expected = []
+        for cand in stream:
+            if cand in expected or any(
+                    table_multi_lcs([*group, cand]) >= ell
+                    for group in itertools.combinations(expected, lsz - 1)):
+                continue
+            expected.append(cand)
+            if len(expected) == target:
+                break
+        try:
+            cb = greedy_listdec(m, delta, lsz, target, policy, seed, 400)
+        except TargetUnreachable as exc:
+            cb = exc.codebook
+        assert [w.symbols for w in cb.codewords] == expected
+
+    def test_no_multi_lcs_before_list_size_minus_one_words(self, monkeypatch):
+        # The paper-profile list size is far beyond its 12-word book, so
+        # no subset can ever be completed and none is searched.
+        def refuse(seqs):
+            raise AssertionError("multi-word LCS called")
+        monkeypatch.setattr(seqkit, "_multi_lcs", refuse)
+        spec = make_scheme_spec("listdec", Profile.PAPER_ASYMPTOTIC)
+        assert len(spec.inner) < spec.inner.list_size - 1
 
 
 class TestInnerCoding:

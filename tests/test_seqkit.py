@@ -76,10 +76,6 @@ def table_multi_lcs(seqs):
     return table[total - 1]
 
 
-# Five words of at most 8 symbols have at most 9^5 dominant points.
-ORACLE_GUARD = 10**6
-
-
 class TestWord:
     def test_parse_and_render(self):
         w = Word.from_digits("10110", 2)
@@ -172,44 +168,55 @@ class TestSubsequence:
 
 class TestMultiwayCommon:
     def test_pair_reduces_to_lcs(self):
-        a = Word.from_digits("10110", 2)
-        b = Word.from_digits("01101", 2)
-        for ell in range(6):
-            assert seqkit.common_subsequence_at_least([a, b], ell) == (4 >= ell)
+        a, b = (1, 0, 1, 1, 0), (0, 1, 1, 0, 1)
+        assert seqkit._multi_lcs([a, b]) == seqkit._lcs_seq(a, b) == 4
 
     def test_three_way_brute(self):
-        words = [Word.from_digits(s, 2) for s in ("110100", "011010", "010110")]
+        words = [Word.from_digits(s, 2).symbols
+                 for s in ("110100", "011010", "010110")]
         # brute force: longest string contained in all three
         best = 0
-        a = words[0].symbols
+        a = words[0]
         for mask in range(1 << 6):
             sub = tuple(a[i] for i in range(6) if mask >> i & 1)
-            if all(seqkit._is_subseq_seq(sub, w.symbols) for w in words):
+            if all(seqkit._is_subseq_seq(sub, w) for w in words):
                 best = max(best, len(sub))
-        for ell in range(7):
-            assert seqkit.common_subsequence_at_least(words, ell) == (best >= ell)
+        assert seqkit._multi_lcs(words) == best
 
     def test_trivial_cases(self):
-        w = Word.from_digits("101", 2)
-        assert seqkit.common_subsequence_at_least([w], 3)
-        assert seqkit.common_subsequence_at_least([w, w], 0)
-        assert not seqkit.common_subsequence_at_least([w, w], 4)
+        w = (1, 0, 1)
+        assert seqkit._multi_lcs([w]) == 3
+        assert seqkit._multi_lcs([w, w]) == 3
+        assert seqkit._multi_lcs([w, (), w]) == 0
+        assert seqkit._multi_lcs([w, (0, 0)]) == 1
 
-    def test_guard(self):
-        # Word r is (0^r 1^r)* cut to 60 symbols: the search generates
-        # 1741 dominant points, and the full table would hold 61^5 cells.
-        words = [Word(tuple(j // r % 2 for j in range(60)), 2)
-                 for r in range(1, 6)]
+    def test_guard(self, monkeypatch):
+        # Word r is (0^r 1^r)* cut to 60 symbols: the search counts 92,293
+        # dominance comparisons, and the full table would hold 61^5 cells.
+        words = [tuple(j // r % 2 for j in range(60)) for r in range(1, 6)]
+        pairwise = min(seqkit._lcs_seq(a, b)
+                       for a, b in itertools.combinations(words, 2))
+        assert 2 <= seqkit._multi_lcs(words) <= pairwise
+        monkeypatch.setattr(seqkit, "MULTI_LCS_GUARD", 1000)
         with pytest.raises(GuardExceeded):
-            seqkit.common_subsequence_at_least(words, 2, guard=1000)
-        assert seqkit.common_subsequence_at_least(words, 2)
+            seqkit._multi_lcs(words)
+
+    def test_guard_bounds_time_not_points(self):
+        # The frontier grows wide but the levels keep under 10^6 points in
+        # all, so a guard on points lets this search run for some 20 s.
+        # Counted by comparisons, it stops after about 2 s.
+        rng = random.Random(0)
+        words = [tuple(rng.randrange(2) for _ in range(100))
+                 for _ in range(5)]
+        with pytest.raises(GuardExceeded):
+            seqkit._multi_lcs(words)
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=150, deadline=None)  # a 9^5 table takes ~0.15 s
     def test_multi_lcs_matches_table_dp(self, n, k, data):
         seqs = [tuple(data.draw(st.lists(st.integers(0, k - 1), max_size=8)))
                 for _ in range(n)]
-        assert seqkit._multi_lcs(seqs, ORACLE_GUARD) == table_multi_lcs(seqs)
+        assert seqkit._multi_lcs(seqs) == table_multi_lcs(seqs)
 
     def test_multi_lcs_agrees_on_3000_seeded_instances(self):
         rng = random.Random(20141124)
@@ -217,19 +224,7 @@ class TestMultiwayCommon:
             k = rng.randint(2, 4)
             seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
                     for _ in range(rng.randint(2, 5))]
-            assert (seqkit._multi_lcs(seqs, ORACLE_GUARD)
-                    == table_multi_lcs(seqs)), seqs
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_monotone_in_ell(self, data):
-        words = [Word(tuple(data.draw(
-            st.lists(st.integers(0, 1), min_size=1, max_size=6))), 2)
-            for _ in range(3)]
-        results = [seqkit.common_subsequence_at_least(words, ell)
-                   for ell in range(8)]
-        # once False, stays False
-        assert all(a or not b for a, b in zip(results, results[1:]))
+            assert seqkit._multi_lcs(seqs) == table_multi_lcs(seqs), seqs
 
 
 class TestZeroRuns:
