@@ -6,6 +6,12 @@ of x^i, reduced modulo a fixed irreducible polynomial.  The reduction
 polynomial is chosen deterministically: the irreducible monic polynomial of
 degree w whose coefficient bitmask is smallest, so two runs (or two machines)
 always agree on the arithmetic.
+
+make_field picks the arithmetic once per field.  Prime fields use plain
+modular operations.  GF(2^w) multiplies, inverts, divides and raises to
+powers through log/antilog tables over the smallest primitive element, built
+with the polynomial arithmetic below; w is capped at 16, so the tables hold
+at most 2 * 2^16 entries.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, FieldMismatch, NotPrimePower, OutOfRange
 
-_MAX_EXT_DEGREE = 32
+_MAX_EXT_DEGREE = 16
 
 # Witnesses sufficient for deterministic Miller-Rabin below 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -123,31 +129,44 @@ def _reduction_poly(w: int) -> int:
     raise AssertionError(f"no irreducible polynomial of degree {w}")
 
 
+def _log_tables(w: int, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Antilog and log tables of GF(2^w) modulo f.
+
+    exp[i] = g^i for the smallest primitive element g, listed twice over so
+    that exp[log[a] + log[b]] needs no reduction; log[exp[i]] = i for
+    i < 2^w - 1, and log[0] is unused.
+    """
+    n = (1 << w) - 1
+    factors = _prime_factors(n)
+    g = next(g for g in range(2, n + 1)
+             if all(_poly_powmod(g, n // p, f) != 1 for p in factors))
+    exp = [1]
+    for _ in range(n - 1):
+        exp.append(_poly_mulmod(exp[-1], g, f))
+    log = [0] * (n + 1)
+    for i, a in enumerate(exp):
+        log[a] = i
+    return tuple(exp * 2), tuple(log)
+
+
 @dataclass(frozen=True)
 class Field:
     """A finite field of prime or 2-power order.
 
     reduction_poly is the coefficient tuple (low degree first) of the modulus
-    for extension fields, and None for prime fields.
+    for extension fields, and None for prime fields.  _exp and _log are the
+    antilog and log tables of GF(2^w), None for prime fields; each method
+    picks its arithmetic by that one attribute.
     """
 
     order: int
     characteristic: int
     degree: int
     reduction_poly: tuple[int, ...] | None
-    _poly_int: int = field(default=0, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.reduction_poly is not None:
-            mask = 0
-            for i, c in enumerate(self.reduction_poly):
-                if c:
-                    mask |= 1 << i
-            object.__setattr__(self, "_poly_int", mask)
-
-    @property
-    def is_binary_ext(self) -> bool:
-        return self.reduction_poly is not None
+    _exp: tuple[int, ...] | None = field(default=None, repr=False,
+                                         compare=False)
+    _log: tuple[int, ...] | None = field(default=None, repr=False,
+                                         compare=False)
 
     def _check(self, v: int) -> int:
         if not 0 <= v < self.order:
@@ -155,31 +174,35 @@ class Field:
         return v
 
     def add(self, a: int, b: int) -> int:
-        if self.is_binary_ext:
-            return a ^ b
-        return (a + b) % self.order
+        if self._log is None:
+            return (a + b) % self.order
+        return a ^ b
 
     def sub(self, a: int, b: int) -> int:
-        if self.is_binary_ext:
-            return a ^ b
-        return (a - b) % self.order
+        if self._log is None:
+            return (a - b) % self.order
+        return a ^ b
 
     def neg(self, a: int) -> int:
-        if self.is_binary_ext:
-            return a
-        return (-a) % self.order
+        if self._log is None:
+            return (-a) % self.order
+        return a
 
     def mul(self, a: int, b: int) -> int:
-        if self.is_binary_ext:
-            return _poly_mod(_poly_mul(a, b), self._poly_int)
-        return a * b % self.order
+        log = self._log
+        if log is None:
+            return a * b % self.order
+        if a and b:
+            return self._exp[log[a] + log[b]]
+        return 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self.is_binary_ext:
-            return _poly_powmod(a, self.order - 2, self._poly_int)
-        return pow(a, self.order - 2, self.order)
+        log = self._log
+        if log is None:
+            return pow(a, self.order - 2, self.order)
+        return self._exp[self.order - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -187,9 +210,12 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if self.is_binary_ext:
-            return _poly_powmod(a, e, self._poly_int)
-        return pow(a, e, self.order)
+        log = self._log
+        if log is None:
+            return pow(a, e, self.order)
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[log[a] * e % (self.order - 1)]
 
     def elem(self, v: int) -> FieldElem:
         return FieldElem(self._check(v), self)
@@ -242,7 +268,7 @@ class FieldElem:
 
 @lru_cache(maxsize=None)
 def make_field(order: int) -> Field:
-    """Build GF(order) for a prime order or order = 2^w with 1 <= w <= 32."""
+    """Build GF(order) for a prime order or order = 2^w with 1 <= w <= 16."""
     if order < 2:
         raise NotPrimePower(f"field order must be at least 2, got {order}")
     if _is_prime(order):
@@ -253,5 +279,5 @@ def make_field(order: int) -> Field:
             raise NotPrimePower(f"2^{w} exceeds the supported extension degree")
         f = _reduction_poly(w)
         coeffs = tuple((f >> i) & 1 for i in range(w + 1))
-        return Field(order, 2, w, coeffs)
+        return Field(order, 2, w, coeffs, *_log_tables(w, f))
     raise NotPrimePower(f"{order} is neither prime nor a supported power of 2")

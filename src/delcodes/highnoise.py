@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .common import ConcatenatedSpec, DecodeResult, Profile
 from .errors import AlphabetMismatch, InvalidOverride, OutOfRange
@@ -67,7 +68,7 @@ class HighNoiseSpec(ConcatenatedSpec):
     def delta_in(self) -> Fraction:
         return 1 - self.epsilon / 2
 
-    @property
+    @cached_property
     def min_block(self) -> int:
         # Minimum decodable block length; equal to the inner separation
         # threshold, so any block this long matches at most one codeword.

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import seqkit
@@ -92,6 +93,16 @@ class Codebook:
         of this length."""
         return separation_threshold(self.m, self.delta)
 
+    @cached_property
+    def _holders(self) -> dict[int, int]:
+        """Symbol -> bitmask of the codewords holding it, bit i for
+        codeword i: the index _containing narrows its scan by."""
+        masks: dict[int, int] = {}
+        for i, cw in enumerate(self.codewords):
+            for s in set(cw.symbols):
+                masks[s] = masks.get(s, 0) | 1 << i
+        return masks
+
     # A bare codebook is a channel target too: one codeword sent alone.
 
     def spans(self):
@@ -112,8 +123,7 @@ class Codebook:
         t = -1 if self.kind is CodebookKind.LISTDEC else match[0]
 
         def score(received):
-            return sum(1 for i, cw in enumerate(self.codewords)
-                       if i != t and seqkit.is_subsequence(received, cw))
+            return sum(1 for i in _containing(self, received) if i != t)
         return score
 
 
@@ -369,18 +379,37 @@ def inner_encode(cb: Codebook, index: int) -> Word:
     return cb.codewords[index]
 
 
-def inner_decode_unique(cb: Codebook, received: Word) -> int:
-    """Index of the unique codeword containing received as a subsequence."""
+def _containing(cb: Codebook, received: Word):
+    """Indices, ascending, of the codewords that contain received as a
+    subsequence.
+
+    A codeword lacking one of received's symbols cannot contain it, so only
+    the codewords holding every distinct symbol are checked in full.
+    """
     if received.alphabet_size != cb.k:
         raise AlphabetMismatch(
             f"received alphabet {received.alphabet_size} vs codebook {cb.k}"
         )
+    syms = received.symbols
+    holders = cb._holders
+    mask = (1 << len(cb.codewords)) - 1
+    for s in set(syms):
+        mask &= holders.get(s, 0)
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        if seqkit._is_subseq_seq(syms, cb.codewords[i].symbols):
+            yield i
+        mask ^= low
+
+
+def inner_decode_unique(cb: Codebook, received: Word) -> int:
+    """Index of the unique codeword containing received as a subsequence."""
     found = -1
-    for i, cw in enumerate(cb.codewords):
-        if seqkit._is_subseq_seq(received.symbols, cw.symbols):
-            if found >= 0:
-                raise Ambiguous(f"codewords {found} and {i} both contain received")
-            found = i
+    for i in _containing(cb, received):
+        if found >= 0:
+            raise Ambiguous(f"codewords {found} and {i} both contain received")
+        found = i
     if found < 0:
         raise NoMatch("no codeword contains the received word")
     return found
@@ -388,12 +417,7 @@ def inner_decode_unique(cb: Codebook, received: Word) -> int:
 
 def inner_decode_list(cb: Codebook, received: Word) -> list[int]:
     """Indices of all codewords containing received as a subsequence."""
-    if received.alphabet_size != cb.k:
-        raise AlphabetMismatch(
-            f"received alphabet {received.alphabet_size} vs codebook {cb.k}"
-        )
-    return [i for i, cw in enumerate(cb.codewords)
-            if seqkit._is_subseq_seq(received.symbols, cw.symbols)]
+    return list(_containing(cb, received))
 
 
 # ---------------------------------------------------------------------------

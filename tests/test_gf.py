@@ -1,8 +1,11 @@
 """Field arithmetic checks, exhaustive at small orders."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from delcodes import gf
 from delcodes.errors import DivisionByZero, FieldMismatch, NotPrimePower, OutOfRange
 from delcodes.gf import FieldElem, make_field
 
@@ -15,10 +18,44 @@ def test_prime_power_detection():
     for q in [1, 6, 10, 12, 14, 15, 18, 20, 100]:
         with pytest.raises(NotPrimePower):
             make_field(q)
-    # odd prime powers are outside the supported representation
-    for q in [9, 25, 27, 49]:
+    # odd prime powers, and 2-powers past the table cap of 2^16, are outside
+    # the supported representation
+    for q in [9, 25, 27, 49, 2**17]:
         with pytest.raises(NotPrimePower):
             make_field(q)
+
+
+def assert_tables_match_polynomials(w, pairs):
+    """Table mul, inv, div and pow of GF(2^w) against the polynomial
+    arithmetic modulo the field's reduction polynomial."""
+    q = 1 << w
+    f = make_field(q)
+    poly = gf._reduction_poly(w)
+    for a, b, e in pairs:
+        assert f.mul(a, b) == gf._poly_mulmod(a, b, poly)
+        assert f.pow(a, e) == gf._poly_powmod(a, e, poly)
+        if b:
+            inv_b = gf._poly_powmod(b, q - 2, poly)
+            assert f.inv(b) == inv_b
+            assert f.div(a, b) == gf._poly_mulmod(a, inv_b, poly)
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_tables_match_polynomials_exhaustive(w):
+    # every pair, with exponents past 2^w - 1 so the reduction mod the group
+    # order is exercised too
+    q = 1 << w
+    assert_tables_match_polynomials(
+        w, ((a, b, (a * q + b) % (2 * q + 1))
+            for a in range(q) for b in range(q)))
+
+
+def test_tables_match_polynomials_sampled_gf65536():
+    rng = random.Random(16)
+    q = 1 << 16
+    assert_tables_match_polynomials(
+        16, [(rng.randrange(q), rng.randrange(q), rng.randrange(4 * q))
+             for _ in range(20_000)])
 
 
 def test_gf4_reduction_polynomial_is_x2_x_1():

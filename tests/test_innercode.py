@@ -36,6 +36,7 @@ from delcodes.innercode import (
     rate_report,
     save_codebook,
 )
+from delcodes.highnoise import hn_make_spec
 from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word
 from test_seqkit import table_multi_lcs
@@ -285,6 +286,72 @@ class TestInnerCoding:
                     kept = tuple(s for i, s in enumerate(w.symbols)
                                  if i not in drop)
                     assert inner_decode_unique(cb, Word(kept, k)) == idx
+
+
+def scan_decode_unique(cb, received):
+    """Oracle: the linear scan of every codeword, in index order, that the
+    indexed inner_decode_unique replaced."""
+    found = -1
+    for i, cw in enumerate(cb.codewords):
+        if seqkit._is_subseq_seq(received.symbols, cw.symbols):
+            if found >= 0:
+                raise Ambiguous(f"codewords {found} and {i} both contain received")
+            found = i
+    if found < 0:
+        raise NoMatch("no codeword contains the received word")
+    return found
+
+
+def scan_decode_list(cb, received):
+    """Oracle: the linear scan behind inner_decode_list."""
+    return [i for i, cw in enumerate(cb.codewords)
+            if seqkit._is_subseq_seq(received.symbols, cw.symbols)]
+
+
+def outcome(decode, cb, received):
+    """A decoder's result, or the type and message of what it raised."""
+    try:
+        return decode(cb, received)
+    except (Ambiguous, NoMatch) as exc:
+        return type(exc), str(exc)
+
+
+def decode_inputs(cb, seed, count=300):
+    """Seeded random subsequences of codewords (every length from empty to
+    whole), random words of length up to m, and the empty word."""
+    rng = random.Random(seed)
+    inputs = [Word((), cb.k)]
+    for _ in range(count):
+        cw = rng.choice(cb.codewords).symbols
+        keep = sorted(rng.sample(range(cb.m), rng.randint(0, cb.m)))
+        inputs.append(Word(tuple(cw[i] for i in keep), cb.k))
+        inputs.append(Word(tuple(rng.randrange(cb.k)
+                                 for _ in range(rng.randint(1, cb.m))), cb.k))
+    return inputs
+
+
+class TestIndexedDecoderOracle:
+    """The symbol index narrows the scan without changing any result."""
+
+    @pytest.fixture(params=["highnoise", "c10", "hirate", "listdec"])
+    def book(self, request):
+        if request.param == "c10":
+            return hn_make_spec(F(1, 2), q=5, overrides={
+                "D": 4, "k": 256, "m": 8, "seed": 5}).inner
+        return request.getfixturevalue(
+            {"highnoise": "hn_desk", "hirate": "br_desk",
+             "listdec": "ld_desk"}[request.param]).inner
+
+    def test_unique_and_list_match_the_scan(self, book):
+        seen = set()
+        for received in decode_inputs(book, seed=len(book)):
+            want = outcome(scan_decode_unique, book, received)
+            assert outcome(inner_decode_unique, book, received) == want
+            assert (inner_decode_list(book, received)
+                    == scan_decode_list(book, received))
+            seen.add(want[0] if isinstance(want, tuple) else int)
+        # every outcome kind occurs at least once on every book
+        assert seen == {int, Ambiguous, NoMatch}
 
 
 class TestRateReport:
