@@ -324,18 +324,14 @@ def read_reports(path) -> list[TrialReport]:
 
 
 def run_trials(spec, strategies, budget_fractions, num_seeds: int,
-               master_seed: int = 0,
-               budget_basis: str = "transmitted") -> list[TrialReport]:
+               master_seed: int = 0) -> list[TrialReport]:
     """Full factorial sweep: strategy x budget fraction x seed.
 
     Per-trial seeds derive from the master seed and the cell labels, so a
     single integer reproduces the whole sweep.  Individual decode failures
-    are recorded as outcomes, never raised.  budget_basis picks the length
-    the fraction applies to: the literal transmitted word, or "payload" for
-    codeword symbols only (excluding buffers).
+    are recorded as outcomes, never raised.  A budget fraction applies to
+    the whole transmitted word, buffers included.
     """
-    if budget_basis not in ("transmitted", "payload"):
-        raise InvalidOverride(f"unknown budget basis {budget_basis!r}")
     if not hasattr(spec, "decode_and_score"):
         raise InvalidOverride(
             f"trial runner cannot drive {type(spec).__name__}")
@@ -354,10 +350,7 @@ def run_trials(spec, strategies, budget_fractions, num_seeds: int,
                 rng = random.Random(tseed)
                 msg = [rng.randrange(order) for _ in range(msg_len)]
                 transmitted = spec.encode(msg)
-                basis = (len(transmitted.symbols)
-                         if budget_basis == "transmitted"
-                         else spec.payload_length)
-                budget = min(int(frac * basis), len(transmitted.symbols))
+                budget = int(frac * len(transmitted.symbols))
                 t0 = time.perf_counter()
                 pattern = attack(replace(strat, seed=tseed), transmitted,
                                  spec, budget)

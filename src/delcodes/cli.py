@@ -24,7 +24,12 @@ from .channel import (
 )
 from .common import Profile
 from .errors import DeletionCodeError, InfeasibleAtDeskScale
-from .innercode import check_codebook, load_codebook, rate_report
+from .innercode import (
+    check_codebook,
+    load_codebook,
+    rate_report,
+    save_codebook,
+)
 from .presets import SCHEMES, make_scheme_spec
 from .seqkit import (
     Word,
@@ -83,15 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("Q", "N", "K"))
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides")
-        p.add_argument("--codebook", default=None, metavar="PATH")
 
     def records_format(p):
         p.add_argument("--format", choices=["text", "records"],
                        default="text", dest="fmt")
 
-    p = sub.add_parser("build", help="construct a spec, cache its codebook, "
-                                     "print the rate report")
+    p = sub.add_parser("build", help="construct a spec, print the rate "
+                                     "report, optionally write its codebook")
     common(p)
+    p.add_argument("--codebook", default=None, metavar="PATH")
 
     p = sub.add_parser("roundtrip",
                        help="encode a random message, attack, decode, compare")
@@ -120,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     records_format(p)
 
     p = sub.add_parser("verify-inner",
-                       help="re-verify a cached codebook's defining property")
+                       help="re-verify a saved codebook's defining property")
     p.add_argument("--codebook", required=True, metavar="PATH")
 
     p = sub.add_parser("count",
@@ -136,7 +141,7 @@ def _spec_for(ns: argparse.Namespace):
     return make_scheme_spec(
         ns.scheme, _PROFILES[ns.profile], epsilon=ns.eps,
         overrides=_parse_overrides(ns.overrides), q=ns.q, h=ns.h,
-        outer=ns.outer, cache_path=ns.codebook)
+        outer=ns.outer)
 
 
 def _guarantee_fraction(spec) -> Fraction:
@@ -167,7 +172,8 @@ def cmd_build(ns: argparse.Namespace) -> int:
     print(f"inner codebook: {len(book.codewords)} codewords, kind "
           f"{book.kind.value}, full_book={spec.full_book}")
     if ns.codebook:
-        print(f"codebook cached at {ns.codebook}")
+        save_codebook(book, ns.codebook)
+        print(f"codebook written to {ns.codebook}")
     return 0
 
 

@@ -11,6 +11,7 @@ from .errors import (
     Ambiguous,
     DecodeFailure,
     InfeasibleAtDeskScale,
+    InvalidOverride,
     LengthMismatch,
     NoMatch,
     OutOfRange,
@@ -30,6 +31,19 @@ class Profile(Enum):
 
     PAPER_ASYMPTOTIC = "PAPER_ASYMPTOTIC"
     DESK = "DESK"
+
+
+def check_overrides(overrides: dict, profile: Profile, paper_keys: set,
+                    desk_keys: set, required: tuple[str, ...] = ()) -> None:
+    """Reject override keys the profile does not take, and missing ones."""
+    allowed = paper_keys if profile is Profile.PAPER_ASYMPTOTIC else desk_keys
+    unknown = set(overrides) - allowed
+    if unknown:
+        raise InvalidOverride(
+            f"override keys {sorted(unknown)} not allowed under {profile.name}")
+    for key in required:
+        if key not in overrides:
+            raise InvalidOverride(f"override {key} must be supplied")
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -83,11 +97,6 @@ class ConcatenatedSpec:
     @property
     def full_book(self) -> bool:
         return len(self.inner.codewords) >= self.pair_count
-
-    @property
-    def payload_length(self) -> int:
-        """Inner codeword symbols in one transmission, buffers left out."""
-        return self.rs.n * self.m
 
     def pair_index(self, position: int, value: int) -> int:
         n, q = self.rs.n, self.rs.field.order

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .common import ConcatenatedSpec, DecodeResult, Profile
-from .errors import AlphabetMismatch, InvalidOverride, OutOfRange
+from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
+from .errors import AlphabetMismatch, OutOfRange
 from .gf import make_field
 from .innercode import Codebook, CodebookKind, spec_codebook
 from .rsouter import ERASED, RsParams, outer_word
@@ -103,13 +103,13 @@ class HnTelemetry:
     pairs: tuple[tuple[int, int], ...]
 
 
-_OVERRIDE_KEYS = {"D", "k", "m", "n", "n_prime", "seed", "policy", "attempt_cap"}
+_PAPER_KEYS = {"seed", "policy", "attempt_cap"}
+_DESK_KEYS = _PAPER_KEYS | {"D", "k", "m", "n", "n_prime"}
 
 
 def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
-                 overrides: dict | None = None, *,
-                 cache_path=None) -> HighNoiseSpec:
-    """Validate parameters and build (or load) the inner codebook.
+                 overrides: dict | None = None) -> HighNoiseSpec:
+    """Validate parameters and build the inner codebook.
 
     PAPER_ASYMPTOTIC derives D, k, m, n, n_prime from epsilon and q; DESK
     starts from the same derivation and applies overrides.  The inner target
@@ -121,11 +121,7 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     if not 0 < eps <= Fraction(1, 2):
         raise OutOfRange(f"epsilon {eps} out of theorem range (0, 1/2]")
     overrides = dict(overrides or {})
-    unknown = set(overrides) - _OVERRIDE_KEYS
-    if unknown:
-        raise InvalidOverride(f"unknown override keys {sorted(unknown)}")
-    if profile is Profile.PAPER_ASYMPTOTIC and set(overrides) - {"seed", "policy", "attempt_cap"}:
-        raise InvalidOverride("PAPER_ASYMPTOTIC derives all shape parameters")
+    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS)
 
     field = make_field(q)
     D = int(overrides.get("D", math.ceil(8 / eps)))
@@ -145,8 +141,7 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
 
     inner = spec_codebook(CodebookKind.UNIQUE, k, m, 1 - eps / 2,
                           target=n * q, overrides=overrides,
-                          require_full=profile is Profile.PAPER_ASYMPTOTIC,
-                          cache_path=cache_path)
+                          require_full=profile is Profile.PAPER_ASYMPTOTIC)
     rs = RsParams(field, n, n_prime)
     return HighNoiseSpec(eps, D, k, m, n, q, n_prime, inner, rs, profile)
 

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import ConcatenatedSpec, DecodeResult, Profile
-from .errors import InvalidOverride, NotBinary, OutOfRange
+from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
+from .errors import NotBinary, OutOfRange
 from .gf import make_field
 from .innercode import (
     Codebook,
@@ -139,9 +139,8 @@ _DESK_KEYS = _PAPER_KEYS | {"delta", "beta", "buffer_len", "n", "n_prime"}
 
 
 def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
-                 overrides: dict | None = None, *,
-                 cache_path=None) -> HiRateSpec:
-    """Validate parameters and build (or load) the DENSE inner codebook.
+                 overrides: dict | None = None) -> HiRateSpec:
+    """Validate parameters and build the DENSE inner codebook.
 
     The inner block length m has no closed-form derivation (the paper takes
     whatever the inner construction provides), so both profiles require it
@@ -150,10 +149,7 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
     """
     eps = Fraction(epsilon)
     overrides = dict(overrides or {})
-    allowed = _PAPER_KEYS if profile is Profile.PAPER_ASYMPTOTIC else _DESK_KEYS
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise InvalidOverride(f"unknown override keys {sorted(unknown)}")
+    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS, ("m",))
     if profile is Profile.PAPER_ASYMPTOTIC and eps >= Fraction(1, 1600):
         raise OutOfRange(
             f"epsilon {eps} forces delta = 40*sqrt(eps) >= 1; use DESK")
@@ -161,8 +157,6 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
     derived = br_derive(eps, q, h)
     delta = Fraction(overrides.get("delta", derived["delta"]))
     beta = Fraction(overrides.get("beta", delta / 4))
-    if "m" not in overrides:
-        raise InvalidOverride("inner block length m must be supplied")
     m = int(overrides["m"])
     n = int(overrides.get("n", derived["n"]))
     n_prime = int(overrides.get("n_prime", derived["n_prime"]))
@@ -183,8 +177,7 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
 
     inner = spec_codebook(CodebookKind.DENSE, 2, m, delta, beta=beta,
                           target=n * field.order, overrides=overrides,
-                          require_full=profile is Profile.PAPER_ASYMPTOTIC,
-                          cache_path=cache_path)
+                          require_full=profile is Profile.PAPER_ASYMPTOTIC)
     rs = RsParams(field, n, n_prime)
     return HiRateSpec(eps, delta, beta, buffer_len, m, n, q, h, n_prime,
                       inner, rs, profile)

@@ -35,7 +35,6 @@ from .errors import (
     GuardExceeded,
     IndexOutOfRange,
     InfeasibleAtDeskScale,
-    InvalidOverride,
     NoMatch,
     NotBinary,
     OutOfRange,
@@ -623,23 +622,15 @@ def check_codebook(cb: Codebook) -> dict:
 
 def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
                   target: int, overrides: dict, require_full: bool,
-                  cache_path=None, beta: Fraction | None = None,
+                  beta: Fraction | None = None,
                   list_size: int | None = None) -> Codebook:
-    """The inner book a scheme spec asks for, from cache_path or built.
+    """Build the inner book a scheme spec asks for.
 
     overrides may set seed, policy, attempt_cap and, for DENSE books, zeros
     and min_gap.  Without a policy, LEX is used while the k^m candidate
-    space stays small, SEEDED_RANDOM beyond.  A book cached at cache_path
-    is used only if its shape, seed and policy are the spec's, it holds no
-    more than target codewords and it passes check_codebook; a book short
-    of target must also be the one the spec's own build gives, since a
-    build cut short by a smaller attempt_cap is a different book.  Any
-    other cached book raises InvalidOverride.  A full book is not rebuilt:
-    the candidate stream does not depend on the cap, so every cap that
-    reaches target gives the same book.  With no cache
-    there, the book is built greedily and saved to cache_path.  A build
-    that stops short of target raises InfeasibleAtDeskScale when
-    require_full, else the short book is returned.
+    space stays small, SEEDED_RANDOM beyond.  A build that stops short of
+    target raises InfeasibleAtDeskScale when require_full, else the short
+    book is returned.
     """
     seed = int(overrides.get("seed", 0))
     if "policy" in overrides:
@@ -648,50 +639,14 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
         policy = (CandidatePolicy.LEX if k**m <= _LEX_SPACE_CAP
                   else CandidatePolicy.SEEDED_RANDOM)
     attempt_cap = int(overrides.get("attempt_cap", DEFAULT_ATTEMPT_CAP))
-
-    def build() -> Codebook:
-        try:
-            return _build(kind, k, m, delta, beta, list_size, target, policy,
-                          seed, attempt_cap, zeros=overrides.get("zeros"),
-                          min_gap=overrides.get("min_gap"))
-        except TargetUnreachable as exc:
-            if require_full:
-                raise InfeasibleAtDeskScale(
-                    f"inner codebook reached {len(exc.codebook.codewords)} "
-                    f"of {target} codewords within {attempt_cap} attempts"
-                ) from exc
-            return exc.codebook
-
-    if cache_path is not None:
-        try:
-            cached = load_codebook(cache_path)
-        except FileNotFoundError:
-            cached = None
-        if cached is not None:
-            if ((cached.kind, cached.k, cached.m, cached.delta, cached.beta,
-                 cached.list_size) != (kind, k, m, delta, beta, list_size)):
-                raise InvalidOverride(
-                    f"cache {cache_path} holds a different codebook shape")
-            if len(cached.codewords) > target:
-                raise InvalidOverride(
-                    f"cache {cache_path} holds {len(cached.codewords)} "
-                    f"codewords, more than the target {target}")
-            if cached.seed != seed or cached.candidate_policy is not policy:
-                raise InvalidOverride(
-                    f"cache {cache_path} was built with seed {cached.seed} "
-                    f"and policy {cached.candidate_policy.value}, the spec "
-                    f"asks for seed {seed} and policy {policy.value}")
-            if not check_codebook(cached)["ok"]:
-                raise InvalidOverride(
-                    f"cache {cache_path} fails its codebook check")
-            if (len(cached.codewords) < target
-                    and build().codewords != cached.codewords):
-                raise InvalidOverride(
-                    f"cache {cache_path} holds {len(cached.codewords)} of "
-                    f"{target} codewords, not the book the spec builds")
-            return cached
-
-    inner = build()
-    if cache_path is not None:
-        save_codebook(inner, cache_path)
-    return inner
+    try:
+        return _build(kind, k, m, delta, beta, list_size, target, policy,
+                      seed, attempt_cap, zeros=overrides.get("zeros"),
+                      min_gap=overrides.get("min_gap"))
+    except TargetUnreachable as exc:
+        if require_full:
+            raise InfeasibleAtDeskScale(
+                f"inner codebook reached {len(exc.codebook.codewords)} "
+                f"of {target} codewords within {attempt_cap} attempts"
+            ) from exc
+        return exc.codebook

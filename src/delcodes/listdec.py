@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import ConcatenatedSpec, Profile, int_snapshot
+from .common import ConcatenatedSpec, Profile, check_overrides, int_snapshot
 from .errors import (
     AlphabetMismatch,
     InfeasibleAtDeskScale,
-    InvalidOverride,
     OutOfRange,
 )
 from .gf import FieldElem, make_field
@@ -162,9 +161,8 @@ _DESK_KEYS = _PAPER_KEYS | {"delta", "list_size", "ell"}
 
 
 def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
-                 overrides: dict | None = None, *,
-                 cache_path=None) -> ListDecSpec:
-    """Validate parameters and build (or load) the inner codebook.
+                 overrides: dict | None = None) -> ListDecSpec:
+    """Validate parameters and build the inner codebook.
 
     outer_params is (q, n_out, k_out).  PAPER_ASYMPTOTIC pins the grid
     pitch at delta = epsilon/4, the inner list size at ceil(1/delta^2),
@@ -179,13 +177,7 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
         raise OutOfRange(f"epsilon {eps} out of theorem range (0, 1/2)")
     q, n_out, k_out = (int(x) for x in outer_params)
     overrides = dict(overrides or {})
-    allowed = _PAPER_KEYS if profile is Profile.PAPER_ASYMPTOTIC else _DESK_KEYS
-    unknown = set(overrides) - allowed
-    if unknown:
-        raise InvalidOverride(
-            f"override keys {sorted(unknown)} not allowed under {profile.name}")
-    if "m" not in overrides:
-        raise InvalidOverride("inner block length m must be supplied")
+    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS, ("m",))
 
     field = make_field(q)
     if not 1 <= k_out <= n_out <= q:
@@ -212,8 +204,7 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
     inner = spec_codebook(CodebookKind.LISTDEC, 2, m, Fraction(1, 2) - delta,
                           list_size=list_size, target=n_out * q,
                           overrides=overrides,
-                          require_full=profile is Profile.PAPER_ASYMPTOTIC,
-                          cache_path=cache_path)
+                          require_full=profile is Profile.PAPER_ASYMPTOTIC)
     rs = RsParams(field, n_out, k_out)
     return ListDecSpec(eps, delta, m, inner, n_out, k_out, q, ell, rs, profile)
 

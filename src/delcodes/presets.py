@@ -65,8 +65,7 @@ SCHEMES = ("highnoise", "hirate", "listdec")
 def make_scheme_spec(scheme: str, profile: Profile = Profile.DESK,
                      epsilon=None, overrides: dict | None = None, *,
                      q: int | None = None, h: int | None = None,
-                     outer: tuple[int, int, int] | None = None,
-                     cache_path=None):
+                     outer: tuple[int, int, int] | None = None):
     """Build a scheme spec, filling gaps from the preset for that profile.
 
     Explicit arguments win over the preset; override dicts are merged
@@ -88,10 +87,7 @@ def make_scheme_spec(scheme: str, profile: Profile = Profile.DESK,
     merged = dict(preset["overrides"])
     merged.update(overrides or {})
     if scheme == "highnoise":
-        return hn_make_spec(eps, shape["q"], profile, merged,
-                            cache_path=cache_path)
+        return hn_make_spec(eps, shape["q"], profile, merged)
     if scheme == "hirate":
-        return br_make_spec(eps, shape["q"], shape["h"], profile, merged,
-                            cache_path=cache_path)
-    return ld_make_spec(eps, shape["outer"], profile, merged,
-                        cache_path=cache_path)
+        return br_make_spec(eps, shape["q"], shape["h"], profile, merged)
+    return ld_make_spec(eps, shape["outer"], profile, merged)

@@ -312,18 +312,7 @@ class TestRunTrials:
         b = attack(Strategy("RANDOM", seed=1), sent, hn_desk, 11)
         assert a != b
 
-    def test_payload_basis_shrinks_hirate_budget(self, br_desk):
-        frac = F(7, 372)
-        on_wire = run_trials(br_desk, [Strategy("RANDOM")], [frac], 1)
-        payload = run_trials(br_desk, [Strategy("RANDOM")], [frac], 1,
-                             budget_basis="payload")
-        assert on_wire[0].budget == 7
-        assert payload[0].budget == 6  # floor(eps * n * m)
-
-    def test_invalid_basis_and_fraction_rejected(self, hn_desk):
-        with pytest.raises(InvalidOverride):
-            run_trials(hn_desk, [Strategy("RANDOM")], [F(0)], 1,
-                       budget_basis="wire")
+    def test_out_of_range_fraction_rejected(self, hn_desk):
         with pytest.raises(OutOfRange):
             run_trials(hn_desk, [Strategy("RANDOM")], [F(3, 2)], 1)
 

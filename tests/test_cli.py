@@ -4,6 +4,8 @@
 import pytest
 
 from delcodes.cli import main
+from delcodes.innercode import load_codebook
+from delcodes.presets import SCHEMES, make_scheme_spec
 
 
 def run(capsys, *argv):
@@ -37,23 +39,40 @@ class TestBuild:
         assert "recipe_threshold_met" in out
 
     def test_cache_reuse_is_bit_identical(self, capsys, tmp_path):
-        cache = tmp_path / "hn.book"
+        book = tmp_path / "hn.book"
         code1, out1, _ = run(capsys, "build", "--scheme", "highnoise",
-                             "--codebook", str(cache))
-        first = cache.read_bytes()
+                             "--codebook", str(book))
+        first = book.read_bytes()
         code2, out2, _ = run(capsys, "build", "--scheme", "highnoise",
-                             "--codebook", str(cache))
+                             "--codebook", str(book))
         assert code1 == code2 == 0
         assert out1 == out2
-        assert cache.read_bytes() == first
+        assert book.read_bytes() == first
 
-    def test_empty_cached_book_is_config_error(self, capsys, tmp_path):
-        empty = tmp_path / "empty.book"
-        empty.write_text("\n")
-        code, _, err = run(capsys, "build", "--scheme", "highnoise",
-                           "--codebook", str(empty))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_written_book_is_the_spec_book(self, capsys, tmp_path, scheme):
+        path = tmp_path / f"{scheme}.book"
+        code, out, _ = run(capsys, "build", "--scheme", scheme,
+                           "--codebook", str(path))
+        assert code == 0
+        assert f"codebook written to {path}" in out
+        assert load_codebook(path) == make_scheme_spec(scheme).inner
+
+    def test_existing_book_is_overwritten_not_read(self, capsys, tmp_path):
+        path = tmp_path / "book"
+        run(capsys, "build", "--scheme", "listdec", "--codebook", str(path))
+        code, _, _ = run(capsys, "build", "--scheme", "highnoise",
+                         "--codebook", str(path))
+        assert code == 0
+        assert load_codebook(path) == make_scheme_spec("highnoise").inner
+
+    @pytest.mark.parametrize("command", ["roundtrip", "sweep"])
+    def test_codebook_flag_is_build_only(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, command, "--codebook",
+                           str(tmp_path / "book"))
         assert code == 2
-        assert err.startswith("error:") and "empty" in err
+        assert "unrecognized arguments: --codebook" in err
+        assert not (tmp_path / "book").exists()
 
     def test_impossible_target_names_the_budget(self, capsys):
         code, _, err = run(capsys, "build", "--scheme", "hirate",
@@ -163,20 +182,20 @@ class TestReport:
 
 class TestVerifyInner:
     def test_built_book_passes(self, capsys, tmp_path):
-        cache = tmp_path / "hn.book"
-        run(capsys, "build", "--scheme", "highnoise", "--codebook", str(cache))
-        code, out, _ = run(capsys, "verify-inner", "--codebook", str(cache))
+        book = tmp_path / "hn.book"
+        run(capsys, "build", "--scheme", "highnoise", "--codebook", str(book))
+        code, out, _ = run(capsys, "verify-inner", "--codebook", str(book))
         assert code == 0
         assert "ok" in out
 
     def test_tampered_book_fails(self, capsys, tmp_path):
-        cache = tmp_path / "hn.book"
-        run(capsys, "build", "--scheme", "highnoise", "--codebook", str(cache))
-        text = cache.read_text().splitlines()
+        book = tmp_path / "hn.book"
+        run(capsys, "build", "--scheme", "highnoise", "--codebook", str(book))
+        text = book.read_text().splitlines()
         # duplicate the last codeword line: pairwise separation collapses
         tampered = text + [text[-1]]
-        cache.write_text("\n".join(tampered) + "\n")
-        code, out, err = run(capsys, "verify-inner", "--codebook", str(cache))
+        book.write_text("\n".join(tampered) + "\n")
+        code, out, err = run(capsys, "verify-inner", "--codebook", str(book))
         assert code != 0
 
     def test_empty_book_is_config_error(self, capsys, tmp_path):

@@ -26,7 +26,6 @@ from delcodes.highnoise import (
     hn_rate_report,
 )
 from delcodes.innercode import inner_decode_unique, inner_encode
-from delcodes.presets import make_scheme_spec
 from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
 
@@ -82,15 +81,6 @@ class TestMakeSpec:
     def test_dimension_chain_enforced(self):
         with pytest.raises(OutOfRange):
             hn_make_spec(F(1, 2), 5, overrides={"m": 8, "n": 5, "n_prime": 6})
-
-    def test_cache_roundtrip_and_shape_guard(self, tmp_path, hn_desk):
-        path = tmp_path / "book.txt"
-        spec = make_scheme_spec("highnoise", cache_path=path)
-        assert spec.inner.codewords == hn_desk.inner.codewords
-        again = make_scheme_spec("highnoise", cache_path=path)
-        assert again.inner.codewords == spec.inner.codewords
-        with pytest.raises(InvalidOverride, match="different codebook shape"):
-            make_scheme_spec("highnoise", overrides={"m": 10}, cache_path=path)
 
     def test_pair_index_bijection(self, hn_desk):
         spec = hn_desk

@@ -27,7 +27,6 @@ from delcodes.hirate import (
     frac_sqrt,
 )
 from delcodes.innercode import inner_encode
-from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word, runs_of_zero
 
 F = Fraction
@@ -130,15 +129,6 @@ class TestMakeSpec:
         assert 0 < rep["rate"] < 1
         assert 0 < rep["buffer_factor_claimed"] < 1
         assert rep["outer_factor_achieved"] == pytest.approx(1 / 8)
-
-    def test_cache_roundtrip_and_shape_guard(self, tmp_path, br_desk):
-        path = tmp_path / "dense.txt"
-        spec = make_scheme_spec("hirate", cache_path=path)
-        assert spec.inner.codewords == br_desk.inner.codewords
-        again = make_scheme_spec("hirate", cache_path=path)
-        assert again.inner.codewords == br_desk.inner.codewords
-        with pytest.raises(InvalidOverride, match="different codebook shape"):
-            make_scheme_spec("hirate", overrides={"m": 80}, cache_path=path)
 
 
 class TestEncode:

@@ -14,7 +14,6 @@ from delcodes.common import Profile
 from delcodes.errors import (
     Ambiguous,
     IndexOutOfRange,
-    InvalidOverride,
     NoMatch,
     NotBinary,
     OutOfRange,
@@ -23,7 +22,6 @@ from delcodes.errors import (
 from delcodes.innercode import (
     CandidatePolicy,
     Codebook,
-    CodebookKind,
     check_codebook,
     count_dense_words,
     greedy_dense,
@@ -452,65 +450,3 @@ class TestCheckCodebook:
         cb = greedy_unique(2, 6, F(1, 2), target_size=None)
         broken = dataclasses.replace(cb, codewords=cb.codewords + cb.codewords[:1])
         assert not check_codebook(broken)["ok"]
-
-
-class TestSpecCodebookCache:
-    """A scheme spec loads its cached inner book only if that is the book
-    it would build; an edited cache is rejected, not used."""
-
-    def book(self, path, target=12, **overrides):
-        return innercode.spec_codebook(
-            CodebookKind.UNIQUE, 4, 6, F(1, 2), target=target,
-            overrides={"seed": 5, **overrides}, require_full=False,
-            cache_path=path)
-
-    def edited(self, tmp_path, edit):
-        path = tmp_path / "book.txt"
-        built = self.book(path)
-        assert self.book(path).codewords == built.codewords
-        lines = path.read_text().splitlines()
-        edit(lines)
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_other_seed_is_rejected(self, tmp_path):
-        def reseed(lines):
-            head = lines[0].split()
-            head[8] = "999"
-            lines[0] = " ".join(head)
-
-        with pytest.raises(InvalidOverride, match="seed 999"):
-            self.book(self.edited(tmp_path, reseed))
-
-    def test_other_policy_is_rejected(self, tmp_path):
-        def repolicy(lines):
-            lines[0] = lines[0].replace(" LEX ", " SEEDED_RANDOM ")
-
-        with pytest.raises(InvalidOverride, match="policy SEEDED_RANDOM"):
-            self.book(self.edited(tmp_path, repolicy))
-
-    def test_book_failing_its_check_is_rejected(self, tmp_path):
-        def duplicate(lines):
-            lines[2] = lines[1]
-
-        with pytest.raises(InvalidOverride, match="codebook check"):
-            self.book(self.edited(tmp_path, duplicate))
-
-    def test_book_larger_than_its_target_is_rejected(self, tmp_path):
-        # A spec asking for fewer pairs must not decode against the extra
-        # codewords of a book cached for a larger one.
-        path = tmp_path / "book.txt"
-        assert len(self.book(path)) == 6
-        with pytest.raises(InvalidOverride, match="more than the target 3"):
-            self.book(path, target=3)
-
-    def test_book_cut_short_by_a_smaller_cap_is_rejected(self, tmp_path):
-        # The cache is not keyed by attempt_cap: a book cut short by a cap
-        # of 3 must not stand in for the default cap's longer build.
-        path = tmp_path / "book.txt"
-        short = self.book(path, policy="SEEDED_RANDOM", attempt_cap=3)
-        assert len(short) == 1
-        again = self.book(path, policy="SEEDED_RANDOM", attempt_cap=3)
-        assert again.codewords == short.codewords
-        with pytest.raises(InvalidOverride, match="not the book the spec"):
-            self.book(path, policy="SEEDED_RANDOM")

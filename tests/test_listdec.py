@@ -105,15 +105,6 @@ class TestMakeSpec:
         assert rep["recipe_s"] >= 1
         assert isinstance(rep["recipe_threshold_met"], bool)
 
-    def test_cache_roundtrip_and_shape_guard(self, tmp_path, ld_desk):
-        path = tmp_path / "ld.txt"
-        spec = make_scheme_spec("listdec", cache_path=path)
-        assert spec.inner.codewords == ld_desk.inner.codewords
-        again = make_scheme_spec("listdec", cache_path=path)
-        assert again.inner.codewords == ld_desk.inner.codewords
-        with pytest.raises(InvalidOverride, match="different codebook shape"):
-            make_scheme_spec("listdec", overrides={"m": 10}, cache_path=path)
-
 
 class TestEncode:
     def test_blocks_are_pair_codewords(self, ld_desk):
