@@ -56,7 +56,6 @@ from .innercode import (
     separation_threshold,
 )
 from .highnoise import (
-    HeaderedWord,
     HighNoiseSpec,
     hn_decode,
     hn_encode,

@@ -1,8 +1,11 @@
 """Adversarial deletion channel: patterns, attack strategies, trial runner.
 
-The decoders' guarantees quantify over every deletion pattern within a
-budget, which no finite strategy suite can cover.  The compromise here is
-exhaustive enumeration where it is affordable (GREEDY_LCS on small words)
+Every channel target is a scheme spec that sends a Word, and every received
+word is scored one way, by the spec's decode_and_score against the message
+that was sent.  The decoders' guarantees quantify over every deletion
+pattern within a budget, which no finite strategy suite can cover.  The
+compromise here is exhaustive enumeration where it is affordable
+(GREEDY_LCS on small words: the first pattern that defeats the decoder)
 plus named strategies that reproduce each failure case the constructions
 defend against: erasing whole blocks, merging same-header neighbours,
 killing or forging buffers, and shifting the decoding grid.  Every
@@ -73,7 +76,7 @@ class Strategy:
 
 def apply_deletions(w, p: DeletionPattern):
     """The subsequence of w omitting exactly the pattern positions, as a
-    word of the same type and alphabet."""
+    word over the same alphabet."""
     syms = w.symbols
     if p.positions and p.positions[-1] >= len(syms):
         raise PatternOutOfRange(
@@ -83,9 +86,10 @@ def apply_deletions(w, p: DeletionPattern):
     return replace(w, symbols=kept)
 
 
-def attack(strategy: Strategy, transmitted, scheme_spec,
+def attack(strategy: Strategy, message, transmitted, scheme_spec,
            budget: int) -> DeletionPattern:
-    """A budget-respecting deletion pattern, deterministic given the seed.
+    """A budget-respecting deletion pattern against transmitted, the
+    encoding of message, deterministic given the seed.
 
     Strategies tied to a geometry the spec does not have degrade to the
     closest meaningful thing: BUFFER_KILL and DENSITY_ATTACK fall back to
@@ -102,7 +106,8 @@ def attack(strategy: Strategy, transmitted, scheme_spec,
     name = strategy.name
 
     if name == "GREEDY_LCS":
-        positions = _exhaustive_worst(transmitted, scheme_spec, budget)
+        positions = _exhaustive_worst(message, transmitted, scheme_spec,
+                                      budget)
     elif name == "RANDOM":
         positions = sorted(rng.sample(range(length), budget))
     elif name == "WINDOW_SHIFT":
@@ -232,28 +237,29 @@ def _density_attack(rng, spec, transmitted, blocks,
 # Exhaustive minimax oracle
 
 
-def _exhaustive_worst(transmitted, spec, budget: int) -> list[int]:
-    """Enumerate every pattern within budget, keep the most damaging one.
+def _exhaustive_worst(message, transmitted, spec, budget: int) -> list[int]:
+    """The first pattern within budget that defeats the decoder, or [].
 
-    The score is the decoder's confusion on the surviving word, so the
-    returned pattern defeats the decoder iff any pattern does; tests use
-    this as a true worst-case certificate on small instances.
+    Patterns are tried by size, 1 up to budget, each size in
+    itertools.combinations order, and each surviving word is scored as a
+    trial is: decode_and_score against the sent message, where any outcome
+    but "ok" is a defeat.  So the result is empty iff no pattern of 1 to
+    budget deletions defeats the decoder; tests use this as a true
+    worst-case certificate on small instances.
     """
     length = len(transmitted.symbols)
     total = sum(math.comb(length, j) for j in range(budget + 1))
     if total > EXHAUSTIVE_PATTERN_CAP:
         raise GuardExceeded(
             f"{total} patterns exceed the exhaustive cap {EXHAUSTIVE_PATTERN_CAP}")
-    score = spec.confusion_score(transmitted)
-    best: tuple[int, ...] = ()
-    best_score = score(transmitted)
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(length), size):
-            received = apply_deletions(transmitted, DeletionPattern(combo))
-            sc = score(received)
-            if sc > best_score:
-                best, best_score = combo, sc
-    return list(best)
+            pattern = DeletionPattern(combo)
+            received = apply_deletions(transmitted, pattern)
+            outcome, _ = spec.decode_and_score(message, pattern, received)
+            if outcome != "ok":
+                return list(combo)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +358,8 @@ def run_trials(spec, strategies, budget_fractions, num_seeds: int,
                 transmitted = spec.encode(msg)
                 budget = int(frac * len(transmitted.symbols))
                 t0 = time.perf_counter()
-                pattern = attack(replace(strat, seed=tseed), transmitted,
-                                 spec, budget)
+                pattern = attack(replace(strat, seed=tseed), msg,
+                                 transmitted, spec, budget)
                 received = apply_deletions(transmitted, pattern)
                 outcome, snapshot = spec.decode_and_score(msg, pattern,
                                                           received)

@@ -198,14 +198,3 @@ class ConcatenatedSpec:
                     if v is not ERASED and v != t.value)
         return outcome, tuple(sorted(int_snapshot(tel)
                                      + (("wrong_votes", wrong),)))
-
-    def confusion_score(self, transmitted):
-        """Scorer of received words: 1 when one defeats the decoder."""
-        expected = self.decode(transmitted).message
-
-        def score(received):
-            try:
-                return 0 if self.decode(received).message == expected else 1
-            except DecodeFailure:
-                return 1
-        return score

@@ -2,9 +2,11 @@
 
 Outer Reed-Solomon symbols are replaced by pairs (position, value), each pair
 is encoded by a UNIQUE inner codebook, and every inner symbol carries a small
-header: the position index mod D.  Headers let the decoder cut the received
-word into blocks without trusting symbol counts; the pair payload then pins
-the outer position exactly, so header arithmetic never has to be inverted.
+header: the position index mod D.  A channel symbol is one letter of the
+alphabet of size D*k that encodes (header, payload) as header*k + payload.
+Headers let the decoder cut the received word into blocks without trusting
+symbol counts; the pair payload then pins the outer position exactly, so
+header arithmetic never has to be inverted.
 
 Decoding collects one (position, value) vote per surviving block, drops
 positions with conflicting votes, and hands the rest to the errors-and-
@@ -26,27 +28,6 @@ from .gf import make_field
 from .innercode import Codebook, CodebookKind, spec_codebook
 from .rsouter import ERASED, RsParams, outer_word
 from .seqkit import Word
-
-
-@dataclass(frozen=True)
-class HeaderedWord:
-    """Sequence of (header, payload) channel symbols."""
-
-    symbols: tuple[tuple[int, int], ...]
-    header_mod: int
-    alphabet: int
-
-    def __post_init__(self):
-        if self.header_mod < 1 or self.alphabet < 1:
-            raise OutOfRange("header modulus and alphabet must be positive")
-        for h, p in self.symbols:
-            if not 0 <= h < self.header_mod:
-                raise OutOfRange(f"header {h} outside [0, {self.header_mod})")
-            if not 0 <= p < self.alphabet:
-                raise OutOfRange(f"payload {p} outside [0, {self.alphabet})")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
 
 @dataclass(frozen=True)
@@ -79,10 +60,10 @@ class HighNoiseSpec(ConcatenatedSpec):
         """Largest deletion fraction the theorem still covers."""
         return 1 - self.epsilon
 
-    def encode(self, message) -> HeaderedWord:
+    def encode(self, message) -> Word:
         return hn_encode(self, message)
 
-    def decode(self, received: HeaderedWord) -> DecodeResult:
+    def decode(self, received: Word) -> DecodeResult:
         return hn_decode(self, received)
 
     def merge_victims(self, blocks, buffers):
@@ -103,7 +84,7 @@ class HnTelemetry:
     pairs: tuple[tuple[int, int], ...]
 
 
-_PAPER_KEYS = {"seed", "policy", "attempt_cap"}
+_PAPER_KEYS = {"seed", "attempt_cap"}
 _DESK_KEYS = _PAPER_KEYS | {"D", "k", "m", "n", "n_prime"}
 
 
@@ -164,42 +145,44 @@ def hn_rate_report(spec: HighNoiseSpec) -> dict:
     }
 
 
-def hn_encode(spec: HighNoiseSpec, message) -> HeaderedWord:
+def hn_encode(spec: HighNoiseSpec, message) -> Word:
     """RS-encode, wrap each outer symbol as (position, value), inner-encode,
-    and tag every inner symbol with the position header."""
-    syms: list[tuple[int, int]] = []
+    and tag every inner symbol s with the position header h as h*k + s."""
+    k = spec.k
+    syms: list[int] = []
     for i, w in enumerate(spec.inner_words(message)):
-        h = i % spec.D
-        syms.extend((h, s) for s in w.symbols)
-    return HeaderedWord(tuple(syms), spec.D, spec.k)
+        base = (i % spec.D) * k
+        syms.extend(base + s for s in w.symbols)
+    return Word(tuple(syms), spec.D * k)
 
 
-def hn_partition_blocks(received: HeaderedWord) -> list[Word]:
-    """Cut the received word into maximal constant-header runs, and return
-    each run's payload symbols as a word over the inner alphabet."""
+def hn_partition_blocks(received: Word, k: int) -> list[Word]:
+    """Cut the received word into maximal constant-header runs (equal
+    symbol // k), and return each run's payloads (symbol % k) as a word
+    over the inner alphabet."""
     blocks: list[Word] = []
     i = 0
     syms = received.symbols
     while i < len(syms):
         j = i
-        h = syms[i][0]
-        while j < len(syms) and syms[j][0] == h:
+        h = syms[i] // k
+        while j < len(syms) and syms[j] // k == h:
             j += 1
-        blocks.append(Word(tuple(p for _, p in syms[i:j]), received.alphabet))
+        blocks.append(Word(tuple(s % k for s in syms[i:j]), k))
         i = j
     return blocks
 
 
-def hn_decode(spec: HighNoiseSpec, received: HeaderedWord) -> DecodeResult:
+def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:
     """Partition into blocks, vote one (position, value) pair per decodable
     block, drop conflicting positions, and outer-decode the rest.
 
     Raises DecodeFailure (telemetry attached) when the outer decoder cannot
     finish; under the deletion budget this cannot happen.
     """
-    if received.header_mod != spec.D or received.alphabet != spec.k:
+    if received.alphabet_size != spec.D * spec.k:
         raise AlphabetMismatch("received word does not match the spec alphabet")
-    blocks = hn_partition_blocks(received)
+    blocks = hn_partition_blocks(received, spec.k)
     fitting = [b for b in blocks if spec.min_block <= len(b) <= spec.m]
     pairs, decoded = spec.vote(fitting)
     vector, conflicts = outer_word(pairs, spec.n)

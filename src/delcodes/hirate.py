@@ -134,7 +134,7 @@ def br_derive(epsilon, q: int, h: int) -> dict:
     }
 
 
-_PAPER_KEYS = {"m", "seed", "policy", "attempt_cap", "zeros", "min_gap"}
+_PAPER_KEYS = {"m", "seed", "attempt_cap", "zeros", "min_gap"}
 _DESK_KEYS = _PAPER_KEYS | {"delta", "beta", "buffer_len", "n", "n_prime"}
 
 

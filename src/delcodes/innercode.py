@@ -102,29 +102,6 @@ class Codebook:
                 masks[s] = masks.get(s, 0) | 1 << i
         return masks
 
-    # A bare codebook is a channel target too: one codeword sent alone.
-
-    def spans(self):
-        """The codeword span of a transmission, and no buffers."""
-        return [(0, self.m)], []
-
-    def merge_victims(self, blocks, buffers):
-        """No headers or buffers for MERGE_ATTACK to exploit."""
-        return None
-
-    def confusion_score(self, transmitted: Word):
-        """Scorer of received words: the number of codewords other than the
-        transmitted one that contain it (LISTDEC: all that contain it)."""
-        match = [i for i, cw in enumerate(self.codewords)
-                 if cw.symbols == transmitted.symbols]
-        if not match:
-            raise OutOfRange("transmitted word is not in the codebook")
-        t = -1 if self.kind is CodebookKind.LISTDEC else match[0]
-
-        def score(received):
-            return sum(1 for i in _containing(self, received) if i != t)
-        return score
-
 
 def separation_threshold(m: int, delta: Fraction) -> int:
     return math.ceil((1 - Fraction(delta)) * m)
@@ -496,9 +473,6 @@ def rate_report(cb: Codebook) -> RateReport:
 # ---------------------------------------------------------------------------
 # Persistence
 
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
 def _format_codeword(w: Word) -> str:
     if w.alphabet_size <= 36:
         return w.digits()
@@ -626,18 +600,15 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
                   list_size: int | None = None) -> Codebook:
     """Build the inner book a scheme spec asks for.
 
-    overrides may set seed, policy, attempt_cap and, for DENSE books, zeros
-    and min_gap.  Without a policy, LEX is used while the k^m candidate
-    space stays small, SEEDED_RANDOM beyond.  A build that stops short of
-    target raises InfeasibleAtDeskScale when require_full, else the short
-    book is returned.
+    overrides may set seed, attempt_cap and, for DENSE books, zeros and
+    min_gap.  Candidates are LEX while the k^m candidate space stays small,
+    SEEDED_RANDOM beyond.  A build that stops short of target raises
+    InfeasibleAtDeskScale when require_full, else the short book is
+    returned.
     """
     seed = int(overrides.get("seed", 0))
-    if "policy" in overrides:
-        policy = CandidatePolicy(overrides["policy"])
-    else:
-        policy = (CandidatePolicy.LEX if k**m <= _LEX_SPACE_CAP
-                  else CandidatePolicy.SEEDED_RANDOM)
+    policy = (CandidatePolicy.LEX if k**m <= _LEX_SPACE_CAP
+              else CandidatePolicy.SEEDED_RANDOM)
     attempt_cap = int(overrides.get("attempt_cap", DEFAULT_ATTEMPT_CAP))
     try:
         return _build(kind, k, m, delta, beta, list_size, target, policy,

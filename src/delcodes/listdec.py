@@ -42,7 +42,6 @@ from .rsouter import (
     LIST_GUARD,
     RsParams,
     candidate_sets,
-    rs_decode_ee,
     rs_list_recover_bruteforce,
 )
 from .seqkit import Word
@@ -121,26 +120,6 @@ class ListDecSpec(ConcatenatedSpec):
                 per_block[b] += 1
         return sum(1 for d in per_block if d <= cutoff)
 
-    def confusion_score(self, transmitted: Word):
-        """Scorer of received words: 1 when the decoded list misses the
-        transmitted message."""
-        # Read the outer values straight off the clean blocks; the decode
-        # list is no use here since it may hold several messages.
-        values = []
-        for i in range(self.n_out):
-            block = transmitted.symbols[i * self.m:(i + 1) * self.m]
-            hits = [j for j, cw in enumerate(self.inner.codewords)
-                    if cw.symbols == block]
-            if not hits:
-                raise OutOfRange("transmitted word is not a clean codeword")
-            _, val = self.pair_of_index(hits[0])
-            values.append(val)
-        expected = tuple(rs_decode_ee(self.rs.field, values, self.k_out))
-
-        def score(received):
-            return 0 if expected in ld_decode(self, received).messages else 1
-        return score
-
 
 @dataclass(frozen=True)
 class LdTelemetry:
@@ -156,7 +135,7 @@ class LdDecodeResult:
     telemetry: LdTelemetry
 
 
-_PAPER_KEYS = {"m", "seed", "policy", "attempt_cap"}
+_PAPER_KEYS = {"m", "seed", "attempt_cap"}
 _DESK_KEYS = _PAPER_KEYS | {"delta", "list_size", "ell"}
 
 

@@ -30,7 +30,7 @@ from delcodes.errors import (
     OutOfRange,
     PatternOutOfRange,
 )
-from delcodes.highnoise import hn_encode
+from delcodes.highnoise import hn_encode, hn_make_spec
 from delcodes.hirate import br_encode
 from delcodes.innercode import greedy_unique
 from delcodes.listdec import ld_encode
@@ -100,11 +100,8 @@ class TestStrategy:
 class TestAttackDiscipline:
     def encoded(self, request_spec):
         spec, kind = request_spec
-        if kind == "hn":
-            return spec, hn_encode(spec, [1, 2])
-        if kind == "br":
-            return spec, br_encode(spec, [2])
-        return spec, ld_encode(spec, [3])
+        msg = {"hn": [1, 2], "br": [2], "ld": [3]}[kind]
+        return spec, msg, spec.encode(msg)
 
     @pytest.fixture(params=["hn", "br", "ld"])
     def scheme_word(self, request, hn_desk, br_desk, ld_desk):
@@ -121,7 +118,7 @@ class TestAttackDiscipline:
         return b
 
     def test_every_strategy_respects_every_budget(self, scheme_word):
-        spec, sent = scheme_word
+        spec, msg, sent = scheme_word
         length = len(sent)
         for name in STRATEGY_NAMES:
             if name == "GREEDY_LCS":
@@ -130,37 +127,42 @@ class TestAttackDiscipline:
                 budgets = [0, 3, 7, length]
             for budget in budgets:
                 for seed in range(3):
-                    pat = attack(Strategy(name, seed=seed), sent, spec, budget)
+                    pat = attack(Strategy(name, seed=seed), msg, sent, spec,
+                                 budget)
                     assert len(pat) <= budget
                     apply_deletions(sent, pat)  # also validates positions
 
     def test_deterministic_given_seed(self, scheme_word):
-        spec, sent = scheme_word
+        spec, msg, sent = scheme_word
         for name in STRATEGY_NAMES:
             budget = (self.greedy_cap(len(sent)) if name == "GREEDY_LCS" else 5)
-            a = attack(Strategy(name, seed=9), sent, spec, budget)
-            b = attack(Strategy(name, seed=9), sent, spec, budget)
+            a = attack(Strategy(name, seed=9), msg, sent, spec, budget)
+            b = attack(Strategy(name, seed=9), msg, sent, spec, budget)
             assert a == b
 
     def test_budget_beyond_length_rejected(self, hn_desk):
-        sent = hn_encode(hn_desk, [0, 0])
+        msg = [0, 0]
+        sent = hn_encode(hn_desk, msg)
         with pytest.raises(OutOfRange):
-            attack(Strategy("RANDOM"), sent, hn_desk, len(sent) + 1)
+            attack(Strategy("RANDOM"), msg, sent, hn_desk, len(sent) + 1)
 
     def test_random_spends_whole_budget(self, hn_desk):
-        sent = hn_encode(hn_desk, [0, 0])
-        pat = attack(Strategy("RANDOM", seed=4), sent, hn_desk, 11)
+        msg = [0, 0]
+        sent = hn_encode(hn_desk, msg)
+        pat = attack(Strategy("RANDOM", seed=4), msg, sent, hn_desk, 11)
         assert len(pat) == 11
 
     def test_window_shift_deletes_prefix(self, ld_desk):
-        sent = ld_encode(ld_desk, [1])
-        pat = attack(Strategy("WINDOW_SHIFT"), sent, ld_desk, 3)
+        msg = [1]
+        sent = ld_encode(ld_desk, msg)
+        pat = attack(Strategy("WINDOW_SHIFT"), msg, sent, ld_desk, 3)
         assert pat.positions == (0, 1, 2)
 
     def test_block_erase_covers_whole_blocks(self, hn_desk):
         spec = hn_desk
-        sent = hn_encode(spec, [3, 1])
-        pat = attack(Strategy("BLOCK_ERASE", seed=1), sent, spec, spec.m)
+        msg = [3, 1]
+        sent = hn_encode(spec, msg)
+        pat = attack(Strategy("BLOCK_ERASE", seed=1), msg, sent, spec, spec.m)
         assert len(pat) == spec.m
         start = pat.positions[0]
         assert start % spec.m == 0
@@ -168,15 +170,18 @@ class TestAttackDiscipline:
 
     def test_block_erase_fits_as_many_blocks_as_affordable(self, hn_desk):
         spec = hn_desk
-        sent = hn_encode(spec, [3, 1])
-        pat = attack(Strategy("BLOCK_ERASE", seed=0), sent, spec, 2 * spec.m + 3)
+        msg = [3, 1]
+        sent = hn_encode(spec, msg)
+        pat = attack(Strategy("BLOCK_ERASE", seed=0), msg, sent, spec,
+                     2 * spec.m + 3)
         assert len(pat) == 2 * spec.m
 
     def test_buffer_kill_spends_threshold_runs_inside_buffers(self, br_desk):
         spec = br_desk
-        sent = br_encode(spec, [1])
+        msg = [1]
+        sent = br_encode(spec, msg)
         thr = spec.run_threshold
-        pat = attack(Strategy("BUFFER_KILL", seed=2), sent, spec, thr)
+        pat = attack(Strategy("BUFFER_KILL", seed=2), msg, sent, spec, thr)
         assert len(pat) == thr
         stride = spec.m + spec.buffer_len
         starts = {p - (p % stride) for p in pat.positions}
@@ -187,9 +192,10 @@ class TestAttackDiscipline:
 
     def test_merge_attack_erases_separating_blocks(self, hn_desk):
         spec = hn_desk
-        sent = hn_encode(spec, [0, 5])
+        msg = [0, 5]
+        sent = hn_encode(spec, msg)
         cost = (spec.D - 1) * spec.m
-        pat = attack(Strategy("MERGE_ATTACK", seed=3), sent, spec, cost)
+        pat = attack(Strategy("MERGE_ATTACK", seed=3), msg, sent, spec, cost)
         assert len(pat) == cost
         # contiguous run of D-1 whole blocks, block aligned
         assert pat.positions == tuple(range(pat.positions[0], pat.positions[0] + cost))
@@ -197,41 +203,47 @@ class TestAttackDiscipline:
 
     def test_density_attack_stays_budgeted_on_buffered_scheme(self, br_desk):
         spec = br_desk
-        sent = br_encode(spec, [0])
+        msg = [0]
+        sent = br_encode(spec, msg)
         for budget in (0, 4, 9):
-            pat = attack(Strategy("DENSITY_ATTACK", seed=6), sent, spec, budget)
+            pat = attack(Strategy("DENSITY_ATTACK", seed=6), msg, sent, spec,
+                         budget)
             assert len(pat) <= budget
 
 
-@pytest.fixture(scope="module")
-def tiny_book():
-    return greedy_unique(2, 3, F(1, 3))  # codewords 000, 011
-
-
 class TestExhaustiveOracle:
+    # Message [1] sends pairs (0, 1), (1, 1), (2, 1) as inner words 11, 44,
+    # 77 under headers 0, 1, 0: six symbols, two per block.  D = 2 is far
+    # below the theorem's 8/epsilon = 16, so this spec is expected to fall
+    # within the 1 - epsilon budget.
 
-    def test_oracle_finds_the_confusing_pattern(self, tiny_book):
-        sent = tiny_book.codewords[1]  # 011
-        pat = attack(Strategy("GREEDY_LCS"), sent, tiny_book, 2)
-        got = apply_deletions(sent, pat)
-        # deleting both ones leaves 0, a subsequence of the other codeword
-        assert got.symbols == (0,)
+    @pytest.fixture(scope="class")
+    def tiny_spec(self):
+        return hn_make_spec(F(1, 2), 3, overrides={
+            "D": 2, "k": 9, "m": 2, "n": 3, "n_prime": 1})
 
-    def test_oracle_reports_no_confusion_when_none_exists(self, tiny_book):
-        sent = tiny_book.codewords[0]  # 000
-        pat = attack(Strategy("GREEDY_LCS"), sent, tiny_book, 1)
-        got = apply_deletions(sent, pat)
-        # 00 is not a subsequence of 011; no pattern of size <= 1 confuses
-        assert not is_subsequence(got, tiny_book.codewords[1])
+    def test_oracle_finds_the_confusing_pattern(self, tiny_spec):
+        sent = hn_encode(tiny_spec, [1])
+        assert len(sent) == 6
+        pat = attack(Strategy("GREEDY_LCS"), [1], sent, tiny_spec, 2)
+        # Erasing block 1 merges blocks 0 and 2, both with header 0, into
+        # one run longer than m: every position is erased.
+        assert pat.positions == (2, 3)
+        outcome, _ = tiny_spec.decode_and_score(
+            [1], pat, apply_deletions(sent, pat))
+        assert outcome == "fail-decode"
 
-    def test_transmitted_must_be_a_codeword(self, tiny_book):
-        with pytest.raises(OutOfRange):
-            attack(Strategy("GREEDY_LCS"), word("010", 2), tiny_book, 1)
+    def test_oracle_reports_no_confusion_when_none_exists(self, tiny_spec):
+        sent = hn_encode(tiny_spec, [1])
+        # one deletion leaves every block at least min_block long
+        pat = attack(Strategy("GREEDY_LCS"), [1], sent, tiny_spec, 1)
+        assert pat.positions == ()
 
     def test_pattern_space_guard(self, hn_desk):
-        sent = hn_encode(hn_desk, [0, 0])
+        msg = [0, 0]
+        sent = hn_encode(hn_desk, msg)
         with pytest.raises(GuardExceeded):
-            attack(Strategy("GREEDY_LCS"), sent, hn_desk, 3)
+            attack(Strategy("GREEDY_LCS"), msg, sent, hn_desk, 3)
 
     def test_cap_is_the_documented_power_of_two(self):
         assert EXHAUSTIVE_PATTERN_CAP == 1 << 15
@@ -307,9 +319,10 @@ class TestRunTrials:
         assert [trial_line(r) for r in a] == [trial_line(r) for r in b]
 
     def test_seed_changes_random_patterns(self, hn_desk):
-        sent = hn_encode(hn_desk, [0, 0])
-        a = attack(Strategy("RANDOM", seed=0), sent, hn_desk, 11)
-        b = attack(Strategy("RANDOM", seed=1), sent, hn_desk, 11)
+        msg = [0, 0]
+        sent = hn_encode(hn_desk, msg)
+        a = attack(Strategy("RANDOM", seed=0), msg, sent, hn_desk, 11)
+        b = attack(Strategy("RANDOM", seed=1), msg, sent, hn_desk, 11)
         assert a != b
 
     def test_out_of_range_fraction_rejected(self, hn_desk):
@@ -320,9 +333,10 @@ class TestRunTrials:
         with pytest.raises(OutOfRange, match="-1"):
             run_trials(hn_desk, [Strategy("RANDOM")], [F(0)], -1)
 
-    def test_bare_codebook_is_rejected(self, tiny_book):
+    def test_bare_codebook_is_rejected(self):
+        book = greedy_unique(2, 3, F(1, 3))
         with pytest.raises(InvalidOverride, match="cannot drive Codebook"):
-            run_trials(tiny_book, [Strategy("RANDOM")], [F(0)], 1)
+            run_trials(book, [Strategy("RANDOM")], [F(0)], 1)
 
     def test_telemetry_snapshot_carries_accounting_keys(self, hn_desk):
         reports = run_trials(hn_desk, [Strategy("MERGE_ATTACK")], [F(1, 2)], 2)

@@ -1,11 +1,13 @@
-"""Every module-level function and class in the package has a caller.
+"""Every module-level function, class and constant in the package has a
+caller.
 
 Code whose only callers are tests is deleted, not maintained.  A name
 counts as used when src/ or bench/ mentions it anywhere but inside its own
 definition: a call, an attribute access, a re-export from the package
 __init__, or a string naming it (the benchmark tracer looks functions up
 by name).  Names are matched across modules, so a name defined twice is
-used if either is.
+used if either is.  Dunder assignments such as __all__ are read by Python
+itself and are exempt.
 """
 
 import ast
@@ -28,6 +30,22 @@ def mentions(node):
             yield sub.value
 
 
+def defined_names(stmt):
+    """The names a top-level statement defines: a function or class, or the
+    plain-name targets of an assignment, dunders left out."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [sub.id for t in targets for sub in ast.walk(t)
+            if isinstance(sub, ast.Name)
+            and not (sub.id.startswith("__") and sub.id.endswith("__"))]
+
+
 def test_every_module_level_definition_is_used():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     # (file, top-level statement) sites at which each name is mentioned
@@ -38,9 +56,8 @@ def test_every_module_level_definition_is_used():
         for i, stmt in enumerate(tree.body):
             for name in mentions(stmt):
                 sites.setdefault(name, set()).add((path, i))
-            if path.parent == PACKAGE and isinstance(
-                    stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path, i, stmt.name))
+            if path.parent == PACKAGE:
+                defined.extend((path, i, name) for name in defined_names(stmt))
     unused = [f"{path.name}: {name}" for path, i, name in defined
               if not sites.get(name, set()) - {(path, i)}]
     assert not unused

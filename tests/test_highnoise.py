@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from delcodes.channel import DeletionPattern, apply_deletions
 from delcodes.common import Profile
 from delcodes.errors import (
+    AlphabetMismatch,
     DecodeFailure,
     InfeasibleAtDeskScale,
     InvalidOverride,
@@ -17,7 +18,6 @@ from delcodes.errors import (
     OutOfRange,
 )
 from delcodes.highnoise import (
-    HeaderedWord,
     HighNoiseSpec,
     hn_decode,
     hn_encode,
@@ -32,8 +32,9 @@ from delcodes.seqkit import Word
 F = Fraction
 
 
-def hw(headers_payloads, header_mod=4, alphabet=4):
-    return HeaderedWord(tuple(headers_payloads), header_mod, alphabet)
+def hw(headers_payloads, D=4, k=4):
+    """The channel word of (header, payload) pairs: symbols h*k + p."""
+    return Word(tuple(h * k + p for h, p in headers_payloads), D * k)
 
 
 def zero_message(spec):
@@ -109,13 +110,14 @@ class TestEncode:
         assert len(word) == spec.n * spec.m
         for i in range(spec.n):
             blk = word.symbols[i * spec.m:(i + 1) * spec.m]
-            assert tuple(h for h, _ in blk) == (i % spec.D,) * spec.m
+            assert tuple(s // spec.k for s in blk) == (i % spec.D,) * spec.m
 
     def test_zero_message_concatenates_pair_codewords(self, hn_desk):
         spec = hn_desk
         word = hn_encode(spec, zero_message(spec))
         for i in range(spec.n):
-            payload = tuple(p for _, p in word.symbols[i * spec.m:(i + 1) * spec.m])
+            payload = tuple(s % spec.k
+                            for s in word.symbols[i * spec.m:(i + 1) * spec.m])
             cw = inner_encode(spec.inner, spec.pair_index(i, 0))
             assert payload == cw.symbols
 
@@ -134,20 +136,20 @@ class TestEncode:
 class TestPartition:
     def test_three_runs(self):
         w = hw([(0, 1), (0, 2), (1, 0), (3, 3), (3, 1)])
-        assert hn_partition_blocks(w) == [
+        assert hn_partition_blocks(w, 4) == [
             Word((1, 2), 4), Word((0,), 4), Word((3, 1), 4)]
 
     def test_empty_word(self):
-        assert hn_partition_blocks(hw([])) == []
+        assert hn_partition_blocks(hw([]), 4) == []
 
     def test_single_run(self):
-        blocks = hn_partition_blocks(hw([(2, 0), (2, 1), (2, 2)]))
+        blocks = hn_partition_blocks(hw([(2, 0), (2, 1), (2, 2)]), 4)
         assert blocks == [Word((0, 1, 2), 4)]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=40))
     def test_partition_covers_word_in_order(self, syms):
         w = hw(syms)
-        blocks = hn_partition_blocks(w)
+        blocks = hn_partition_blocks(w, 4)
         # Each block is the payload of the next run of the word, in order,
         # and all of that run carries one header.
         headers = []
@@ -155,10 +157,10 @@ class TestPartition:
         for b in blocks:
             run = w.symbols[pos:pos + len(b)]
             assert len(b) > 0
-            assert b.alphabet_size == w.alphabet
-            assert b.symbols == tuple(p for _, p in run)
-            assert len({h for h, _ in run}) == 1
-            headers.append(run[0][0])
+            assert b.alphabet_size == 4
+            assert b.symbols == tuple(s % 4 for s in run)
+            assert len({s // 4 for s in run}) == 1
+            headers.append(run[0] // 4)
             pos += len(b)
         assert pos == len(w)
         # maximality: neighbouring runs differ in header
@@ -238,10 +240,10 @@ class TestDecode:
         other = (truth[0].value + 1) % spec.q
         # an extra block, header 2 to stand apart from its neighbours,
         # voting a second value for position 0
-        extra = tuple((2, s) for s in
+        extra = tuple(2 * spec.k + s for s in
                       inner_encode(spec.inner, spec.pair_index(0, other)).symbols)
         syms = sent.symbols[:spec.m] + extra + sent.symbols[spec.m:]
-        res = hn_decode(spec, HeaderedWord(syms, spec.D, spec.k))
+        res = hn_decode(spec, Word(syms, spec.D * spec.k))
         assert [e.value for e in res.message] == msg
         t = res.telemetry
         assert t.block_count == t.inner_successes == spec.n + 1
@@ -268,18 +270,20 @@ class TestDecode:
     def test_decoder_is_total(self, hn_desk, data):
         # Any received word, empty included: a result or DecodeFailure.
         spec = hn_desk
-        syms = data.draw(st.lists(
-            st.tuples(st.integers(0, spec.D - 1), st.integers(0, spec.k - 1)),
-            max_size=spec.n * spec.m))
+        syms = data.draw(st.lists(st.integers(0, spec.D * spec.k - 1),
+                                  max_size=spec.n * spec.m))
         try:
-            hn_decode(spec, HeaderedWord(tuple(syms), spec.D, spec.k))
+            hn_decode(spec, Word(tuple(syms), spec.D * spec.k))
         except DecodeFailure:
             pass
 
 
 class TestHeaderedWordIO:
     def test_out_of_range_symbols_rejected(self):
+        # header 4 makes symbol 16, outside the D*k = 16 letters
         with pytest.raises(OutOfRange):
             hw([(4, 0)])
-        with pytest.raises(OutOfRange):
-            hw([(0, 4)])
+
+    def test_word_over_another_alphabet_rejected(self, hn_desk):
+        with pytest.raises(AlphabetMismatch):
+            hn_decode(hn_desk, Word((0,), hn_desk.k))

@@ -14,6 +14,7 @@ from delcodes.common import Profile
 from delcodes.errors import (
     Ambiguous,
     IndexOutOfRange,
+    InvalidOverride,
     NoMatch,
     NotBinary,
     OutOfRange,
@@ -35,6 +36,8 @@ from delcodes.innercode import (
     save_codebook,
 )
 from delcodes.highnoise import hn_make_spec
+from delcodes.hirate import br_make_spec
+from delcodes.listdec import ld_make_spec
 from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word
 from test_seqkit import table_multi_lcs
@@ -350,6 +353,19 @@ class TestIndexedDecoderOracle:
             seen.add(want[0] if isinstance(want, tuple) else int)
         # every outcome kind occurs at least once on every book
         assert seen == {int, Ambiguous, NoMatch}
+
+
+# Shapes whose k^m space is small enough that spec_codebook picks LEX itself.
+@pytest.mark.parametrize("make", [
+    lambda o: hn_make_spec(F(1, 2), 5, overrides={
+        "D": 4, "k": 4, "m": 8, "n": 5, "n_prime": 1, **o}),
+    lambda o: br_make_spec(F(1, 64), 2, 1, overrides={
+        "delta": F(1, 2), "m": 12, "n": 2, "n_prime": 1, **o}),
+    lambda o: ld_make_spec(F(1, 5), (5, 3, 1), overrides={"m": 8, **o}),
+], ids=["highnoise", "hirate", "listdec"])
+def test_candidate_policy_is_not_an_override(make):
+    with pytest.raises(InvalidOverride, match="policy"):
+        make({"policy": "LEX"})
 
 
 class TestRateReport:
