@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .common import ConcatenatedSpec, Profile, check_overrides, int_snapshot
 from .errors import (
@@ -110,9 +111,14 @@ class ListDecSpec(ConcatenatedSpec):
         )
         return outcome, tuple(sorted(snap))
 
+    @cached_property
+    def _light_cutoff(self) -> int:
+        # Most deletions a light block may take: floor((1/2 - 2 delta) m).
+        return math.floor((Fraction(1, 2) - 2 * self.delta) * self.m)
+
     def _light_blocks(self, pattern) -> int:
         # Blocks that kept enough symbols for the window-coverage argument.
-        cutoff = (Fraction(1, 2) - 2 * self.delta) * self.m
+        cutoff = self._light_cutoff
         per_block = [0] * self.n_out
         for p in pattern.positions:
             b = p // self.m

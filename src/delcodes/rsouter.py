@@ -2,8 +2,12 @@
 
 Messages are coefficient vectors of polynomials of degree < nprime; the
 codeword is the evaluation at the points 0, 1, ..., n - 1.  Decoding handles
-erasures (None entries) by restriction and errors by Berlekamp-Welch: with r
-erasures and t errors, recovery is guaranteed whenever r + 2t <= n - nprime.
+erasures (None entries) by restriction and errors by Gao's algorithm (Gao,
+"A new algorithm for decoding Reed-Solomon codes", 2003): with r erasures
+and t errors, recovery is guaranteed whenever r + 2t <= n - nprime.  Gao's
+interpolation data (the vanishing polynomial and the Lagrange basis of the
+unerased points) depends only on the field and those points, so it is
+computed once per point set and cached.
 
 rs_list_recover_bruteforce searches all q^nprime messages for codewords that
 agree with per-position candidate sets often enough; it exists to make small
@@ -13,6 +17,8 @@ list-decoding experiments exact, not to be fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import DecodeFailure, FieldMismatch, GuardExceeded, LengthMismatch, OutOfRange
 from .gf import Field, FieldElem
@@ -71,9 +77,10 @@ def outer_word(pairs, n: int) -> tuple[list, int]:
 
 def poly_eval(field: Field, coeffs: list[int], x: int) -> int:
     """Evaluate sum coeffs[i] * x^i by Horner's rule."""
+    add, mul = field.add, field.mul
     acc = 0
     for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
+        acc = add(mul(acc, x), c)
     return acc
 
 
@@ -90,63 +97,64 @@ def rs_encode(field: Field, message, n: int) -> list[FieldElem]:
     return [field.elem(poly_eval(field, coeffs, x)) for x in range(n)]
 
 
-def _nullspace_vector(field: Field, rows: list[list[int]], ncols: int) -> list[int]:
-    # Row-reduce and back-substitute one free variable; caller guarantees
-    # ncols exceeds the row rank so a nonzero solution exists.
-    mat = [row[:] for row in rows]
-    pivot_col_of_row: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(a, field.mul(f, b))
-                          for a, b in zip(mat[i], mat[r])]
-        pivot_col_of_row.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    pivots = set(pivot_col_of_row)
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    if free is None:
-        return None
-    sol = [0] * ncols
-    sol[free] = 1
-    for row_i, pc in enumerate(pivot_col_of_row):
-        sol[pc] = field.neg(mat[row_i][free])
-    return sol
-
-
 def _poly_divmod(field: Field, num: list[int], den: list[int]):
     while den and den[-1] == 0:
         den = den[:-1]
     if not den:
         raise DecodeFailure("zero locator polynomial")
+    mul, sub = field.mul, field.sub
     out = num[:]
     quo = [0] * max(len(num) - len(den) + 1, 0)
     inv_lead = field.inv(den[-1])
     for i in range(len(quo) - 1, -1, -1):
-        c = field.mul(out[i + len(den) - 1], inv_lead)
+        c = mul(out[i + len(den) - 1], inv_lead)
         quo[i] = c
         if c != 0:
             for j, d in enumerate(den):
-                out[i + j] = field.sub(out[i + j], field.mul(c, d))
+                out[i + j] = sub(out[i + j], mul(c, d))
     return quo, out[:len(den) - 1]
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+# Keys are (field, xs) with xs the unerased subset of the evaluation points
+# 0..n-1: one per erasure pattern met, and always the same one for a word
+# with no erasures.  256 entries hold every subset of an n = 8 code.
+_INTERPOLATION_CACHE = 256
+
+
+@lru_cache(maxsize=_INTERPOLATION_CACHE)
+def _interpolation_data(field: Field, xs: tuple[int, ...]):
+    """g0 = prod (X - x_i) and the Lagrange basis polynomials of the points
+    xs, each scaled by its inverse denominator so that sum y_i * basis_i
+    interpolates the values y_i.  Coefficients run low degree first."""
+    g0 = [1]
+    for x in xs:
+        g0 = [field.sub(a, field.mul(x, b))
+              for a, b in zip([0] + g0, g0 + [0])]
+    bases = []
+    for x in xs:
+        quo, _ = _poly_divmod(field, g0, [field.neg(x), 1])
+        scale = field.inv(poly_eval(field, quo, x))
+        bases.append(tuple(field.mul(scale, c) for c in quo))
+    return tuple(g0), tuple(bases)
 
 
 def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
     """Errors-and-erasures decode back to the nprime message coefficients.
 
     received holds one entry per evaluation point: a field element, or None
-    for an erasure.  Erased points are dropped, then Berlekamp-Welch corrects
-    up to floor((n1 - nprime) / 2) errors among the n1 survivors.  Raises
-    DecodeFailure when no codeword lies within that radius.
+    for an erasure.  Erased points are dropped, then Gao's algorithm corrects
+    up to floor((n1 - nprime) / 2) errors among the n1 survivors: interpolate
+    the survivors by g1, run the extended Euclidean algorithm on (g0, g1)
+    only until the remainder r has 2 deg r < n1 + nprime, and divide r by its
+    cofactor v of g1.  g0 and the Lagrange basis depend only on the field and
+    the surviving points, so they are cached.  Raises DecodeFailure when no
+    codeword lies within that radius.
     """
     n = len(received)
     if not 1 <= nprime <= n:
@@ -164,27 +172,25 @@ def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
         raise DecodeFailure(f"only {n1} unerased points for {nprime} unknowns")
     e = (n1 - nprime) // 2
 
-    # Unknowns: Q of degree < e + nprime, then E of degree <= e.
-    nq = e + nprime
-    ncols = nq + e + 1
-    rows = []
-    for x, y in zip(xs, ys):
-        row = []
-        xp = 1
-        for _ in range(nq):
-            row.append(xp)
-            xp = field.mul(xp, x)
-        xp = 1
-        for _ in range(e + 1):
-            row.append(field.neg(field.mul(y, xp)))
-            xp = field.mul(xp, x)
-        rows.append(row)
-    sol = _nullspace_vector(field, rows, ncols)
-    if sol is None:
-        raise DecodeFailure("no codeword within the correction radius")
-    q_poly = sol[:nq]
-    e_poly = sol[nq:]
-    coeffs, rem = _poly_divmod(field, q_poly, e_poly)
+    g0, bases = _interpolation_data(field, tuple(xs))
+    add, mul, sub = field.add, field.mul, field.sub
+    g1 = [0] * n1
+    for y, basis in zip(ys, bases):
+        if y:
+            for j, b in enumerate(basis):
+                g1[j] = add(g1[j], mul(y, b))
+    r0, r1 = list(g0), _trim(g1)
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= n1 + nprime:
+        quo, rem = _poly_divmod(field, r0, r1)
+        prod = [0] * (len(quo) + len(v1) - 1)
+        for i, a in enumerate(quo):
+            for j, b in enumerate(v1):
+                prod[i + j] = add(prod[i + j], mul(a, b))
+        r0, r1 = r1, _trim(rem)
+        v0, v1 = v1, _trim([sub(a, b) for a, b in
+                            zip_longest(v0, prod, fillvalue=0)])
+    coeffs, rem = _poly_divmod(field, r1, v1)
     if any(c != 0 for c in rem):
         raise DecodeFailure("error locator does not divide the numerator")
     if any(c != 0 for c in coeffs[nprime:]):

@@ -110,12 +110,17 @@ class TestAttackDiscipline:
 
     @staticmethod
     def greedy_cap(length):
-        # largest budget whose full pattern count fits the exhaustive cap
+        # largest budget whose full pattern count fits the exhaustive cap;
+        # a word short enough to fit whole stops at its own length
         total, b = 1, 0
-        while total + math.comb(length, b + 1) <= EXHAUSTIVE_PATTERN_CAP:
+        while (b < length
+               and total + math.comb(length, b + 1) <= EXHAUSTIVE_PATTERN_CAP):
             b += 1
             total += math.comb(length, b)
         return b
+
+    def test_greedy_cap_stops_at_a_short_word_length(self):
+        assert self.greedy_cap(6) == 6
 
     def test_every_strategy_respects_every_budget(self, scheme_word):
         spec, msg, sent = scheme_word

@@ -1,5 +1,6 @@
 """Outer code contract: exact recovery inside the error/erasure budget,
-checked exhaustively where the pattern space is small and by sampling above.
+checked exhaustively where the pattern space is small and by sampling above,
+and agreement with a Berlekamp-Welch oracle on every received word.
 """
 
 import itertools
@@ -18,10 +19,86 @@ from delcodes.gf import make_field
 from delcodes.rsouter import (
     ERASED,
     RsParams,
+    _as_value,
+    _interpolation_data,
+    _poly_divmod,
+    poly_eval,
     rs_decode_ee,
     rs_encode,
     rs_list_recover_bruteforce,
 )
+
+
+def _nullspace_vector(field, rows, ncols):
+    # Row-reduce and back-substitute one free variable; None when the
+    # columns are independent.
+    mat = [row[:] for row in rows]
+    pivot_col_of_row = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(inv, v) for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [field.sub(a, field.mul(f, b))
+                          for a, b in zip(mat[i], mat[r])]
+        pivot_col_of_row.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    pivots = set(pivot_col_of_row)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    sol = [0] * ncols
+    sol[free] = 1
+    for row_i, pc in enumerate(pivot_col_of_row):
+        sol[pc] = field.neg(mat[row_i][free])
+    return sol
+
+
+def berlekamp_welch(field, received, nprime):
+    """Oracle for rs_decode_ee: the message of the codeword within
+    floor((n1 - nprime) / 2) of the n1 unerased points, found by one
+    Berlekamp-Welch linear solve; raises DecodeFailure when there is none."""
+    xs = [x for x, v in enumerate(received) if v is not ERASED]
+    ys = [_as_value(field, received[x]) for x in xs]
+    n1 = len(xs)
+    if n1 < nprime:
+        raise DecodeFailure("too few unerased points")
+    e = (n1 - nprime) // 2
+    # Unknowns: Q of degree < e + nprime, then E of degree <= e.
+    nq = e + nprime
+    rows = []
+    for x, y in zip(xs, ys):
+        powers = [field.pow(x, i) for i in range(nq)]
+        rows.append(powers + [field.neg(field.mul(y, p))
+                              for p in powers[:e + 1]])
+    sol = _nullspace_vector(field, rows, nq + e + 1)
+    if sol is None:
+        raise DecodeFailure("no codeword within the correction radius")
+    coeffs, rem = _poly_divmod(field, sol[:nq], sol[nq:])
+    if any(rem) or any(coeffs[nprime:]):
+        raise DecodeFailure("no codeword within the correction radius")
+    coeffs = (coeffs + [0] * nprime)[:nprime]
+    t = sum(1 for x, y in zip(xs, ys) if poly_eval(field, coeffs, x) != y)
+    if t > e:
+        raise DecodeFailure("no codeword within the correction radius")
+    return [field.elem(c) for c in coeffs]
+
+
+def outcome(decode, field, received, nprime):
+    """The decoded message values, or None on DecodeFailure."""
+    try:
+        got = decode(field, received, nprime)
+    except DecodeFailure:
+        return None
+    return [g.value for g in got]
 
 
 def corrupt(field, code, erasures, errors):
@@ -156,6 +233,55 @@ class TestDecodeErrorsAndErasures:
                 st.integers(0, q - 1).filter(lambda v, c=code[p].value: v != c))
         got = rs_decode_ee(f, corrupt(f, code, erasures, errors), npr)
         assert [g.value for g in got] == msg
+
+
+class TestAgreesWithBerlekampWelch:
+    """rs_decode_ee against the Berlekamp-Welch oracle: the same message, or
+    DecodeFailure from both, on every word tried."""
+
+    @pytest.mark.parametrize("q,n", [(5, 4), (5, 5), (4, 4), (3, 3)])
+    def test_every_received_word(self, q, n):
+        f = make_field(q)
+        for word in itertools.product([ERASED, *range(q)], repeat=n):
+            word = list(word)
+            for npr in range(1, n + 1):
+                assert (outcome(rs_decode_ee, f, word, npr)
+                        == outcome(berlekamp_welch, f, word, npr)), (word, npr)
+
+    @pytest.mark.parametrize("q,n,npr", [(16, 10, 4), (256, 12, 5)])
+    def test_seeded_words_around_the_radius(self, q, n, npr):
+        # Codewords with r erasures and t errors, t up to two past the
+        # radius, so both decodable and undecodable words occur.
+        rng = random.Random(q * 1000 + n)
+        f = make_field(q)
+        for _ in range(1000):
+            code = rs_encode(f, [rng.randrange(q) for _ in range(npr)], n)
+            r = rng.randrange(n - npr + 1)
+            t = rng.randrange((n - npr - r) // 2 + 3)
+            pos = rng.sample(range(n), min(n, r + t))
+            errors = {p: (code[p].value + rng.randrange(1, q)) % q
+                      for p in pos[r:]}
+            word = corrupt(f, code, set(pos[:r]), errors)
+            assert (outcome(rs_decode_ee, f, word, npr)
+                    == outcome(berlekamp_welch, f, word, npr)), (word, npr)
+
+    def test_fields_sharing_an_erasure_set(self):
+        # GF(4) and GF(5) decode alternately on the points (0, 1, 3), so a
+        # cache keyed on the points alone would hand one field's
+        # interpolation data to the other.
+        fields = [make_field(4), make_field(5)]
+        for ys in itertools.product(range(4), repeat=3):
+            word = [ys[0], ys[1], ERASED, ys[2]]
+            for f in fields:
+                for npr in (1, 2, 3):
+                    assert (outcome(rs_decode_ee, f, word, npr)
+                            == outcome(berlekamp_welch, f, word, npr))
+
+    def test_interpolation_data_is_immutable(self):
+        g0, bases = _interpolation_data(make_field(5), (0, 1, 3))
+        assert isinstance(g0, tuple)
+        assert isinstance(bases, tuple)
+        assert all(isinstance(b, tuple) for b in bases)
 
 
 class TestListRecover:
