@@ -50,9 +50,7 @@ from .innercode import (
     inner_decode_list,
     inner_decode_unique,
     inner_encode,
-    load_codebook,
     rate_report,
-    save_codebook,
     separation_threshold,
 )
 from .highnoise import (

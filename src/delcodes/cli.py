@@ -1,11 +1,12 @@
 """Command-line front end: build specs, corrupt words, sweep, report.
 
 Exit codes are a contract for CI: 0 success, 1 a within-budget trial
-falsified a decoding guarantee (a real bug), 2 configuration or
-feasibility trouble.  Every command is deterministic given its flags:
-roundtrip and sweep derive every trial from the master --seed, and an
-inner book's seed is set with --set seed=N.  Rationals are passed as
-NUM/DEN so threshold integerizations stay exact.
+falsified a decoding guarantee or a built inner book failed its defining
+property (a real bug), 2 configuration or feasibility trouble.  Every
+command is deterministic given its flags: roundtrip and sweep derive every
+trial from the master --seed, and an inner book's seed is set with
+--set seed=N.  Rationals are passed as NUM/DEN so threshold
+integerizations stay exact.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .channel import (
 )
 from .common import Profile
 from .errors import DeletionCodeError, InfeasibleAtDeskScale
-from .innercode import (
-    check_codebook,
-    load_codebook,
-    rate_report,
-    save_codebook,
-)
+from .innercode import check_codebook, rate_report
 from .presets import SCHEMES, make_scheme_spec
 from .seqkit import (
     Word,
@@ -39,10 +35,6 @@ from .seqkit import (
 )
 
 _PROFILES = {"paper": Profile.PAPER_ASYMPTOTIC, "desk": Profile.DESK}
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def _parse_overrides(items: list[str]) -> dict:
@@ -80,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=SCHEMES, default="highnoise")
         p.add_argument("--profile", choices=sorted(_PROFILES),
                        default="desk")
-        p.add_argument("--eps", type=_parse_fraction, default=None,
+        p.add_argument("--eps", type=Fraction, default=None,
                        metavar="NUM/DEN")
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--h", type=int, default=None)
@@ -94,9 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text", dest="fmt")
 
     p = sub.add_parser("build", help="construct a spec, print the rate "
-                                     "report, optionally write its codebook")
+                                     "report, check its inner book")
     common(p)
-    p.add_argument("--codebook", default=None, metavar="PATH")
 
     p = sub.add_parser("roundtrip",
                        help="encode a random message, attack, decode, compare")
@@ -105,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--strategy", type=_parse_strategies, default=["RANDOM"],
                    metavar="NAME[,NAME...]")
-    p.add_argument("--fraction", type=_parse_fraction, default=None,
+    p.add_argument("--fraction", type=Fraction, default=None,
                    metavar="NUM/DEN")
     p.add_argument("--trials", type=int, default=1)
 
@@ -123,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a sweep records file")
     p.add_argument("path", metavar="RECORDS")
     records_format(p)
-
-    p = sub.add_parser("verify-inner",
-                       help="re-verify a saved codebook's defining property")
-    p.add_argument("--codebook", required=True, metavar="PATH")
 
     p = sub.add_parser("count",
                        help="supersequence counting oracle and its bounds")
@@ -171,10 +158,12 @@ def cmd_build(ns: argparse.Namespace) -> int:
     })
     print(f"inner codebook: {len(book.codewords)} codewords, kind "
           f"{book.kind.value}, full_book={spec.full_book}")
-    if ns.codebook:
-        save_codebook(book, ns.codebook)
-        print(f"codebook written to {ns.codebook}")
-    return 0
+    check = check_codebook(book)
+    violations = check.pop("violations")
+    _print_report("inner check", check)
+    for v in violations:
+        print(f"violation: {v}")
+    return 0 if check["ok"] else 1
 
 
 def _default_strategies() -> list[str]:
@@ -240,24 +229,12 @@ def cmd_report(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify_inner(ns: argparse.Namespace) -> int:
-    book = load_codebook(ns.codebook)
-    report = check_codebook(book)
-    for key, value in report.items():
-        if key != "violations":
-            print(f"{key} = {value}")
-    for v in report["violations"]:
-        print(f"violation: {v}")
-    return 0 if report["ok"] else 1
-
-
 def cmd_count(ns: argparse.Namespace) -> int:
     if ns.k <= 10:
-        digits = [int(c) for c in ns.word]
+        w = Word.from_digits(ns.word, ns.k)
     else:
-        digits = [int(c) for c in ns.word.split(",")]
-    w = Word(tuple(digits), ns.k)
-    ell = len(digits)
+        w = Word(tuple(int(c) for c in ns.word.split(",")), ns.k)
+    ell = len(w)
     m = ns.length
     exact = count_supersequences(w, m, ns.k)
     general = count_bound_general(ell, m, ns.k)
@@ -277,7 +254,6 @@ _COMMANDS = {
     "roundtrip": cmd_roundtrip,
     "sweep": cmd_sweep,
     "report": cmd_report,
-    "verify-inner": cmd_verify_inner,
     "count": cmd_count,
 }
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 from . import seqkit
 from .errors import (
@@ -471,61 +470,7 @@ def rate_report(cb: Codebook) -> RateReport:
 
 
 # ---------------------------------------------------------------------------
-# Persistence
-
-def _format_codeword(w: Word) -> str:
-    if w.alphabet_size <= 36:
-        return w.digits()
-    return ",".join(str(s) for s in w.symbols)
-
-
-def _parse_codeword(text: str, k: int) -> Word:
-    if k <= 36:
-        return Word.from_digits(text, k)
-    return Word(tuple(int(p) for p in text.split(",")), k)
-
-
-def save_codebook(cb: Codebook, path: str | Path) -> None:
-    """Write the one-header-line text form; symbols above base 36 fall back
-    to comma-separated integers."""
-    beta = cb.beta if cb.beta is not None else Fraction(0, 1)
-    lsz = cb.list_size if cb.list_size is not None else 0
-    lines = [
-        f"{cb.kind.value} {cb.k} {cb.m} {cb.delta.numerator} {cb.delta.denominator} "
-        f"{beta.numerator} {beta.denominator} {lsz} {cb.seed} "
-        f"{cb.candidate_policy.value} {len(cb.codewords)}"
-    ]
-    lines.extend(_format_codeword(w) for w in cb.codewords)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_codebook(path: str | Path) -> Codebook:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"codebook file {path} is empty")
-    head = lines[0].split()
-    if len(head) != 11:
-        raise ValueError(f"bad codebook header: {lines[0]!r}")
-    kind = CodebookKind(head[0])
-    k, m = int(head[1]), int(head[2])
-    delta = Fraction(int(head[3]), int(head[4]))
-    beta = Fraction(int(head[5]), int(head[6]))
-    lsz = int(head[7])
-    seed = int(head[8])
-    policy = CandidatePolicy(head[9])
-    count = int(head[10])
-    words = tuple(_parse_codeword(ln, k) for ln in lines[1:])
-    if len(words) != count:
-        raise ValueError(f"expected {count} codewords, found {len(words)}")
-    return Codebook(kind, k, m, delta,
-                    beta if kind is CodebookKind.DENSE else None,
-                    lsz if kind is CodebookKind.LISTDEC else None,
-                    words, seed, policy)
-
-
-# ---------------------------------------------------------------------------
-# Invariant checking (used by the verify-inner command and the test suite)
+# Invariant checking (used by the build command and the test suite)
 
 
 def check_codebook(cb: Codebook) -> dict:

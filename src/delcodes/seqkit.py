@@ -59,19 +59,6 @@ class Word:
         syms = tuple(int(c, 36) for c in text)
         return Word(syms, alphabet_size)
 
-    @staticmethod
-    def binary(text: str) -> Word:
-        return Word.from_digits(text, 2)
-
-    def digits(self) -> str:
-        if self.alphabet_size > 36:
-            raise OutOfRange("digit form only defined for alphabets up to 36")
-        alpha = "0123456789abcdefghijklmnopqrstuvwxyz"
-        return "".join(alpha[s] for s in self.symbols)
-
-    def ones(self) -> int:
-        return sum(1 for s in self.symbols if s == 1)
-
 
 @dataclass(frozen=True)
 class Interval:

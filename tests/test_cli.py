@@ -1,10 +1,13 @@
-"""Command-line contract: the documented exit codes (0 success, 1 falsified,
-2 config/feasibility error), report plumbing, and build determinism."""
+"""Command-line contract: the documented exit codes (0 success, 1 falsified
+or a failed inner-book check, 2 config/feasibility error), report plumbing,
+and build determinism."""
+
+import dataclasses
 
 import pytest
 
+import delcodes.cli
 from delcodes.cli import main
-from delcodes.innercode import load_codebook
 from delcodes.presets import SCHEMES, make_scheme_spec
 
 
@@ -38,41 +41,46 @@ class TestBuild:
         assert "achieved_rate" in out
         assert "recipe_threshold_met" in out
 
-    def test_cache_reuse_is_bit_identical(self, capsys, tmp_path):
-        book = tmp_path / "hn.book"
-        code1, out1, _ = run(capsys, "build", "--scheme", "highnoise",
-                             "--codebook", str(book))
-        first = book.read_bytes()
-        code2, out2, _ = run(capsys, "build", "--scheme", "highnoise",
-                             "--codebook", str(book))
+    def test_build_is_deterministic(self, capsys):
+        code1, out1, _ = run(capsys, "build", "--scheme", "highnoise")
+        code2, out2, _ = run(capsys, "build", "--scheme", "highnoise")
         assert code1 == code2 == 0
         assert out1 == out2
-        assert book.read_bytes() == first
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_written_book_is_the_spec_book(self, capsys, tmp_path, scheme):
-        path = tmp_path / f"{scheme}.book"
-        code, out, _ = run(capsys, "build", "--scheme", scheme,
-                           "--codebook", str(path))
+    def test_spec_book_passes_its_check(self, capsys, scheme):
+        code, out, _ = run(capsys, "build", "--scheme", scheme)
         assert code == 0
-        assert f"codebook written to {path}" in out
-        assert load_codebook(path) == make_scheme_spec(scheme).inner
+        check = out.split("[inner check]\n", 1)[1]
+        assert "  ok = True\n" in check
+        assert "violation:" not in out
 
-    def test_existing_book_is_overwritten_not_read(self, capsys, tmp_path):
-        path = tmp_path / "book"
-        run(capsys, "build", "--scheme", "listdec", "--codebook", str(path))
-        code, _, _ = run(capsys, "build", "--scheme", "highnoise",
-                         "--codebook", str(path))
-        assert code == 0
-        assert load_codebook(path) == make_scheme_spec("highnoise").inner
+    def test_failed_book_check_exits_one(self, capsys, monkeypatch):
+        spec = make_scheme_spec("highnoise")
+        book = spec.inner
+        # a duplicated codeword breaks pairwise separation
+        broken = dataclasses.replace(spec, inner=dataclasses.replace(
+            book, codewords=book.codewords + book.codewords[:1]))
+        monkeypatch.setattr(delcodes.cli, "make_scheme_spec",
+                            lambda *args, **kwargs: broken)
+        code, out, _ = run(capsys, "build", "--scheme", "highnoise")
+        assert code == 1
+        assert "  ok = False\n" in out
+        assert "violation: duplicate codewords" in out.splitlines()
 
-    @pytest.mark.parametrize("command", ["roundtrip", "sweep"])
+    @pytest.mark.parametrize("command", ["build", "roundtrip", "sweep"])
     def test_codebook_flag_is_build_only(self, capsys, tmp_path, command):
         code, _, err = run(capsys, command, "--codebook",
                            str(tmp_path / "book"))
         assert code == 2
         assert "unrecognized arguments: --codebook" in err
         assert not (tmp_path / "book").exists()
+
+    def test_verify_inner_is_gone(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify-inner", "--codebook",
+                           str(tmp_path / "book"))
+        assert code == 2
+        assert "invalid choice: 'verify-inner'" in err
 
     def test_impossible_target_names_the_budget(self, capsys):
         code, _, err = run(capsys, "build", "--scheme", "hirate",
@@ -180,32 +188,6 @@ class TestReport:
         assert err.startswith("error:")
 
 
-class TestVerifyInner:
-    def test_built_book_passes(self, capsys, tmp_path):
-        book = tmp_path / "hn.book"
-        run(capsys, "build", "--scheme", "highnoise", "--codebook", str(book))
-        code, out, _ = run(capsys, "verify-inner", "--codebook", str(book))
-        assert code == 0
-        assert "ok" in out
-
-    def test_tampered_book_fails(self, capsys, tmp_path):
-        book = tmp_path / "hn.book"
-        run(capsys, "build", "--scheme", "highnoise", "--codebook", str(book))
-        text = book.read_text().splitlines()
-        # duplicate the last codeword line: pairwise separation collapses
-        tampered = text + [text[-1]]
-        book.write_text("\n".join(tampered) + "\n")
-        code, out, err = run(capsys, "verify-inner", "--codebook", str(book))
-        assert code != 0
-
-    def test_empty_book_is_config_error(self, capsys, tmp_path):
-        empty = tmp_path / "empty.book"
-        empty.write_text("")
-        code, _, err = run(capsys, "verify-inner", "--codebook", str(empty))
-        assert code == 2
-        assert err.startswith("error:") and "empty" in err
-
-
 class TestCount:
     def test_prints_exact_count_and_bounds(self, capsys):
         code, out, _ = run(capsys, "count", "--word", "01", "--k", "2",
@@ -220,6 +202,13 @@ class TestCount:
                            "--length", "5")
         assert code == 0
         assert "not stated" in out
+
+    def test_bad_digit_is_config_error(self, capsys):
+        code, out, err = run(capsys, "count", "--word", "0120", "--k", "2",
+                             "--length", "6")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "exact" not in out
 
 
 class TestContract:

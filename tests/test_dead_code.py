@@ -1,20 +1,32 @@
-"""Every module-level function, class and constant in the package has a
-caller.
+"""Every module-level function, class and constant in the package, and
+every method and property of its classes, has a caller.
 
 Code whose only callers are tests is deleted, not maintained.  A name
 counts as used when src/ or bench/ mentions it anywhere but inside its own
 definition: a call, an attribute access, a re-export from the package
 __init__, or a string naming it (the benchmark tracer looks functions up
 by name).  Names are matched across modules, so a name defined twice is
-used if either is.  Dunder assignments such as __all__ are read by Python
-itself and are exempt.
+used if either is.  Dunder assignments such as __all__ and dunder methods
+such as __post_init__ are called by Python itself and are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delcodes"
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def parsed():
+    """(path, syntax tree) of every source file in src/ and bench/."""
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in SOURCES]
 
 
 def mentions(node):
@@ -42,17 +54,14 @@ def defined_names(stmt):
     else:
         return []
     return [sub.id for t in targets for sub in ast.walk(t)
-            if isinstance(sub, ast.Name)
-            and not (sub.id.startswith("__") and sub.id.endswith("__"))]
+            if isinstance(sub, ast.Name) and not is_dunder(sub.id)]
 
 
 def test_every_module_level_definition_is_used():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     # (file, top-level statement) sites at which each name is mentioned
     sites: dict[str, set] = {}
     defined = []
-    for path in sources:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in parsed():
         for i, stmt in enumerate(tree.body):
             for name in mentions(stmt):
                 sites.setdefault(name, set()).add((path, i))
@@ -60,4 +69,23 @@ def test_every_module_level_definition_is_used():
                 defined.extend((path, i, name) for name in defined_names(stmt))
     unused = [f"{path.name}: {name}" for path, i, name in defined
               if not sites.get(name, set()) - {(path, i)}]
+    assert not unused
+
+
+def test_every_method_is_used():
+    trees = parsed()
+    everywhere = Counter(name for _, tree in trees for name in mentions(tree))
+    unused = []
+    for path, tree in trees:
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.FunctionDef)
+                        and not is_dunder(stmt.name)
+                        and everywhere[stmt.name]
+                        == Counter(mentions(stmt))[stmt.name]):
+                    unused.append(f"{path.name}: {cls.name}.{stmt.name}")
     assert not unused

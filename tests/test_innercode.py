@@ -31,9 +31,7 @@ from delcodes.innercode import (
     inner_decode_list,
     inner_decode_unique,
     inner_encode,
-    load_codebook,
     rate_report,
-    save_codebook,
 )
 from delcodes.highnoise import hn_make_spec
 from delcodes.hirate import br_make_spec
@@ -48,7 +46,7 @@ RANDOM = CandidatePolicy.SEEDED_RANDOM
 
 
 def digits(cb):
-    return [w.digits() for w in cb.codewords]
+    return ["".join(map(str, w.symbols)) for w in cb.codewords]
 
 
 class TestGreedyUnique:
@@ -144,7 +142,7 @@ class TestGreedyDense:
         assert len(cb) == 8
         assert check_codebook(cb)["ok"]
         for w in cb.codewords:
-            digits = w.digits()
+            digits = "".join(map(str, w.symbols))
             assert digits[0] == "1" and digits[-1] == "1"
             assert digits.count("0") == 14
             assert "00" not in digits
@@ -253,8 +251,8 @@ class TestInnerCoding:
         return greedy_unique(2, 3, F(1, 3), target_size=None)
 
     def test_encode(self, book):
-        assert inner_encode(book, 0).digits() == "000"
-        assert inner_encode(book, 1).digits() == "011"
+        assert inner_encode(book, 0).symbols == (0, 0, 0)
+        assert inner_encode(book, 1).symbols == (0, 1, 1)
         with pytest.raises(IndexOutOfRange):
             inner_encode(book, 2)
 
@@ -418,39 +416,6 @@ class TestDenseCounting:
     def test_tiny_edges(self):
         assert count_dense_words(1, F(1)) == 1
         assert count_dense_words(2, F(1)) == 1
-
-
-class TestPersistence:
-    def test_roundtrip_exact(self, tmp_path):
-        cb = greedy_dense(8, F(1, 4), F(1, 4), target_size=None)
-        path = tmp_path / "book.txt"
-        save_codebook(cb, path)
-        assert load_codebook(path) == cb
-
-    def test_roundtrip_listdec(self, tmp_path):
-        cb = greedy_listdec(8, F(1, 2), 3, target_size=None,
-                            policy=CandidatePolicy.SEEDED_RANDOM, seed=9,
-                            attempt_cap=1000)
-        path = tmp_path / "book.txt"
-        save_codebook(cb, path)
-        assert load_codebook(path) == cb
-
-    def test_roundtrip_wide_alphabet(self, tmp_path):
-        cb = greedy_unique(256, 4, F(1, 2), target_size=3,
-                           policy=CandidatePolicy.SEEDED_RANDOM, seed=0)
-        path = tmp_path / "book.txt"
-        save_codebook(cb, path)
-        assert load_codebook(path) == cb
-        text = path.read_text()
-        assert "," in text.splitlines()[1]
-
-    def test_header_shape(self, tmp_path):
-        cb = greedy_unique(2, 3, F(1, 3), target_size=None)
-        path = tmp_path / "book.txt"
-        save_codebook(cb, path)
-        head = path.read_text().splitlines()[0].split()
-        assert head == ["UNIQUE", "2", "3", "1", "3", "0", "1", "0", "0",
-                        "LEX", "2"]
 
 
 class TestCheckCodebook:

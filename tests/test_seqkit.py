@@ -80,9 +80,7 @@ class TestWord:
     def test_parse_and_render(self):
         w = Word.from_digits("10110", 2)
         assert w.symbols == (1, 0, 1, 1, 0)
-        assert w.digits() == "10110"
         assert len(w) == 5
-        assert w.ones() == 3
 
     def test_alphabet_validation(self):
         with pytest.raises(OutOfRange):
