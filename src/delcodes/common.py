@@ -140,17 +140,18 @@ class ConcatenatedSpec:
             words.append(inner_encode(self.inner, pair))
         return words
 
-    def vote(self, payloads) -> tuple[set[tuple[int, int]], int]:
-        """Inner-decode each received piece to a (position, value) vote.
+    def vote(self, pieces) -> tuple[set[tuple[int, int]], int]:
+        """Inner-decode each received piece, a tuple of inner symbols, to a
+        (position, value) vote.
 
         Returns the set of voted pairs and how many pieces decoded; a piece
         contained in no codeword, or in several, casts no vote.
         """
         pairs: set[tuple[int, int]] = set()
         decoded = 0
-        for word in payloads:
+        for piece in pieces:
             try:
-                idx = inner_decode_unique(self.inner, word)
+                idx = inner_decode_unique(self.inner, piece)
             except (NoMatch, Ambiguous):
                 continue
             decoded += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DivisionByZero, FieldMismatch, NotPrimePower, OutOfRange
+from .errors import DivisionByZero, NotPrimePower, OutOfRange
 
 _MAX_EXT_DEGREE = 16
 
@@ -223,44 +223,10 @@ class Field:
 
 @dataclass(frozen=True)
 class FieldElem:
-    """An element of a Field, supporting the usual operators."""
+    """An element of a Field: its value and the field it lies in."""
 
     value: int
     field: Field
-
-    def _same(self, other: FieldElem) -> FieldElem:
-        if not isinstance(other, FieldElem):
-            raise TypeError(f"expected FieldElem, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(
-                f"elements of GF({self.field.order}) and GF({other.field.order})"
-            )
-        return other
-
-    def __add__(self, other):
-        other = self._same(other)
-        return FieldElem(self.field.add(self.value, other.value), self.field)
-
-    def __sub__(self, other):
-        other = self._same(other)
-        return FieldElem(self.field.sub(self.value, other.value), self.field)
-
-    def __mul__(self, other):
-        other = self._same(other)
-        return FieldElem(self.field.mul(self.value, other.value), self.field)
-
-    def __truediv__(self, other):
-        other = self._same(other)
-        return FieldElem(self.field.div(self.value, other.value), self.field)
-
-    def __neg__(self):
-        return FieldElem(self.field.neg(self.value), self.field)
-
-    def inv(self) -> FieldElem:
-        return FieldElem(self.field.inv(self.value), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field.pow(self.value, e), self.field)
 
     def __repr__(self):
         return f"GF({self.field.order})[{self.value}]"

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
 from .errors import AlphabetMismatch, OutOfRange
@@ -156,21 +157,12 @@ def hn_encode(spec: HighNoiseSpec, message) -> Word:
     return Word(tuple(syms), spec.D * k)
 
 
-def hn_partition_blocks(received: Word, k: int) -> list[Word]:
+def hn_partition_blocks(received: Word, k: int) -> list[tuple[int, ...]]:
     """Cut the received word into maximal constant-header runs (equal
-    symbol // k), and return each run's payloads (symbol % k) as a word
-    over the inner alphabet."""
-    blocks: list[Word] = []
-    i = 0
-    syms = received.symbols
-    while i < len(syms):
-        j = i
-        h = syms[i] // k
-        while j < len(syms) and syms[j] // k == h:
-            j += 1
-        blocks.append(Word(tuple(s % k for s in syms[i:j]), k))
-        i = j
-    return blocks
+    symbol // k), and return each run's payloads (symbol % k) as a tuple
+    of inner symbols."""
+    return [tuple(s % k for s in run)
+            for _, run in groupby(received.symbols, lambda s: s // k)]
 
 
 def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:

@@ -17,6 +17,7 @@ budget cannot afford them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from .innercode import (
     spec_codebook,
 )
 from .rsouter import ERASED, RsParams, outer_word
-from .seqkit import Word, entropy, runs_of_zero
+from .seqkit import Word, entropy
 
 
 def frac_sqrt(x: Fraction) -> Fraction:
@@ -275,32 +276,14 @@ def br_encode(spec: HiRateSpec, message) -> Word:
     return Word(tuple(out), 2)
 
 
-def br_windows(spec: HiRateSpec, received: Word) -> list[Word]:
-    """Cut the received word at zero runs of threshold length, then trim
-    leading zeros off the first window and trailing zeros off the last."""
+def br_windows(spec: HiRateSpec, received: Word) -> list[tuple[int, ...]]:
+    """Strip the zeros off both ends of the received word and cut it at
+    zero runs of threshold length; each window is a tuple of symbols."""
     if received.alphabet_size != 2:
         raise NotBinary("received word must be binary")
-    syms = received.symbols
-    segments: list[tuple[int, ...]] = []
-    pos = 0
-    for iv in runs_of_zero(received, spec.run_threshold):
-        if iv.start > pos:
-            segments.append(syms[pos:iv.start])
-        pos = iv.end
-    if pos < len(syms):
-        segments.append(syms[pos:])
-
-    windows: list[Word] = []
-    for i, seg in enumerate(segments):
-        if i == 0:
-            while seg and seg[0] == 0:
-                seg = seg[1:]
-        if i == len(segments) - 1:
-            while seg and seg[-1] == 0:
-                seg = seg[:-1]
-        if seg:
-            windows.append(Word(seg, 2))
-    return windows
+    body = bytes(received.symbols).strip(b"\0")
+    return [tuple(seg) for seg in
+            re.split(b"\0{%d,}" % spec.run_threshold, body) if seg]
 
 
 def br_decode(spec: HiRateSpec, received: Word) -> DecodeResult:

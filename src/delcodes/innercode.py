@@ -20,6 +20,7 @@ complete.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +31,6 @@ from functools import cached_property
 from . import seqkit
 from .errors import (
     Ambiguous,
-    AlphabetMismatch,
     GuardExceeded,
     IndexOutOfRange,
     InfeasibleAtDeskScale,
@@ -104,16 +104,6 @@ class Codebook:
 
 def separation_threshold(m: int, delta: Fraction) -> int:
     return math.ceil((1 - Fraction(delta)) * m)
-
-
-def _lex_stream(k: int, m: int):
-    for code in range(k**m):
-        syms = []
-        v = code
-        for _ in range(m):
-            syms.append(v % k)
-            v //= k
-        yield tuple(reversed(syms))
 
 
 def _random_stream(k: int, m: int, rng: random.Random, cap: int):
@@ -267,7 +257,7 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
 
     rng = random.Random(seed)
     if policy is CandidatePolicy.LEX:
-        stream = _lex_stream(k, m)
+        stream = itertools.product(range(k), repeat=m)
     elif kind is CodebookKind.DENSE:
         z, g = dense_layout(m, delta, zeros, min_gap)
         stream = _random_dense_stream(m, rng, attempt_cap, z, g)
@@ -354,32 +344,29 @@ def inner_encode(cb: Codebook, index: int) -> Word:
     return cb.codewords[index]
 
 
-def _containing(cb: Codebook, received: Word):
-    """Indices, ascending, of the codewords that contain received as a
-    subsequence.
+def _containing(cb: Codebook, received: tuple[int, ...]):
+    """Indices, ascending, of the codewords that contain the symbol tuple
+    received as a subsequence.
 
     A codeword lacking one of received's symbols cannot contain it, so only
-    the codewords holding every distinct symbol are checked in full.
+    the codewords holding every distinct symbol are checked in full; a
+    symbol no codeword holds matches nothing.
     """
-    if received.alphabet_size != cb.k:
-        raise AlphabetMismatch(
-            f"received alphabet {received.alphabet_size} vs codebook {cb.k}"
-        )
-    syms = received.symbols
     holders = cb._holders
     mask = (1 << len(cb.codewords)) - 1
-    for s in set(syms):
+    for s in set(received):
         mask &= holders.get(s, 0)
     while mask:
         low = mask & -mask
         i = low.bit_length() - 1
-        if seqkit._is_subseq_seq(syms, cb.codewords[i].symbols):
+        if seqkit._is_subseq_seq(received, cb.codewords[i].symbols):
             yield i
         mask ^= low
 
 
-def inner_decode_unique(cb: Codebook, received: Word) -> int:
-    """Index of the unique codeword containing received as a subsequence."""
+def inner_decode_unique(cb: Codebook, received: tuple[int, ...]) -> int:
+    """Index of the unique codeword containing the symbol tuple received
+    as a subsequence."""
     found = -1
     for i in _containing(cb, received):
         if found >= 0:
@@ -390,8 +377,9 @@ def inner_decode_unique(cb: Codebook, received: Word) -> int:
     return found
 
 
-def inner_decode_list(cb: Codebook, received: Word) -> list[int]:
-    """Indices of all codewords containing received as a subsequence."""
+def inner_decode_list(cb: Codebook, received: tuple[int, ...]) -> list[int]:
+    """Indices of all codewords containing the symbol tuple received as a
+    subsequence."""
     return list(_containing(cb, received))
 
 

@@ -233,12 +233,13 @@ def ld_encode(spec: ListDecSpec, message) -> Word:
                 2)
 
 
-def ld_windows(spec: ListDecSpec, received: Word) -> list[Word]:
-    """Fixed grid of windows over the received word.
+def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, ...]]:
+    """Fixed grid of windows over the received word, each a tuple of
+    symbols.
 
     Full windows of length window_len start at multiples of window_step,
     as far as the received length allows, plus one window flush with the
-    end.  A received word shorter than a window becomes a single window.
+    end.  A received word no longer than a window becomes a single window.
     The grid is position arithmetic only; nothing here inspects symbols.
     """
     if received.alphabet_size != 2:
@@ -246,11 +247,11 @@ def ld_windows(spec: ListDecSpec, received: Word) -> list[Word]:
     syms = received.symbols
     w = spec.window_len
     if len(syms) <= w:
-        return [received]
+        return [syms]
     starts = list(range(0, len(syms) - w + 1, spec.window_step))
     if starts[-1] != len(syms) - w:
         starts.append(len(syms) - w)
-    return [Word(syms[s:s + w], 2) for s in starts]
+    return [syms[s:s + w] for s in starts]
 
 
 def ld_decode(spec: ListDecSpec, received: Word) -> LdDecodeResult:

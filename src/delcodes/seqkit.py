@@ -60,18 +60,6 @@ class Word:
         return Word(syms, alphabet_size)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A contiguous index range [start, start + length) inside a word."""
-
-    start: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-
 def _check_same_alphabet(*words: Word) -> int:
     k = words[0].alphabet_size
     for w in words[1:]:
@@ -170,27 +158,6 @@ def _multi_lcs(seqs) -> int:
             else:
                 frontier.append(point)
         length += 1
-
-
-def runs_of_zero(s: Word, min_len: int) -> list[Interval]:
-    """Maximal runs of the symbol 0 with length >= min_len, left to right."""
-    if s.alphabet_size != 2:
-        raise NotBinary("zero runs are defined for binary words only")
-    if min_len < 1:
-        raise OutOfRange(f"min_len must be >= 1, got {min_len}")
-    out = []
-    run_start = None
-    for i, sym in enumerate(s.symbols):
-        if sym == 0:
-            if run_start is None:
-                run_start = i
-        else:
-            if run_start is not None and i - run_start >= min_len:
-                out.append(Interval(run_start, i - run_start))
-            run_start = None
-    if run_start is not None and len(s) - run_start >= min_len:
-        out.append(Interval(run_start, len(s) - run_start))
-    return out
 
 
 def density_rule(m: int, beta: Fraction) -> tuple[int, int]:

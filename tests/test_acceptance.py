@@ -180,8 +180,8 @@ def test_c04_inner_decode_completeness(acceptance_log):
                 for j in range(dmax + 1):
                     for pat in itertools.combinations(range(m), j):
                         cut = set(pat)
-                        rem = Word(tuple(s for i, s in enumerate(cw.symbols)
-                                         if i not in cut), k)
+                        rem = tuple(s for i, s in enumerate(cw.symbols)
+                                    if i not in cut)
                         assert inner_decode_unique(cb, rem) == idx, \
                             (kind, k, m, d, idx, pat)
                         exhaustive += 1
@@ -190,8 +190,8 @@ def test_c04_inner_decode_completeness(acceptance_log):
                 for _ in range(10_000):
                     j = rng.randint(0, dmax)
                     cut = set(rng.sample(range(m), j))
-                    rem = Word(tuple(s for i, s in enumerate(cw.symbols)
-                                     if i not in cut), k)
+                    rem = tuple(s for i, s in enumerate(cw.symbols)
+                                if i not in cut)
                     assert inner_decode_unique(cb, rem) == idx, \
                         (kind, k, m, d, idx, sorted(cut))
                     sampled += 1
@@ -409,8 +409,8 @@ def test_c10_minimax_certification(acceptance_log):
         for j in range(budget + 1):
             for pat in itertools.combinations(range(spec.m), j):
                 cut = set(pat)
-                rem = Word(tuple(s for i, s in enumerate(cw.symbols)
-                                 if i not in cut), spec.k)
+                rem = tuple(s for i, s in enumerate(cw.symbols)
+                            if i not in cut)
                 assert inner_decode_unique(spec.inner, rem) == idx, (idx, pat)
                 singles += 1
 

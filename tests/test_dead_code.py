@@ -8,6 +8,9 @@ __init__, or a string naming it (the benchmark tracer looks functions up
 by name).  Names are matched across modules, so a name defined twice is
 used if either is.  Dunder assignments such as __all__ and dunder methods
 such as __post_init__ are called by Python itself and are exempt.
+
+Every name a package module imports is mentioned elsewhere in that
+module; the package __init__, whose imports are its re-exports, is exempt.
 """
 
 import ast
@@ -88,4 +91,28 @@ def test_every_method_is_used():
                         and everywhere[stmt.name]
                         == Counter(mentions(stmt))[stmt.name]):
                     unused.append(f"{path.name}: {cls.name}.{stmt.name}")
+    assert not unused
+
+
+def imported_names(stmt):
+    """The names an import statement binds; __future__ imports bind none."""
+    if isinstance(stmt, ast.ImportFrom):
+        if stmt.module == "__future__":
+            return []
+        return [a.asname or a.name for a in stmt.names]
+    if isinstance(stmt, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in stmt.names]
+    return []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in parsed():
+        if path.parent != PACKAGE or path.name == "__init__.py":
+            continue
+        used = Counter(mentions(tree))
+        for stmt in ast.walk(tree):
+            for name in imported_names(stmt):
+                if used[name] == Counter(mentions(stmt))[name]:
+                    unused.append(f"{path.name}: {name}")
     assert not unused

@@ -27,7 +27,7 @@ from delcodes.hirate import (
     frac_sqrt,
 )
 from delcodes.innercode import inner_encode
-from delcodes.seqkit import Word, runs_of_zero
+from delcodes.seqkit import Word
 
 F = Fraction
 
@@ -113,7 +113,7 @@ class TestMakeSpec:
         thr = br_desk.run_threshold
         for w in br_desk.inner.codewords:
             assert w.symbols[0] == 1 and w.symbols[-1] == 1
-            assert runs_of_zero(w, thr) == []
+            assert b"\0" * thr not in bytes(w.symbols)
 
     def test_guarantee_prices_exceed_budget(self, br_desk):
         rep = br_guarantee_report(br_desk)
@@ -176,22 +176,22 @@ class TestEncode:
 class TestWindows:
     def test_single_internal_buffer(self, thr3_spec):
         wins = br_windows(thr3_spec, bits("111" + "000000" + "101"))
-        assert wins == [bits("111"), bits("101")]
+        assert wins == [bits("111").symbols, bits("101").symbols]
 
     def test_all_zeros_yield_nothing(self, thr3_spec):
         assert br_windows(thr3_spec, bits("0" * 10)) == []
 
     def test_leading_zeros_trimmed(self, thr3_spec):
-        assert br_windows(thr3_spec, bits("00111")) == [bits("111")]
+        assert br_windows(thr3_spec, bits("00111")) == [bits("111").symbols]
 
     def test_trailing_zeros_trimmed(self, thr3_spec):
-        assert br_windows(thr3_spec, bits("1110")) == [bits("111")]
+        assert br_windows(thr3_spec, bits("1110")) == [bits("111").symbols]
 
     def test_run_at_threshold_cuts_but_shorter_does_not(self, thr3_spec):
         cut = br_windows(thr3_spec, bits("11" + "000" + "11"))
-        assert cut == [bits("11"), bits("11")]
+        assert cut == [bits("11").symbols, bits("11").symbols]
         kept = br_windows(thr3_spec, bits("11" + "00" + "11"))
-        assert kept == [bits("110011")]
+        assert kept == [bits("110011").symbols]
 
     def test_empty_word(self, thr3_spec):
         assert br_windows(thr3_spec, bits("")) == []
@@ -217,9 +217,9 @@ class TestWindows:
             if i:
                 assert gap >= thr
             pos += gap
-            assert win.symbols == w.symbols[pos:pos + len(win)]
-            assert win.symbols[0] == win.symbols[-1] == 1
-            assert runs_of_zero(win, thr) == []
+            assert win == w.symbols[pos:pos + len(win)]
+            assert win[0] == win[-1] == 1
+            assert b"\0" * thr not in bytes(win)
             pos += len(win)
         assert set(w.symbols[pos:]) <= {0}
 

@@ -134,7 +134,7 @@ class TestEncode:
 
 def grid(received, starts, length):
     """The windows of the given length at the given starts."""
-    return [Word(received.symbols[s:s + length], 2) for s in starts]
+    return [received.symbols[s:s + length] for s in starts]
 
 
 class TestWindows:
@@ -144,11 +144,11 @@ class TestWindows:
 
     def test_received_equal_to_window_length(self, grid_spec):
         received = Word((1,) * 6, 2)
-        assert ld_windows(grid_spec, received) == [received]
+        assert ld_windows(grid_spec, received) == [received.symbols]
 
     def test_short_received_is_one_whole_window(self, grid_spec):
         received = Word((1, 0, 1), 2)
-        assert ld_windows(grid_spec, received) == [received]
+        assert ld_windows(grid_spec, received) == [received.symbols]
 
     def test_final_suffix_window_added_off_grid(self, ld_desk):
         # step 2, len 23: grid starts 0..16, suffix start 17 appended
@@ -172,13 +172,13 @@ class TestWindows:
         wins = ld_windows(ld_desk, received)
         w, step = ld_desk.window_len, ld_desk.window_step
         if len(syms) <= w:
-            assert wins == [received]
+            assert wins == [received.symbols]
             return
         # Window j starts at j * step, except the last, which is flush with
         # the end; the grid stops exactly where it would reach the suffix.
         assert wins[:-1] == grid(received, range(0, step * (len(wins) - 1),
                                                  step), w)
-        assert wins[-1].symbols == received.symbols[-w:]
+        assert wins[-1] == received.symbols[-w:]
         assert step * (len(wins) - 2) < len(syms) - w <= step * (len(wins) - 1)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from delcodes.errors import (
     DecodeFailure,
+    FieldMismatch,
     GuardExceeded,
     LengthMismatch,
     OutOfRange,
@@ -151,6 +152,10 @@ class TestEncode:
         code = rs_encode(f, [1, 1], 4)
         # 1 + x at the four field points 0,1,2,3
         assert [c.value for c in code] == [1, 0, 3, 2]
+
+    def test_element_of_another_field_rejected(self):
+        with pytest.raises(FieldMismatch):
+            rs_encode(make_field(16), [make_field(5).elem(1)], 4)
 
 
 class TestDecodeErrorsAndErasures:

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delcodes import seqkit
-from delcodes.errors import GuardExceeded, LengthMismatch, NotBinary, OutOfRange
-from delcodes.seqkit import Interval, Word
+from delcodes.errors import GuardExceeded, LengthMismatch, OutOfRange
+from delcodes.seqkit import Word
 
 
 def brute_lcs(a, b):
@@ -91,10 +91,6 @@ class TestWord:
     def test_base36_digits(self):
         w = Word.from_digits("0az", 36)
         assert w.symbols == (0, 10, 35)
-
-    def test_interval(self):
-        iv = Interval(3, 4)
-        assert iv.end == 7
 
 
 class TestLcs:
@@ -223,22 +219,6 @@ class TestMultiwayCommon:
             seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
                     for _ in range(rng.randint(2, 5))]
             assert seqkit._multi_lcs(seqs) == table_multi_lcs(seqs), seqs
-
-
-class TestZeroRuns:
-    def test_finds_maximal_runs(self):
-        w = Word.from_digits("0011000101", 2)
-        assert seqkit.runs_of_zero(w, 1) == [Interval(0, 2), Interval(4, 3),
-                                             Interval(8, 1)]
-        assert seqkit.runs_of_zero(w, 2) == [Interval(0, 2), Interval(4, 3)]
-        assert seqkit.runs_of_zero(w, 4) == []
-
-    def test_all_zero(self):
-        assert seqkit.runs_of_zero(Word.from_digits("0000", 2), 2) == [Interval(0, 4)]
-
-    def test_binary_only(self):
-        with pytest.raises(NotBinary):
-            seqkit.runs_of_zero(Word.from_digits("012", 3), 1)
 
 
 class TestDensity:
