@@ -49,7 +49,6 @@ from .innercode import (
     greedy_unique,
     inner_decode_list,
     inner_decode_unique,
-    inner_encode,
     rate_report,
     separation_threshold,
 )

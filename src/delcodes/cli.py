@@ -147,15 +147,7 @@ def cmd_build(ns: argparse.Namespace) -> int:
     for title, report in spec.report_sections():
         _print_report(title, report)
     book = spec.inner
-    inner = rate_report(book)
-    _print_report("inner counting", {
-        "kind": inner.kind.value,
-        "achieved_size": inner.achieved_size,
-        "rate": inner.rate,
-        "counting_size_bound": inner.size_bound,
-        "counting_rate_bound": inner.paper_lower_bound,
-        "bound_satisfied": inner.satisfied,
-    })
+    _print_report("inner counting", rate_report(book))
     print(f"inner codebook: {len(book.codewords)} codewords, kind "
           f"{book.kind.value}, full_book={spec.full_book}")
     check = check_codebook(book)

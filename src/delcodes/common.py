@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import (
-    AlphabetMismatch,
     Ambiguous,
     DecodeFailure,
     InfeasibleAtDeskScale,
@@ -17,7 +16,7 @@ from .errors import (
     OutOfRange,
 )
 from .gf import FieldElem
-from .innercode import inner_decode_unique, inner_encode
+from .innercode import inner_decode_unique
 from .rsouter import ERASED, outer_word, rs_decode_ee, rs_encode
 
 
@@ -109,27 +108,14 @@ class ConcatenatedSpec:
     def pair_of_index(self, index: int) -> tuple[int, int]:
         return divmod(index, self.rs.field.order)
 
-    def message_values(self, message) -> list[int]:
-        """The message as outer field values, checked against the spec."""
+    def inner_words(self, message) -> list:
+        """RS-encode the message of nprime field symbols, then inner-encode
+        each (position, value) pair of the codeword, in position order."""
         msg = list(message)
         if len(msg) != self.rs.nprime:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.rs.nprime}")
-        out = []
-        for v in msg:
-            if isinstance(v, FieldElem):
-                if v.field != self.rs.field:
-                    raise AlphabetMismatch(
-                        "message element from a different field")
-                out.append(v.value)
-            else:
-                out.append(self.rs.field.elem(int(v)).value)
-        return out
-
-    def inner_words(self, message) -> list:
-        """RS-encode the message, then inner-encode each (position, value)
-        pair of the codeword, in position order."""
-        code = rs_encode(self.rs.field, self.message_values(message), self.rs.n)
+        code = rs_encode(self.rs.field, msg, self.rs.n)
         words = []
         for i, c in enumerate(code):
             pair = self.pair_index(i, c.value)
@@ -137,7 +123,7 @@ class ConcatenatedSpec:
                 raise InfeasibleAtDeskScale(
                     f"pair ({i}, {c.value}) needs inner index {pair} but the "
                     f"book holds {len(self.inner.codewords)} codewords")
-            words.append(inner_encode(self.inner, pair))
+            words.append(self.inner.codewords[pair])
         return words
 
     def vote(self, pieces) -> tuple[set[tuple[int, int]], int]:

@@ -2,7 +2,7 @@
 
 Every error raised on purpose by this package derives from DeletionCodeError,
 so callers can catch one base class.  A few also derive from the matching
-builtin (ValueError, ZeroDivisionError, IndexError) to stay idiomatic.
+builtin (ValueError, ZeroDivisionError) to stay idiomatic.
 """
 
 
@@ -51,11 +51,6 @@ class TargetUnreachable(DeletionCodeError):
     def __init__(self, message, codebook=None):
         super().__init__(message)
         self.codebook = codebook
-        self.achieved_size = 0 if codebook is None else len(codebook.codewords)
-
-
-class IndexOutOfRange(DeletionCodeError, IndexError):
-    """A codeword or message index is outside the codebook."""
 
 
 class NoMatch(DeletionCodeError):

@@ -153,16 +153,11 @@ def _log_tables(w: int, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class Field:
     """A finite field of prime or 2-power order.
 
-    reduction_poly is the coefficient tuple (low degree first) of the modulus
-    for extension fields, and None for prime fields.  _exp and _log are the
-    antilog and log tables of GF(2^w), None for prime fields; each method
-    picks its arithmetic by that one attribute.
+    _exp and _log are the antilog and log tables of GF(2^w), None for prime
+    fields; each method picks its arithmetic by that one attribute.
     """
 
     order: int
-    characteristic: int
-    degree: int
-    reduction_poly: tuple[int, ...] | None
     _exp: tuple[int, ...] | None = field(default=None, repr=False,
                                          compare=False)
     _log: tuple[int, ...] | None = field(default=None, repr=False,
@@ -238,12 +233,10 @@ def make_field(order: int) -> Field:
     if order < 2:
         raise NotPrimePower(f"field order must be at least 2, got {order}")
     if _is_prime(order):
-        return Field(order, order, 1, None)
+        return Field(order)
     if order & (order - 1) == 0:
         w = order.bit_length() - 1
         if w > _MAX_EXT_DEGREE:
             raise NotPrimePower(f"2^{w} exceeds the supported extension degree")
-        f = _reduction_poly(w)
-        coeffs = tuple((f >> i) & 1 for i in range(w + 1))
-        return Field(order, 2, w, coeffs, *_log_tables(w, f))
+        return Field(order, *_log_tables(w, _reduction_poly(w)))
     raise NotPrimePower(f"{order} is neither prime nor a supported power of 2")

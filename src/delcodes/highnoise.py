@@ -42,7 +42,6 @@ class HighNoiseSpec(ConcatenatedSpec):
     n_prime: int
     inner: Codebook
     rs: RsParams
-    profile: Profile
 
     name = "highnoise"
 
@@ -114,18 +113,12 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
 
     if D < 2:
         raise OutOfRange(f"header modulus must be >= 2, got {D}")
-    if k < 2:
-        raise OutOfRange(f"inner alphabet must be >= 2, got {k}")
-    if m < 1:
-        raise OutOfRange(f"inner length must be >= 1, got {m}")
-    if not 1 <= n_prime <= n <= q:
-        raise OutOfRange(f"need 1 <= n_prime <= n <= q, got {n_prime}, {n}, {q}")
+    rs = RsParams(field, n, n_prime)
 
     inner = spec_codebook(CodebookKind.UNIQUE, k, m, 1 - eps / 2,
                           target=n * q, overrides=overrides,
                           require_full=profile is Profile.PAPER_ASYMPTOTIC)
-    rs = RsParams(field, n, n_prime)
-    return HighNoiseSpec(eps, D, k, m, n, q, n_prime, inner, rs, profile)
+    return HighNoiseSpec(eps, D, k, m, n, q, n_prime, inner, rs)
 
 
 def hn_rate_report(spec: HighNoiseSpec) -> dict:

@@ -60,7 +60,6 @@ class HiRateSpec(ConcatenatedSpec):
     n_prime: int
     inner: Codebook
     rs: RsParams
-    profile: Profile
 
     name = "hirate"
 
@@ -181,7 +180,7 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
                           require_full=profile is Profile.PAPER_ASYMPTOTIC)
     rs = RsParams(field, n, n_prime)
     return HiRateSpec(eps, delta, beta, buffer_len, m, n, q, h, n_prime,
-                      inner, rs, profile)
+                      inner, rs)
 
 
 def br_rate_report(spec: HiRateSpec) -> dict:

@@ -32,7 +32,6 @@ from . import seqkit
 from .errors import (
     Ambiguous,
     GuardExceeded,
-    IndexOutOfRange,
     InfeasibleAtDeskScale,
     NoMatch,
     NotBinary,
@@ -50,11 +49,9 @@ _LEX_SPACE_CAP = 1 << 20
 # Most window states count_dense_words will track.
 _DENSE_STATE_GUARD = 1 << 21
 
-# check_codebook probes every received word of a LISTDEC book up to this
-# many, else this many seeded samples.
-_PROBE_EXHAUSTIVE_LIMIT = 1 << 14
-_PROBE_SAMPLE = 2000
-_PROBE_SEED = 0
+# Most probe words check_codebook scans for a LISTDEC book; a larger book
+# is refused rather than checked on part of its probe space.
+_PROBE_GUARD = 1 << 14
 
 
 class CodebookKind(Enum):
@@ -79,7 +76,6 @@ class Codebook:
     beta: Fraction | None
     list_size: int | None
     codewords: tuple[Word, ...]
-    seed: int
     candidate_policy: CandidatePolicy
 
     def __len__(self) -> int:
@@ -287,7 +283,7 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
 
     cb = Codebook(kind, k, m, delta, beta if kind is CodebookKind.DENSE else None,
                   list_size if kind is CodebookKind.LISTDEC else None,
-                  tuple(Word(a, k) for a in accepted), seed, policy)
+                  tuple(Word(a, k) for a in accepted), policy)
     if target_size is not None and len(accepted) < target_size:
         raise TargetUnreachable(
             f"{kind.value} construction reached {len(accepted)} of "
@@ -336,14 +332,6 @@ def greedy_listdec(m: int, delta: Fraction, list_size: int,
                   target_size, policy, seed, attempt_cap)
 
 
-def inner_encode(cb: Codebook, index: int) -> Word:
-    if not 0 <= index < len(cb.codewords):
-        raise IndexOutOfRange(
-            f"index {index} outside codebook of size {len(cb.codewords)}"
-        )
-    return cb.codewords[index]
-
-
 def _containing(cb: Codebook, received: tuple[int, ...]):
     """Indices, ascending, of the codewords that contain the symbol tuple
     received as a subsequence.
@@ -387,24 +375,6 @@ def inner_decode_list(cb: Codebook, received: tuple[int, ...]) -> list[int]:
 # Rate accounting
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Achieved rate next to the greedy counting guarantee.
-
-    size_bound is the largest codebook size the counting argument promises;
-    satisfied records whether the built codebook reached it.  For LISTDEC
-    books the bound comes from the random-coding rate 1 - h(delta) - 3/L
-    instead of the blocking count.
-    """
-
-    kind: CodebookKind
-    achieved_size: int
-    rate: float
-    size_bound: int
-    paper_lower_bound: float
-    satisfied: bool
-
-
 def count_dense_words(m: int, beta: Fraction) -> int:
     """Exact number of binary length-m words that are beta-dense and begin
     and end with 1, via a sliding-window transfer dynamic program."""
@@ -431,7 +401,14 @@ def count_dense_words(m: int, beta: Fraction) -> int:
     return sum(cnt for hist, cnt in states.items() if hist[-1] == 1)
 
 
-def rate_report(cb: Codebook) -> RateReport:
+def rate_report(cb: Codebook) -> dict:
+    """Achieved rate next to the greedy counting guarantee.
+
+    counting_size_bound is the largest codebook size the counting argument
+    promises; bound_satisfied records whether the built codebook reached
+    it.  For LISTDEC books the bound comes from the random-coding rate
+    1 - h(delta) - 3/L instead of the blocking count.
+    """
     m, k = cb.m, cb.k
     ell = cb.separation_threshold
     size = len(cb.codewords)
@@ -440,21 +417,28 @@ def rate_report(cb: Codebook) -> RateReport:
     if cb.kind is CodebookKind.LISTDEC:
         r_exist = 1.0 - seqkit.entropy(cb.delta) - 3.0 / cb.list_size
         bound = math.floor(2 ** (r_exist * m)) if r_exist > 0 else 0
-        return RateReport(cb.kind, size, rate, bound,
-                          max(r_exist, 0.0), size >= bound)
-
-    # Each chosen word blocks at most (number of its ell-subsequences) times
-    # (supersequence count per ell-pattern) later candidates.
-    blocked = math.comb(m, ell) * seqkit.count_bound_general(ell, m, k)
-    if k == 2 and 2 * ell > m and ell < m:
-        blocked = min(blocked, math.comb(m, ell) * seqkit.count_bound_binary(ell, m))
-    if cb.kind is CodebookKind.DENSE:
-        pool = count_dense_words(m, cb.beta)
+        bound_rate = max(r_exist, 0.0)
     else:
-        pool = k**m
-    bound = pool // blocked if blocked > 0 else 0
-    paper_rate = math.log(bound, k) / m if bound >= 1 else 0.0
-    return RateReport(cb.kind, size, rate, bound, paper_rate, size >= bound)
+        # Each chosen word blocks at most (number of its ell-subsequences)
+        # times (supersequence count per ell-pattern) later candidates.
+        blocked = math.comb(m, ell) * seqkit.count_bound_general(ell, m, k)
+        if k == 2 and 2 * ell > m and ell < m:
+            blocked = min(blocked,
+                          math.comb(m, ell) * seqkit.count_bound_binary(ell, m))
+        if cb.kind is CodebookKind.DENSE:
+            pool = count_dense_words(m, cb.beta)
+        else:
+            pool = k**m
+        bound = pool // blocked if blocked > 0 else 0
+        bound_rate = math.log(bound, k) / m if bound >= 1 else 0.0
+    return {
+        "kind": cb.kind.value,
+        "achieved_size": size,
+        "rate": rate,
+        "counting_size_bound": bound,
+        "counting_rate_bound": bound_rate,
+        "bound_satisfied": size >= bound,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +449,9 @@ def check_codebook(cb: Codebook) -> dict:
     """Re-verify the defining property of a codebook.
 
     Returns a report dict with an ``ok`` flag.  UNIQUE and DENSE books get
-    the full pairwise LCS check; LISTDEC books get the every-received-word
-    check, exhaustive when 2^ell is at most _PROBE_EXHAUSTIVE_LIMIT, else
-    on _PROBE_SAMPLE words drawn with seed _PROBE_SEED.
+    the full pairwise LCS check; LISTDEC books are checked against every
+    binary probe word of length ell, and a book whose 2^ell probe words
+    exceed _PROBE_GUARD raises GuardExceeded.
     """
     ell = cb.separation_threshold
     report: dict = {"kind": cb.kind.value, "size": len(cb.codewords),
@@ -501,16 +485,12 @@ def check_codebook(cb: Codebook) -> dict:
         return report
 
     # LISTDEC: no received word of length ell may match list_size codewords.
+    if 2**ell > _PROBE_GUARD:
+        raise GuardExceeded(f"{2**ell} probe words of length {ell} exceed "
+                            f"the guard {_PROBE_GUARD}")
     lsz = cb.list_size
     worst_list = 0
-    if 2**ell <= _PROBE_EXHAUSTIVE_LIMIT:
-        space = range(2**ell)
-        report["mode"] = "exhaustive"
-    else:
-        rng = random.Random(_PROBE_SEED)
-        space = [rng.getrandbits(ell) for _ in range(_PROBE_SAMPLE)]
-        report["mode"] = f"sampled({_PROBE_SAMPLE})"
-    for enc in space:
+    for enc in range(2**ell):
         probe = tuple((enc >> (ell - 1 - i)) & 1 for i in range(ell))
         hits = sum(1 for w in words if seqkit._is_subseq_seq(probe, w.symbols))
         worst_list = max(worst_list, hits)
@@ -540,7 +520,8 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     returned.
     """
     seed = int(overrides.get("seed", 0))
-    policy = (CandidatePolicy.LEX if k**m <= _LEX_SPACE_CAP
+    # _build refuses m < 1, where k**m may not even be defined (k = 0).
+    policy = (CandidatePolicy.LEX if m < 1 or k**m <= _LEX_SPACE_CAP
               else CandidatePolicy.SEEDED_RANDOM)
     attempt_cap = int(overrides.get("attempt_cap", DEFAULT_ATTEMPT_CAP))
     try:

@@ -59,7 +59,6 @@ class ListDecSpec(ConcatenatedSpec):
     q: int
     ell: int
     rs: RsParams
-    profile: Profile
 
     name = "listdec"
 
@@ -165,9 +164,7 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
     check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS, ("m",))
 
     field = make_field(q)
-    if not 1 <= k_out <= n_out <= q:
-        raise OutOfRange(f"need 1 <= k_out <= n_out <= q, got "
-                         f"{k_out}, {n_out}, {q}")
+    rs = RsParams(field, n_out, k_out)
     if field.order ** k_out > LIST_GUARD:
         raise InfeasibleAtDeskScale(
             f"outer recovery would enumerate {field.order}^{k_out} messages, "
@@ -177,11 +174,7 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
     if not 0 < delta < Fraction(1, 2):
         raise OutOfRange(f"window pitch delta {delta} outside (0, 1/2)")
     m = int(overrides["m"])
-    if m < 1:
-        raise OutOfRange(f"inner length must be >= 1, got {m}")
     list_size = int(overrides.get("list_size", math.ceil(1 / delta**2)))
-    if list_size < 2:
-        raise OutOfRange(f"inner list size must be >= 2, got {list_size}")
     ell = int(overrides.get("ell", math.ceil(1 / delta**3)))
     if ell < 1:
         raise OutOfRange(f"recovery budget must be >= 1, got {ell}")
@@ -190,8 +183,7 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
                           list_size=list_size, target=n_out * q,
                           overrides=overrides,
                           require_full=profile is Profile.PAPER_ASYMPTOTIC)
-    rs = RsParams(field, n_out, k_out)
-    return ListDecSpec(eps, delta, m, inner, n_out, k_out, q, ell, rs, profile)
+    return ListDecSpec(eps, delta, m, inner, n_out, k_out, q, ell, rs)
 
 
 def ld_report(spec: ListDecSpec) -> dict:

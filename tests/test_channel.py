@@ -2,7 +2,6 @@
 strategy and scheme, the exhaustive worst-case oracle, and the trial runner's
 deterministic reporting."""
 
-import itertools
 import math
 from fractions import Fraction
 

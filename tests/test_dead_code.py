@@ -9,8 +9,9 @@ by name).  Names are matched across modules, so a name defined twice is
 used if either is.  Dunder assignments such as __all__ and dunder methods
 such as __post_init__ are called by Python itself and are exempt.
 
-Every name a package module imports is mentioned elsewhere in that
-module; the package __init__, whose imports are its re-exports, is exempt.
+Every name a package or test module imports is mentioned elsewhere in
+that module; the package __init__, whose imports are its re-exports, is
+exempt.
 """
 
 import ast
@@ -20,16 +21,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delcodes"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def parsed():
-    """(path, syntax tree) of every source file in src/ and bench/."""
+def parsed(paths=SOURCES):
+    """(path, syntax tree) of every file in paths, by default every source
+    file in src/ and bench/."""
     return [(path, ast.parse(path.read_text(encoding="utf-8")))
-            for path in SOURCES]
+            for path in paths]
 
 
 def mentions(node):
@@ -107,8 +110,8 @@ def imported_names(stmt):
 
 def test_every_import_is_used():
     unused = []
-    for path, tree in parsed():
-        if path.parent != PACKAGE or path.name == "__init__.py":
+    for path, tree in parsed(sorted(PACKAGE.glob("*.py")) + TESTS):
+        if path == PACKAGE / "__init__.py":
             continue
         used = Counter(mentions(tree))
         for stmt in ast.walk(tree):

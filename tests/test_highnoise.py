@@ -1,7 +1,6 @@
 """Header-concatenated scheme: spec derivation, block partition, the decode
 pipeline with its vote accounting, and headered-word validation."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,20 +11,21 @@ from delcodes.common import Profile
 from delcodes.errors import (
     AlphabetMismatch,
     DecodeFailure,
+    FieldMismatch,
     InfeasibleAtDeskScale,
     InvalidOverride,
     LengthMismatch,
     OutOfRange,
 )
+from delcodes.gf import make_field
 from delcodes.highnoise import (
-    HighNoiseSpec,
     hn_decode,
     hn_encode,
     hn_make_spec,
     hn_partition_blocks,
     hn_rate_report,
 )
-from delcodes.innercode import inner_decode_unique, inner_encode
+from delcodes.innercode import inner_decode_unique
 from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
 
@@ -83,6 +83,12 @@ class TestMakeSpec:
         with pytest.raises(OutOfRange):
             hn_make_spec(F(1, 2), 5, overrides={"m": 8, "n": 5, "n_prime": 6})
 
+    @pytest.mark.parametrize("inner", [{"k": 1}, {"m": 0}, {"k": 0, "m": -1}])
+    def test_inner_shape_enforced(self, inner):
+        with pytest.raises(OutOfRange):
+            hn_make_spec(F(1, 2), 5, overrides={"m": 8, "n": 5, "n_prime": 1,
+                                                **inner})
+
     def test_pair_index_bijection(self, hn_desk):
         spec = hn_desk
         seen = set()
@@ -118,12 +124,17 @@ class TestEncode:
         for i in range(spec.n):
             payload = tuple(s % spec.k
                             for s in word.symbols[i * spec.m:(i + 1) * spec.m])
-            cw = inner_encode(spec.inner, spec.pair_index(i, 0))
+            cw = spec.inner.codewords[spec.pair_index(i, 0)]
             assert payload == cw.symbols
 
     def test_wrong_message_length(self, hn_desk):
         with pytest.raises(LengthMismatch):
             hn_encode(hn_desk, [0] * (hn_desk.n_prime + 1))
+
+    def test_message_from_another_field(self, hn_desk):
+        other = make_field(7)
+        with pytest.raises(FieldMismatch):
+            hn_desk.encode([other.elem(1), other.elem(2)])
 
     def test_starved_book_fails_per_pair(self):
         spec = hn_make_spec(F(1, 2), 5,
@@ -224,7 +235,7 @@ class TestDecode:
     def test_min_length_block_decodes_uniquely(self, hn_desk):
         spec = hn_desk
         idx = spec.pair_index(3, 5)
-        cw = inner_encode(spec.inner, idx)
+        cw = spec.inner.codewords[idx]
         # any min_block-length subsequence of one codeword matches only it
         kept = cw.symbols[: spec.min_block]
         got = inner_decode_unique(spec.inner, kept)
@@ -239,7 +250,7 @@ class TestDecode:
         # an extra block, header 2 to stand apart from its neighbours,
         # voting a second value for position 0
         extra = tuple(2 * spec.k + s for s in
-                      inner_encode(spec.inner, spec.pair_index(0, other)).symbols)
+                      spec.inner.codewords[spec.pair_index(0, other)].symbols)
         syms = sent.symbols[:spec.m] + extra + sent.symbols[spec.m:]
         res = hn_decode(spec, Word(syms, spec.D * spec.k))
         assert [e.value for e in res.message] == msg

@@ -26,7 +26,6 @@ from delcodes.hirate import (
     br_windows,
     frac_sqrt,
 )
-from delcodes.innercode import inner_encode
 from delcodes.seqkit import Word
 
 F = Fraction
@@ -138,7 +137,7 @@ class TestEncode:
                                        "n": 1, "n_prime": 1})
         word = br_encode(spec, [0])
         assert len(word) == spec.m
-        assert word == inner_encode(spec.inner, 0)
+        assert word == spec.inner.codewords[0]
 
     def test_desk_layout(self, br_desk):
         spec = br_desk
@@ -159,7 +158,7 @@ class TestEncode:
         stride = spec.m + spec.buffer_len
         for i, c in enumerate(code):
             seg = word.symbols[i * stride: i * stride + spec.m]
-            cw = inner_encode(spec.inner, spec.pair_index(i, c.value))
+            cw = spec.inner.codewords[spec.pair_index(i, c.value)]
             assert seg == cw.symbols
 
     def test_wrong_message_length(self, br_desk):
@@ -284,7 +283,7 @@ class TestDecode:
     def test_two_votes_for_one_position_are_a_conflict(self, br_desk):
         spec = br_desk
         sent = br_encode(spec, [2])
-        other = inner_encode(spec.inner, spec.pair_index(0, 3)).symbols
+        other = spec.inner.codewords[spec.pair_index(0, 3)].symbols
         rec = Word(sent.symbols + (0,) * spec.buffer_len + other, 2)
         res = br_decode(spec, rec)
         assert [e.value for e in res.message] == [2]
