@@ -246,17 +246,25 @@ def _exhaustive_worst(message, transmitted, spec, budget: int) -> list[int]:
     but "ok" is a defeat.  So the result is empty iff no pattern of 1 to
     budget deletions defeats the decoder; tests use this as a true
     worst-case certificate on small instances.
+
+    The outcome depends on the received word alone (only telemetry reads
+    the pattern), and deleting any symbol of a run leaves the same word, so
+    each distinct received word is decoded once.
     """
     length = len(transmitted.symbols)
     total = sum(math.comb(length, j) for j in range(budget + 1))
     if total > EXHAUSTIVE_PATTERN_CAP:
         raise GuardExceeded(
             f"{total} patterns exceed the exhaustive cap {EXHAUSTIVE_PATTERN_CAP}")
+    outcomes: dict[tuple[int, ...], str] = {}
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(length), size):
             pattern = DeletionPattern(combo)
             received = apply_deletions(transmitted, pattern)
-            outcome, _ = spec.decode_and_score(message, pattern, received)
+            outcome = outcomes.get(received.symbols)
+            if outcome is None:
+                outcome, _ = spec.decode_and_score(message, pattern, received)
+                outcomes[received.symbols] = outcome
             if outcome != "ok":
                 return list(combo)
     return []

@@ -16,6 +16,12 @@ deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
 build keeps, level by level, the subsets of accepted words that share an
 ell-subsequence, so a candidate is tested only against the subsets it could
 complete.
+
+Decoding asks which codewords contain a received word as a subsequence.
+Each codeword is compiled once, on first use, into a regex that a text
+full-matches exactly when it is a subsequence (seqkit._subseq_matcher);
+the text stands for each symbol by the book's own label for it, so any
+alphabet size fits.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -96,6 +103,20 @@ class Codebook:
             for s in set(cw.symbols):
                 masks[s] = masks.get(s, 0) | 1 << i
         return masks
+
+    @cached_property
+    def _labels(self) -> dict[int, str]:
+        """Symbol -> the character that stands for it in matcher texts:
+        the book's distinct symbols numbered from chr(0)."""
+        return {s: chr(i) for i, s in enumerate(self._holders)}
+
+    @cached_property
+    def _matchers(self) -> tuple[re.Pattern, ...]:
+        """Codeword i's compiled subsequence test, at index i.  The first
+        decode compiles them, so a spec build does not pay for it."""
+        labels = self._labels
+        return tuple(seqkit._subseq_matcher(cw.symbols, labels)
+                     for cw in self.codewords)
 
 
 def separation_threshold(m: int, delta: Fraction) -> int:
@@ -344,10 +365,15 @@ def _containing(cb: Codebook, received: tuple[int, ...]):
     mask = (1 << len(cb.codewords)) - 1
     for s in set(received):
         mask &= holders.get(s, 0)
+    if not mask:
+        return
+    # Some codeword holds every received symbol, so each has a label.
+    text = "".join(map(cb._labels.__getitem__, received))
+    matchers = cb._matchers
     while mask:
         low = mask & -mask
         i = low.bit_length() - 1
-        if seqkit._is_subseq_seq(received, cb.codewords[i].symbols):
+        if seqkit._is_subseq_seq(text, matchers[i]):
             yield i
         mask ^= low
 
@@ -492,7 +518,7 @@ def check_codebook(cb: Codebook) -> dict:
     worst_list = 0
     for enc in range(2**ell):
         probe = tuple((enc >> (ell - 1 - i)) & 1 for i in range(ell))
-        hits = sum(1 for w in words if seqkit._is_subseq_seq(probe, w.symbols))
+        hits = sum(1 for _ in _containing(cb, probe))
         worst_list = max(worst_list, hits)
         if hits >= lsz:
             report["ok"] = False

@@ -5,14 +5,17 @@ counting operations return exact integers (Python bignums); thresholds that
 come from rational parameters are computed with fractions.Fraction so no
 float rounding can move an integer boundary.
 
-Pairwise LCS is bit-parallel; the LCS of several words is a dominant-point
-search that raises GuardExceeded past MULTI_LCS_GUARD dominance
-comparisons, a bound on its time.
+Containment is a compiled regex: a word w is a subsequence of c exactly
+when the text of w full-matches c's symbols, each one a possessive optional
+(_subseq_matcher).  Pairwise LCS is bit-parallel; the LCS of several words
+is a dominant-point search that raises GuardExceeded past MULTI_LCS_GUARD
+dominance comparisons, a bound on its time.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
@@ -99,14 +102,27 @@ def _lcs_seq(xs, ys) -> int:
 def is_subsequence(s: Word, t: Word) -> bool:
     """True when s embeds into t preserving order (the empty word always does)."""
     _check_same_alphabet(s, t)
-    return _is_subseq_seq(s.symbols, t.symbols)
-
-
-def _is_subseq_seq(s, t) -> bool:
-    if len(s) > len(t):
+    label = {c: chr(i) for i, c in enumerate(set(t.symbols))}
+    if not label.keys() >= set(s.symbols):
         return False
-    it = iter(t)
-    return all(sym in it for sym in s)
+    return _is_subseq_seq("".join(map(label.__getitem__, s.symbols)),
+                          _subseq_matcher(t.symbols, label))
+
+
+def _subseq_matcher(word, label: dict[int, str]) -> re.Pattern:
+    """The regex whose full matches are exactly the subsequences of word,
+    written as texts through label (symbol -> one character).
+
+    Each symbol of word becomes a possessive optional: it takes the next
+    text character when that is its own, and never gives it back.  So a
+    full match is the greedy leftmost embedding, in linear time; a plain
+    optional would backtrack exponentially on a non-subsequence.
+    """
+    return re.compile("".join(re.escape(label[s]) + "?+" for s in word))
+
+
+def _is_subseq_seq(text: str, matcher: re.Pattern) -> bool:
+    return matcher.fullmatch(text) is not None
 
 
 def _multi_lcs(seqs) -> int:

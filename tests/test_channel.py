@@ -2,6 +2,7 @@
 strategy and scheme, the exhaustive worst-case oracle, and the trial runner's
 deterministic reporting."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -40,6 +41,31 @@ F = Fraction
 
 def word(text, k=5):
     return Word(tuple(int(c) for c in text), k)
+
+
+def scan_worst(message, transmitted, spec, budget):
+    """Oracle: GREEDY_LCS's pattern scan decoding every pattern, with no
+    memory of the words it has decoded."""
+    for size in range(1, budget + 1):
+        for combo in itertools.combinations(range(len(transmitted)), size):
+            pattern = DeletionPattern(combo)
+            outcome, _ = spec.decode_and_score(
+                message, pattern, apply_deletions(transmitted, pattern))
+            if outcome != "ok":
+                return combo
+    return ()
+
+
+def assert_greedy_matches_scan(message, transmitted, spec, cap):
+    """GREEDY_LCS returns the scan's pattern at every budget up to cap.
+
+    The scan tries patterns by size, so at budget b it returns its first
+    defeat at the cap budget when that has at most b deletions, else ()."""
+    first = scan_worst(message, transmitted, spec, cap)
+    for budget in range(cap + 1):
+        got = attack(Strategy("GREEDY_LCS"), message, transmitted, spec,
+                     budget)
+        assert got.positions == (first if len(first) <= budget else ())
 
 
 class TestPattern:
@@ -135,6 +161,10 @@ class TestAttackDiscipline:
                                  budget)
                     assert len(pat) <= budget
                     apply_deletions(sent, pat)  # also validates positions
+
+    def test_greedy_matches_the_pattern_scan(self, scheme_word):
+        spec, msg, sent = scheme_word
+        assert_greedy_matches_scan(msg, sent, spec, self.greedy_cap(len(sent)))
 
     def test_deterministic_given_seed(self, scheme_word):
         spec, msg, sent = scheme_word
@@ -236,6 +266,10 @@ class TestExhaustiveOracle:
         outcome, _ = tiny_spec.decode_and_score(
             [1], pat, apply_deletions(sent, pat))
         assert outcome == "fail-decode"
+
+    def test_greedy_matches_the_pattern_scan(self, tiny_spec):
+        sent = hn_encode(tiny_spec, [1])
+        assert_greedy_matches_scan([1], sent, tiny_spec, len(sent))
 
     def test_oracle_reports_no_confusion_when_none_exists(self, tiny_spec):
         sent = hn_encode(tiny_spec, [1])

@@ -21,6 +21,8 @@ from delcodes.errors import (
 )
 from delcodes.innercode import (
     CandidatePolicy,
+    Codebook,
+    CodebookKind,
     check_codebook,
     count_dense_words,
     greedy_dense,
@@ -35,7 +37,7 @@ from delcodes.hirate import br_make_spec
 from delcodes.listdec import ld_make_spec
 from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word
-from test_seqkit import table_multi_lcs
+from test_seqkit import subseq_oracle, table_multi_lcs
 
 F = Fraction
 LEX = CandidatePolicy.LEX
@@ -294,7 +296,7 @@ def scan_decode_unique(cb, received):
     indexed inner_decode_unique replaced."""
     found = -1
     for i, cw in enumerate(cb.codewords):
-        if seqkit._is_subseq_seq(received, cw.symbols):
+        if subseq_oracle(received, cw.symbols):
             if found >= 0:
                 raise Ambiguous(f"codewords {found} and {i} both contain received")
             found = i
@@ -306,7 +308,7 @@ def scan_decode_unique(cb, received):
 def scan_decode_list(cb, received):
     """Oracle: the linear scan behind inner_decode_list."""
     return [i for i, cw in enumerate(cb.codewords)
-            if seqkit._is_subseq_seq(received, cw.symbols)]
+            if subseq_oracle(received, cw.symbols)]
 
 
 def outcome(decode, cb, received):
@@ -331,8 +333,21 @@ def decode_inputs(cb, seed, count=300):
     return inputs
 
 
+def assert_matches_scan(book, inputs):
+    """The decoders agree with the oracle scans on every input, and every
+    outcome kind occurs at least once."""
+    seen = set()
+    for received in inputs:
+        want = outcome(scan_decode_unique, book, received)
+        assert outcome(inner_decode_unique, book, received) == want
+        assert inner_decode_list(book, received) == scan_decode_list(book,
+                                                                     received)
+        seen.add(want[0] if isinstance(want, tuple) else int)
+    assert seen == {int, Ambiguous, NoMatch}
+
+
 class TestIndexedDecoderOracle:
-    """The symbol index narrows the scan without changing any result."""
+    """The symbol index and the compiled matchers change no result."""
 
     @pytest.fixture(params=["highnoise", "c10", "hirate", "listdec"])
     def book(self, request):
@@ -344,15 +359,28 @@ class TestIndexedDecoderOracle:
              "listdec": "ld_desk"}[request.param]).inner
 
     def test_unique_and_list_match_the_scan(self, book):
-        seen = set()
-        for received in decode_inputs(book, seed=len(book)):
-            want = outcome(scan_decode_unique, book, received)
-            assert outcome(inner_decode_unique, book, received) == want
-            assert (inner_decode_list(book, received)
-                    == scan_decode_list(book, received))
-            seen.add(want[0] if isinstance(want, tuple) else int)
-        # every outcome kind occurs at least once on every book
-        assert seen == {int, Ambiguous, NoMatch}
+        assert_matches_scan(book, decode_inputs(book, seed=len(book)))
+
+    def test_alphabet_past_the_character_range(self):
+        # chr() stops at 0x10FFFF; the matchers see the book's own labels.
+        k, m = 2**21, 6
+        symbols = (0, 0x10FFFF, 0x110000, k - 1)
+        rng = random.Random(21)
+        words = sorted({tuple(rng.choice(symbols) for _ in range(m))
+                        for _ in range(8)})
+        book = Codebook(CodebookKind.UNIQUE, k, m, F(1, 3), None, None,
+                        tuple(Word(w, k) for w in words),
+                        CandidatePolicy.LEX)
+        inputs = decode_inputs(book, seed=21) + [
+            tuple(rng.choice(symbols) for _ in range(rng.randint(1, m)))
+            for _ in range(300)]
+        assert_matches_scan(book, inputs)
+
+    def test_matchers_compile_on_first_decode(self):
+        book = greedy_unique(3, 6, F(1, 3), target_size=None)
+        assert "_matchers" not in vars(book)
+        inner_decode_list(book, (0, 1))
+        assert len(vars(book)["_matchers"]) == len(book)
 
 
 # Shapes whose k^m space is small enough that spec_codebook picks LEX itself.

@@ -1,5 +1,6 @@
 """Sequence toolkit checks: LCS and subsequence against brute force, the
-fast LCS kernels against plain dynamic programs, the
+fast LCS kernels against plain dynamic programs, the compiled subsequence
+matcher against the two-pointer scan, the
 supersequence count against direct enumeration, and the counting bounds."""
 
 import itertools
@@ -15,11 +16,21 @@ from delcodes.errors import GuardExceeded, LengthMismatch, OutOfRange
 from delcodes.seqkit import Word
 
 
+def subseq_oracle(s, t) -> bool:
+    """Whether the symbol tuple s is a subsequence of t, by the two-pointer
+    scan: the reference for the compiled matcher behind
+    seqkit._is_subseq_seq."""
+    if len(s) > len(t):
+        return False
+    it = iter(t)
+    return all(sym in it for sym in s)
+
+
 def brute_lcs(a, b):
     best = 0
     for mask in range(1 << len(a)):
         sub = tuple(a[i] for i in range(len(a)) if mask >> i & 1)
-        if len(sub) > best and seqkit._is_subseq_seq(sub, b):
+        if len(sub) > best and subseq_oracle(sub, b):
             best = len(sub)
     return best
 
@@ -150,14 +161,75 @@ class TestSubsequence:
            st.lists(st.integers(0, 1), max_size=10))
     def test_matches_lcs_characterization(self, s, t):
         s, t = tuple(s), tuple(t)
-        assert seqkit._is_subseq_seq(s, t) == (seqkit._lcs_seq(s, t) == len(s))
+        assert subseq_oracle(s, t) == (seqkit._lcs_seq(s, t) == len(s))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=10), st.data())
     def test_deleting_symbols_gives_subsequence(self, t, data):
         t = tuple(t)
         keep = data.draw(st.lists(st.booleans(), min_size=len(t), max_size=len(t)))
         s = tuple(x for x, f in zip(t, keep) if f)
-        assert seqkit._is_subseq_seq(s, t)
+        assert subseq_oracle(s, t)
+
+
+# Every code point below 256 stands for itself: the regex metacharacters,
+# backslash and newline among them.
+BYTE_LABELS = {c: chr(c) for c in range(256)}
+
+
+class TestSubseqMatcher:
+    """seqkit._is_subseq_seq on compiled matchers against the two-pointer
+    oracle."""
+
+    @staticmethod
+    def matches(s, t, label):
+        text = "".join(label[x] for x in s)
+        return seqkit._is_subseq_seq(text, seqkit._subseq_matcher(t, label))
+
+    def test_every_short_binary_pair(self):
+        label = {0: chr(0), 1: chr(1)}
+        texts = [s for n in range(10) for s in all_words(2, n)]
+        for m in range(9):
+            for t in all_words(2, m):
+                matcher = seqkit._subseq_matcher(t, label)
+                for s in texts:
+                    text = "".join(label[x] for x in s)
+                    assert (seqkit._is_subseq_seq(text, matcher)
+                            == subseq_oracle(s, t)), (s, t)
+
+    def test_every_byte_stands_for_itself(self):
+        for c in range(256):
+            matcher = seqkit._subseq_matcher((c,), BYTE_LABELS)
+            assert seqkit._is_subseq_seq(chr(c), matcher)
+            assert seqkit._is_subseq_seq("", matcher)
+            assert not seqkit._is_subseq_seq(chr(c) * 2, matcher)
+            assert not seqkit._is_subseq_seq(chr(c ^ 1), matcher)
+
+    @given(st.lists(st.integers(0, 255), max_size=12), st.data())
+    @settings(max_examples=300)
+    def test_matches_oracle_over_bytes(self, t, data):
+        t = tuple(t)
+        if t and data.draw(st.booleans()):
+            keep = data.draw(st.lists(st.booleans(), min_size=len(t),
+                                      max_size=len(t)))
+            s = tuple(x for x, f in zip(t, keep) if f)
+        else:
+            s = tuple(data.draw(st.lists(st.sampled_from(t + (10, 92)),
+                                         max_size=14)))
+        assert self.matches(s, t, BYTE_LABELS) == subseq_oracle(s, t)
+
+    def test_possessive_match_does_not_backtrack(self):
+        # A plain optional would try all C(60, 30) ways to place the zeros
+        # before failing.
+        t = (0,) * 60
+        assert not self.matches((0,) * 30 + (1,), t, {0: "0", 1: "1"})
+
+    @given(st.lists(st.sampled_from((0, 7, 0x110000, 2**21 - 1)), max_size=8),
+           st.lists(st.sampled_from((0, 7, 0x110000, 2**21 - 1)), max_size=10))
+    def test_is_subsequence_past_the_character_range(self, s, t):
+        k = 2**21
+        s, t = tuple(s), tuple(t)
+        assert (seqkit.is_subsequence(Word(s, k), Word(t, k))
+                == subseq_oracle(s, t))
 
 
 class TestMultiwayCommon:
@@ -173,7 +245,7 @@ class TestMultiwayCommon:
         a = words[0]
         for mask in range(1 << 6):
             sub = tuple(a[i] for i in range(6) if mask >> i & 1)
-            if all(seqkit._is_subseq_seq(sub, w) for w in words):
+            if all(subseq_oracle(sub, w) for w in words):
                 best = max(best, len(sub))
         assert seqkit._multi_lcs(words) == best
 
@@ -258,7 +330,7 @@ class TestEntropy:
 
 
 def brute_supersequence_count(s, m, k):
-    return sum(1 for t in all_words(k, m) if seqkit._is_subseq_seq(s, t))
+    return sum(1 for t in all_words(k, m) if subseq_oracle(s, t))
 
 
 class TestSupersequenceCounts:
