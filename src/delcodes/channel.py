@@ -1,9 +1,9 @@
 """Adversarial deletion channel: patterns, attack strategies, trial runner.
 
 Every channel target is a scheme spec that sends a Word, and every received
-word is scored one way, by the spec's decode_and_score against the message
-that was sent.  The decoders' guarantees quantify over every deletion
-pattern within a budget, which no finite strategy suite can cover.  The
+word is scored one way, by the spec's scorer for the message that was
+sent.  The decoders' guarantees quantify over every deletion pattern
+within a budget, which no finite strategy suite can cover.  The
 compromise here is exhaustive enumeration where it is affordable
 (GREEDY_LCS on small words: the first pattern that defeats the decoder)
 plus named strategies that reproduce each failure case the constructions
@@ -32,6 +32,7 @@ from .errors import (
     OutOfRange,
     PatternOutOfRange,
 )
+from .seqkit import Word
 
 STRATEGY_NAMES = (
     "RANDOM",
@@ -77,13 +78,18 @@ class Strategy:
 def apply_deletions(w, p: DeletionPattern):
     """The subsequence of w omitting exactly the pattern positions, as a
     word over the same alphabet."""
-    syms = w.symbols
-    if p.positions and p.positions[-1] >= len(syms):
+    if p.positions and p.positions[-1] >= len(w.symbols):
         raise PatternOutOfRange(
-            f"position {p.positions[-1]} outside word of length {len(syms)}")
-    drop = frozenset(p.positions)
-    kept = tuple(s for i, s in enumerate(syms) if i not in drop)
-    return replace(w, symbols=kept)
+            f"position {p.positions[-1]} outside word of length {len(w)}")
+    return Word._trusted(_kept(w.symbols, p.positions), w.alphabet_size)
+
+
+def _kept(syms: tuple[int, ...], positions) -> tuple[int, ...]:
+    # The slices between the ascending positions, joined.
+    kept = []
+    for a, b in zip((-1, *positions), (*positions, len(syms))):
+        kept += syms[a + 1:b]
+    return tuple(kept)
 
 
 def attack(strategy: Strategy, message, transmitted, scheme_spec,
@@ -242,7 +248,7 @@ def _exhaustive_worst(message, transmitted, spec, budget: int) -> list[int]:
 
     Patterns are tried by size, 1 up to budget, each size in
     itertools.combinations order, and each surviving word is scored as a
-    trial is: decode_and_score against the sent message, where any outcome
+    trial is, by the spec's scorer for the sent message, where any outcome
     but "ok" is a defeat.  So the result is empty iff no pattern of 1 to
     budget deletions defeats the decoder; tests use this as a true
     worst-case certificate on small instances.
@@ -256,16 +262,15 @@ def _exhaustive_worst(message, transmitted, spec, budget: int) -> list[int]:
     if total > EXHAUSTIVE_PATTERN_CAP:
         raise GuardExceeded(
             f"{total} patterns exceed the exhaustive cap {EXHAUSTIVE_PATTERN_CAP}")
+    score = spec.scorer(message)
     outcomes: dict[tuple[int, ...], str] = {}
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(length), size):
-            pattern = DeletionPattern(combo)
-            received = apply_deletions(transmitted, pattern)
-            outcome = outcomes.get(received.symbols)
-            if outcome is None:
-                outcome, _ = spec.decode_and_score(message, pattern, received)
-                outcomes[received.symbols] = outcome
-            if outcome != "ok":
+            kept = _kept(transmitted.symbols, combo)
+            if kept not in outcomes:
+                outcomes[kept], _ = score(DeletionPattern(combo), Word._trusted(
+                    kept, transmitted.alphabet_size))
+            if outcomes[kept] != "ok":
                 return list(combo)
     return []
 
@@ -346,7 +351,7 @@ def run_trials(spec, strategies, budget_fractions, num_seeds: int,
     are recorded as outcomes, never raised.  A budget fraction applies to
     the whole transmitted word, buffers included.
     """
-    if not hasattr(spec, "decode_and_score"):
+    if not hasattr(spec, "scorer"):
         raise InvalidOverride(
             f"trial runner cannot drive {type(spec).__name__}")
     if num_seeds < 0:
@@ -369,8 +374,7 @@ def run_trials(spec, strategies, budget_fractions, num_seeds: int,
                 pattern = attack(replace(strat, seed=tseed), msg,
                                  transmitted, spec, budget)
                 received = apply_deletions(transmitted, pattern)
-                outcome, snapshot = spec.decode_and_score(msg, pattern,
-                                                          received)
+                outcome, snapshot = spec.scorer(msg)(pattern, received)
                 wall = time.perf_counter() - t0
                 reports.append(TrialReport(
                     scheme=spec.name, strategy=strat.name, fraction=frac,

@@ -167,21 +167,23 @@ class ConcatenatedSpec:
         scheme has no headers or buffers to exploit."""
         return None
 
-    def decode_and_score(self, msg, pattern, received):
-        """Decode a received word of the message msg: the trial outcome and
-        the telemetry snapshot, wrong votes included."""
+    def scorer(self, msg):
+        """Scores received words of the message msg, whose truth it computes
+        once: (pattern, received) -> (outcome, snapshot with wrong votes)."""
         expected = tuple(self.rs.field.elem(v) for v in msg)
         truth = rs_encode(self.rs.field, list(msg), self.rs.n)
-        try:
-            res = self.decode(received)
-        except DecodeFailure as exc:
-            tel = exc.telemetry
-            outcome = "fail-decode"
-        else:
-            tel = res.telemetry
-            outcome = "ok" if res.message == expected else "wrong"
-        word, _ = outer_word(tel.pairs, len(truth))
-        wrong = sum(1 for v, t in zip(word, truth)
-                    if v is not ERASED and v != t.value)
-        return outcome, tuple(sorted(int_snapshot(tel)
-                                     + (("wrong_votes", wrong),)))
+        def score(pattern, received):
+            try:
+                res = self.decode(received)
+            except DecodeFailure as exc:
+                tel = exc.telemetry
+                outcome = "fail-decode"
+            else:
+                tel = res.telemetry
+                outcome = "ok" if res.message == expected else "wrong"
+            word, _ = outer_word(tel.pairs, len(truth))
+            wrong = sum(1 for v, t in zip(word, truth)
+                        if v is not ERASED and v != t.value)
+            return outcome, tuple(sorted(int_snapshot(tel)
+                                         + (("wrong_votes", wrong),)))
+        return score

@@ -17,11 +17,10 @@ build keeps, level by level, the subsets of accepted words that share an
 ell-subsequence, so a candidate is tested only against the subsets it could
 complete.
 
-Decoding asks which codewords contain a received word as a subsequence.
-Each codeword is compiled once, on first use, into a regex that a text
-full-matches exactly when it is a subsequence (seqkit._subseq_matcher);
-the text stands for each symbol by the book's own label for it, so any
-alphabet size fits.
+Decoding asks which codewords contain a received word as a subsequence.  A
+piece as long as a codeword is contained only in an equal codeword, so it is
+looked up by its symbols.  A shorter piece is tested against the whole book
+at once, in the bit layout of seqkit._is_subseq_seq, built on first use.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -95,28 +93,17 @@ class Codebook:
         return separation_threshold(self.m, self.delta)
 
     @cached_property
-    def _holders(self) -> dict[int, int]:
-        """Symbol -> bitmask of the codewords holding it, bit i for
-        codeword i: the index _containing narrows its scan by."""
-        masks: dict[int, int] = {}
+    def _by_word(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Codeword symbols -> the indices of the codewords spelling them."""
+        found: dict[tuple[int, ...], tuple[int, ...]] = {}
         for i, cw in enumerate(self.codewords):
-            for s in set(cw.symbols):
-                masks[s] = masks.get(s, 0) | 1 << i
-        return masks
+            found[cw.symbols] = found.get(cw.symbols, ()) + (i,)
+        return found
 
     @cached_property
-    def _labels(self) -> dict[int, str]:
-        """Symbol -> the character that stands for it in matcher texts:
-        the book's distinct symbols numbered from chr(0)."""
-        return {s: chr(i) for i, s in enumerate(self._holders)}
-
-    @cached_property
-    def _matchers(self) -> tuple[re.Pattern, ...]:
-        """Codeword i's compiled subsequence test, at index i.  The first
-        decode compiles them, so a spec build does not pay for it."""
-        labels = self._labels
-        return tuple(seqkit._subseq_matcher(cw.symbols, labels)
-                     for cw in self.codewords)
+    def _layout(self) -> tuple[dict[int, int], int, int]:
+        """The codewords' seqkit._subseq_layout, built by the first decode."""
+        return seqkit._subseq_layout(cw.symbols for cw in self.codewords)
 
 
 def separation_threshold(m: int, delta: Fraction) -> int:
@@ -355,27 +342,16 @@ def greedy_listdec(m: int, delta: Fraction, list_size: int,
 
 def _containing(cb: Codebook, received: tuple[int, ...]):
     """Indices, ascending, of the codewords that contain the symbol tuple
-    received as a subsequence.
-
-    A codeword lacking one of received's symbols cannot contain it, so only
-    the codewords holding every distinct symbol are checked in full; a
-    symbol no codeword holds matches nothing.
-    """
-    holders = cb._holders
-    mask = (1 << len(cb.codewords)) - 1
-    for s in set(received):
-        mask &= holders.get(s, 0)
-    if not mask:
+    received as a subsequence.  Every codeword has length m, so a received
+    word of length m or more is contained only in codewords equal to it."""
+    if len(received) >= cb.m:
+        yield from cb._by_word.get(received, ())
         return
-    # Some codeword holds every received symbol, so each has a label.
-    text = "".join(map(cb._labels.__getitem__, received))
-    matchers = cb._matchers
-    while mask:
-        low = mask & -mask
-        i = low.bit_length() - 1
-        if seqkit._is_subseq_seq(text, matchers[i]):
-            yield i
-        mask ^= low
+    live = seqkit._is_subseq_seq(received, *cb._layout)
+    while live:
+        low = live & -live
+        yield (low.bit_length() - 1) // (cb.m + 1)
+        live ^= low
 
 
 def inner_decode_unique(cb: Codebook, received: tuple[int, ...]) -> int:

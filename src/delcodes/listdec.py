@@ -97,18 +97,19 @@ class ListDecSpec(ConcatenatedSpec):
     def report_sections(self) -> list[tuple[str, dict]]:
         return [("rate and recovery", ld_report(self))]
 
-    def decode_and_score(self, msg, pattern, received):
-        """List-decode a received word of the message msg: "ok" when the
-        list holds the message, else "missing", and the telemetry
-        snapshot."""
+    def scorer(self, msg):
+        """List-decode scoring for the message msg: "ok" when the list
+        holds the message, else "missing", and the telemetry snapshot."""
         expected = tuple(self.rs.field.elem(v) for v in msg)
-        res = ld_decode(self, received)
-        outcome = "ok" if expected in res.messages else "missing"
-        snap = int_snapshot(res.telemetry) + (
-            ("candidate_pairs", len(res.telemetry.pairs)),
-            ("light_blocks", self._light_blocks(pattern)),
-        )
-        return outcome, tuple(sorted(snap))
+        def score(pattern, received):
+            res = ld_decode(self, received)
+            outcome = "ok" if expected in res.messages else "missing"
+            snap = int_snapshot(res.telemetry) + (
+                ("candidate_pairs", len(res.telemetry.pairs)),
+                ("light_blocks", self._light_blocks(pattern)),
+            )
+            return outcome, tuple(sorted(snap))
+        return score
 
     @cached_property
     def _light_cutoff(self) -> int:

@@ -5,17 +5,16 @@ counting operations return exact integers (Python bignums); thresholds that
 come from rational parameters are computed with fractions.Fraction so no
 float rounding can move an integer boundary.
 
-Containment is a compiled regex: a word w is a subsequence of c exactly
-when the text of w full-matches c's symbols, each one a possessive optional
-(_subseq_matcher).  Pairwise LCS is bit-parallel; the LCS of several words
-is a dominant-point search that raises GuardExceeded past MULTI_LCS_GUARD
-dominance comparisons, a bound on its time.
+Containment and pairwise LCS are bit-parallel: containment lays a whole
+book of words out as one big integer and tests a text against every word at
+once (_is_subseq_seq).  The LCS of several words is a dominant-point search
+that raises GuardExceeded past MULTI_LCS_GUARD dominance comparisons, a
+bound on its time.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
@@ -49,6 +48,13 @@ class Word:
                 raise OutOfRange(
                     f"symbol {s} outside alphabet of size {self.alphabet_size}"
                 )
+
+    @classmethod
+    def _trusted(cls, symbols: tuple[int, ...], alphabet_size: int) -> Word:
+        """A Word of symbols known to be in range, built without the check."""
+        w = object.__new__(cls)
+        vars(w).update(symbols=symbols, alphabet_size=alphabet_size)
+        return w
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -102,27 +108,38 @@ def _lcs_seq(xs, ys) -> int:
 def is_subsequence(s: Word, t: Word) -> bool:
     """True when s embeds into t preserving order (the empty word always does)."""
     _check_same_alphabet(s, t)
-    label = {c: chr(i) for i, c in enumerate(set(t.symbols))}
-    if not label.keys() >= set(s.symbols):
-        return False
-    return _is_subseq_seq("".join(map(label.__getitem__, s.symbols)),
-                          _subseq_matcher(t.symbols, label))
+    return _is_subseq_seq(s.symbols, *_subseq_layout((t.symbols,))) != 0
 
 
-def _subseq_matcher(word, label: dict[int, str]) -> re.Pattern:
-    """The regex whose full matches are exactly the subsequences of word,
-    written as texts through label (symbol -> one character).
+def _subseq_layout(words) -> tuple[dict[int, int], int, int]:
+    """A book of words as _is_subseq_seq reads it, word i a segment of
+    len(word) + 1 bits: its symbols from the low end up, then a guard bit.
+    Returns occ (symbol -> its positions in every word, OR the guards), the
+    mask of all but the guards, and the start (each segment's low bit)."""
+    occ: dict[int, int] = {}
+    guards = start = base = 0
+    for w in words:
+        start |= 1 << base
+        for s in w:
+            occ[s] = occ.get(s, 0) | 1 << base
+            base += 1
+        guards |= 1 << base
+        base += 1
+    return {s: a | guards for s, a in occ.items()}, ~guards, start
 
-    Each symbol of word becomes a possessive optional: it takes the next
-    text character when that is its own, and never gives it back.  So a
-    full match is the greedy leftmost embedding, in linear time; a plain
-    optional would backtrack exponentially on a non-subsequence.
-    """
-    return re.compile("".join(re.escape(label[s]) + "?+" for s in word))
 
-
-def _is_subseq_seq(text: str, matcher: re.Pattern) -> bool:
-    return matcher.fullmatch(text) is not None
+def _is_subseq_seq(text, occ: dict[int, int], live: int, state: int) -> int:
+    """The bits left live after reading text, one in each segment of the
+    layout whose word contains it: just past its leftmost embedding.  Each
+    symbol s moves every bit at once past the next s: subtracting the bit
+    from occ[s] clears that s alone, the guard stops the borrow, and a
+    segment whose guard it clears has no s left and dies."""
+    for s in text:
+        a = occ.get(s, 0)
+        state = (a & ~(a - state) & live) << 1
+        if not state:
+            break
+    return state
 
 
 def _multi_lcs(seqs) -> int:

@@ -49,8 +49,8 @@ def scan_worst(message, transmitted, spec, budget):
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(len(transmitted)), size):
             pattern = DeletionPattern(combo)
-            outcome, _ = spec.decode_and_score(
-                message, pattern, apply_deletions(transmitted, pattern))
+            outcome, _ = spec.scorer(message)(
+                pattern, apply_deletions(transmitted, pattern))
             if outcome != "ok":
                 return combo
     return ()
@@ -112,6 +112,18 @@ class TestApply:
         got = apply_deletions(w, pat)
         assert len(got) == len(w) - size
         assert is_subsequence(got, w)
+
+    @given(st.lists(st.integers(0, 3), max_size=30), st.data())
+    @settings(max_examples=200)
+    def test_equals_the_filtered_word(self, syms, data):
+        w = Word(tuple(syms), 4)
+        # The empty and the delete-everything patterns are drawn often.
+        size = data.draw(st.sampled_from((0, len(syms)))
+                         | st.integers(0, len(syms)))
+        p = tuple(sorted(data.draw(st.permutations(range(len(syms))))[:size]))
+        got = apply_deletions(w, DeletionPattern(p))
+        assert got == Word(tuple(s for i, s in enumerate(w)
+                                 if i not in set(p)), 4)
 
 
 class TestStrategy:
@@ -263,8 +275,7 @@ class TestExhaustiveOracle:
         # Erasing block 1 merges blocks 0 and 2, both with header 0, into
         # one run longer than m: every position is erased.
         assert pat.positions == (2, 3)
-        outcome, _ = tiny_spec.decode_and_score(
-            [1], pat, apply_deletions(sent, pat))
+        outcome, _ = tiny_spec.scorer([1])(pat, apply_deletions(sent, pat))
         assert outcome == "fail-decode"
 
     def test_greedy_matches_the_pattern_scan(self, tiny_spec):

@@ -321,7 +321,9 @@ def outcome(decode, cb, received):
 
 def decode_inputs(cb, seed, count=300):
     """Seeded random subsequences of codewords (every length from empty to
-    whole), random words of length up to m, and the empty word."""
+    whole), random words of length up to m, non-codewords of length m
+    (a codeword with one symbol changed), words longer than m (a codeword
+    with symbols inserted), and the empty word."""
     rng = random.Random(seed)
     inputs = [()]
     for _ in range(count):
@@ -330,6 +332,13 @@ def decode_inputs(cb, seed, count=300):
         inputs.append(tuple(cw[i] for i in keep))
         inputs.append(tuple(rng.randrange(cb.k)
                             for _ in range(rng.randint(1, cb.m))))
+        at = rng.randrange(cb.m)
+        changed = (cw[at] + rng.randrange(1, cb.k)) % cb.k
+        inputs.append(cw[:at] + (changed,) + cw[at + 1:])
+        longer = list(cw)
+        for _ in range(rng.randint(1, 3)):
+            longer.insert(rng.randint(0, len(longer)), rng.randrange(cb.k))
+        inputs.append(tuple(longer))
     return inputs
 
 
@@ -347,7 +356,7 @@ def assert_matches_scan(book, inputs):
 
 
 class TestIndexedDecoderOracle:
-    """The symbol index and the compiled matchers change no result."""
+    """The codeword lookup and the bit-parallel pass change no result."""
 
     @pytest.fixture(params=["highnoise", "c10", "hirate", "listdec"])
     def book(self, request):
@@ -362,7 +371,7 @@ class TestIndexedDecoderOracle:
         assert_matches_scan(book, decode_inputs(book, seed=len(book)))
 
     def test_alphabet_past_the_character_range(self):
-        # chr() stops at 0x10FFFF; the matchers see the book's own labels.
+        # Symbols past chr()'s range, 0x10FFFF, are plain layout keys.
         k, m = 2**21, 6
         symbols = (0, 0x10FFFF, 0x110000, k - 1)
         rng = random.Random(21)
@@ -376,11 +385,12 @@ class TestIndexedDecoderOracle:
             for _ in range(300)]
         assert_matches_scan(book, inputs)
 
-    def test_matchers_compile_on_first_decode(self):
+    def test_layout_builds_on_first_decode(self):
         book = greedy_unique(3, 6, F(1, 3), target_size=None)
-        assert "_matchers" not in vars(book)
+        assert "_layout" not in vars(book)
         inner_decode_list(book, (0, 1))
-        assert len(vars(book)["_matchers"]) == len(book)
+        assert vars(book)["_layout"] == seqkit._subseq_layout(
+            cw.symbols for cw in book.codewords)
 
 
 # Shapes whose k^m space is small enough that spec_codebook picks LEX itself.

@@ -1,7 +1,7 @@
 """Sequence toolkit checks: LCS and subsequence against brute force, the
-fast LCS kernels against plain dynamic programs, the compiled subsequence
-matcher against the two-pointer scan, the
-supersequence count against direct enumeration, and the counting bounds."""
+fast LCS kernels against plain dynamic programs, the bit-parallel
+subsequence kernel against the two-pointer scan, the supersequence count
+against direct enumeration, and the counting bounds."""
 
 import itertools
 import math
@@ -18,8 +18,7 @@ from delcodes.seqkit import Word
 
 def subseq_oracle(s, t) -> bool:
     """Whether the symbol tuple s is a subsequence of t, by the two-pointer
-    scan: the reference for the compiled matcher behind
-    seqkit._is_subseq_seq."""
+    scan: the reference for the bit-parallel kernel seqkit._is_subseq_seq."""
     if len(s) > len(t):
         return False
     it = iter(t)
@@ -171,65 +170,94 @@ class TestSubsequence:
         assert subseq_oracle(s, t)
 
 
-# Every code point below 256 stands for itself: the regex metacharacters,
-# backslash and newline among them.
-BYTE_LABELS = {c: chr(c) for c in range(256)}
+def kernel_contains(text, words):
+    """Indices of the words that seqkit._is_subseq_seq finds containing
+    text, read off the segments of the layout of words.  Each live segment
+    holds one bit, and no bit lies past the last segment."""
+    live = seqkit._is_subseq_seq(text, *seqkit._subseq_layout(words))
+    found = []
+    for i, w in enumerate(words):
+        segment = live & ((2 << len(w)) - 1)
+        assert segment.bit_count() <= 1
+        if segment:
+            found.append(i)
+        live >>= len(w) + 1
+    assert live == 0
+    return found
+
+
+def books(alphabet, max_words=6, max_len=10):
+    """Books of a few words over alphabet, and a text that is either a
+    subsequence of one of them or drawn from their symbols plus one or two
+    more from alphabet, which may be in no word."""
+    @st.composite
+    def draw(draw):
+        words = draw(st.lists(st.lists(alphabet, max_size=max_len).map(tuple),
+                              min_size=1, max_size=max_words))
+        w = draw(st.sampled_from(words))
+        if w and draw(st.booleans()):
+            keep = draw(st.lists(st.booleans(), min_size=len(w),
+                                 max_size=len(w)))
+            text = tuple(x for x, f in zip(w, keep) if f)
+        else:
+            pool = sorted({x for word in words for x in word}) + draw(
+                st.lists(alphabet, min_size=1, max_size=2))
+            text = tuple(draw(st.lists(st.sampled_from(pool),
+                                       max_size=max_len + 2)))
+        return words, text
+    return draw()
 
 
 class TestSubseqMatcher:
-    """seqkit._is_subseq_seq on compiled matchers against the two-pointer
-    oracle."""
-
-    @staticmethod
-    def matches(s, t, label):
-        text = "".join(label[x] for x in s)
-        return seqkit._is_subseq_seq(text, seqkit._subseq_matcher(t, label))
+    """seqkit._is_subseq_seq, one pass over a whole book, against the
+    two-pointer oracle."""
 
     def test_every_short_binary_pair(self):
-        label = {0: chr(0), 1: chr(1)}
         texts = [s for n in range(10) for s in all_words(2, n)]
         for m in range(9):
             for t in all_words(2, m):
-                matcher = seqkit._subseq_matcher(t, label)
+                layout = seqkit._subseq_layout([t])
                 for s in texts:
-                    text = "".join(label[x] for x in s)
-                    assert (seqkit._is_subseq_seq(text, matcher)
+                    assert ((seqkit._is_subseq_seq(s, *layout) != 0)
                             == subseq_oracle(s, t)), (s, t)
+
+    def test_every_short_binary_book(self):
+        # One book holding every binary word of length 0 to 8.
+        book = [t for m in range(9) for t in all_words(2, m)]
+        for n in range(10):
+            for s in all_words(2, n):
+                assert kernel_contains(s, book) == [
+                    i for i, t in enumerate(book) if subseq_oracle(s, t)], s
 
     def test_every_byte_stands_for_itself(self):
         for c in range(256):
-            matcher = seqkit._subseq_matcher((c,), BYTE_LABELS)
-            assert seqkit._is_subseq_seq(chr(c), matcher)
-            assert seqkit._is_subseq_seq("", matcher)
-            assert not seqkit._is_subseq_seq(chr(c) * 2, matcher)
-            assert not seqkit._is_subseq_seq(chr(c ^ 1), matcher)
+            layout = seqkit._subseq_layout([(c,)])
+            assert seqkit._is_subseq_seq((c,), *layout)
+            assert seqkit._is_subseq_seq((), *layout)
+            assert not seqkit._is_subseq_seq((c, c), *layout)
+            assert not seqkit._is_subseq_seq((c ^ 1,), *layout)
 
-    @given(st.lists(st.integers(0, 255), max_size=12), st.data())
+    def test_symbol_no_word_holds_matches_nothing(self):
+        book = [(0, 1, 2) * 3, (2, 1, 0), (0,) * 8]
+        for text in [(3,), (0, 3), (3, 0, 1), (2, 1, 0, 7)]:
+            assert kernel_contains(text, book) == []
+
+    @given(books(st.integers(0, 255)))
     @settings(max_examples=300)
-    def test_matches_oracle_over_bytes(self, t, data):
-        t = tuple(t)
-        if t and data.draw(st.booleans()):
-            keep = data.draw(st.lists(st.booleans(), min_size=len(t),
-                                      max_size=len(t)))
-            s = tuple(x for x, f in zip(t, keep) if f)
-        else:
-            s = tuple(data.draw(st.lists(st.sampled_from(t + (10, 92)),
-                                         max_size=14)))
-        assert self.matches(s, t, BYTE_LABELS) == subseq_oracle(s, t)
+    def test_matches_oracle_over_bytes(self, case):
+        words, text = case
+        assert kernel_contains(text, words) == [
+            i for i, w in enumerate(words) if subseq_oracle(text, w)]
 
-    def test_possessive_match_does_not_backtrack(self):
-        # A plain optional would try all C(60, 30) ways to place the zeros
-        # before failing.
-        t = (0,) * 60
-        assert not self.matches((0,) * 30 + (1,), t, {0: "0", 1: "1"})
-
-    @given(st.lists(st.sampled_from((0, 7, 0x110000, 2**21 - 1)), max_size=8),
-           st.lists(st.sampled_from((0, 7, 0x110000, 2**21 - 1)), max_size=10))
-    def test_is_subsequence_past_the_character_range(self, s, t):
+    @given(books(st.sampled_from((0, 7, 0x110000, 2**21 - 1)), max_len=8))
+    def test_is_subsequence_past_the_character_range(self, case):
         k = 2**21
-        s, t = tuple(s), tuple(t)
-        assert (seqkit.is_subsequence(Word(s, k), Word(t, k))
-                == subseq_oracle(s, t))
+        words, text = case
+        assert kernel_contains(text, words) == [
+            i for i, w in enumerate(words) if subseq_oracle(text, w)]
+        for w in words:
+            assert (seqkit.is_subsequence(Word(text, k), Word(w, k))
+                    == subseq_oracle(text, w))
 
 
 class TestMultiwayCommon:
