@@ -134,8 +134,6 @@ def attack(strategy: Strategy, message, transmitted, scheme_spec,
                                         blocks, budget)
         else:
             positions = sorted(rng.sample(range(length), budget))
-    else:  # unreachable: Strategy validates the name
-        raise InvalidOverride(f"unknown strategy {name!r}")
 
     pattern = DeletionPattern(tuple(positions))
     if len(pattern) > budget:

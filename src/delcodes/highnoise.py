@@ -147,7 +147,7 @@ def hn_encode(spec: HighNoiseSpec, message) -> Word:
     for i, w in enumerate(spec.inner_words(message)):
         base = (i % spec.D) * k
         syms.extend(base + s for s in w.symbols)
-    return Word(tuple(syms), spec.D * k)
+    return Word._trusted(tuple(syms), spec.D * k)
 
 
 def hn_partition_blocks(received: Word, k: int) -> list[tuple[int, ...]]:

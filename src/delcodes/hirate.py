@@ -114,7 +114,7 @@ class BrTelemetry:
     pairs: tuple[tuple[int, int], ...]
 
 
-def br_derive(epsilon, q: int, h: int) -> dict:
+def br_derive(epsilon, q: int) -> dict:
     """Parameter derivations shared by both profiles: delta = 40*sqrt(eps),
     beta = delta/4, n = q, and the outer margin covering a 12*sqrt(eps)
     fraction of errors and erasures in the all-errors worst case."""
@@ -154,7 +154,7 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
         raise OutOfRange(
             f"epsilon {eps} forces delta = 40*sqrt(eps) >= 1; use DESK")
 
-    derived = br_derive(eps, q, h)
+    derived = br_derive(eps, q)
     delta = Fraction(overrides.get("delta", derived["delta"]))
     beta = Fraction(overrides.get("beta", delta / 4))
     m = int(overrides["m"])
@@ -272,7 +272,7 @@ def br_encode(spec: HiRateSpec, message) -> Word:
         if i:
             out.extend([0] * spec.buffer_len)
         out.extend(w.symbols)
-    return Word(tuple(out), 2)
+    return Word._trusted(tuple(out), 2)
 
 
 def br_windows(spec: HiRateSpec, received: Word) -> list[tuple[int, ...]]:

@@ -231,11 +231,20 @@ class _Sharing:
             level.extend(subsets)
 
 
-def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
-           beta: Fraction | None, list_size: int | None,
-           target_size: int | None, policy: CandidatePolicy, seed: int,
-           attempt_cap: int,
+def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
+           target_size: int | None = None,
+           policy: CandidatePolicy = CandidatePolicy.LEX, seed: int = 0,
+           attempt_cap: int = DEFAULT_ATTEMPT_CAP,
+           beta: Fraction | None = None, list_size: int | None = None,
            zeros: int | None = None, min_gap: int | None = None) -> Codebook:
+    """Greedily collect words over [k]^m of the given kind (see the module
+    docstring), stopping at target_size words if one is given; a build
+    that falls short of it raises TargetUnreachable carrying the book.
+
+    DENSE books take beta and LISTDEC books list_size.  Under the
+    SEEDED_RANDOM policy DENSE candidates follow the wide-gap layout from
+    dense_layout; zeros/min_gap override its defaults.
+    """
     delta = Fraction(delta)
     if k < 2:
         raise OutOfRange(f"alphabet size must be >= 2, got {k}")
@@ -301,34 +310,6 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction,
     return cb
 
 
-def greedy_unique(k: int, m: int, delta: Fraction,
-                  target_size: int | None = None,
-                  policy: CandidatePolicy = CandidatePolicy.LEX,
-                  seed: int = 0,
-                  attempt_cap: int = DEFAULT_ATTEMPT_CAP) -> Codebook:
-    """Greedily collect words over [k]^m whose pairwise LCS stays below the
-    separation threshold for a delta fraction of deletions."""
-    return _build(CodebookKind.UNIQUE, k, m, delta, None, None,
-                  target_size, policy, seed, attempt_cap)
-
-
-def greedy_dense(m: int, delta: Fraction, beta: Fraction,
-                 target_size: int | None = None,
-                 policy: CandidatePolicy = CandidatePolicy.LEX,
-                 seed: int = 0, attempt_cap: int = DEFAULT_ATTEMPT_CAP,
-                 zeros: int | None = None,
-                 min_gap: int | None = None) -> Codebook:
-    """greedy_unique over binary words restricted to beta-dense candidates
-    that begin and end with 1.
-
-    Under the RANDOM policy candidates follow the wide-gap layout from
-    dense_layout; zeros/min_gap override its defaults.
-    """
-    return _build(CodebookKind.DENSE, 2, m, delta, beta, None,
-                  target_size, policy, seed, attempt_cap,
-                  zeros=zeros, min_gap=min_gap)
-
-
 def greedy_listdec(m: int, delta: Fraction, list_size: int,
                    target_size: int | None = None,
                    policy: CandidatePolicy = CandidatePolicy.LEX,
@@ -336,8 +317,9 @@ def greedy_listdec(m: int, delta: Fraction, list_size: int,
                    attempt_cap: int = DEFAULT_ATTEMPT_CAP) -> Codebook:
     """Greedily collect binary words so that no list_size of them share a
     common subsequence of the threshold length."""
-    return _build(CodebookKind.LISTDEC, 2, m, delta, None, list_size,
-                  target_size, policy, seed, attempt_cap)
+    return _build(CodebookKind.LISTDEC, 2, m, delta, list_size=list_size,
+                  target_size=target_size, policy=policy, seed=seed,
+                  attempt_cap=attempt_cap)
 
 
 def _containing(cb: Codebook, received: tuple[int, ...]):
@@ -527,8 +509,9 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
               else CandidatePolicy.SEEDED_RANDOM)
     attempt_cap = int(overrides.get("attempt_cap", DEFAULT_ATTEMPT_CAP))
     try:
-        return _build(kind, k, m, delta, beta, list_size, target, policy,
-                      seed, attempt_cap, zeros=overrides.get("zeros"),
+        return _build(kind, k, m, delta, target_size=target, policy=policy,
+                      seed=seed, attempt_cap=attempt_cap, beta=beta,
+                      list_size=list_size, zeros=overrides.get("zeros"),
                       min_gap=overrides.get("min_gap"))
     except TargetUnreachable as exc:
         if require_full:

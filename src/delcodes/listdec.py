@@ -71,11 +71,11 @@ class ListDecSpec(ConcatenatedSpec):
     def agree_count(self) -> int:
         return math.ceil(self.alpha * self.n_out)
 
-    @property
+    @cached_property
     def window_len(self) -> int:
         return math.ceil((Fraction(1, 2) + self.delta) * self.m)
 
-    @property
+    @cached_property
     def window_step(self) -> int:
         return math.ceil(self.delta * self.m)
 
@@ -222,8 +222,8 @@ def ld_report(spec: ListDecSpec) -> dict:
 
 def ld_encode(spec: ListDecSpec, message) -> Word:
     """Outer-encode, pair-label each coordinate, inner-encode, concatenate."""
-    return Word(tuple(s for w in spec.inner_words(message) for s in w.symbols),
-                2)
+    return Word._trusted(
+        tuple(s for w in spec.inner_words(message) for s in w.symbols), 2)
 
 
 def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, ...]]:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from operator import le
 
 from .errors import (
-    AlphabetMismatch,
     GuardExceeded,
     LengthMismatch,
     NotBinary,
@@ -69,22 +68,6 @@ class Word:
         return Word(syms, alphabet_size)
 
 
-def _check_same_alphabet(*words: Word) -> int:
-    k = words[0].alphabet_size
-    for w in words[1:]:
-        if w.alphabet_size != k:
-            raise AlphabetMismatch(
-                f"alphabet sizes differ: {k} vs {w.alphabet_size}"
-            )
-    return k
-
-
-def lcs(a: Word, b: Word) -> int:
-    """Length of the longest common subsequence of a and b."""
-    _check_same_alphabet(a, b)
-    return _lcs_seq(a.symbols, b.symbols)
-
-
 def _lcs_seq(xs, ys) -> int:
     # Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004).  Bit j of v is 0
     # where the LCS of the text read so far with ys[:j+1] grows by one over
@@ -103,12 +86,6 @@ def _lcs_seq(xs, ys) -> int:
         u = v & mask_of(x, 0)
         v = ((v + u) | (v - u)) & full
     return len(ys) - v.bit_count()
-
-
-def is_subsequence(s: Word, t: Word) -> bool:
-    """True when s embeds into t preserving order (the empty word always does)."""
-    _check_same_alphabet(s, t)
-    return _is_subseq_seq(s.symbols, *_subseq_layout((t.symbols,))) != 0
 
 
 def _subseq_layout(words) -> tuple[dict[int, int], int, int]:

@@ -1,0 +1,77 @@
+"""Slow reference versions of the seqkit kernels.
+
+The package's containment and LCS kernels are bit-parallel or prune their
+search.  Tests compare the kernels against these plain versions, and the
+acceptance checks use them to re-verify books built with the kernels.
+"""
+
+import itertools
+import math
+
+
+def subseq_oracle(s, t) -> bool:
+    """Whether the symbol tuple s is a subsequence of t, by the two-pointer
+    scan: the reference for the bit-parallel kernel seqkit._is_subseq_seq."""
+    if len(s) > len(t):
+        return False
+    it = iter(t)
+    return all(sym in it for sym in s)
+
+
+def brute_lcs(a, b):
+    """Pairwise LCS by trying every subsequence of a against b: the
+    reference the dynamic program and the bit-parallel kernel must meet."""
+    best = 0
+    for mask in range(1 << len(a)):
+        sub = tuple(a[i] for i in range(len(a)) if mask >> i & 1)
+        if len(sub) > best and subseq_oracle(sub, b):
+            best = len(sub)
+    return best
+
+
+def rolling_lcs(xs, ys):
+    """Pairwise LCS by the O(|xs| * |ys|) dynamic program with one rolling
+    row: the reference for the bit-parallel seqkit._lcs_seq."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    if not ys:
+        return 0
+    row = [0] * (len(ys) + 1)
+    for x in xs:
+        prev_diag = 0
+        for j, y in enumerate(ys, start=1):
+            tmp = row[j]
+            if x == y:
+                row[j] = prev_diag + 1
+            elif row[j - 1] > row[j]:
+                row[j] = row[j - 1]
+            prev_diag = tmp
+    return row[len(ys)]
+
+
+def table_multi_lcs(seqs):
+    """Multi-word LCS by the full dynamic program over the flat
+    prod(len + 1) table: the reference for the dominant-point
+    seqkit._multi_lcs."""
+    dims = [len(s) + 1 for s in seqs]
+    total = math.prod(dims)
+    strides = [0] * len(dims)
+    acc = 1
+    for i in range(len(dims) - 1, -1, -1):
+        strides[i] = acc
+        acc *= dims[i]
+    table = [0] * total
+    all_stride = sum(strides)
+    for coords in itertools.product(*(range(d) for d in dims)):
+        if 0 in coords:
+            continue
+        idx = sum(c * st for c, st in zip(coords, strides))
+        sym = seqs[0][coords[0] - 1]
+        if all(s[c - 1] == sym for s, c in zip(seqs, coords)):
+            best = table[idx - all_stride] + 1
+        else:
+            best = 0
+        for st in strides:
+            best = max(best, table[idx - st])
+        table[idx] = best
+    return table[total - 1]

@@ -21,11 +21,12 @@ from delcodes.channel import (DeletionPattern, Strategy, apply_deletions,
 from delcodes.cli import main
 from delcodes.gf import make_field
 from delcodes.highnoise import hn_decode, hn_encode, hn_make_spec
-from delcodes.innercode import (CandidatePolicy, check_codebook, greedy_dense,
-                                greedy_listdec, greedy_unique,
+from delcodes.innercode import (CandidatePolicy, CodebookKind, _build,
+                                check_codebook, greedy_listdec,
                                 inner_decode_unique, rate_report)
 from delcodes.rsouter import rs_decode_ee, rs_encode
-from delcodes.seqkit import Word, count_supersequences, is_subsequence, lcs
+from delcodes.seqkit import Word, count_supersequences
+from oracles import rolling_lcs, subseq_oracle
 
 
 def _note(log, line):
@@ -140,11 +141,14 @@ def _grid_books():
         books = {}
         for m in (8, 10, 12):
             for d in (F(1, 4), F(1, 2)):
-                books[("unique", 2, m, d)] = greedy_unique(2, m, d)
-                books[("unique", 4, m, d)] = greedy_unique(
-                    4, m, d, policy=CandidatePolicy.SEEDED_RANDOM, seed=1,
+                books[("unique", 2, m, d)] = _build(
+                    CodebookKind.UNIQUE, 2, m, d)
+                books[("unique", 4, m, d)] = _build(
+                    CodebookKind.UNIQUE, 4, m, d,
+                    policy=CandidatePolicy.SEEDED_RANDOM, seed=1,
                     attempt_cap=_RANDOM_CAPS[(m, d)])
-                books[("dense", 2, m, d)] = greedy_dense(m, d, F(1, 4))
+                books[("dense", 2, m, d)] = _build(
+                    CodebookKind.DENSE, 2, m, d, beta=F(1, 4))
         _GRID = books
         _GRID_SECONDS = time.monotonic() - t0
     return _GRID
@@ -158,7 +162,7 @@ def test_c03_inner_separation_grid(acceptance_log):
     for key, cb in books.items():
         report = check_codebook(cb)
         assert report["ok"], (key, report["violations"])
-        worst = max((lcs(a, b) for a, b in
+        worst = max((rolling_lcs(a.symbols, b.symbols) for a, b in
                      itertools.combinations(cb.codewords, 2)), default=0)
         assert worst < cb.separation_threshold, (key, worst)
         sizes.append(len(cb.codewords))
@@ -210,8 +214,9 @@ def test_c05_list_decodability(acceptance_log, ld_desk):
         ell = cb.separation_threshold
         worst = 0
         for enc in range(2 ** ell):
-            probe = Word(tuple((enc >> (ell - 1 - i)) & 1 for i in range(ell)), 2)
-            hits = sum(1 for w in cb.codewords if is_subsequence(probe, w))
+            probe = tuple((enc >> (ell - 1 - i)) & 1 for i in range(ell))
+            hits = sum(1 for w in cb.codewords
+                       if subseq_oracle(probe, w.symbols))
             worst = max(worst, hits)
             assert hits <= cb.list_size - 1, (cb.m, cb.list_size, probe, hits)
         worsts.append((cb.m, cb.list_size, worst))
@@ -303,9 +308,9 @@ def _worst_block_patterns(spec):
         for j in range(budget, -1, -1):
             for pat in itertools.combinations(range(spec.m), j):
                 cut = set(pat)
-                rem = Word(tuple(s for i, s in enumerate(cw.symbols)
-                                 if i not in cut), spec.k)
-                hits = sum(1 for w in book if is_subsequence(rem, w))
+                rem = tuple(s for i, s in enumerate(cw.symbols)
+                            if i not in cut)
+                hits = sum(1 for w in book if subseq_oracle(rem, w.symbols))
                 if hits > best_hits:
                     best_hits, best = hits, pat
         out[idx] = best
@@ -462,7 +467,7 @@ def test_c11_rate_reports(acceptance_log, capsys):
     cells = []
     for k, m, d in ((2, 8, F(1, 8)), (3, 6, F(1, 6)), (2, 10, F(1, 10)),
                     (2, 8, F(1, 4))):
-        rr = rate_report(greedy_unique(k, m, d))
+        rr = rate_report(_build(CodebookKind.UNIQUE, k, m, d))
         assert (rr["bound_satisfied"]
                 and rr["achieved_size"] >= rr["counting_size_bound"]), (k, m, d, rr)
         cells.append((k, m, str(d), rr["achieved_size"],

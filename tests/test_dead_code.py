@@ -3,15 +3,15 @@ every method and property of its classes, has a caller.
 
 Code whose only callers are tests is deleted, not maintained.  A name
 counts as used when src/ or bench/ mentions it anywhere but inside its own
-definition: a call, an attribute access, a re-export from the package
-__init__, or a string naming it (the benchmark tracer looks functions up
-by name).  Names are matched across modules, so a name defined twice is
-used if either is.  Dunder assignments such as __all__ and dunder methods
-such as __post_init__ are called by Python itself and are exempt.
+definition: a call, an attribute access, or a string naming it (the
+benchmark tracer looks functions up by name).  A mention in the package
+__init__ does not count, so a re-export there cannot keep a name alive
+that only tests call.  Names are matched across modules, so a name defined
+twice is used if either is.  Dunder assignments such as __all__ and dunder
+methods such as __post_init__ are called by Python itself and are exempt.
 
 Every name a package or test module imports is mentioned elsewhere in
-that module; the package __init__, whose imports are its re-exports, is
-exempt.
+that module.
 """
 
 import ast
@@ -20,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "delcodes"
+INIT = PACKAGE / "__init__.py"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
@@ -69,8 +70,9 @@ def test_every_module_level_definition_is_used():
     defined = []
     for path, tree in parsed():
         for i, stmt in enumerate(tree.body):
-            for name in mentions(stmt):
-                sites.setdefault(name, set()).add((path, i))
+            if path != INIT:
+                for name in mentions(stmt):
+                    sites.setdefault(name, set()).add((path, i))
             if path.parent == PACKAGE:
                 defined.extend((path, i, name) for name in defined_names(stmt))
     unused = [f"{path.name}: {name}" for path, i, name in defined
@@ -80,7 +82,8 @@ def test_every_module_level_definition_is_used():
 
 def test_every_method_is_used():
     trees = parsed()
-    everywhere = Counter(name for _, tree in trees for name in mentions(tree))
+    everywhere = Counter(name for path, tree in trees if path != INIT
+                         for name in mentions(tree))
     unused = []
     for path, tree in trees:
         if path.parent != PACKAGE:
@@ -111,8 +114,6 @@ def imported_names(stmt):
 def test_every_import_is_used():
     unused = []
     for path, tree in parsed(sorted(PACKAGE.glob("*.py")) + TESTS):
-        if path == PACKAGE / "__init__.py":
-            continue
         used = Counter(mentions(tree))
         for stmt in ast.walk(tree):
             for name in imported_names(stmt):

@@ -44,12 +44,12 @@ def thr3_spec():
 
 class TestDerive:
     def test_forty_root_eps(self):
-        d = br_derive(F(1, 10000), 2, 1)
+        d = br_derive(F(1, 10000), 2)
         assert d["delta"] == F(2, 5)
         assert d["beta"] == F(1, 10)
 
     def test_margin_covers_all_error_worst_case(self):
-        d = br_derive(F(1, 10000), 50, 1)
+        d = br_derive(F(1, 10000), 50)
         # 24*sqrt(eps)*n = 24*(1/100)*50 = 12
         assert d["margin"] == 12
         assert d["n_prime"] == 38
@@ -57,7 +57,7 @@ class TestDerive:
     def test_epsilon_bounds(self):
         for bad in (0, 1, F(3, 2)):
             with pytest.raises(OutOfRange):
-                br_derive(bad, 4, 1)
+                br_derive(bad, 4)
 
     def test_exact_square_roots_stay_rational(self):
         assert frac_sqrt(F(1, 4)) == F(1, 2)

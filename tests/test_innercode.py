@@ -16,6 +16,7 @@ from delcodes.errors import (
     GuardExceeded,
     InvalidOverride,
     NoMatch,
+    NotBinary,
     OutOfRange,
     TargetUnreachable,
 )
@@ -25,9 +26,7 @@ from delcodes.innercode import (
     CodebookKind,
     check_codebook,
     count_dense_words,
-    greedy_dense,
     greedy_listdec,
-    greedy_unique,
     inner_decode_list,
     inner_decode_unique,
     rate_report,
@@ -37,11 +36,13 @@ from delcodes.hirate import br_make_spec
 from delcodes.listdec import ld_make_spec
 from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word
-from test_seqkit import subseq_oracle, table_multi_lcs
+from oracles import subseq_oracle, table_multi_lcs
 
 F = Fraction
 LEX = CandidatePolicy.LEX
 RANDOM = CandidatePolicy.SEEDED_RANDOM
+UNIQUE = CodebookKind.UNIQUE
+DENSE = CodebookKind.DENSE
 
 
 def digits(cb):
@@ -51,56 +52,56 @@ def digits(cb):
 class TestGreedyUnique:
     def test_lex_trace_m3(self):
         with pytest.raises(TargetUnreachable) as ei:
-            greedy_unique(2, 3, F(1, 3), target_size=16)
+            innercode._build(UNIQUE, 2, 3, F(1, 3), target_size=16)
         assert len(ei.value.codebook.codewords) == 2
         assert digits(ei.value.codebook) == ["000", "011"]
 
     def test_delta_one_admits_single_codeword(self):
         with pytest.raises(TargetUnreachable) as ei:
-            greedy_unique(2, 3, F(1), target_size=2)
+            innercode._build(UNIQUE, 2, 3, F(1), target_size=2)
         assert len(ei.value.codebook.codewords) == 1
         assert digits(ei.value.codebook) == ["000"]
 
     def test_target_one_returns_first_candidate(self):
-        cb = greedy_unique(3, 4, F(1, 2), target_size=1)
+        cb = innercode._build(UNIQUE, 3, 4, F(1, 2), target_size=1)
         assert digits(cb) == ["0000"]
 
     def test_exhaustion_without_target(self):
-        cb = greedy_unique(2, 3, F(1, 3), target_size=None)
+        cb = innercode._build(UNIQUE, 2, 3, F(1, 3))
         assert digits(cb) == ["000", "011"]
 
     def test_separation_threshold(self):
-        cb = greedy_unique(2, 8, F(1, 4), target_size=None)
+        cb = innercode._build(UNIQUE, 2, 8, F(1, 4))
         assert cb.separation_threshold == 6
         assert check_codebook(cb)["ok"]
 
     def test_seeded_random_is_deterministic(self):
-        a = greedy_unique(4, 6, F(1, 2), target_size=4,
-                          policy=CandidatePolicy.SEEDED_RANDOM, seed=7)
-        b = greedy_unique(4, 6, F(1, 2), target_size=4,
-                          policy=CandidatePolicy.SEEDED_RANDOM, seed=7)
-        c = greedy_unique(4, 6, F(1, 2), target_size=4,
-                          policy=CandidatePolicy.SEEDED_RANDOM, seed=8)
+        a = innercode._build(UNIQUE, 4, 6, F(1, 2), target_size=4,
+                             policy=CandidatePolicy.SEEDED_RANDOM, seed=7)
+        b = innercode._build(UNIQUE, 4, 6, F(1, 2), target_size=4,
+                             policy=CandidatePolicy.SEEDED_RANDOM, seed=7)
+        c = innercode._build(UNIQUE, 4, 6, F(1, 2), target_size=4,
+                             policy=CandidatePolicy.SEEDED_RANDOM, seed=8)
         assert a.codewords == b.codewords
         assert a.codewords != c.codewords
 
     def test_parameter_validation(self):
         with pytest.raises(OutOfRange):
-            greedy_unique(1, 3, F(1, 2))
+            innercode._build(UNIQUE, 1, 3, F(1, 2))
         with pytest.raises(OutOfRange):
-            greedy_unique(2, 0, F(1, 2))
+            innercode._build(UNIQUE, 2, 0, F(1, 2))
         with pytest.raises(OutOfRange):
-            greedy_unique(2, 3, F(0))
+            innercode._build(UNIQUE, 2, 3, F(0))
         with pytest.raises(OutOfRange):
-            greedy_unique(2, 3, F(3, 2))
+            innercode._build(UNIQUE, 2, 3, F(3, 2))
         with pytest.raises(OutOfRange):
-            greedy_unique(2, 3, F(1, 2), target_size=0)
+            innercode._build(UNIQUE, 2, 3, F(1, 2), target_size=0)
 
     @pytest.mark.parametrize("k,m,delta", [
         (2, 8, F(1, 4)), (2, 8, F(1, 2)), (3, 6, F(1, 3)), (4, 5, F(1, 2)),
     ])
     def test_lex_greedy_is_maximal(self, k, m, delta):
-        cb = greedy_unique(k, m, delta, target_size=None)
+        cb = innercode._build(UNIQUE, k, m, delta)
         ell = cb.separation_threshold
         chosen = set(w.symbols for w in cb.codewords)
         for cand in itertools.product(range(k), repeat=m):
@@ -112,32 +113,34 @@ class TestGreedyUnique:
 
 class TestGreedyDense:
     def test_all_invariants_on_small_trace(self):
-        cb = greedy_dense(4, F(1, 4), F(1, 2), target_size=None)
+        cb = innercode._build(DENSE, 2, 4, F(1, 4), beta=F(1, 2))
         assert len(cb) >= 1
         rep = check_codebook(cb)
         assert rep["ok"], rep
 
     def test_beta_one_whole_word_window(self):
-        cb = greedy_dense(2, F(1, 2), F(1), target_size=1)
+        cb = innercode._build(DENSE, 2, 2, F(1, 2), beta=F(1), target_size=1)
         assert digits(cb) == ["11"]
 
     def test_unreachable_target_reports_achieved(self):
         with pytest.raises(TargetUnreachable) as ei:
-            greedy_dense(3, F(1, 3), F(9, 10), target_size=50)
+            innercode._build(DENSE, 2, 3, F(1, 3), beta=F(9, 10),
+                             target_size=50)
         assert len(ei.value.codebook.codewords) == 1
         assert digits(ei.value.codebook) == ["101"]
 
     def test_candidates_filtered_before_lcs(self):
         # dense stream over m=6: all codewords start/end with 1 and are dense
-        cb = greedy_dense(6, F(1, 2), F(1, 3), target_size=None)
+        cb = innercode._build(DENSE, 2, 6, F(1, 2), beta=F(1, 3))
         for w in cb.codewords:
             assert w.symbols[0] == 1 and w.symbols[-1] == 1
             assert seqkit.is_beta_dense(w, F(1, 3))
 
     def test_random_policy_wide_gap_layout(self):
-        cb = greedy_dense(84, F(5, 84), F(1, 48), target_size=8,
-                          policy=CandidatePolicy.SEEDED_RANDOM, seed=3,
-                          zeros=14, min_gap=4)
+        cb = innercode._build(DENSE, 2, 84, F(5, 84), beta=F(1, 48),
+                              target_size=8,
+                              policy=CandidatePolicy.SEEDED_RANDOM, seed=3,
+                              zeros=14, min_gap=4)
         assert len(cb) == 8
         assert check_codebook(cb)["ok"]
         for w in cb.codewords:
@@ -147,14 +150,17 @@ class TestGreedyDense:
             assert "00" not in digits
             runs = [len(r) for r in digits.split("0")]
             assert all(r >= 4 for r in runs[1:-1])
-        again = greedy_dense(84, F(5, 84), F(1, 48), target_size=8,
-                             policy=CandidatePolicy.SEEDED_RANDOM, seed=3,
-                             zeros=14, min_gap=4)
+        again = innercode._build(DENSE, 2, 84, F(5, 84), beta=F(1, 48),
+                                 target_size=8,
+                                 policy=CandidatePolicy.SEEDED_RANDOM, seed=3,
+                                 zeros=14, min_gap=4)
         assert cb.codewords == again.codewords
 
     def test_binary_only(self):
+        with pytest.raises(NotBinary):
+            innercode._build(DENSE, 3, 4, F(1, 4), beta=F(1, 2))
         with pytest.raises(OutOfRange):
-            greedy_dense(4, F(1, 4), F(2))
+            innercode._build(DENSE, 2, 4, F(1, 4), beta=F(2))
 
 
 class TestGreedyListdec:
@@ -246,7 +252,7 @@ class TestGreedyListdec:
 class TestInnerCoding:
     @pytest.fixture()
     def book(self):
-        return greedy_unique(2, 3, F(1, 3), target_size=None)
+        return innercode._build(UNIQUE, 2, 3, F(1, 3))
 
     def test_encode(self, book):
         assert book.codewords[0].symbols == (0, 0, 0)
@@ -279,9 +285,9 @@ class TestInnerCoding:
     @pytest.mark.parametrize("k,m,delta", [(2, 8, F(1, 4)), (2, 10, F(1, 2)),
                                            (3, 7, F(2, 7))])
     def test_roundtrip_under_all_deletion_patterns(self, k, m, delta):
-        cb = greedy_unique(k, m, delta, target_size=None,
-                           policy=CandidatePolicy.SEEDED_RANDOM, seed=2,
-                           attempt_cap=4000)
+        cb = innercode._build(UNIQUE, k, m, delta,
+                              policy=CandidatePolicy.SEEDED_RANDOM, seed=2,
+                              attempt_cap=4000)
         budget = math.floor(delta * m)
         for idx, w in enumerate(cb.codewords):
             for r in range(budget + 1):
@@ -386,7 +392,7 @@ class TestIndexedDecoderOracle:
         assert_matches_scan(book, inputs)
 
     def test_layout_builds_on_first_decode(self):
-        book = greedy_unique(3, 6, F(1, 3), target_size=None)
+        book = innercode._build(UNIQUE, 3, 6, F(1, 3))
         assert "_layout" not in vars(book)
         inner_decode_list(book, (0, 1))
         assert vars(book)["_layout"] == seqkit._subseq_layout(
@@ -408,22 +414,22 @@ def test_candidate_policy_is_not_an_override(make):
 
 class TestRateReport:
     def test_rate_of_two_word_book(self):
-        cb = greedy_unique(2, 3, F(1, 3), target_size=None)
+        cb = innercode._build(UNIQUE, 2, 3, F(1, 3))
         rep = rate_report(cb)
         assert math.isclose(rep["rate"], 1 / 3)
 
     def test_single_codeword_rate_zero(self):
-        cb = greedy_unique(2, 3, F(1), target_size=None)
+        cb = innercode._build(UNIQUE, 2, 3, F(1))
         assert rate_report(cb)["rate"] == 0.0
 
     def test_full_lex_beats_counting_bound(self):
-        cb = greedy_unique(2, 8, F(1, 4), target_size=None)
+        cb = innercode._build(UNIQUE, 2, 8, F(1, 4))
         rep = rate_report(cb)
         assert rep["bound_satisfied"]
         assert rep["achieved_size"] >= rep["counting_size_bound"]
 
     def test_dense_report_uses_dense_pool(self):
-        cb = greedy_dense(8, F(1, 4), F(1, 4), target_size=None)
+        cb = innercode._build(DENSE, 2, 8, F(1, 4), beta=F(1, 4))
         rep = rate_report(cb)
         assert rep["bound_satisfied"]
 
@@ -460,7 +466,7 @@ class TestDenseCounting:
 
 class TestCheckCodebook:
     def test_detects_separation_violation(self):
-        cb = greedy_unique(2, 6, F(1, 2), target_size=None)
+        cb = innercode._build(UNIQUE, 2, 6, F(1, 2))
         w = cb.codewords[0]
         broken = dataclasses.replace(
             cb, codewords=cb.codewords + (Word(w.symbols[:-1] + (1 - w.symbols[-1],), 2),))
@@ -468,7 +474,7 @@ class TestCheckCodebook:
         assert not rep["ok"]
 
     def test_detects_duplicates(self):
-        cb = greedy_unique(2, 6, F(1, 2), target_size=None)
+        cb = innercode._build(UNIQUE, 2, 6, F(1, 2))
         broken = dataclasses.replace(cb, codewords=cb.codewords + cb.codewords[:1])
         assert not check_codebook(broken)["ok"]
 

@@ -14,76 +14,11 @@ from hypothesis import given, settings, strategies as st
 from delcodes import seqkit
 from delcodes.errors import GuardExceeded, LengthMismatch, OutOfRange
 from delcodes.seqkit import Word
-
-
-def subseq_oracle(s, t) -> bool:
-    """Whether the symbol tuple s is a subsequence of t, by the two-pointer
-    scan: the reference for the bit-parallel kernel seqkit._is_subseq_seq."""
-    if len(s) > len(t):
-        return False
-    it = iter(t)
-    return all(sym in it for sym in s)
-
-
-def brute_lcs(a, b):
-    best = 0
-    for mask in range(1 << len(a)):
-        sub = tuple(a[i] for i in range(len(a)) if mask >> i & 1)
-        if len(sub) > best and subseq_oracle(sub, b):
-            best = len(sub)
-    return best
+from oracles import brute_lcs, rolling_lcs, subseq_oracle, table_multi_lcs
 
 
 def all_words(k, m):
     return itertools.product(range(k), repeat=m)
-
-
-def rolling_lcs(xs, ys):
-    """Pairwise LCS by the O(|xs| * |ys|) dynamic program with one rolling
-    row: the reference for the bit-parallel seqkit._lcs_seq."""
-    if len(xs) < len(ys):
-        xs, ys = ys, xs
-    if not ys:
-        return 0
-    row = [0] * (len(ys) + 1)
-    for x in xs:
-        prev_diag = 0
-        for j, y in enumerate(ys, start=1):
-            tmp = row[j]
-            if x == y:
-                row[j] = prev_diag + 1
-            elif row[j - 1] > row[j]:
-                row[j] = row[j - 1]
-            prev_diag = tmp
-    return row[len(ys)]
-
-
-def table_multi_lcs(seqs):
-    """Multi-word LCS by the full dynamic program over the flat
-    prod(len + 1) table: the reference for the dominant-point
-    seqkit._multi_lcs."""
-    dims = [len(s) + 1 for s in seqs]
-    total = math.prod(dims)
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-    table = [0] * total
-    all_stride = sum(strides)
-    for coords in itertools.product(*(range(d) for d in dims)):
-        if 0 in coords:
-            continue
-        idx = sum(c * st for c, st in zip(coords, strides))
-        sym = seqs[0][coords[0] - 1]
-        if all(s[c - 1] == sym for s, c in zip(seqs, coords)):
-            best = table[idx - all_stride] + 1
-        else:
-            best = 0
-        for st in strides:
-            best = max(best, table[idx - st])
-        table[idx] = best
-    return table[total - 1]
 
 
 class TestWord:
@@ -103,19 +38,34 @@ class TestWord:
         assert w.symbols == (0, 10, 35)
 
 
+def lcs_both_ways(a, b):
+    """The LCS of two Words by the bit-parallel kernel, which must agree
+    with the brute force and the dynamic program."""
+    a, b = a.symbols, b.symbols
+    got = seqkit._lcs_seq(a, b)
+    assert got == brute_lcs(a, b) == rolling_lcs(a, b)
+    return got
+
+
+def kernel_subseq(s, t):
+    """Whether the kernel, on the one-word layout of t, finds s in t."""
+    return seqkit._is_subseq_seq(s, *seqkit._subseq_layout([t])) != 0
+
+
 class TestLcs:
     def test_frozen_example(self):
         a = Word.from_digits("10110", 2)
         b = Word.from_digits("01101", 2)
-        assert seqkit.lcs(a, b) == 4
+        assert lcs_both_ways(a, b) == 4
 
     def test_identical_and_disjoint(self):
         w = Word.from_digits("0123", 5)
-        assert seqkit.lcs(w, w) == 4
-        assert seqkit.lcs(Word.from_digits("000", 2), Word.from_digits("111", 2)) == 0
+        assert lcs_both_ways(w, w) == 4
+        assert lcs_both_ways(Word.from_digits("000", 2),
+                             Word.from_digits("111", 2)) == 0
 
     def test_empty(self):
-        assert seqkit.lcs(Word((), 2), Word.from_digits("0101", 2)) == 0
+        assert lcs_both_ways(Word((), 2), Word.from_digits("0101", 2)) == 0
 
     def test_against_brute_force_binary(self):
         for a in all_words(2, 5):
@@ -150,11 +100,13 @@ class TestLcs:
 
 class TestSubsequence:
     def test_basic(self):
-        assert seqkit.is_subsequence(Word.from_digits("11", 2),
-                                     Word.from_digits("1010", 2))
-        assert not seqkit.is_subsequence(Word.from_digits("110", 2),
-                                         Word.from_digits("1011", 2))
-        assert seqkit.is_subsequence(Word((), 2), Word.from_digits("0", 2))
+        for s, t, expected in [(Word.from_digits("11", 2),
+                                Word.from_digits("1010", 2), True),
+                               (Word.from_digits("110", 2),
+                                Word.from_digits("1011", 2), False),
+                               (Word((), 2), Word.from_digits("0", 2), True)]:
+            assert (kernel_subseq(s.symbols, t.symbols)
+                    == subseq_oracle(s.symbols, t.symbols) == expected)
 
     @given(st.lists(st.integers(0, 1), max_size=6),
            st.lists(st.integers(0, 1), max_size=10))
@@ -251,13 +203,11 @@ class TestSubseqMatcher:
 
     @given(books(st.sampled_from((0, 7, 0x110000, 2**21 - 1)), max_len=8))
     def test_is_subsequence_past_the_character_range(self, case):
-        k = 2**21
         words, text = case
         assert kernel_contains(text, words) == [
             i for i, w in enumerate(words) if subseq_oracle(text, w)]
         for w in words:
-            assert (seqkit.is_subsequence(Word(text, k), Word(w, k))
-                    == subseq_oracle(text, w))
+            assert kernel_subseq(text, w) == subseq_oracle(text, w)
 
 
 class TestMultiwayCommon:
