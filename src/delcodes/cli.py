@@ -145,7 +145,7 @@ def cmd_build(ns: argparse.Namespace) -> int:
     book = spec.inner
     _print_report("inner counting", rate_report(book))
     print(f"inner codebook: {len(book.codewords)} codewords, kind "
-          f"{book.kind.value}, full_book={spec.full_book}")
+          f"{book.kind.value}")
     check = check_codebook(book)
     violations = check.pop("violations")
     _print_report("inner check", check)

@@ -9,7 +9,6 @@ from enum import Enum
 from .errors import (
     Ambiguous,
     DecodeFailure,
-    InfeasibleAtDeskScale,
     InvalidOverride,
     LengthMismatch,
     NoMatch,
@@ -81,7 +80,8 @@ class ConcatenatedSpec:
     The outer Reed-Solomon codeword's symbols are labelled as (position,
     value) pairs and each pair is sent as one inner codeword.  A subclass is
     a frozen dataclass with an inner block length ``m``, an inner
-    ``Codebook`` ``inner`` and outer ``RsParams`` ``rs``.  It names its
+    ``Codebook`` ``inner`` holding one codeword per pair (a spec whose book
+    falls short is never built) and outer ``RsParams`` ``rs``.  It names its
     scheme in ``name`` and supplies ``encode``, ``decode``,
     ``guarantee_fraction`` and ``report_sections``.  The vote, the outer
     decode and the trial scoring here are for the unique decoders, whose
@@ -92,10 +92,6 @@ class ConcatenatedSpec:
     @property
     def pair_count(self) -> int:
         return self.rs.n * self.rs.field.order
-
-    @property
-    def full_book(self) -> bool:
-        return len(self.inner.codewords) >= self.pair_count
 
     def pair_index(self, position: int, value: int) -> int:
         n, q = self.rs.n, self.rs.field.order
@@ -116,15 +112,8 @@ class ConcatenatedSpec:
             raise LengthMismatch(
                 f"message length {len(msg)} != dimension {self.rs.nprime}")
         code = rs_encode(self.rs.field, msg, self.rs.n)
-        words = []
-        for i, c in enumerate(code):
-            pair = self.pair_index(i, c.value)
-            if pair >= len(self.inner.codewords):
-                raise InfeasibleAtDeskScale(
-                    f"pair ({i}, {c.value}) needs inner index {pair} but the "
-                    f"book holds {len(self.inner.codewords)} codewords")
-            words.append(self.inner.codewords[pair])
-        return words
+        return [self.inner.codewords[self.pair_index(i, c.value)]
+                for i, c in enumerate(code)]
 
     def vote(self, pieces) -> tuple[set[tuple[int, int]], int]:
         """Inner-decode each received piece, a tuple of inner symbols, to a

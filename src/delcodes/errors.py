@@ -42,17 +42,6 @@ class GuardExceeded(DeletionCodeError):
     """A configured work guard (search size, enumeration count) would be exceeded."""
 
 
-class TargetUnreachable(DeletionCodeError):
-    """Greedy construction halted below the requested codebook size.
-
-    The partially built codebook is attached so callers can keep it.
-    """
-
-    def __init__(self, message, codebook=None):
-        super().__init__(message)
-        self.codebook = codebook
-
-
 class NoMatch(DeletionCodeError):
     """No codeword contains the received word as a subsequence."""
 
@@ -74,7 +63,8 @@ class DecodeFailure(DeletionCodeError):
 
 
 class InfeasibleAtDeskScale(DeletionCodeError):
-    """A construction parameter forces work beyond the configured build budget."""
+    """A construction parameter forces work beyond the configured build
+    budget, or an inner book falls short of one codeword per pair."""
 
 
 class InvalidOverride(DeletionCodeError, ValueError):

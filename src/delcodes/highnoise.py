@@ -93,10 +93,9 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     """Validate parameters and build the inner codebook.
 
     PAPER_ASYMPTOTIC derives D, k, m, n, n_prime from epsilon and q; DESK
-    starts from the same derivation and applies overrides.  The inner target
-    is one codeword per (position, value) pair.  A DESK spec whose book
-    comes up short stays valid (the shortfall is visible via full_book);
-    encoding then fails only for pairs beyond the achieved size.
+    starts from the same derivation and applies overrides.  The inner book
+    holds one codeword per (position, value) pair; under either profile a
+    build that falls short raises InfeasibleAtDeskScale.
     """
     eps = Fraction(epsilon)
     if not 0 < eps <= Fraction(1, 2):
@@ -116,8 +115,7 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     rs = RsParams(field, n, n_prime)
 
     inner = spec_codebook(CodebookKind.UNIQUE, k, m, 1 - eps / 2,
-                          target=n * q, overrides=overrides,
-                          require_full=profile is Profile.PAPER_ASYMPTOTIC)
+                          target=n * q, overrides=overrides)
     return HighNoiseSpec(eps, D, k, m, n, q, n_prime, inner, rs)
 
 
@@ -135,7 +133,6 @@ def hn_rate_report(spec: HighNoiseSpec) -> dict:
         "rate_over_epsilon_sq": rate / eps_sq,
         "inner_size": len(spec.inner.codewords),
         "inner_target": spec.pair_count,
-        "full_book": spec.full_book,
     }
 
 

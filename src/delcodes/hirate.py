@@ -145,7 +145,9 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
     The inner block length m has no closed-form derivation (the paper takes
     whatever the inner construction provides), so both profiles require it
     via overrides.  DESK may further override delta, beta, buffer_len, n and
-    n_prime; a short inner book keeps the spec valid with full_book False.
+    n_prime.  The inner book holds one codeword per (position, value) pair;
+    under either profile a build that falls short raises
+    InfeasibleAtDeskScale.
     """
     eps = Fraction(epsilon)
     overrides = dict(overrides or {})
@@ -166,9 +168,9 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
         raise OutOfRange(f"delta {delta} must lie in (0, 1]")
     if h < 1:
         raise OutOfRange(f"field power {h} must be >= 1")
-    field = make_field(q**h)
-    if not 1 <= n_prime <= n <= q:
-        raise OutOfRange(f"need 1 <= n_prime <= n <= q, got {n_prime}, {n}, {q}")
+    if n > q:
+        raise OutOfRange(f"outer length {n} exceeds the base field size {q}")
+    rs = RsParams(make_field(q**h), n, n_prime)
     thr = math.ceil(delta * m / 2)
     if buffer_len < thr:
         raise OutOfRange(
@@ -176,9 +178,7 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
             "the decoder could never find it")
 
     inner = spec_codebook(CodebookKind.DENSE, 2, m, delta, beta=beta,
-                          target=n * field.order, overrides=overrides,
-                          require_full=profile is Profile.PAPER_ASYMPTOTIC)
-    rs = RsParams(field, n, n_prime)
+                          target=n * rs.field.order, overrides=overrides)
     return HiRateSpec(eps, delta, beta, buffer_len, m, n, q, h, n_prime,
                       inner, rs)
 
@@ -197,7 +197,6 @@ def br_rate_report(spec: HiRateSpec) -> dict:
         "buffer_factor_claimed": 1 / (1 + d),
         "inner_size": len(spec.inner.codewords),
         "inner_target": spec.pair_count,
-        "full_book": spec.full_book,
     }
 
 

@@ -41,7 +41,6 @@ from .errors import (
     NoMatch,
     NotBinary,
     OutOfRange,
-    TargetUnreachable,
 )
 from .seqkit import Word
 
@@ -238,8 +237,9 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
            beta: Fraction | None = None, list_size: int | None = None,
            zeros: int | None = None, min_gap: int | None = None) -> Codebook:
     """Greedily collect words over [k]^m of the given kind (see the module
-    docstring), stopping at target_size words if one is given; a build
-    that falls short of it raises TargetUnreachable carrying the book.
+    docstring), stopping at target_size words if one is given.  A build
+    short of target_size has used up its candidate stream and raises
+    InfeasibleAtDeskScale; with target_size=None it returns those words.
 
     DENSE books take beta and LISTDEC books list_size.  Under the
     SEEDED_RANDOM policy DENSE candidates follow the wide-gap layout from
@@ -298,16 +298,17 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
             if target_size is not None and len(accepted) >= target_size:
                 break
 
-    cb = Codebook(kind, k, m, delta, beta if kind is CodebookKind.DENSE else None,
-                  list_size if kind is CodebookKind.LISTDEC else None,
-                  tuple(Word(a, k) for a in accepted), policy)
     if target_size is not None and len(accepted) < target_size:
-        raise TargetUnreachable(
-            f"{kind.value} construction reached {len(accepted)} of "
-            f"{target_size} codewords",
-            codebook=cb,
-        )
-    return cb
+        budget = (f"after all {k}^{m} candidates"
+                  if policy is CandidatePolicy.LEX
+                  else f"within {attempt_cap} attempts")
+        raise InfeasibleAtDeskScale(
+            f"{kind.value} inner codebook reached {len(accepted)} of "
+            f"{target_size} codewords {budget}")
+    return Codebook(kind, k, m, delta,
+                    beta if kind is CodebookKind.DENSE else None,
+                    list_size if kind is CodebookKind.LISTDEC else None,
+                    tuple(Word(a, k) for a in accepted), policy)
 
 
 def greedy_listdec(m: int, delta: Fraction, list_size: int,
@@ -492,31 +493,23 @@ def check_codebook(cb: Codebook) -> dict:
 
 
 def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
-                  target: int, overrides: dict, require_full: bool,
+                  target: int, overrides: dict,
                   beta: Fraction | None = None,
                   list_size: int | None = None) -> Codebook:
-    """Build the inner book a scheme spec asks for.
+    """Build the inner book a scheme spec asks for: target codewords, one
+    per (position, value) pair, or InfeasibleAtDeskScale.
 
     overrides may set seed, attempt_cap and, for DENSE books, zeros and
     min_gap.  Candidates are LEX while the k^m candidate space stays small,
-    SEEDED_RANDOM beyond.  A build that stops short of target raises
-    InfeasibleAtDeskScale when require_full, else the short book is
-    returned.
+    SEEDED_RANDOM beyond.
     """
-    seed = int(overrides.get("seed", 0))
     # _build refuses m < 1, where k**m may not even be defined (k = 0).
     policy = (CandidatePolicy.LEX if m < 1 or k**m <= _LEX_SPACE_CAP
               else CandidatePolicy.SEEDED_RANDOM)
-    attempt_cap = int(overrides.get("attempt_cap", DEFAULT_ATTEMPT_CAP))
-    try:
-        return _build(kind, k, m, delta, target_size=target, policy=policy,
-                      seed=seed, attempt_cap=attempt_cap, beta=beta,
-                      list_size=list_size, zeros=overrides.get("zeros"),
-                      min_gap=overrides.get("min_gap"))
-    except TargetUnreachable as exc:
-        if require_full:
-            raise InfeasibleAtDeskScale(
-                f"inner codebook reached {len(exc.codebook.codewords)} "
-                f"of {target} codewords within {attempt_cap} attempts"
-            ) from exc
-        return exc.codebook
+    return _build(kind, k, m, delta, target_size=target, policy=policy,
+                  seed=int(overrides.get("seed", 0)),
+                  attempt_cap=int(overrides.get("attempt_cap",
+                                                DEFAULT_ATTEMPT_CAP)),
+                  beta=beta, list_size=list_size,
+                  zeros=overrides.get("zeros"),
+                  min_gap=overrides.get("min_gap"))

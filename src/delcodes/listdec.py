@@ -153,9 +153,9 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
     pitch at delta = epsilon/4, the inner list size at ceil(1/delta^2),
     and the recovery budget at ell = ceil(1/delta^3); DESK may override
     all three.  The inner block length m has no closed form at finite
-    scale, so both profiles take it from overrides.  The inner target is
-    one codeword per (position, value) pair; a DESK book that comes up
-    short stays valid, with the shortfall visible via full_book.
+    scale, so both profiles take it from overrides.  The inner book holds
+    one codeword per (position, value) pair; under either profile a build
+    that falls short raises InfeasibleAtDeskScale.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
@@ -182,8 +182,7 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
 
     inner = spec_codebook(CodebookKind.LISTDEC, 2, m, Fraction(1, 2) - delta,
                           list_size=list_size, target=n_out * q,
-                          overrides=overrides,
-                          require_full=profile is Profile.PAPER_ASYMPTOTIC)
+                          overrides=overrides)
     return ListDecSpec(eps, delta, m, inner, n_out, k_out, q, ell, rs)
 
 
@@ -211,6 +210,7 @@ def ld_report(spec: ListDecSpec) -> dict:
         "pair_count": spec.pair_count,
         "ell": spec.ell,
         "candidate_budget": spec.ell * spec.n_out,
+        "message_space": spec.q ** spec.k_out,
         "alpha": float(spec.alpha),
         "agree_count": spec.agree_count,
         "recipe_s": s,

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import pkgutil
 import typing
+from functools import cached_property
 
 import pytest
 
@@ -31,6 +32,8 @@ def annotated(module):
             for attr, member in vars(obj).items():
                 if isinstance(member, property):
                     member = member.fget
+                elif isinstance(member, cached_property):
+                    member = member.func
                 elif isinstance(member, (staticmethod, classmethod)):
                     member = member.__func__
                 if inspect.isfunction(member):

@@ -89,6 +89,15 @@ class TestBuild:
         assert err.startswith("infeasible:")
         assert "attempts" in err
 
+    def test_starved_desk_book_is_infeasible(self, capsys):
+        code, out, err = run(capsys, "build", "--scheme", "highnoise",
+                             "--set", "k=4", "--set", "n=5",
+                             "--set", "n_prime=1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("infeasible:")
+        assert "reached 4 of 40 codewords" in err
+
 
 class TestRoundtrip:
     def test_buffer_kill_at_guarantee(self, capsys):

@@ -49,18 +49,22 @@ class TestMakeSpec:
         assert spec.m == 72
         assert spec.n == 8
         assert spec.n_prime == 2
-        assert spec.full_book  # 64 pair codewords exist
+        assert len(spec.inner) == spec.pair_count == 64
         assert spec.delta_in == F(3, 4)
 
-    def test_desk_literal_small_override_is_valid_but_starved(self):
-        spec = hn_make_spec(F(1, 2), 5,
-                            overrides={"D": 4, "k": 4, "m": 8, "n": 5, "n_prime": 1})
-        assert (spec.D, spec.k, spec.m, spec.n, spec.n_prime) == (4, 4, 8, 5, 1)
+    def test_desk_literal_overrides_are_applied(self):
+        spec = hn_make_spec(F(1, 2), 5, overrides={
+            "D": 4, "k": 256, "m": 8, "n": 5, "n_prime": 1, "seed": 5})
+        assert (spec.D, spec.k, spec.m, spec.n, spec.n_prime) == (4, 256, 8, 5, 1)
+
+    def test_desk_literal_small_override_is_infeasible(self):
         # only 4 words of length 8 over [4] can be pairwise separated at
         # lcs < 2 (distinct leading symbols); the 25-pair target is out of
-        # reach, the spec stays usable and says so
-        assert len(spec.inner.codewords) == 4
-        assert not spec.full_book
+        # reach, so no spec is built
+        with pytest.raises(InfeasibleAtDeskScale,
+                           match=r"reached 4 of 25 codewords after all 4\^8"):
+            hn_make_spec(F(1, 2), 5,
+                         overrides={"D": 4, "k": 4, "m": 8, "n": 5, "n_prime": 1})
 
     def test_epsilon_above_half_rejected(self):
         with pytest.raises(OutOfRange, match="out of theorem range"):
@@ -106,7 +110,7 @@ class TestMakeSpec:
         assert rep["dimension_ratio"] == F(1, 4)
         assert rep["epsilon_sq"] == 0.25
         assert rep["rate"] > 0
-        assert rep["full_book"]
+        assert rep["inner_size"] == rep["inner_target"]
 
 
 class TestEncode:
@@ -135,13 +139,6 @@ class TestEncode:
         other = make_field(7)
         with pytest.raises(FieldMismatch):
             hn_desk.encode([other.elem(1), other.elem(2)])
-
-    def test_starved_book_fails_per_pair(self):
-        spec = hn_make_spec(F(1, 2), 5,
-                            overrides={"D": 4, "k": 4, "m": 8, "n": 5, "n_prime": 1})
-        # pair (1, c) needs index 5 + c, beyond the 4 achieved codewords
-        with pytest.raises(InfeasibleAtDeskScale):
-            hn_encode(spec, [0])
 
 
 class TestPartition:

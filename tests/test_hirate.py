@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delcodes import innercode
 from delcodes.channel import DeletionPattern, apply_deletions
 from delcodes.common import Profile
 from delcodes.errors import (
@@ -26,6 +27,7 @@ from delcodes.hirate import (
     br_windows,
     frac_sqrt,
 )
+from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word
 
 F = Fraction
@@ -36,10 +38,10 @@ def bits(text):
 
 
 @pytest.fixture(scope="module")
-def thr3_spec():
-    # single-codeword book is fine: window cutting only reads run_threshold
-    return br_make_spec(F(1, 64), 2, 1,
-                        overrides={"delta": F(1, 2), "m": 12, "n": 2, "n_prime": 1})
+def thr3_spec(br_desk):
+    # window cutting only reads run_threshold, which is 3 on the desk preset
+    assert br_desk.run_threshold == 3
+    return br_desk
 
 
 class TestDerive:
@@ -65,15 +67,23 @@ class TestDerive:
 
 
 class TestMakeSpec:
-    def test_desk_consistency_example_builds_even_when_starved(self):
-        spec = br_make_spec(F(1, 64), 5, 1, overrides={
-            "delta": F(1, 2), "beta": F(1, 8), "m": 16, "n": 5, "n_prime": 2})
-        assert spec.buffer_len == 8
-        assert spec.run_threshold == 4
+    def test_desk_starved_book_is_infeasible(self):
         # two beta-dense length-16 words would share 1^8, beyond the
-        # separation threshold; the book stops at one and says so
-        assert len(spec.inner.codewords) == 1
-        assert not spec.full_book
+        # separation threshold; the book stops at one of 25, so no spec
+        # is built
+        with pytest.raises(InfeasibleAtDeskScale,
+                           match=r"reached 1 of 25 codewords after all 2\^16"):
+            br_make_spec(F(1, 64), 5, 1, overrides={
+                "delta": F(1, 2), "beta": F(1, 8), "m": 16, "n": 5,
+                "n_prime": 2})
+
+    def test_buffer_defaults_to_delta_m(self):
+        # the desk preset without its buffer_len override
+        spec = br_make_spec(F(7, 372), 4, 1, overrides={
+            "m": 84, "delta": F(5, 84), "n": 4, "n_prime": 1, "zeros": 14,
+            "min_gap": 4, "seed": 3})
+        assert spec.buffer_len == 5  # ceil(delta * m)
+        assert spec.run_threshold == 3  # ceil(delta * m / 2)
 
     def test_paper_profile_rejects_delta_at_or_above_one(self):
         for eps in (F(1, 1600), F(1, 4)):
@@ -81,8 +91,21 @@ class TestMakeSpec:
                 br_make_spec(eps, 4, 1, Profile.PAPER_ASYMPTOTIC, {"m": 40})
 
     def test_paper_profile_reports_starved_book_as_infeasible(self):
-        with pytest.raises(InfeasibleAtDeskScale):
+        with pytest.raises(InfeasibleAtDeskScale,
+                           match=r"reached 2 of 4 codewords after all 2\^12"):
             br_make_spec(F(1, 10000), 2, 1, Profile.PAPER_ASYMPTOTIC, {"m": 12})
+
+    @pytest.mark.parametrize("shape", [
+        {"n": 2, "n_prime": 3},  # n_prime > n
+        {"n": 5, "n_prime": 1},  # n > q
+    ])
+    def test_outer_shape_checked_before_the_build(self, monkeypatch, shape):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inner book built")
+        monkeypatch.setattr(innercode, "_build", refuse)
+        with pytest.raises(OutOfRange):
+            br_make_spec(F(1, 64), 4, 2, overrides={
+                "delta": F(1, 2), "m": 12, **shape})
 
     def test_block_length_is_mandatory(self):
         with pytest.raises(InvalidOverride, match="m must be supplied"):
@@ -105,8 +128,7 @@ class TestMakeSpec:
         assert spec.delta == F(5, 84)
         assert (spec.m, spec.buffer_len, spec.n, spec.n_prime) == (84, 12, 4, 1)
         assert spec.run_threshold == 3
-        assert spec.full_book
-        assert len(spec.inner.codewords) == 16
+        assert len(spec.inner.codewords) == spec.pair_count == 16
 
     def test_desk_preset_codewords_are_buffer_safe(self, br_desk):
         thr = br_desk.run_threshold
@@ -132,9 +154,7 @@ class TestMakeSpec:
 
 class TestEncode:
     def test_single_block_has_no_buffer(self):
-        spec = br_make_spec(F(1, 64), 2, 1,
-                            overrides={"delta": F(1, 2), "m": 8,
-                                       "n": 1, "n_prime": 1})
+        spec = make_scheme_spec("hirate", overrides={"n": 1, "n_prime": 1})
         word = br_encode(spec, [0])
         assert len(word) == spec.m
         assert word == spec.inner.codewords[0]
@@ -164,12 +184,6 @@ class TestEncode:
     def test_wrong_message_length(self, br_desk):
         with pytest.raises(LengthMismatch):
             br_encode(br_desk, [0, 0])
-
-    def test_starved_book_fails_per_pair(self):
-        spec = br_make_spec(F(1, 64), 5, 1, overrides={
-            "delta": F(1, 2), "beta": F(1, 8), "m": 16, "n": 5, "n_prime": 2})
-        with pytest.raises(InfeasibleAtDeskScale):
-            br_encode(spec, [0, 0])
 
 
 class TestWindows:

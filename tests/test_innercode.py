@@ -14,11 +14,11 @@ from delcodes.common import Profile
 from delcodes.errors import (
     Ambiguous,
     GuardExceeded,
+    InfeasibleAtDeskScale,
     InvalidOverride,
     NoMatch,
     NotBinary,
     OutOfRange,
-    TargetUnreachable,
 )
 from delcodes.innercode import (
     CandidatePolicy,
@@ -51,16 +51,15 @@ def digits(cb):
 
 class TestGreedyUnique:
     def test_lex_trace_m3(self):
-        with pytest.raises(TargetUnreachable) as ei:
+        with pytest.raises(InfeasibleAtDeskScale,
+                           match=r"reached 2 of 16 codewords after all 2\^3"):
             innercode._build(UNIQUE, 2, 3, F(1, 3), target_size=16)
-        assert len(ei.value.codebook.codewords) == 2
-        assert digits(ei.value.codebook) == ["000", "011"]
+        assert digits(innercode._build(UNIQUE, 2, 3, F(1, 3))) == ["000", "011"]
 
     def test_delta_one_admits_single_codeword(self):
-        with pytest.raises(TargetUnreachable) as ei:
+        with pytest.raises(InfeasibleAtDeskScale, match="reached 1 of 2"):
             innercode._build(UNIQUE, 2, 3, F(1), target_size=2)
-        assert len(ei.value.codebook.codewords) == 1
-        assert digits(ei.value.codebook) == ["000"]
+        assert digits(innercode._build(UNIQUE, 2, 3, F(1))) == ["000"]
 
     def test_target_one_returns_first_candidate(self):
         cb = innercode._build(UNIQUE, 3, 4, F(1, 2), target_size=1)
@@ -123,11 +122,11 @@ class TestGreedyDense:
         assert digits(cb) == ["11"]
 
     def test_unreachable_target_reports_achieved(self):
-        with pytest.raises(TargetUnreachable) as ei:
+        with pytest.raises(InfeasibleAtDeskScale, match="reached 1 of 50"):
             innercode._build(DENSE, 2, 3, F(1, 3), beta=F(9, 10),
                              target_size=50)
-        assert len(ei.value.codebook.codewords) == 1
-        assert digits(ei.value.codebook) == ["101"]
+        cb = innercode._build(DENSE, 2, 3, F(1, 3), beta=F(9, 10))
+        assert digits(cb) == ["101"]
 
     def test_candidates_filtered_before_lcs(self):
         # dense stream over m=6: all codewords start/end with 1 and are dense
@@ -165,14 +164,14 @@ class TestGreedyDense:
 
 class TestGreedyListdec:
     def test_pair_trace(self):
-        with pytest.raises(TargetUnreachable) as ei:
+        with pytest.raises(InfeasibleAtDeskScale, match="reached 2 of 4"):
             greedy_listdec(2, F(1, 2), 2, target_size=4)
-        assert digits(ei.value.codebook) == ["00", "11"]
+        assert digits(greedy_listdec(2, F(1, 2), 2)) == ["00", "11"]
 
     def test_l3_trace_rejects_shared_triple(self):
-        with pytest.raises(TargetUnreachable) as ei:
+        with pytest.raises(InfeasibleAtDeskScale, match="reached 3 of 4"):
             greedy_listdec(2, F(1, 2), 3, target_size=4)
-        cb = ei.value.codebook
+        cb = greedy_listdec(2, F(1, 2), 3)
         assert digits(cb) == ["00", "01", "11"]
         # no 3 codewords share a length-1 subsequence
         assert check_codebook(cb)["ok"]
@@ -233,10 +232,11 @@ class TestGreedyListdec:
             expected.append(cand)
             if len(expected) == target:
                 break
-        try:
-            cb = greedy_listdec(m, delta, lsz, target, policy, seed, 400)
-        except TargetUnreachable as exc:
-            cb = exc.codebook
+        if target is not None and len(expected) < target:
+            with pytest.raises(InfeasibleAtDeskScale):
+                greedy_listdec(m, delta, lsz, target, policy, seed, 400)
+            target = None
+        cb = greedy_listdec(m, delta, lsz, target, policy, seed, 400)
         assert [w.symbols for w in cb.codewords] == expected
 
     def test_no_multi_lcs_before_list_size_minus_one_words(self, monkeypatch):
@@ -275,9 +275,7 @@ class TestInnerCoding:
         assert inner_decode_list(book, ()) == list(range(len(book)))
 
     def test_decode_list(self):
-        with pytest.raises(TargetUnreachable) as ei:
-            greedy_listdec(2, F(1, 2), 2, target_size=4)
-        cb = ei.value.codebook  # {00, 11}
+        cb = greedy_listdec(2, F(1, 2), 2)  # {00, 11}
         assert inner_decode_list(cb, (0,)) == [0]
         assert inner_decode_list(cb, (0, 1)) == []
         assert inner_decode_list(cb, ()) == [0, 1]

@@ -69,8 +69,7 @@ class TestMakeSpec:
         assert spec.window_len == 6
         assert spec.window_step == 2
         assert spec.encoded_length == 24
-        assert spec.full_book
-        assert len(spec.inner.codewords) == 15
+        assert len(spec.inner.codewords) == spec.pair_count == 15
 
     def test_epsilon_range(self):
         for bad in (F(1, 2), F(3, 4), 0, F(-1, 5)):
@@ -102,6 +101,8 @@ class TestMakeSpec:
         assert rep["agree_count"] == 2
         assert rep["inner_list_size"] == 4
         assert rep["candidate_budget"] == ld_desk.ell * ld_desk.n_out
+        # q^k_out = 5: a list of every message would still hold the truth
+        assert rep["message_space"] == 5
         assert rep["recipe_s"] >= 1
         assert isinstance(rep["recipe_threshold_met"], bool)
 
