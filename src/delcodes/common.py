@@ -10,7 +10,6 @@ from .errors import (
     Ambiguous,
     DecodeFailure,
     InvalidOverride,
-    LengthMismatch,
     NoMatch,
     OutOfRange,
 )
@@ -81,17 +80,16 @@ class ConcatenatedSpec:
     value) pairs and each pair is sent as one inner codeword.  A subclass is
     a frozen dataclass with an inner block length ``m``, an inner
     ``Codebook`` ``inner`` holding one codeword per pair (a spec whose book
-    falls short is never built) and outer ``RsParams`` ``rs``.  It names its
-    scheme in ``name`` and supplies ``encode``, ``decode``,
-    ``guarantee_fraction`` and ``report_sections``.  The vote, the outer
-    decode and the trial scoring here are for the unique decoders, whose
-    results carry one ``message`` and whose telemetry lists the (position,
-    value) votes in ``pairs``; the list decoder overrides the scoring.
+    falls short is never built) and outer ``RsParams`` ``rs``, the outer
+    code's only description.  A message goes in as nprime field values,
+    plain ints, and the outer code works on ints throughout; only a decoded
+    message comes back as ``FieldElem``s.  A subclass names its scheme in
+    ``name`` and supplies ``encode``, ``decode``, ``guarantee_fraction`` and
+    ``report_sections``.  The vote, the outer decode and the trial scoring
+    here are for the unique decoders, whose results carry one ``message``
+    and whose telemetry lists the (position, value) votes in ``pairs``; the
+    list decoder overrides the scoring.
     """
-
-    @property
-    def pair_count(self) -> int:
-        return self.rs.n * self.rs.field.order
 
     def pair_index(self, position: int, value: int) -> int:
         n, q = self.rs.n, self.rs.field.order
@@ -105,15 +103,10 @@ class ConcatenatedSpec:
         return divmod(index, self.rs.field.order)
 
     def inner_words(self, message) -> list:
-        """RS-encode the message of nprime field symbols, then inner-encode
+        """RS-encode the message of nprime field values, then inner-encode
         each (position, value) pair of the codeword, in position order."""
-        msg = list(message)
-        if len(msg) != self.rs.nprime:
-            raise LengthMismatch(
-                f"message length {len(msg)} != dimension {self.rs.nprime}")
-        code = rs_encode(self.rs.field, msg, self.rs.n)
-        return [self.inner.codewords[self.pair_index(i, c.value)]
-                for i, c in enumerate(code)]
+        return [self.inner.codewords[self.pair_index(i, c)]
+                for i, c in enumerate(rs_encode(self.rs, message))]
 
     def vote(self, pieces) -> tuple[set[tuple[int, int]], int]:
         """Inner-decode each received piece, a tuple of inner symbols, to a
@@ -140,10 +133,10 @@ class ConcatenatedSpec:
         decoder cannot finish.
         """
         try:
-            msg = rs_decode_ee(self.rs.field, vector, self.rs.nprime)
+            msg = rs_decode_ee(self.rs, vector)
         except DecodeFailure as exc:
             raise DecodeFailure(str(exc), telemetry=telemetry) from exc
-        return DecodeResult(tuple(msg), telemetry)
+        return DecodeResult(tuple(map(self.rs.field.elem, msg)), telemetry)
 
     def spans(self):
         """Inner codeword spans and buffer spans of a clean transmission:
@@ -160,7 +153,7 @@ class ConcatenatedSpec:
         """Scores received words of the message msg, whose truth it computes
         once: (pattern, received) -> (outcome, snapshot with wrong votes)."""
         expected = tuple(self.rs.field.elem(v) for v in msg)
-        truth = rs_encode(self.rs.field, list(msg), self.rs.n)
+        truth = rs_encode(self.rs, msg)
         def score(pattern, received):
             try:
                 res = self.decode(received)
@@ -172,7 +165,7 @@ class ConcatenatedSpec:
                 outcome = "ok" if res.message == expected else "wrong"
             word, _ = outer_word(tel.pairs, len(truth))
             wrong = sum(1 for v, t in zip(word, truth)
-                        if v is not ERASED and v != t.value)
+                        if v is not ERASED and v != t)
             return outcome, tuple(sorted(int_snapshot(tel)
                                          + (("wrong_votes", wrong),)))
         return score

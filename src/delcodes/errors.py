@@ -14,10 +14,6 @@ class NotPrimePower(DeletionCodeError, ValueError):
     """Field order is not a prime and not a power of two in range."""
 
 
-class FieldMismatch(DeletionCodeError, ValueError):
-    """Two field elements from different fields were combined."""
-
-
 class DivisionByZero(DeletionCodeError, ZeroDivisionError):
     """Multiplicative inverse of the zero element was requested."""
 

@@ -131,8 +131,6 @@ def hn_rate_report(spec: HighNoiseSpec) -> dict:
         "alphabet_bits": log_alpha,
         "epsilon_sq": eps_sq,
         "rate_over_epsilon_sq": rate / eps_sq,
-        "inner_size": len(spec.inner.codewords),
-        "inner_target": spec.pair_count,
     }
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
-from .errors import NotBinary, OutOfRange
+from .errors import AlphabetMismatch, OutOfRange
 from .gf import make_field
 from .innercode import (
     Codebook,
@@ -195,8 +195,6 @@ def br_rate_report(spec: HiRateSpec) -> dict:
         "outer_factor_claimed": (1 - 24 * root) * spec.h / (spec.h + 1),
         "inner_factor_claimed": 1 - 2 * entropy(d),
         "buffer_factor_claimed": 1 / (1 + d),
-        "inner_size": len(spec.inner.codewords),
-        "inner_target": spec.pair_count,
     }
 
 
@@ -278,7 +276,7 @@ def br_windows(spec: HiRateSpec, received: Word) -> list[tuple[int, ...]]:
     """Strip the zeros off both ends of the received word and cut it at
     zero runs of threshold length; each window is a tuple of symbols."""
     if received.alphabet_size != 2:
-        raise NotBinary("received word must be binary")
+        raise AlphabetMismatch("received word must be binary")
     body = bytes(received.symbols).strip(b"\0")
     return [tuple(seg) for seg in
             re.split(b"\0{%d,}" % spec.run_threshold, body) if seg]

@@ -436,7 +436,9 @@ def check_codebook(cb: Codebook) -> dict:
     Returns a report dict with an ``ok`` flag.  UNIQUE and DENSE books get
     the full pairwise LCS check; LISTDEC books are checked against every
     binary probe word of length ell, and a book whose 2^ell probe words
-    exceed _PROBE_GUARD raises GuardExceeded.
+    exceed _PROBE_GUARD raises GuardExceeded.  A LISTDEC report also says
+    whether the check is ``vacuous``: a book with fewer codewords than its
+    list size passes whatever its words are.
     """
     ell = cb.separation_threshold
     report: dict = {"kind": cb.kind.value, "size": len(cb.codewords),
@@ -485,6 +487,7 @@ def check_codebook(cb: Codebook) -> dict:
                 f"word {''.join(map(str, probe))} matches {hits} codewords"
             )
     report["max_list_size"] = worst_list
+    report["vacuous"] = lsz > len(words)
     return report
 
 

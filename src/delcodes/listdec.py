@@ -206,8 +206,6 @@ def ld_report(spec: ListDecSpec) -> dict:
         "window_len": spec.window_len,
         "window_step": spec.window_step,
         "inner_list_size": spec.inner.list_size,
-        "inner_book_size": len(spec.inner.codewords),
-        "pair_count": spec.pair_count,
         "ell": spec.ell,
         "candidate_budget": spec.ell * spec.n_out,
         "message_space": spec.q ** spec.k_out,
@@ -263,12 +261,13 @@ def ld_decode(spec: ListDecSpec, received: Word) -> LdDecodeResult:
         max_list = max(max_list, len(hits))
         pairs.update(spec.pair_of_index(idx) for idx in hits)
     messages = rs_list_recover_bruteforce(
-        spec.rs.field, candidate_sets(pairs, spec.n_out), spec.k_out,
-        spec.agree_count)
+        spec.rs, candidate_sets(pairs, spec.n_out), spec.agree_count)
     telemetry = LdTelemetry(
         window_count=len(windows),
         max_inner_list=max_list,
         pairs=tuple(sorted(pairs)),
         output_size=len(messages),
     )
-    return LdDecodeResult(tuple(tuple(m) for m in messages), telemetry)
+    elem = spec.rs.field.elem
+    return LdDecodeResult(tuple(tuple(map(elem, m)) for m in messages),
+                          telemetry)

@@ -1,8 +1,11 @@
 """Reed-Solomon outer code over an explicit finite field.
 
-Messages are coefficient vectors of polynomials of degree < nprime; the
-codeword is the evaluation at the points 0, 1, ..., n - 1.  Decoding handles
-erasures (None entries) by restriction and errors by Gao's algorithm (Gao,
+RsParams is the code's one description: the field, the block length n and
+the dimension nprime, checked once when it is made.  The entry points take
+it and read and return plain ints, the field values 0..q-1.  Messages are
+coefficient vectors of polynomials of degree < nprime; the codeword is the
+evaluation at the points 0, 1, ..., n - 1.  Decoding handles erasures
+(ERASED entries) by restriction and errors by Gao's algorithm (Gao,
 "A new algorithm for decoding Reed-Solomon codes", 2003): with r erasures
 and t errors, recovery is guaranteed whenever r + 2t <= n - nprime.  Gao's
 interpolation data (the vanishing polynomial and the Lagrange basis of the
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import DecodeFailure, FieldMismatch, GuardExceeded, LengthMismatch, OutOfRange
-from .gf import Field, FieldElem
+from .errors import DecodeFailure, GuardExceeded, LengthMismatch, OutOfRange
+from .gf import Field
 
 ERASED = None
 
@@ -43,14 +46,6 @@ class RsParams:
         if not 1 <= self.nprime <= self.n:
             raise OutOfRange(
                 f"dimension {self.nprime} must lie in [1, {self.n}]")
-
-
-def _as_value(field: Field, v) -> int:
-    if isinstance(v, FieldElem):
-        if v.field is not field:
-            raise FieldMismatch("element from a different field")
-        return v.value
-    return field._check(int(v))
 
 
 def candidate_sets(pairs, n: int) -> list[set[int]]:
@@ -84,17 +79,17 @@ def poly_eval(field: Field, coeffs: list[int], x: int) -> int:
     return acc
 
 
-def rs_encode(field: Field, message, n: int) -> list[FieldElem]:
-    """Evaluate the message polynomial at 0..n-1.  Requires n <= field order
-    so the evaluation points stay distinct."""
-    if not 1 <= n <= field.order:
-        raise OutOfRange(f"block length {n} must lie in [1, {field.order}]")
-    coeffs = [_as_value(field, c) for c in message]
-    if not 1 <= len(coeffs) <= n:
-        raise LengthMismatch(
-            f"message length {len(coeffs)} must lie in [1, {n}]"
-        )
-    return [field.elem(poly_eval(field, coeffs, x)) for x in range(n)]
+def _check_length(what: str, seq, length: int) -> None:
+    if len(seq) != length:
+        raise LengthMismatch(f"{what} has {len(seq)} entries, not {length}")
+
+
+def rs_encode(rs: RsParams, message) -> list[int]:
+    """Evaluate the polynomial of the nprime message symbols at 0..n-1."""
+    field = rs.field
+    coeffs = [field._check(c) for c in message]
+    _check_length("message", coeffs, rs.nprime)
+    return [poly_eval(field, coeffs, x) for x in range(rs.n)]
 
 
 def _poly_divmod(field: Field, num: list[int], den: list[int]):
@@ -144,10 +139,10 @@ def _interpolation_data(field: Field, xs: tuple[int, ...]):
     return tuple(g0), tuple(bases)
 
 
-def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
+def rs_decode_ee(rs: RsParams, received: list) -> list[int]:
     """Errors-and-erasures decode back to the nprime message coefficients.
 
-    received holds one entry per evaluation point: a field element, or None
+    received holds one entry per evaluation point: a field value, or ERASED
     for an erasure.  Erased points are dropped, then Gao's algorithm corrects
     up to floor((n1 - nprime) / 2) errors among the n1 survivors: interpolate
     the survivors by g1, run the extended Euclidean algorithm on (g0, g1)
@@ -156,17 +151,14 @@ def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
     the surviving points, so they are cached.  Raises DecodeFailure when no
     codeword lies within that radius.
     """
-    n = len(received)
-    if not 1 <= nprime <= n:
-        raise OutOfRange(f"message length {nprime} must lie in [1, {n}]")
-    if n > field.order:
-        raise OutOfRange(f"block length {n} exceeds field order {field.order}")
+    field, nprime = rs.field, rs.nprime
+    _check_length("received word", received, rs.n)
     xs, ys = [], []
     for x, v in enumerate(received):
         if v is ERASED:
             continue
         xs.append(x)
-        ys.append(_as_value(field, v))
+        ys.append(field._check(v))
     n1 = len(xs)
     if n1 < nprime:
         raise DecodeFailure(f"only {n1} unerased points for {nprime} unknowns")
@@ -199,11 +191,11 @@ def rs_decode_ee(field: Field, received: list, nprime: int) -> list[FieldElem]:
     t = sum(1 for x, y in zip(xs, ys) if poly_eval(field, coeffs, x) != y)
     if t > e:
         raise DecodeFailure(f"{t} disagreements exceed the radius {e}")
-    return [field.elem(c) for c in coeffs]
+    return coeffs
 
 
-def rs_list_recover_bruteforce(field: Field, candidate_sets: list, nprime: int,
-                               agree_threshold: int) -> list[tuple]:
+def rs_list_recover_bruteforce(rs: RsParams, candidate_sets: list,
+                               agree_threshold: int) -> list[tuple[int, ...]]:
     """All messages whose codeword hits the candidate set in at least
     agree_threshold positions.
 
@@ -211,15 +203,12 @@ def rs_list_recover_bruteforce(field: Field, candidate_sets: list, nprime: int,
     (empty for positions with no candidates).  Exhausts all q^nprime
     messages; raises GuardExceeded if that count passes LIST_GUARD.
     """
-    n = len(candidate_sets)
-    if not 1 <= nprime <= n:
-        raise OutOfRange(f"message length {nprime} must lie in [1, {n}]")
-    if n > field.order:
-        raise OutOfRange(f"block length {n} exceeds field order {field.order}")
+    field, n, nprime = rs.field, rs.n, rs.nprime
+    _check_length("candidate list", candidate_sets, n)
     total = field.order**nprime
     if total > LIST_GUARD:
         raise GuardExceeded(f"{total} messages exceed the search guard {LIST_GUARD}")
-    sets = [frozenset(_as_value(field, v) for v in s) for s in candidate_sets]
+    sets = [frozenset(s) for s in candidate_sets]
     found = []
     coeffs = [0] * nprime
     for idx in range(total):
@@ -229,5 +218,5 @@ def rs_list_recover_bruteforce(field: Field, candidate_sets: list, nprime: int,
             v //= field.order
         agree = sum(1 for x in range(n) if poly_eval(field, coeffs, x) in sets[x])
         if agree >= agree_threshold:
-            found.append(tuple(field.elem(c) for c in coeffs))
+            found.append(tuple(coeffs))
     return found

@@ -24,7 +24,7 @@ from delcodes.highnoise import hn_decode, hn_encode, hn_make_spec
 from delcodes.innercode import (CandidatePolicy, CodebookKind, _build,
                                 check_codebook, greedy_listdec,
                                 inner_decode_unique, rate_report)
-from delcodes.rsouter import rs_decode_ee, rs_encode
+from delcodes.rsouter import RsParams, rs_decode_ee, rs_encode
 from delcodes.seqkit import Word, count_supersequences
 from oracles import rolling_lcs, subseq_oracle
 
@@ -229,7 +229,7 @@ def test_c06_rs_errors_and_erasures_contract(acceptance_log):
     t0 = time.monotonic()
     modes = []
     for q, n, nprime in ((5, 4, 2), (11, 8, 3), (16, 10, 4)):
-        field = make_field(q)
+        rs = RsParams(make_field(q), n, nprime)
         margin = n - nprime
         shapes = [(r, t) for r in range(n + 1) for t in range(n + 1)
                   if r + 2 * t < margin]
@@ -238,37 +238,37 @@ def test_c06_rs_errors_and_erasures_contract(acceptance_log):
             for r, t in shapes)
         if total <= 10 ** 5:
             for msg in itertools.product(range(q), repeat=nprime):
-                truth = rs_encode(field, list(msg), n)
+                truth = rs_encode(rs, msg)
                 for r, t in shapes:
                     for er in itertools.combinations(range(n), r):
                         rest = [i for i in range(n) if i not in er]
                         for ep in itertools.combinations(rest, t):
                             wrongs = [[v for v in range(q)
-                                       if v != truth[i].value] for i in ep]
+                                       if v != truth[i]] for i in ep]
                             for vals in itertools.product(*wrongs):
                                 rec = [None if i in er else truth[i]
                                        for i in range(n)]
                                 for i, v in zip(ep, vals):
-                                    rec[i] = field.elem(v)
-                                got = rs_decode_ee(field, rec, nprime)
-                                assert [e.value for e in got] == list(msg)
+                                    rec[i] = v
+                                got = rs_decode_ee(rs, rec)
+                                assert got == list(msg)
             modes.append((q, n, nprime, f"exhaustive({total})"))
         else:
             rng = random.Random(q * 1000 + n)
             for _ in range(10 ** 4):
                 msg = [rng.randrange(q) for _ in range(nprime)]
-                truth = rs_encode(field, msg, n)
+                truth = rs_encode(rs, msg)
                 r, t = rng.choice(shapes)
                 er = rng.sample(range(n), r)
                 ep = rng.sample([i for i in range(n) if i not in er], t)
                 rec = [None if i in er else truth[i] for i in range(n)]
                 for i in ep:
                     v = rng.randrange(q)
-                    while v == truth[i].value:
+                    while v == truth[i]:
                         v = rng.randrange(q)
-                    rec[i] = field.elem(v)
-                got = rs_decode_ee(field, rec, nprime)
-                assert [e.value for e in got] == msg, (q, n, nprime, msg, r, t)
+                    rec[i] = v
+                got = rs_decode_ee(rs, rec)
+                assert got == msg, (q, n, nprime, msg, r, t)
             modes.append((q, n, nprime, "sampled(10000)"))
     _note(acceptance_log,
           f"06 outer code under r+2t < n-n': PASS "
@@ -293,7 +293,7 @@ def _hn5():
 
 
 def _accounting(spec, telemetry, truth):
-    wrong = sum(1 for pos, val in telemetry.pairs if truth[pos].value != val)
+    wrong = sum(1 for pos, val in telemetry.pairs if truth[pos] != val)
     return 2 * wrong + telemetry.erasures
 
 
@@ -339,17 +339,17 @@ def test_c07_highnoise_end_to_end(acceptance_log):
     worst = _worst_block_patterns(spec)
     for seed in range(100):
         rng = random.Random(1000 + seed)
-        msg = [field.elem(rng.randrange(spec.q)) for _ in range(spec.n_prime)]
-        truth = rs_encode(field, [e.value for e in msg], spec.n)
+        msg = [rng.randrange(spec.q) for _ in range(spec.n_prime)]
+        truth = rs_encode(spec.rs, msg)
         word = hn_encode(spec, msg)
         positions = []
         for b in sorted(rng.sample(range(spec.n), 3)):
-            pat = worst[spec.pair_index(b, truth[b].value)]
+            pat = worst[spec.pair_index(b, truth[b])]
             positions.extend(b * spec.m + p for p in pat)
         assert len(positions) <= budget
         received = apply_deletions(word, DeletionPattern(tuple(sorted(positions))))
         res = hn_decode(spec, received)
-        assert res.message == tuple(msg), seed
+        assert res.message == tuple(map(field.elem, msg)), seed
         assert _accounting(spec, res.telemetry, truth) < slack, seed
     elapsed = time.monotonic() - t0
     assert elapsed < 300
@@ -422,9 +422,9 @@ def test_c10_minimax_certification(acceptance_log):
     # two attacked blocks, full pattern product over every block pair,
     # including the same-header pair a splice attack would target
     field = spec.rs.field
-    msg = [field.elem(1), field.elem(3)]
+    msg = [1, 3]
     word = hn_encode(spec, msg)
-    expected = tuple(msg)
+    expected = tuple(map(field.elem, msg))
     pats = [pat for j in range(budget + 1)
             for pat in itertools.combinations(range(spec.m), j)]
     products = 0

@@ -55,6 +55,17 @@ class TestBuild:
         assert "  ok = True\n" in check
         assert "violation:" not in out
 
+    @pytest.mark.parametrize("profile,vacuous", [("paper", True),
+                                                 ("desk", False)])
+    def test_listdec_check_says_when_it_is_vacuous(self, capsys, profile,
+                                                   vacuous):
+        # The paper preset's list size exceeds its book, so any book passes.
+        code, out, _ = run(capsys, "build", "--scheme", "listdec",
+                           "--profile", profile)
+        assert code == 0
+        check = out.split("[inner check]\n", 1)[1]
+        assert f"  vacuous = {vacuous}\n" in check
+
     def test_failed_book_check_exits_one(self, capsys, monkeypatch):
         spec = make_scheme_spec("highnoise")
         book = spec.inner

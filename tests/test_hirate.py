@@ -10,11 +10,11 @@ from delcodes import innercode
 from delcodes.channel import DeletionPattern, apply_deletions
 from delcodes.common import Profile
 from delcodes.errors import (
+    AlphabetMismatch,
     DecodeFailure,
     InfeasibleAtDeskScale,
     InvalidOverride,
     LengthMismatch,
-    NotBinary,
     OutOfRange,
 )
 from delcodes.hirate import (
@@ -128,7 +128,7 @@ class TestMakeSpec:
         assert spec.delta == F(5, 84)
         assert (spec.m, spec.buffer_len, spec.n, spec.n_prime) == (84, 12, 4, 1)
         assert spec.run_threshold == 3
-        assert len(spec.inner.codewords) == spec.pair_count == 16
+        assert len(spec.inner.codewords) == spec.n * spec.rs.field.order == 16
 
     def test_desk_preset_codewords_are_buffer_safe(self, br_desk):
         thr = br_desk.run_threshold
@@ -173,12 +173,12 @@ class TestEncode:
         spec = br_desk
         from delcodes.rsouter import rs_encode
         msg = [3]
-        code = rs_encode(spec.rs.field, msg, spec.n)
+        code = rs_encode(spec.rs, msg)
         word = br_encode(spec, msg)
         stride = spec.m + spec.buffer_len
         for i, c in enumerate(code):
             seg = word.symbols[i * stride: i * stride + spec.m]
-            cw = spec.inner.codewords[spec.pair_index(i, c.value)]
+            cw = spec.inner.codewords[spec.pair_index(i, c)]
             assert seg == cw.symbols
 
     def test_wrong_message_length(self, br_desk):
@@ -210,7 +210,7 @@ class TestWindows:
         assert br_windows(thr3_spec, bits("")) == []
 
     def test_non_binary_rejected(self, thr3_spec):
-        with pytest.raises(NotBinary):
+        with pytest.raises(AlphabetMismatch):
             br_windows(thr3_spec, Word((0, 2), 3))
 
     @given(st.lists(st.integers(0, 1), max_size=60))

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from delcodes.errors import (
     DecodeFailure,
-    FieldMismatch,
     GuardExceeded,
     LengthMismatch,
     OutOfRange,
@@ -20,7 +19,6 @@ from delcodes.gf import make_field
 from delcodes.rsouter import (
     ERASED,
     RsParams,
-    _as_value,
     _interpolation_data,
     _poly_divmod,
     poly_eval,
@@ -63,12 +61,13 @@ def _nullspace_vector(field, rows, ncols):
     return sol
 
 
-def berlekamp_welch(field, received, nprime):
+def berlekamp_welch(rs, received):
     """Oracle for rs_decode_ee: the message of the codeword within
     floor((n1 - nprime) / 2) of the n1 unerased points, found by one
     Berlekamp-Welch linear solve; raises DecodeFailure when there is none."""
+    field, nprime = rs.field, rs.nprime
     xs = [x for x, v in enumerate(received) if v is not ERASED]
-    ys = [_as_value(field, received[x]) for x in xs]
+    ys = [received[x] for x in xs]
     n1 = len(xs)
     if n1 < nprime:
         raise DecodeFailure("too few unerased points")
@@ -90,19 +89,18 @@ def berlekamp_welch(field, received, nprime):
     t = sum(1 for x, y in zip(xs, ys) if poly_eval(field, coeffs, x) != y)
     if t > e:
         raise DecodeFailure("no codeword within the correction radius")
-    return [field.elem(c) for c in coeffs]
+    return coeffs
 
 
-def outcome(decode, field, received, nprime):
+def outcome(decode, rs, received):
     """The decoded message values, or None on DecodeFailure."""
     try:
-        got = decode(field, received, nprime)
+        return decode(rs, received)
     except DecodeFailure:
         return None
-    return [g.value for g in got]
 
 
-def corrupt(field, code, erasures, errors):
+def corrupt(code, erasures, errors):
     """Apply an erasure set and an {index: wrong_value} error map."""
     out = []
     for i, c in enumerate(code):
@@ -132,72 +130,68 @@ class TestParams:
 
 class TestEncode:
     def test_linear_message_over_gf5(self):
-        f = make_field(5)
-        code = rs_encode(f, [1, 2], 4)
+        code = rs_encode(RsParams(make_field(5), 4, 2), [1, 2])
         # 1 + 2x at x = 0,1,2,3
-        assert [c.value for c in code] == [1, 3, 0, 2]
+        assert code == [1, 3, 0, 2]
 
     def test_constant_message_repeats(self):
-        f = make_field(7)
-        code = rs_encode(f, [4], 5)
-        assert [c.value for c in code] == [4] * 5
+        code = rs_encode(RsParams(make_field(7), 5, 1), [4])
+        assert code == [4] * 5
 
     def test_message_longer_than_block_rejected(self):
-        f = make_field(5)
         with pytest.raises(LengthMismatch):
-            rs_encode(f, [1, 2, 3], 2)
+            rs_encode(RsParams(make_field(5), 2, 2), [1, 2, 3])
+        # a message must have exactly nprime symbols, so shorter fails too
+        with pytest.raises(LengthMismatch):
+            rs_encode(RsParams(make_field(5), 4, 2), [1])
+
+    def test_symbol_outside_field_rejected(self):
+        with pytest.raises(OutOfRange):
+            rs_encode(RsParams(make_field(5), 4, 2), [1, 5])
 
     def test_binary_field_encode_is_xor_structured(self):
-        f = make_field(4)
-        code = rs_encode(f, [1, 1], 4)
+        code = rs_encode(RsParams(make_field(4), 4, 2), [1, 1])
         # 1 + x at the four field points 0,1,2,3
-        assert [c.value for c in code] == [1, 0, 3, 2]
-
-    def test_element_of_another_field_rejected(self):
-        with pytest.raises(FieldMismatch):
-            rs_encode(make_field(16), [make_field(5).elem(1)], 4)
+        assert code == [1, 0, 3, 2]
 
 
 class TestDecodeErrorsAndErasures:
     def test_clean_roundtrip(self):
-        f = make_field(11)
+        rs = RsParams(make_field(11), 8, 3)
         msg = [3, 1, 4]
-        got = rs_decode_ee(f, rs_encode(f, msg, 8), 3)
-        assert [g.value for g in got] == msg
+        assert rs_decode_ee(rs, rs_encode(rs, msg)) == msg
 
     def test_exhaustive_small_grid(self):
         # (5, 4, 2): margin 2, so any r + 2t <= 2 pattern must decode.
-        f = make_field(5)
         n, npr = 4, 2
+        rs = RsParams(make_field(5), n, npr)
         for msg in itertools.product(range(5), repeat=npr):
-            code = rs_encode(f, list(msg), n)
+            code = rs_encode(rs, msg)
             for r_set_size, t in [(0, 0), (1, 0), (2, 0), (0, 1)]:
                 for erasures in itertools.combinations(range(n), r_set_size):
                     free = [i for i in range(n) if i not in erasures]
                     for err_pos in itertools.combinations(free, t):
                         wrongs = [
-                            {p: (code[p].value + d) % 5 for p in err_pos}
+                            {p: (code[p] + d) % 5 for p in err_pos}
                             for d in range(1, 5)
                         ] if t else [{}]
                         for errors in wrongs:
-                            rec = corrupt(f, code, set(erasures), errors)
-                            got = rs_decode_ee(f, rec, npr)
-                            assert [g.value for g in got] == list(msg)
+                            rec = corrupt(code, set(erasures), errors)
+                            assert rs_decode_ee(rs, rec) == list(msg)
 
     def test_too_many_erasures_fail_loudly(self):
-        f = make_field(5)
-        code = rs_encode(f, [1, 2], 4)
-        rec = corrupt(f, code, {0, 1, 2}, {})
+        rs = RsParams(make_field(5), 4, 2)
+        rec = corrupt(rs_encode(rs, [1, 2]), {0, 1, 2}, {})
         with pytest.raises(DecodeFailure):
-            rs_decode_ee(f, rec, 2)
+            rs_decode_ee(rs, rec)
 
     def test_no_slack_words_decode_to_the_line_through_them(self):
         # (5, 4, 2) with 2 or 3 unerased points leaves no error slack
         # (e = 0): the word decodes to the one line through its points when
         # there is one, and fails otherwise.  Exhaustive over every such word.
-        f = make_field(5)
         n, npr = 4, 2
-        lines = {msg: [c.value for c in rs_encode(f, list(msg), n)]
+        rs = RsParams(make_field(5), n, npr)
+        lines = {msg: rs_encode(rs, msg)
                  for msg in itertools.product(range(5), repeat=npr)}
         for kept in (2, 3):
             for xs in itertools.combinations(range(n), kept):
@@ -209,24 +203,23 @@ class TestDecodeErrorsAndErasures:
                                if all(code[x] == y for x, y in zip(xs, ys))]
                     assert len(through) <= 1
                     if through:
-                        got = rs_decode_ee(f, rec, npr)
-                        assert tuple(g.value for g in got) == through[0]
+                        assert tuple(rs_decode_ee(rs, rec)) == through[0]
                     else:
                         with pytest.raises(DecodeFailure):
-                            rs_decode_ee(f, rec, npr)
+                            rs_decode_ee(rs, rec)
 
     def test_dimension_beyond_block_rejected(self):
-        f = make_field(5)
-        with pytest.raises(OutOfRange):
-            rs_decode_ee(f, [1, 2], 3)
+        # a received word shorter than the block, here than the dimension
+        with pytest.raises(LengthMismatch):
+            rs_decode_ee(RsParams(make_field(5), 3, 3), [1, 2])
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_recovery_inside_budget(self, data):
         q, n, npr = data.draw(st.sampled_from([(5, 4, 2), (11, 8, 3), (16, 10, 4)]))
-        f = make_field(q)
+        rs = RsParams(make_field(q), n, npr)
         msg = data.draw(st.lists(st.integers(0, q - 1), min_size=npr, max_size=npr))
-        code = rs_encode(f, msg, n)
+        code = rs_encode(rs, msg)
         margin = n - npr
         t = data.draw(st.integers(0, margin // 2))
         r = data.draw(st.integers(0, margin - 2 * t))
@@ -235,9 +228,8 @@ class TestDecodeErrorsAndErasures:
         errors = {}
         for p in pos[r:r + t]:
             errors[p] = data.draw(
-                st.integers(0, q - 1).filter(lambda v, c=code[p].value: v != c))
-        got = rs_decode_ee(f, corrupt(f, code, erasures, errors), npr)
-        assert [g.value for g in got] == msg
+                st.integers(0, q - 1).filter(lambda v, c=code[p]: v != c))
+        assert rs_decode_ee(rs, corrupt(code, erasures, errors)) == msg
 
 
 class TestAgreesWithBerlekampWelch:
@@ -250,25 +242,26 @@ class TestAgreesWithBerlekampWelch:
         for word in itertools.product([ERASED, *range(q)], repeat=n):
             word = list(word)
             for npr in range(1, n + 1):
-                assert (outcome(rs_decode_ee, f, word, npr)
-                        == outcome(berlekamp_welch, f, word, npr)), (word, npr)
+                rs = RsParams(f, n, npr)
+                assert (outcome(rs_decode_ee, rs, word)
+                        == outcome(berlekamp_welch, rs, word)), (word, npr)
 
     @pytest.mark.parametrize("q,n,npr", [(16, 10, 4), (256, 12, 5)])
     def test_seeded_words_around_the_radius(self, q, n, npr):
         # Codewords with r erasures and t errors, t up to two past the
         # radius, so both decodable and undecodable words occur.
         rng = random.Random(q * 1000 + n)
-        f = make_field(q)
+        rs = RsParams(make_field(q), n, npr)
         for _ in range(1000):
-            code = rs_encode(f, [rng.randrange(q) for _ in range(npr)], n)
+            code = rs_encode(rs, [rng.randrange(q) for _ in range(npr)])
             r = rng.randrange(n - npr + 1)
             t = rng.randrange((n - npr - r) // 2 + 3)
             pos = rng.sample(range(n), min(n, r + t))
-            errors = {p: (code[p].value + rng.randrange(1, q)) % q
+            errors = {p: (code[p] + rng.randrange(1, q)) % q
                       for p in pos[r:]}
-            word = corrupt(f, code, set(pos[:r]), errors)
-            assert (outcome(rs_decode_ee, f, word, npr)
-                    == outcome(berlekamp_welch, f, word, npr)), (word, npr)
+            word = corrupt(code, set(pos[:r]), errors)
+            assert (outcome(rs_decode_ee, rs, word)
+                    == outcome(berlekamp_welch, rs, word)), (word, npr)
 
     def test_fields_sharing_an_erasure_set(self):
         # GF(4) and GF(5) decode alternately on the points (0, 1, 3), so a
@@ -279,8 +272,9 @@ class TestAgreesWithBerlekampWelch:
             word = [ys[0], ys[1], ERASED, ys[2]]
             for f in fields:
                 for npr in (1, 2, 3):
-                    assert (outcome(rs_decode_ee, f, word, npr)
-                            == outcome(berlekamp_welch, f, word, npr))
+                    rs = RsParams(f, 4, npr)
+                    assert (outcome(rs_decode_ee, rs, word)
+                            == outcome(berlekamp_welch, rs, word))
 
     def test_interpolation_data_is_immutable(self):
         g0, bases = _interpolation_data(make_field(5), (0, 1, 3))
@@ -291,54 +285,63 @@ class TestAgreesWithBerlekampWelch:
 
 class TestListRecover:
     def test_constant_polynomials_against_sets(self):
-        f = make_field(5)
+        rs = RsParams(make_field(5), 3, 1)
         sets = [{1, 2}, {1}, {1, 3}]
-        hits = rs_list_recover_bruteforce(f, sets, 1, 3)
-        assert [[e.value for e in m] for m in hits] == [[1]]
+        assert rs_list_recover_bruteforce(rs, sets, 3) == [(1,)]
 
     def test_threshold_one_admits_every_touching_constant(self):
-        f = make_field(5)
+        rs = RsParams(make_field(5), 3, 1)
         sets = [{1, 2}, {1}, {1, 3}]
-        hits = rs_list_recover_bruteforce(f, sets, 1, 1)
-        assert sorted(m[0].value for m in hits) == [1, 2, 3]
+        hits = rs_list_recover_bruteforce(rs, sets, 1)
+        assert sorted(m[0] for m in hits) == [1, 2, 3]
 
     def test_singleton_sets_pin_the_codeword(self):
-        f = make_field(11)
+        rs = RsParams(make_field(11), 6, 2)
         msg = [7, 2]
-        code = rs_encode(f, msg, 6)
-        sets = [{c.value} for c in code]
-        hits = rs_list_recover_bruteforce(f, sets, 2, 6)
-        assert [[e.value for e in m] for m in hits] == [msg]
+        sets = [{c} for c in rs_encode(rs, msg)]
+        assert rs_list_recover_bruteforce(rs, sets, 6) == [tuple(msg)]
 
     def test_threshold_zero_returns_whole_message_space(self):
-        f = make_field(4)
-        hits = rs_list_recover_bruteforce(f, [set(), set()], 1, 0)
+        rs = RsParams(make_field(4), 2, 1)
+        hits = rs_list_recover_bruteforce(rs, [set(), set()], 0)
         assert len(hits) == 4
 
     def test_guard_trips_on_large_search(self):
-        f = make_field(16)
+        rs = RsParams(make_field(16), 8, 7)
         with pytest.raises(GuardExceeded):
-            rs_list_recover_bruteforce(f, [set()] * 8, 7, 1)
+            rs_list_recover_bruteforce(rs, [set()] * 8, 1)
+
+    def test_wrong_number_of_candidate_sets_rejected(self):
+        rs = RsParams(make_field(5), 3, 1)
+        with pytest.raises(LengthMismatch):
+            rs_list_recover_bruteforce(rs, [{1}, {1}], 1)
 
     def test_two_codewords_can_share_the_list(self):
-        f = make_field(5)
-        a = rs_encode(f, [1], 4)
-        b = rs_encode(f, [2], 4)
-        sets = [{a[i].value, b[i].value} for i in range(4)]
-        hits = rs_list_recover_bruteforce(f, sets, 1, 4)
-        assert sorted(m[0].value for m in hits) == [1, 2]
+        rs = RsParams(make_field(5), 4, 1)
+        a = rs_encode(rs, [1])
+        b = rs_encode(rs, [2])
+        sets = [{a[i], b[i]} for i in range(4)]
+        hits = rs_list_recover_bruteforce(rs, sets, 4)
+        assert sorted(m[0] for m in hits) == [1, 2]
 
     def test_sampled_noise_still_finds_truth(self):
         rng = random.Random(9)
-        f = make_field(11)
+        rs = RsParams(make_field(11), 8, 3)
         msg = [5, 9, 1]
-        code = rs_encode(f, msg, 8)
         sets = []
-        for c in code:
-            s = {c.value}
+        for c in rs_encode(rs, msg):
+            s = {c}
             while len(s) < 3:
                 s.add(rng.randrange(11))
             sets.append(s)
-        hits = rs_list_recover_bruteforce(f, sets, 3, 8)
-        values = [[e.value for e in m] for m in hits]
-        assert msg in values
+        hits = rs_list_recover_bruteforce(rs, sets, 8)
+        assert tuple(msg) in hits
+
+
+def test_entry_points_return_plain_ints():
+    rs = RsParams(make_field(16), 6, 2)
+    code = rs_encode(rs, [3, 9])
+    decoded = rs_decode_ee(rs, code)
+    [listed] = rs_list_recover_bruteforce(rs, [{c} for c in code], 6)
+    assert decoded == list(listed) == [3, 9]
+    assert all(type(v) is int for v in [*code, *decoded, *listed])
