@@ -128,7 +128,7 @@ def _spec_for(ns: argparse.Namespace):
 
 
 def _guarantee_fraction(spec) -> Fraction:
-    """Largest deletion fraction the scheme's theorem still covers."""
+    """spec.guarantee_fraction, under the name bench/workloads.py calls."""
     return spec.guarantee_fraction
 
 
@@ -162,7 +162,7 @@ def _sweep(ns: argparse.Namespace, fractions_for, always_lines=False) -> int:
     names = ns.strategy if ns.strategy is not None else _default_strategies()
     strategies = [Strategy(n) for n in names]
     spec = _spec_for(ns)
-    guarantee = _guarantee_fraction(spec)
+    guarantee = spec.guarantee_fraction
     reports = run_trials(spec, strategies, fractions_for(guarantee), ns.trials,
                          master_seed=ns.seed)
     if ns.out:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     Ambiguous,
@@ -78,21 +79,40 @@ class ConcatenatedSpec:
 
     The outer Reed-Solomon codeword's symbols are labelled as (position,
     value) pairs and each pair is sent as one inner codeword.  A subclass is
-    a frozen dataclass with an inner block length ``m``, an inner
-    ``Codebook`` ``inner`` holding one codeword per pair (a spec whose book
-    falls short is never built) and outer ``RsParams`` ``rs``, the outer
-    code's only description.  A message goes in as nprime field values,
-    plain ints, and the outer code works on ints throughout; only a decoded
-    message comes back as ``FieldElem``s.  A subclass names its scheme in
-    ``name`` and supplies ``encode``, ``decode``, ``guarantee_fraction`` and
-    ``report_sections``.  The vote, the outer decode and the trial scoring
-    here are for the unique decoders, whose results carry one ``message``
-    and whose telemetry lists the (position, value) votes in ``pairs``; the
-    list decoder overrides the scoring.
+    a frozen dataclass with an inner ``Codebook`` ``inner`` holding one
+    codeword per pair (a spec whose book falls short is never built) and
+    outer ``RsParams`` ``rs``, the outer code's only description.  The shape
+    is read from those two, never kept as fields beside them: ``m`` is
+    ``inner.m``; ``n``, ``n_prime`` and ``q`` are ``rs.n``, ``rs.nprime``
+    and ``rs.field.order``, each cached on first use.  A message goes in as
+    nprime field values, plain ints, and the outer code works on ints
+    throughout; only a decoded message comes back as ``FieldElem``s.  A
+    subclass names its scheme in ``name`` and supplies ``encode``,
+    ``decode``, ``guarantee_fraction`` and ``report_sections``.  The vote,
+    the outer decode and the trial scoring here are for the unique decoders,
+    whose results carry one ``message`` and whose telemetry lists the
+    (position, value) votes in ``pairs``; the list decoder overrides the
+    scoring.
     """
 
+    @cached_property
+    def m(self) -> int:
+        return self.inner.m
+
+    @cached_property
+    def n(self) -> int:
+        return self.rs.n
+
+    @cached_property
+    def n_prime(self) -> int:
+        return self.rs.nprime
+
+    @cached_property
+    def q(self) -> int:
+        return self.rs.field.order
+
     def pair_index(self, position: int, value: int) -> int:
-        n, q = self.rs.n, self.rs.field.order
+        n, q = self.n, self.q
         if not 0 <= position < n:
             raise OutOfRange(f"position {position} outside [0, {n})")
         if not 0 <= value < q:
@@ -100,7 +120,7 @@ class ConcatenatedSpec:
         return position * q + value
 
     def pair_of_index(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.rs.field.order)
+        return divmod(index, self.q)
 
     def inner_words(self, message) -> list:
         """RS-encode the message of nprime field values, then inner-encode
@@ -142,7 +162,7 @@ class ConcatenatedSpec:
         """Inner codeword spans and buffer spans of a clean transmission:
         here codewords back to back, no buffers."""
         m = self.m
-        return [(i * m, (i + 1) * m) for i in range(self.rs.n)], []
+        return [(i * m, (i + 1) * m) for i in range(self.n)], []
 
     def merge_victims(self, blocks, buffers):
         """Span groups that MERGE_ATTACK erases whole, or None when the

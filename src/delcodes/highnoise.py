@@ -35,11 +35,6 @@ from .seqkit import Word
 class HighNoiseSpec(ConcatenatedSpec):
     epsilon: Fraction
     D: int
-    k: int
-    m: int
-    n: int
-    q: int
-    n_prime: int
     inner: Codebook
     rs: RsParams
 
@@ -116,12 +111,12 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
 
     inner = spec_codebook(CodebookKind.UNIQUE, k, m, 1 - eps / 2,
                           target=n * q, overrides=overrides)
-    return HighNoiseSpec(eps, D, k, m, n, q, n_prime, inner, rs)
+    return HighNoiseSpec(eps, D, inner, rs)
 
 
 def hn_rate_report(spec: HighNoiseSpec) -> dict:
     """Overall rate and its factor decomposition against the eps^2 claim."""
-    log_alpha = math.log2(spec.D * spec.k)
+    log_alpha = math.log2(spec.D * spec.inner.k)
     rate = spec.n_prime * math.log2(spec.q) / (spec.n * spec.m * log_alpha)
     eps_sq = float(spec.epsilon) ** 2
     return {
@@ -137,7 +132,7 @@ def hn_rate_report(spec: HighNoiseSpec) -> dict:
 def hn_encode(spec: HighNoiseSpec, message) -> Word:
     """RS-encode, wrap each outer symbol as (position, value), inner-encode,
     and tag every inner symbol s with the position header h as h*k + s."""
-    k = spec.k
+    k = spec.inner.k
     syms: list[int] = []
     for i, w in enumerate(spec.inner_words(message)):
         base = (i % spec.D) * k
@@ -160,10 +155,11 @@ def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:
     Raises DecodeFailure (telemetry attached) when the outer decoder cannot
     finish; under the deletion budget this cannot happen.
     """
-    if received.alphabet_size != spec.D * spec.k:
+    k, m, shortest = spec.inner.k, spec.m, spec.min_block
+    if received.alphabet_size != spec.D * k:
         raise AlphabetMismatch("received word does not match the spec alphabet")
-    blocks = hn_partition_blocks(received, spec.k)
-    fitting = [b for b in blocks if spec.min_block <= len(b) <= spec.m]
+    blocks = hn_partition_blocks(received, k)
+    fitting = [b for b in blocks if shortest <= len(b) <= m]
     pairs, decoded = spec.vote(fitting)
     vector, conflicts = outer_word(pairs, spec.n)
     return spec.outer_decode(vector, HnTelemetry(

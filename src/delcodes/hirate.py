@@ -7,11 +7,11 @@ the decoder can cut the received word at surviving buffer runs, decode each
 window to a (position, value) vote, and finish with errors-and-erasures
 outer decoding exactly as in the high-noise scheme.
 
-The window threshold is ceil(delta*m/2): a buffer must lose enough zeros to
-drop below it before windows merge, and a codeword must lose enough ones to
-manufacture a run that long before a window splits.  br_guarantee_report
-prices those attacks for a concrete spec so tests can check the adversary
-budget cannot afford them.
+The window threshold is ceil(delta*m/2), delta and m the dense book's: a
+buffer must lose enough zeros to drop below it before windows merge, and a
+codeword must lose enough ones to manufacture a run that long before a
+window splits.  br_guarantee_report prices those attacks for a concrete
+spec so tests can check the adversary budget cannot afford them.
 """
 
 from __future__ import annotations
@@ -20,16 +20,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
 from .errors import AlphabetMismatch, OutOfRange
 from .gf import make_field
-from .innercode import (
-    Codebook,
-    CodebookKind,
-    separation_threshold,
-    spec_codebook,
-)
+from .innercode import Codebook, CodebookKind, spec_codebook
 from .rsouter import ERASED, RsParams, outer_word
 from .seqkit import Word, entropy
 
@@ -50,27 +46,17 @@ def frac_sqrt(x: Fraction) -> Fraction:
 @dataclass(frozen=True)
 class HiRateSpec(ConcatenatedSpec):
     epsilon: Fraction
-    delta: Fraction
-    beta: Fraction
     buffer_len: int
-    m: int
-    n: int
-    q: int
     h: int
-    n_prime: int
     inner: Codebook
     rs: RsParams
 
     name = "hirate"
 
-    @property
+    @cached_property
     def run_threshold(self) -> int:
         # Minimum zero-run length treated as a buffer by the decoder.
-        return math.ceil(self.delta * self.m / 2)
-
-    @property
-    def ell(self) -> int:
-        return separation_threshold(self.m, self.delta)
+        return math.ceil(self.inner.delta * self.m / 2)
 
     @property
     def encoded_length(self) -> int:
@@ -89,10 +75,10 @@ class HiRateSpec(ConcatenatedSpec):
 
     def spans(self):
         """Inner codeword spans, each followed by a buffer but the last."""
-        stride = self.m + self.buffer_len
-        blocks = [(i * stride, i * stride + self.m) for i in range(self.n)]
-        buffers = [(i * stride + self.m, (i + 1) * stride)
-                   for i in range(self.n - 1)]
+        m, n = self.m, self.n
+        stride = m + self.buffer_len
+        blocks = [(i * stride, i * stride + m) for i in range(n)]
+        buffers = [(i * stride + m, (i + 1) * stride) for i in range(n - 1)]
         return blocks, buffers
 
     def merge_victims(self, blocks, buffers):
@@ -179,15 +165,14 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
 
     inner = spec_codebook(CodebookKind.DENSE, 2, m, delta, beta=beta,
                           target=n * rs.field.order, overrides=overrides)
-    return HiRateSpec(eps, delta, beta, buffer_len, m, n, q, h, n_prime,
-                      inner, rs)
+    return HiRateSpec(eps, buffer_len, h, inner, rs)
 
 
 def br_rate_report(spec: HiRateSpec) -> dict:
     """Achieved rate and the three claimed factors of the rate lemma."""
     root = float(frac_sqrt(spec.epsilon))
-    d = float(spec.delta)
-    achieved = (spec.n_prime * spec.h * math.log2(spec.q)) / spec.encoded_length
+    d = float(spec.inner.delta)
+    achieved = spec.n_prime * math.log2(spec.q) / spec.encoded_length
     outer_achieved = (spec.n_prime / spec.n) * (spec.h / (spec.h + 1))
     return {
         "rate": achieved,
@@ -211,7 +196,7 @@ def br_guarantee_report(spec: HiRateSpec) -> dict:
     kill = spec.buffer_len - thr + 1
     split = None
     erase = None
-    loss_needed = spec.m - spec.ell + 1
+    loss_needed = spec.m - spec.inner.separation_threshold + 1
     for w in spec.inner.codewords:
         zpos = [i for i, s in enumerate(w.symbols) if s == 0]
         for a in range(len(zpos) - thr + 1):

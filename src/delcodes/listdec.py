@@ -50,14 +50,12 @@ from .seqkit import Word
 
 @dataclass(frozen=True)
 class ListDecSpec(ConcatenatedSpec):
+    """delta is the window pitch; the inner book separates at 1/2 - delta."""
+
     epsilon: Fraction
     delta: Fraction
-    m: int
-    inner: Codebook
-    n_out: int
-    k_out: int
-    q: int
     ell: int
+    inner: Codebook
     rs: RsParams
 
     name = "listdec"
@@ -67,9 +65,9 @@ class ListDecSpec(ConcatenatedSpec):
         """Agreement fraction the outer recovery demands."""
         return self.epsilon
 
-    @property
+    @cached_property
     def agree_count(self) -> int:
-        return math.ceil(self.alpha * self.n_out)
+        return math.ceil(self.alpha * self.n)
 
     @cached_property
     def window_len(self) -> int:
@@ -81,7 +79,7 @@ class ListDecSpec(ConcatenatedSpec):
 
     @property
     def encoded_length(self) -> int:
-        return self.n_out * self.m
+        return self.n * self.m
 
     @property
     def guarantee_fraction(self) -> Fraction:
@@ -118,11 +116,11 @@ class ListDecSpec(ConcatenatedSpec):
 
     def _light_blocks(self, pattern) -> int:
         # Blocks that kept enough symbols for the window-coverage argument.
-        cutoff = self._light_cutoff
-        per_block = [0] * self.n_out
+        cutoff, m, n = self._light_cutoff, self.m, self.n
+        per_block = [0] * n
         for p in pattern.positions:
-            b = p // self.m
-            if b < self.n_out:
+            b = p // m
+            if b < n:
                 per_block[b] += 1
         return sum(1 for d in per_block if d <= cutoff)
 
@@ -149,7 +147,7 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
                  overrides: dict | None = None) -> ListDecSpec:
     """Validate parameters and build the inner codebook.
 
-    outer_params is (q, n_out, k_out).  PAPER_ASYMPTOTIC pins the grid
+    outer_params is (q, n, n_prime).  PAPER_ASYMPTOTIC pins the grid
     pitch at delta = epsilon/4, the inner list size at ceil(1/delta^2),
     and the recovery budget at ell = ceil(1/delta^3); DESK may override
     all three.  The inner block length m has no closed form at finite
@@ -160,15 +158,14 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise OutOfRange(f"epsilon {eps} out of theorem range (0, 1/2)")
-    q, n_out, k_out = (int(x) for x in outer_params)
+    q, n, n_prime = (int(x) for x in outer_params)
     overrides = dict(overrides or {})
     check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS, ("m",))
 
-    field = make_field(q)
-    rs = RsParams(field, n_out, k_out)
-    if field.order ** k_out > LIST_GUARD:
+    rs = RsParams(make_field(q), n, n_prime)
+    if q ** n_prime > LIST_GUARD:
         raise InfeasibleAtDeskScale(
-            f"outer recovery would enumerate {field.order}^{k_out} messages, "
+            f"outer recovery would enumerate {q}^{n_prime} messages, "
             f"above the brute-force guard {LIST_GUARD}")
 
     delta = Fraction(overrides.get("delta", eps / 4))
@@ -181,9 +178,9 @@ def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
         raise OutOfRange(f"recovery budget must be >= 1, got {ell}")
 
     inner = spec_codebook(CodebookKind.LISTDEC, 2, m, Fraction(1, 2) - delta,
-                          list_size=list_size, target=n_out * q,
+                          list_size=list_size, target=n * q,
                           overrides=overrides)
-    return ListDecSpec(eps, delta, m, inner, n_out, k_out, q, ell, rs)
+    return ListDecSpec(eps, delta, ell, inner, rs)
 
 
 def ld_report(spec: ListDecSpec) -> dict:
@@ -196,9 +193,9 @@ def ld_report(spec: ListDecSpec) -> dict:
     them.
     """
     eps = float(spec.epsilon)
-    achieved = (spec.k_out * math.log2(spec.q)) / spec.encoded_length
+    achieved = (spec.n_prime * math.log2(spec.q)) / spec.encoded_length
     s = max(1, math.ceil(math.log2(1 / eps)))
-    ratio = spec.k_out / spec.n_out
+    ratio = spec.n_prime / spec.n
     threshold_rhs = (s + 1) * ratio ** (s / (s + 1)) * spec.ell ** (1 / (s + 1))
     return {
         "achieved_rate": achieved,
@@ -207,8 +204,8 @@ def ld_report(spec: ListDecSpec) -> dict:
         "window_step": spec.window_step,
         "inner_list_size": spec.inner.list_size,
         "ell": spec.ell,
-        "candidate_budget": spec.ell * spec.n_out,
-        "message_space": spec.q ** spec.k_out,
+        "candidate_budget": spec.ell * spec.n,
+        "message_space": spec.q ** spec.n_prime,
         "alpha": float(spec.alpha),
         "agree_count": spec.agree_count,
         "recipe_s": s,
@@ -261,7 +258,7 @@ def ld_decode(spec: ListDecSpec, received: Word) -> LdDecodeResult:
         max_list = max(max_list, len(hits))
         pairs.update(spec.pair_of_index(idx) for idx in hits)
     messages = rs_list_recover_bruteforce(
-        spec.rs, candidate_sets(pairs, spec.n_out), spec.agree_count)
+        spec.rs, candidate_sets(pairs, spec.n), spec.agree_count)
     telemetry = LdTelemetry(
         window_count=len(windows),
         max_inner_list=max_list,

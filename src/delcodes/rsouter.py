@@ -50,10 +50,11 @@ class RsParams:
 
 def candidate_sets(pairs, n: int) -> list[set[int]]:
     """The values voted for at each of the positions 0..n-1 by (position,
-    value) pairs; every position must lie below n."""
+    value) pairs; a vote for a position at or past n is dropped."""
     sets: list[set[int]] = [set() for _ in range(n)]
     for i, v in pairs:
-        sets[i].add(v)
+        if i < n:
+            sets[i].add(v)
     return sets
 
 

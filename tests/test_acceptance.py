@@ -386,7 +386,7 @@ def test_c08_hirate_end_to_end(acceptance_log, br_desk):
 def test_c09_listdec_end_to_end(acceptance_log, ld_desk):
     t0 = time.monotonic()
     spec = ld_desk
-    assert spec.n_out <= 4 and spec.q <= 7 and spec.k_out == 1
+    assert spec.n <= 4 and spec.q <= 7 and spec.n_prime == 1
     reports = run_trials(spec, [Strategy("RANDOM"), Strategy("BLOCK_ERASE"),
                                 Strategy("WINDOW_SHIFT")],
                          [F(1, 2) - spec.epsilon], 100, master_seed=20260822)

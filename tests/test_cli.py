@@ -3,12 +3,21 @@ or a failed inner-book check, 2 config/feasibility error), report plumbing,
 and build determinism."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
 import delcodes.cli
 from delcodes.cli import main
 from delcodes.presets import SCHEMES, make_scheme_spec
+
+# SHA-256 of each desk build's stdout: every [rate], [guarantee],
+# [rate and recovery] and [inner check] value, pinned.
+_BUILD_STDOUT = {
+    "highnoise": "a1b990a79cb94877e62f62b0d6f310655bccb3fc07fef4eaaced83be7d8086a6",
+    "hirate": "509c0c87231e3394e678babc5a8143b453382f2711ef7e2d37aad85a4135a68c",
+    "listdec": "2a17f30e34405ea93928fa24b4296f05250c59c784ca167b2709982bf8f2eb81",
+}
 
 
 def run(capsys, *argv):
@@ -41,11 +50,14 @@ class TestBuild:
         assert "achieved_rate" in out
         assert "recipe_threshold_met" in out
 
-    def test_build_is_deterministic(self, capsys):
-        code1, out1, _ = run(capsys, "build", "--scheme", "highnoise")
-        code2, out2, _ = run(capsys, "build", "--scheme", "highnoise")
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_build_is_deterministic(self, capsys, scheme):
+        code1, out1, _ = run(capsys, "build", "--scheme", scheme)
+        code2, out2, _ = run(capsys, "build", "--scheme", scheme)
         assert code1 == code2 == 0
         assert out1 == out2
+        digest = hashlib.sha256(out1.encode()).hexdigest()
+        assert digest == _BUILD_STDOUT[scheme]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_spec_book_passes_its_check(self, capsys, scheme):

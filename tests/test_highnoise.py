@@ -43,7 +43,7 @@ class TestMakeSpec:
     def test_paper_derivation_at_eps_half(self):
         spec = hn_make_spec(F(1, 2), 8, Profile.PAPER_ASYMPTOTIC)
         assert spec.D == 16
-        assert spec.k == 512
+        assert spec.inner.k == 512
         assert spec.m == 72
         assert spec.n == 8
         assert spec.n_prime == 2
@@ -53,7 +53,8 @@ class TestMakeSpec:
     def test_desk_literal_overrides_are_applied(self):
         spec = hn_make_spec(F(1, 2), 5, overrides={
             "D": 4, "k": 256, "m": 8, "n": 5, "n_prime": 1, "seed": 5})
-        assert (spec.D, spec.k, spec.m, spec.n, spec.n_prime) == (4, 256, 8, 5, 1)
+        assert ((spec.D, spec.inner.k, spec.m, spec.n, spec.n_prime)
+                == (4, 256, 8, 5, 1))
 
     def test_desk_literal_small_override_is_infeasible(self):
         # only 4 words of length 8 over [4] can be pairwise separated at
@@ -117,13 +118,14 @@ class TestEncode:
         assert len(word) == spec.n * spec.m
         for i in range(spec.n):
             blk = word.symbols[i * spec.m:(i + 1) * spec.m]
-            assert tuple(s // spec.k for s in blk) == (i % spec.D,) * spec.m
+            headers = tuple(s // spec.inner.k for s in blk)
+            assert headers == (i % spec.D,) * spec.m
 
     def test_zero_message_concatenates_pair_codewords(self, hn_desk):
         spec = hn_desk
         word = hn_encode(spec, zero_message(spec))
         for i in range(spec.n):
-            payload = tuple(s % spec.k
+            payload = tuple(s % spec.inner.k
                             for s in word.symbols[i * spec.m:(i + 1) * spec.m])
             cw = spec.inner.codewords[spec.pair_index(i, 0)]
             assert payload == cw.symbols
@@ -238,10 +240,10 @@ class TestDecode:
         other = (truth[0] + 1) % spec.q
         # an extra block, header 2 to stand apart from its neighbours,
         # voting a second value for position 0
-        extra = tuple(2 * spec.k + s for s in
+        extra = tuple(2 * spec.inner.k + s for s in
                       spec.inner.codewords[spec.pair_index(0, other)].symbols)
         syms = sent.symbols[:spec.m] + extra + sent.symbols[spec.m:]
-        res = hn_decode(spec, Word(syms, spec.D * spec.k))
+        res = hn_decode(spec, Word(syms, spec.D * spec.inner.k))
         assert [e.value for e in res.message] == msg
         t = res.telemetry
         assert t.block_count == t.inner_successes == spec.n + 1
@@ -268,10 +270,10 @@ class TestDecode:
     def test_decoder_is_total(self, hn_desk, data):
         # Any received word, empty included: a result or DecodeFailure.
         spec = hn_desk
-        syms = data.draw(st.lists(st.integers(0, spec.D * spec.k - 1),
+        syms = data.draw(st.lists(st.integers(0, spec.D * spec.inner.k - 1),
                                   max_size=spec.n * spec.m))
         try:
-            hn_decode(spec, Word(tuple(syms), spec.D * spec.k))
+            hn_decode(spec, Word(tuple(syms), spec.D * spec.inner.k))
         except DecodeFailure:
             pass
 
@@ -284,4 +286,4 @@ class TestHeaderedWordIO:
 
     def test_word_over_another_alphabet_rejected(self, hn_desk):
         with pytest.raises(AlphabetMismatch):
-            hn_decode(hn_desk, Word((0,), hn_desk.k))
+            hn_decode(hn_desk, Word((0,), hn_desk.inner.k))

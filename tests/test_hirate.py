@@ -125,7 +125,7 @@ class TestMakeSpec:
     def test_desk_preset_shape(self, br_desk):
         spec = br_desk
         assert spec.epsilon == F(7, 372)
-        assert spec.delta == F(5, 84)
+        assert spec.inner.delta == F(5, 84)
         assert (spec.m, spec.buffer_len, spec.n, spec.n_prime) == (84, 12, 4, 1)
         assert spec.run_threshold == 3
         assert len(spec.inner.codewords) == spec.n * spec.rs.field.order == 16

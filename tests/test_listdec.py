@@ -63,13 +63,13 @@ class TestMakeSpec:
         spec = ld_desk
         assert spec.epsilon == F(5, 12)
         assert spec.delta == F(1, 4)
-        assert (spec.m, spec.n_out, spec.k_out, spec.q) == (8, 3, 1, 5)
+        assert (spec.m, spec.n, spec.n_prime, spec.q) == (8, 3, 1, 5)
         assert spec.alpha == spec.epsilon
         assert spec.agree_count == 2
         assert spec.window_len == 6
         assert spec.window_step == 2
         assert spec.encoded_length == 24
-        assert len(spec.inner.codewords) == spec.n_out * spec.q == 15
+        assert len(spec.inner.codewords) == spec.n * spec.q == 15
 
     def test_epsilon_range(self):
         for bad in (F(1, 2), F(3, 4), 0, F(-1, 5)):
@@ -100,8 +100,8 @@ class TestMakeSpec:
         assert rep["alpha"] == pytest.approx(5 / 12)
         assert rep["agree_count"] == 2
         assert rep["inner_list_size"] == 4
-        assert rep["candidate_budget"] == ld_desk.ell * ld_desk.n_out
-        # q^k_out = 5: a list of every message would still hold the truth
+        assert rep["candidate_budget"] == ld_desk.ell * ld_desk.n
+        # q^n_prime = 5: a list of every message would still hold the truth
         assert rep["message_space"] == 5
         assert rep["recipe_s"] >= 1
         assert isinstance(rep["recipe_threshold_met"], bool)
@@ -215,7 +215,7 @@ class TestDecode:
                 assert (v,) in message_values(res)
                 assert res.telemetry.max_inner_list <= spec.inner.list_size - 1
                 worst = max(worst, res.telemetry.output_size)
-        assert worst <= spec.rs.field.order ** spec.k_out
+        assert worst <= spec.q ** spec.n_prime
 
     def test_whole_block_deletion_still_contained(self, eps8_spec):
         spec = eps8_spec
@@ -223,7 +223,7 @@ class TestDecode:
         assert budget >= spec.m
         for v in range(spec.q):
             sent = ld_encode(spec, [v])
-            for b in range(spec.n_out):
+            for b in range(spec.n):
                 pat = DeletionPattern(tuple(range(b * spec.m, (b + 1) * spec.m)))
                 res = ld_decode(spec, apply_deletions(sent, pat))
                 assert (v,) in message_values(res)
@@ -237,7 +237,7 @@ class TestDecode:
         msg = [2]
         code = rs_encode(spec.rs, msg)
         sent = ld_encode(spec, msg)
-        for block in range(spec.n_out):
+        for block in range(spec.n):
             base = block * spec.m
             for pat in itertools.combinations(range(base, base + spec.m), light_cap):
                 received = apply_deletions(sent, DeletionPattern(pat))
