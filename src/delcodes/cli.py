@@ -71,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=Fraction, default=None,
                        metavar="NUM/DEN")
         p.add_argument("--q", type=int, default=None)
-        p.add_argument("--h", type=int, default=None)
-        p.add_argument("--outer", type=int, nargs=3, default=None,
-                       metavar=("Q", "N", "K"))
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides")
 
@@ -117,14 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--length", type=int, required=True, metavar="M")
 
+    # Whole flag names only, so a removed flag (--h) is not taken for --help.
+    for p in (top, *sub.choices.values()):
+        p.allow_abbrev = False
     return top
 
 
 def _spec_for(ns: argparse.Namespace):
     return make_scheme_spec(
         ns.scheme, _PROFILES[ns.profile], epsilon=ns.eps,
-        overrides=_parse_overrides(ns.overrides), q=ns.q, h=ns.h,
-        outer=ns.outer)
+        overrides=_parse_overrides(ns.overrides), q=ns.q)
 
 
 def _guarantee_fraction(spec) -> Fraction:

@@ -11,6 +11,7 @@ from .errors import (
     Ambiguous,
     DecodeFailure,
     InvalidOverride,
+    LengthMismatch,
     NoMatch,
     OutOfRange,
 )
@@ -80,7 +81,7 @@ class ConcatenatedSpec:
     The outer Reed-Solomon codeword's symbols are labelled as (position,
     value) pairs and each pair is sent as one inner codeword.  A subclass is
     a frozen dataclass with an inner ``Codebook`` ``inner`` holding one
-    codeword per pair (a spec whose book falls short is never built) and
+    codeword per pair, exactly n * q of them (checked on construction), and
     outer ``RsParams`` ``rs``, the outer code's only description.  The shape
     is read from those two, never kept as fields beside them: ``m`` is
     ``inner.m``; ``n``, ``n_prime`` and ``q`` are ``rs.n``, ``rs.nprime``
@@ -94,6 +95,11 @@ class ConcatenatedSpec:
     (position, value) votes in ``pairs``; the list decoder overrides the
     scoring.
     """
+
+    def __post_init__(self):
+        if len(self.inner) != self.n * self.q:
+            raise LengthMismatch(f"inner book has {len(self.inner)} codewords,"
+                                 f" not n * q = {self.n * self.q}")
 
     @cached_property
     def m(self) -> int:

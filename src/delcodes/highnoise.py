@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
@@ -42,13 +41,7 @@ class HighNoiseSpec(ConcatenatedSpec):
 
     @property
     def delta_in(self) -> Fraction:
-        return 1 - self.epsilon / 2
-
-    @cached_property
-    def min_block(self) -> int:
-        # Minimum decodable block length; equal to the inner separation
-        # threshold, so any block this long matches at most one codeword.
-        return math.ceil(self.epsilon * self.m / 2)
+        return self.inner.delta
 
     @property
     def guarantee_fraction(self) -> Fraction:
@@ -155,7 +148,7 @@ def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:
     Raises DecodeFailure (telemetry attached) when the outer decoder cannot
     finish; under the deletion budget this cannot happen.
     """
-    k, m, shortest = spec.inner.k, spec.m, spec.min_block
+    k, m, shortest = spec.inner.k, spec.m, spec.inner.separation_threshold
     if received.alphabet_size != spec.D * k:
         raise AlphabetMismatch("received word does not match the spec alphabet")
     blocks = hn_partition_blocks(received, k)

@@ -55,8 +55,7 @@ class HiRateSpec(ConcatenatedSpec):
 
     @cached_property
     def run_threshold(self) -> int:
-        # Minimum zero-run length treated as a buffer by the decoder.
-        return math.ceil(self.inner.delta * self.m / 2)
+        return run_threshold(self.inner.delta, self.m)
 
     @property
     def encoded_length(self) -> int:
@@ -100,6 +99,11 @@ class BrTelemetry:
     pairs: tuple[tuple[int, int], ...]
 
 
+def run_threshold(delta, m: int) -> int:
+    """Minimum zero-run length the decoder treats as a buffer."""
+    return math.ceil(delta * m / 2)
+
+
 def br_derive(epsilon, q: int) -> dict:
     """Parameter derivations shared by both profiles: delta = 40*sqrt(eps),
     beta = delta/4, n = q, and the outer margin covering a 12*sqrt(eps)
@@ -120,15 +124,17 @@ def br_derive(epsilon, q: int) -> dict:
     }
 
 
-_PAPER_KEYS = {"m", "seed", "attempt_cap", "zeros", "min_gap"}
+_PAPER_KEYS = {"m", "h", "seed", "attempt_cap", "zeros", "min_gap"}
 _DESK_KEYS = _PAPER_KEYS | {"delta", "beta", "buffer_len", "n", "n_prime"}
 
 
-def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
+def br_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
                  overrides: dict | None = None) -> HiRateSpec:
     """Validate parameters and build the DENSE inner codebook.
 
-    The inner block length m has no closed-form derivation (the paper takes
+    q is the base field size; the outer code works over GF(q^h), where the
+    field power h is an override key of both profiles (default 1).  The
+    inner block length m has no closed-form derivation (the paper takes
     whatever the inner construction provides), so both profiles require it
     via overrides.  DESK may further override delta, beta, buffer_len, n and
     n_prime.  The inner book holds one codeword per (position, value) pair;
@@ -146,6 +152,7 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
     delta = Fraction(overrides.get("delta", derived["delta"]))
     beta = Fraction(overrides.get("beta", delta / 4))
     m = int(overrides["m"])
+    h = int(overrides.get("h", 1))
     n = int(overrides.get("n", derived["n"]))
     n_prime = int(overrides.get("n_prime", derived["n_prime"]))
     buffer_len = int(overrides.get("buffer_len", math.ceil(delta * m)))
@@ -157,7 +164,7 @@ def br_make_spec(epsilon, q: int, h: int, profile: Profile = Profile.DESK,
     if n > q:
         raise OutOfRange(f"outer length {n} exceeds the base field size {q}")
     rs = RsParams(make_field(q**h), n, n_prime)
-    thr = math.ceil(delta * m / 2)
+    thr = run_threshold(delta, m)
     if buffer_len < thr:
         raise OutOfRange(
             f"buffer of {buffer_len} zeros is below the run threshold {thr}; "

@@ -85,7 +85,7 @@ class Codebook:
     def __len__(self) -> int:
         return len(self.codewords)
 
-    @property
+    @cached_property
     def separation_threshold(self) -> int:
         """Codeword pairs (or list_size-subsets) share no common subsequence
         of this length."""

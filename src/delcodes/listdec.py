@@ -139,29 +139,31 @@ class LdDecodeResult:
     telemetry: LdTelemetry
 
 
-_PAPER_KEYS = {"m", "seed", "attempt_cap"}
+_PAPER_KEYS = {"m", "n", "n_prime", "seed", "attempt_cap"}
 _DESK_KEYS = _PAPER_KEYS | {"delta", "list_size", "ell"}
 
 
-def ld_make_spec(epsilon, outer_params, profile: Profile = Profile.DESK,
+def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
                  overrides: dict | None = None) -> ListDecSpec:
     """Validate parameters and build the inner codebook.
 
-    outer_params is (q, n, n_prime).  PAPER_ASYMPTOTIC pins the grid
+    q is the outer field size.  The outer length n, dimension n_prime and
+    inner block length m have no closed form at finite scale, so both
+    profiles take them from overrides.  PAPER_ASYMPTOTIC pins the grid
     pitch at delta = epsilon/4, the inner list size at ceil(1/delta^2),
     and the recovery budget at ell = ceil(1/delta^3); DESK may override
-    all three.  The inner block length m has no closed form at finite
-    scale, so both profiles take it from overrides.  The inner book holds
-    one codeword per (position, value) pair; under either profile a build
-    that falls short raises InfeasibleAtDeskScale.
+    all three.  The inner book holds one codeword per (position, value)
+    pair; under either profile a build that falls short raises
+    InfeasibleAtDeskScale.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise OutOfRange(f"epsilon {eps} out of theorem range (0, 1/2)")
-    q, n, n_prime = (int(x) for x in outer_params)
     overrides = dict(overrides or {})
-    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS, ("m",))
+    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS,
+                    ("m", "n", "n_prime"))
 
+    n, n_prime = int(overrides["n"]), int(overrides["n_prime"])
     rs = RsParams(make_field(q), n, n_prime)
     if q ** n_prime > LIST_GUARD:
         raise InfeasibleAtDeskScale(

@@ -33,7 +33,6 @@ PRESETS: dict[tuple[str, Profile], dict] = {
     ("hirate", Profile.DESK): {
         "epsilon": Fraction(7, 372),
         "q": 4,
-        "h": 1,
         "overrides": {"m": 84, "delta": Fraction(5, 84), "buffer_len": 12,
                       "n": 4, "n_prime": 1, "zeros": 14, "min_gap": 4,
                       "seed": 3},
@@ -43,19 +42,18 @@ PRESETS: dict[tuple[str, Profile], dict] = {
         # at that threshold, so building this is expected to fail cleanly.
         "epsilon": Fraction(1, 2500),
         "q": 4,
-        "h": 1,
         "overrides": {"m": 40, "attempt_cap": 500, "seed": 3},
     },
     ("listdec", Profile.DESK): {
         "epsilon": Fraction(5, 12),
-        "outer": (5, 3, 1),
-        "overrides": {"delta": Fraction(1, 4), "m": 8, "list_size": 4,
-                      "seed": 11},
+        "q": 5,
+        "overrides": {"n": 3, "n_prime": 1, "delta": Fraction(1, 4), "m": 8,
+                      "list_size": 4, "seed": 11},
     },
     ("listdec", Profile.PAPER_ASYMPTOTIC): {
         "epsilon": Fraction(1, 5),
-        "outer": (4, 3, 1),
-        "overrides": {"m": 8, "seed": 1},
+        "q": 4,
+        "overrides": {"n": 3, "n_prime": 1, "m": 8, "seed": 1},
     },
 }
 
@@ -64,30 +62,24 @@ SCHEMES = ("highnoise", "hirate", "listdec")
 
 def make_scheme_spec(scheme: str, profile: Profile = Profile.DESK,
                      epsilon=None, overrides: dict | None = None, *,
-                     q: int | None = None, h: int | None = None,
-                     outer: tuple[int, int, int] | None = None):
+                     q: int | None = None):
     """Build a scheme spec, filling gaps from the preset for that profile.
 
     Explicit arguments win over the preset; override dicts are merged
     key-by-key so a caller can retune one knob without restating the rest.
-    q, h and outer are taken only by a scheme whose preset sets them;
-    given to another scheme, they raise InvalidOverride.
+    Every builder takes (epsilon, q, profile, overrides); the rest of the
+    outer shape (n, n_prime, and hirate's field power h) is set by override
+    keys, which the builder checks.
     """
     if scheme not in SCHEMES:
         raise InvalidOverride(f"unknown scheme {scheme!r}; valid: {SCHEMES}")
     preset = PRESETS[(scheme, profile)]
-    given = {key: value for key, value in
-             (("q", q), ("h", h), ("outer", outer)) if value is not None}
-    unused = sorted(given.keys() - preset.keys())
-    if unused:
-        raise InvalidOverride(
-            f"the {scheme} scheme takes no {', '.join(unused)} argument")
-    shape = {**preset, **given}
     eps = preset["epsilon"] if epsilon is None else Fraction(epsilon)
-    merged = dict(preset["overrides"])
-    merged.update(overrides or {})
+    q = preset["q"] if q is None else q
+    merged = {**preset["overrides"], **(overrides or {})}
+    # Named at call time, so a wrapper swapped onto this module is used.
     if scheme == "highnoise":
-        return hn_make_spec(eps, shape["q"], profile, merged)
+        return hn_make_spec(eps, q, profile, merged)
     if scheme == "hirate":
-        return br_make_spec(eps, shape["q"], shape["h"], profile, merged)
-    return ld_make_spec(eps, shape["outer"], profile, merged)
+        return br_make_spec(eps, q, profile, merged)
+    return ld_make_spec(eps, q, profile, merged)

@@ -50,11 +50,10 @@ class RsParams:
 
 def candidate_sets(pairs, n: int) -> list[set[int]]:
     """The values voted for at each of the positions 0..n-1 by (position,
-    value) pairs; a vote for a position at or past n is dropped."""
+    value) pairs."""
     sets: list[set[int]] = [set() for _ in range(n)]
     for i, v in pairs:
-        if i < n:
-            sets[i].add(v)
+        sets[i].add(v)
     return sets
 
 

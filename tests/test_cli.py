@@ -11,12 +11,30 @@ import delcodes.cli
 from delcodes.cli import main
 from delcodes.presets import SCHEMES, make_scheme_spec
 
-# SHA-256 of each desk build's stdout: every [rate], [guarantee],
-# [rate and recovery] and [inner check] value, pinned.
-_BUILD_STDOUT = {
-    "highnoise": "a1b990a79cb94877e62f62b0d6f310655bccb3fc07fef4eaaced83be7d8086a6",
-    "hirate": "509c0c87231e3394e678babc5a8143b453382f2711ef7e2d37aad85a4135a68c",
-    "listdec": "2a17f30e34405ea93928fa24b4296f05250c59c784ca167b2709982bf8f2eb81",
+# Each build's exit code, SHA-256 of its stdout (every [rate],
+# [guarantee], [rate and recovery] and [inner check] value) and stderr.
+# The hirate paper book cannot be built at desk scale: it prints only
+# its error.
+_BUILDS = {
+    ("highnoise", "desk"): (
+        0, "a1b990a79cb94877e62f62b0d6f310655bccb3fc07fef4eaaced83be7d8086a6",
+        ""),
+    ("highnoise", "paper"): (
+        0, "9d9c97dac52175cf7cc5fe2a2779c89c34459e18280741d354235444358e100a",
+        ""),
+    ("hirate", "desk"): (
+        0, "509c0c87231e3394e678babc5a8143b453382f2711ef7e2d37aad85a4135a68c",
+        ""),
+    ("hirate", "paper"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "infeasible: DENSE inner codebook reached 1 of 16 codewords within "
+        "500 attempts\n"),
+    ("listdec", "desk"): (
+        0, "2a17f30e34405ea93928fa24b4296f05250c59c784ca167b2709982bf8f2eb81",
+        ""),
+    ("listdec", "paper"): (
+        0, "585752a4f0e366a96dcb91095e4e58312bb9390f1079e4a752f3211f410e9a8a",
+        ""),
 }
 
 
@@ -52,12 +70,12 @@ class TestBuild:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_build_is_deterministic(self, capsys, scheme):
-        code1, out1, _ = run(capsys, "build", "--scheme", scheme)
-        code2, out2, _ = run(capsys, "build", "--scheme", scheme)
-        assert code1 == code2 == 0
-        assert out1 == out2
-        digest = hashlib.sha256(out1.encode()).hexdigest()
-        assert digest == _BUILD_STDOUT[scheme]
+        for profile in ("desk", "paper"):
+            argv = ("build", "--scheme", scheme, "--profile", profile)
+            code, out, err = run(capsys, *argv)
+            assert run(capsys, *argv) == (code, out, err)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest, err) == _BUILDS[(scheme, profile)]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_spec_book_passes_its_check(self, capsys, scheme):
@@ -83,7 +101,7 @@ class TestBuild:
         book = spec.inner
         # a duplicated codeword breaks pairwise separation
         broken = dataclasses.replace(spec, inner=dataclasses.replace(
-            book, codewords=book.codewords + book.codewords[:1]))
+            book, codewords=book.codewords[:-1] + book.codewords[:1]))
         monkeypatch.setattr(delcodes.cli, "make_scheme_spec",
                             lambda *args, **kwargs: broken)
         code, out, _ = run(capsys, "build", "--scheme", "highnoise")
@@ -268,10 +286,24 @@ class TestContract:
         assert code == 2
         code, _, _ = run(capsys, "build", "--seed", "7")
         assert code == 2
-        # shape flags of another scheme
-        for argv in (("--scheme", "highnoise", "--h", "3"),
-                     ("--scheme", "listdec", "--q", "7"),
-                     ("--scheme", "highnoise", "--outer", "5", "3", "1")):
+        # an override key the scheme does not take
+        code, _, err = run(capsys, "build", "--scheme", "highnoise",
+                           "--set", "h=3")
+        assert code == 2
+        assert err.startswith("error:")
+        # the outer shape is set by --q and --set keys, not by flags
+        for argv in (("--scheme", "hirate", "--h", "3"),
+                     ("--scheme", "listdec", "--outer", "5", "3", "1")):
             code, _, err = run(capsys, "build", *argv)
             assert code == 2
-            assert err.startswith("error:") and "takes no" in err
+            assert "unrecognized arguments" in err
+        # --q reaches listdec: GF(7) asks its book for 21 codewords
+        code, _, err = run(capsys, "build", "--scheme", "listdec", "--q", "7")
+        assert code == 2
+        assert err.startswith("infeasible:")
+        assert "reached 18 of 21 codewords" in err
+
+    def test_listdec_outer_length_is_an_override(self, capsys):
+        code, _, _ = run(capsys, "build", "--scheme", "listdec",
+                         "--set", "n=2")
+        assert code == 0

@@ -1,17 +1,21 @@
 """The recipe the three scheme specs share: a spec stores only what nothing
-else determines, and reads the outer shape (n, n_prime, q) from its
-RsParams and the inner block length m from its codebook."""
+else determines, reads the outer shape (n, n_prime, q) from its RsParams
+and the inner block length m from its codebook, whose n * q codewords
+cover every (position, value) pair; the three builders take the same
+arguments."""
 
 import dataclasses
-import random
+import inspect
 
 import pytest
 
-from delcodes.channel import DeletionPattern
-from delcodes.errors import DecodeFailure
+from delcodes.errors import LengthMismatch
+from delcodes.gf import make_field
+from delcodes.highnoise import hn_make_spec
+from delcodes.hirate import br_make_spec
+from delcodes.listdec import ld_make_spec
 from delcodes.presets import SCHEMES
 from delcodes.rsouter import RsParams
-from delcodes.seqkit import Word
 
 FIXTURES = {"highnoise": "hn_desk", "hirate": "br_desk", "listdec": "ld_desk"}
 
@@ -34,30 +38,19 @@ def test_spec_stores_no_copy_of_the_shape(request, scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_outer_shape_is_read_from_rs(request, scheme):
-    # A shorter outer code over the same field: the book still holds the
-    # codewords of the dropped last position, and words voting for them
-    # must neither crash the decoder nor cost the message.
-    full = request.getfixturevalue(FIXTURES[scheme])
-    rs = full.rs
-    spec = dataclasses.replace(
-        full, rs=RsParams(rs.field, rs.n - 1, min(rs.nprime, rs.n - 1)))
-    rng = random.Random(19)
-    msg = [rng.randrange(rs.field.order) for _ in range(spec.rs.nprime)]
-    sent = spec.encode(msg)
-    outcome, _ = spec.scorer(msg)(DeletionPattern(()), sent)
-    assert outcome == "ok"
-    blocks, _ = spec.spans()
-    assert len(blocks) == rs.n - 1 and len(sent) == blocks[-1][1]
-    # The word the full code sends votes for the dropped position.
-    received = [Word((), sent.alphabet_size),
-                full.encode([0] * full.n_prime)]
-    while len(received) < 20:
-        length = rng.randrange(len(sent) + 1)
-        received.append(Word(tuple(rng.randrange(sent.alphabet_size)
-                                   for _ in range(length)),
-                             sent.alphabet_size))
-    for word in received:
-        try:
-            spec.decode(word)
-        except DecodeFailure:
-            pass
+    # The book holds one codeword per (position, value) pair of rs, so an
+    # outer code with fewer pairs (one position shorter) or more (the same
+    # shape over GF(16)) is refused when the spec is made, before any word
+    # is encoded.
+    spec = request.getfixturevalue(FIXTURES[scheme])
+    rs = spec.rs
+    for other in (RsParams(rs.field, rs.n - 1, min(rs.nprime, rs.n - 1)),
+                  RsParams(make_field(16), rs.n, rs.nprime)):
+        with pytest.raises(LengthMismatch, match="codewords"):
+            dataclasses.replace(spec, rs=other)
+
+
+def test_builders_share_one_signature():
+    for build in (hn_make_spec, br_make_spec, ld_make_spec):
+        assert list(inspect.signature(build).parameters) == [
+            "epsilon", "q", "profile", "overrides"]

@@ -227,8 +227,8 @@ class TestDecode:
         spec = hn_desk
         idx = spec.pair_index(3, 5)
         cw = spec.inner.codewords[idx]
-        # any min_block-length subsequence of one codeword matches only it
-        kept = cw.symbols[: spec.min_block]
+        # any threshold-length subsequence of one codeword matches only it
+        kept = cw.symbols[: spec.inner.separation_threshold]
         got = inner_decode_unique(spec.inner, kept)
         assert got == idx
 

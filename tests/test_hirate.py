@@ -73,13 +73,13 @@ class TestMakeSpec:
         # is built
         with pytest.raises(InfeasibleAtDeskScale,
                            match=r"reached 1 of 25 codewords after all 2\^16"):
-            br_make_spec(F(1, 64), 5, 1, overrides={
+            br_make_spec(F(1, 64), 5, overrides={
                 "delta": F(1, 2), "beta": F(1, 8), "m": 16, "n": 5,
                 "n_prime": 2})
 
     def test_buffer_defaults_to_delta_m(self):
         # the desk preset without its buffer_len override
-        spec = br_make_spec(F(7, 372), 4, 1, overrides={
+        spec = br_make_spec(F(7, 372), 4, overrides={
             "m": 84, "delta": F(5, 84), "n": 4, "n_prime": 1, "zeros": 14,
             "min_gap": 4, "seed": 3})
         assert spec.buffer_len == 5  # ceil(delta * m)
@@ -88,12 +88,12 @@ class TestMakeSpec:
     def test_paper_profile_rejects_delta_at_or_above_one(self):
         for eps in (F(1, 1600), F(1, 4)):
             with pytest.raises(OutOfRange, match="use DESK"):
-                br_make_spec(eps, 4, 1, Profile.PAPER_ASYMPTOTIC, {"m": 40})
+                br_make_spec(eps, 4, Profile.PAPER_ASYMPTOTIC, {"m": 40})
 
     def test_paper_profile_reports_starved_book_as_infeasible(self):
         with pytest.raises(InfeasibleAtDeskScale,
                            match=r"reached 2 of 4 codewords after all 2\^12"):
-            br_make_spec(F(1, 10000), 2, 1, Profile.PAPER_ASYMPTOTIC, {"m": 12})
+            br_make_spec(F(1, 10000), 2, Profile.PAPER_ASYMPTOTIC, {"m": 12})
 
     @pytest.mark.parametrize("shape", [
         {"n": 2, "n_prime": 3},  # n_prime > n
@@ -104,22 +104,22 @@ class TestMakeSpec:
             raise AssertionError("inner book built")
         monkeypatch.setattr(innercode, "_build", refuse)
         with pytest.raises(OutOfRange):
-            br_make_spec(F(1, 64), 4, 2, overrides={
-                "delta": F(1, 2), "m": 12, **shape})
+            br_make_spec(F(1, 64), 4, overrides={
+                "h": 2, "delta": F(1, 2), "m": 12, **shape})
 
     def test_block_length_is_mandatory(self):
         with pytest.raises(InvalidOverride, match="m must be supplied"):
-            br_make_spec(F(1, 100), 4, 1)
+            br_make_spec(F(1, 100), 4)
 
     def test_buffer_below_run_threshold_rejected(self):
         with pytest.raises(OutOfRange, match="run threshold"):
-            br_make_spec(F(1, 64), 2, 1, overrides={
+            br_make_spec(F(1, 64), 2, overrides={
                 "delta": F(1, 2), "m": 12, "n": 2, "n_prime": 1,
                 "buffer_len": 2})
 
     def test_paper_profile_rejects_shape_overrides(self):
         with pytest.raises(InvalidOverride):
-            br_make_spec(F(1, 10000), 2, 1, Profile.PAPER_ASYMPTOTIC,
+            br_make_spec(F(1, 10000), 2, Profile.PAPER_ASYMPTOTIC,
                          {"m": 12, "delta": F(1, 3)})
 
     def test_desk_preset_shape(self, br_desk):

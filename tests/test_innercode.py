@@ -401,9 +401,10 @@ class TestIndexedDecoderOracle:
 @pytest.mark.parametrize("make", [
     lambda o: hn_make_spec(F(1, 2), 5, overrides={
         "D": 4, "k": 4, "m": 8, "n": 5, "n_prime": 1, **o}),
-    lambda o: br_make_spec(F(1, 64), 2, 1, overrides={
+    lambda o: br_make_spec(F(1, 64), 2, overrides={
         "delta": F(1, 2), "m": 12, "n": 2, "n_prime": 1, **o}),
-    lambda o: ld_make_spec(F(1, 5), (5, 3, 1), overrides={"m": 8, **o}),
+    lambda o: ld_make_spec(F(1, 5), 5, overrides={
+        "n": 3, "n_prime": 1, "m": 8, **o}),
 ], ids=["highnoise", "hirate", "listdec"])
 def test_candidate_policy_is_not_an_override(make):
     with pytest.raises(InvalidOverride, match="policy"):

@@ -39,14 +39,15 @@ def message_values(result):
 @pytest.fixture(scope="module")
 def grid_spec():
     # delta m = ceil(0.5) = 1, window ceil(6) = 6: the unit-step grid
-    return ld_make_spec(F(1, 5), (2, 2, 1),
-                        overrides={"delta": F(1, 22), "m": 11, "seed": 1})
+    return ld_make_spec(F(1, 5), 2, overrides={
+        "n": 2, "n_prime": 1, "delta": F(1, 22), "m": 11, "seed": 1})
 
 
 @pytest.fixture(scope="module")
 def eps8_spec():
     # agree threshold 1, budget floor((1/2 - 1/8)*24) = 9 >= one whole block
-    return ld_make_spec(F(1, 8), (5, 3, 1), overrides={"m": 8, "seed": 11})
+    return ld_make_spec(F(1, 8), 5, overrides={
+        "n": 3, "n_prime": 1, "m": 8, "seed": 11})
 
 
 class TestMakeSpec:
@@ -74,26 +75,32 @@ class TestMakeSpec:
     def test_epsilon_range(self):
         for bad in (F(1, 2), F(3, 4), 0, F(-1, 5)):
             with pytest.raises(OutOfRange, match="out of theorem range"):
-                ld_make_spec(bad, (5, 3, 1), overrides={"m": 8})
+                ld_make_spec(bad, 5, overrides={"n": 3, "n_prime": 1, "m": 8})
 
     def test_block_length_is_mandatory(self):
         with pytest.raises(InvalidOverride, match="m must be supplied"):
-            ld_make_spec(F(1, 5), (5, 3, 1))
+            ld_make_spec(F(1, 5), 5, overrides={"n": 3, "n_prime": 1})
+
+    def test_outer_shape_is_mandatory(self):
+        # listdec derives no outer shape, so neither profile has a default
+        for profile in Profile:
+            with pytest.raises(InvalidOverride, match="n must be supplied"):
+                ld_make_spec(F(1, 5), 5, profile, {"m": 8, "n_prime": 1})
 
     def test_paper_profile_rejects_shape_overrides(self):
         with pytest.raises(InvalidOverride):
-            ld_make_spec(F(1, 5), (5, 3, 1), Profile.PAPER_ASYMPTOTIC,
-                         {"m": 8, "delta": F(1, 8)})
+            ld_make_spec(F(1, 5), 5, Profile.PAPER_ASYMPTOTIC,
+                         {"n": 3, "n_prime": 1, "m": 8, "delta": F(1, 8)})
 
     def test_outer_message_space_guarded(self):
         with pytest.raises(InfeasibleAtDeskScale):
-            ld_make_spec(F(1, 5), (16, 10, 7), overrides={"m": 8})
+            ld_make_spec(F(1, 5), 16, overrides={"n": 10, "n_prime": 7, "m": 8})
 
     def test_outer_dimension_chain(self):
         with pytest.raises(OutOfRange):
-            ld_make_spec(F(1, 5), (5, 6, 1), overrides={"m": 8})
+            ld_make_spec(F(1, 5), 5, overrides={"n": 6, "n_prime": 1, "m": 8})
         with pytest.raises(OutOfRange):
-            ld_make_spec(F(1, 5), (5, 3, 4), overrides={"m": 8})
+            ld_make_spec(F(1, 5), 5, overrides={"n": 3, "n_prime": 4, "m": 8})
 
     def test_report_exposes_recovery_recipe(self, ld_desk):
         rep = ld_report(ld_desk)
@@ -120,9 +127,9 @@ class TestEncode:
             assert seg == cw.symbols
 
     def test_single_outer_position(self):
-        spec = ld_make_spec(F(1, 5), (2, 1, 1),
-                            overrides={"delta": F(1, 4), "m": 8,
-                                       "list_size": 4, "seed": 11})
+        spec = ld_make_spec(F(1, 5), 2, overrides={
+            "n": 1, "n_prime": 1, "delta": F(1, 4), "m": 8, "list_size": 4,
+            "seed": 11})
         word = ld_encode(spec, [1])
         assert len(word) == spec.m
         assert word == spec.inner.codewords[spec.pair_index(0, 1)]
