@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
 from .errors import AlphabetMismatch, OutOfRange
 from .gf import make_field
 from .innercode import Codebook, CodebookKind, spec_codebook
-from .rsouter import ERASED, RsParams, outer_word
+from .rsouter import ERASED, RsParams, outer_word, rs_encode
 from .seqkit import Word
 
 
@@ -47,6 +48,14 @@ class HighNoiseSpec(ConcatenatedSpec):
     def guarantee_fraction(self) -> Fraction:
         """Largest deletion fraction the theorem still covers."""
         return 1 - self.epsilon
+
+    @cached_property
+    def tagged_words(self) -> tuple[tuple[int, ...], ...]:
+        """The inner codeword of each pair index i*q + c with every symbol s
+        tagged by the header of position i, as (i % D)*k + s."""
+        k, q = self.inner.k, self.q
+        return tuple(tuple((idx // q % self.D) * k + s for s in cw.symbols)
+                     for idx, cw in enumerate(self.inner.codewords))
 
     def encode(self, message) -> Word:
         return hn_encode(self, message)
@@ -124,21 +133,24 @@ def hn_rate_report(spec: HighNoiseSpec) -> dict:
 
 def hn_encode(spec: HighNoiseSpec, message) -> Word:
     """RS-encode, wrap each outer symbol as (position, value), inner-encode,
-    and tag every inner symbol s with the position header h as h*k + s."""
-    k = spec.inner.k
+    and tag every inner symbol s with the position header h as h*k + s.
+
+    The inner words come already tagged from ``spec.tagged_words``: n * q
+    tuples of m channel symbols, one per pair index, built on the spec's
+    first encode.  rs_encode checks the message."""
+    tagged, q = spec.tagged_words, spec.q
     syms: list[int] = []
-    for i, w in enumerate(spec.inner_words(message)):
-        base = (i % spec.D) * k
-        syms.extend(base + s for s in w.symbols)
-    return Word._trusted(tuple(syms), spec.D * k)
+    for i, c in enumerate(rs_encode(spec.rs, message)):
+        syms.extend(tagged[i * q + c])
+    return Word._trusted(tuple(syms), spec.D * spec.inner.k)
 
 
 def hn_partition_blocks(received: Word, k: int) -> list[tuple[int, ...]]:
     """Cut the received word into maximal constant-header runs (equal
-    symbol // k), and return each run's payloads (symbol % k) as a tuple
-    of inner symbols."""
-    return [tuple(s % k for s in run)
-            for _, run in groupby(received.symbols, lambda s: s // k)]
+    header h = symbol // k), and return each run's payloads (symbol - h*k)
+    as a tuple of inner symbols, in one pass over the run."""
+    return [tuple(map((h * k).__rsub__, run))
+            for h, run in groupby(received.symbols, k.__rfloordiv__)]
 
 
 def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:

@@ -7,10 +7,15 @@ coefficient vectors of polynomials of degree < nprime; the codeword is the
 evaluation at the points 0, 1, ..., n - 1.  Decoding handles erasures
 (ERASED entries) by restriction and errors by Gao's algorithm (Gao,
 "A new algorithm for decoding Reed-Solomon codes", 2003): with r erasures
-and t errors, recovery is guaranteed whenever r + 2t <= n - nprime.  Gao's
-interpolation data (the vanishing polynomial and the Lagrange basis of the
-unerased points) depends only on the field and those points, so it is
-computed once per point set and cached.
+and t errors, recovery is guaranteed whenever r + 2t <= n - nprime.  A word
+whose survivors already lie on one polynomial of degree < nprime returns
+before the Euclidean loop.  That is exact, not a second decoder: Gao's
+interpolant passes through every survivor, so by uniqueness of
+interpolation its degree is < nprime exactly when no survivor disagrees
+with a codeword, and then the loop would run no step and return the same
+coefficients.  Gao's interpolation data (the vanishing polynomial and the
+Lagrange basis of the unerased points) depends only on the field and those
+points, so it is computed once per point set and cached.
 
 rs_list_recover_bruteforce searches all q^nprime messages for codewords that
 agree with per-position candidate sets often enough; it exists to make small
@@ -147,9 +152,12 @@ def rs_decode_ee(rs: RsParams, received: list) -> list[int]:
     up to floor((n1 - nprime) / 2) errors among the n1 survivors: interpolate
     the survivors by g1, run the extended Euclidean algorithm on (g0, g1)
     only until the remainder r has 2 deg r < n1 + nprime, and divide r by its
-    cofactor v of g1.  g0 and the Lagrange basis depend only on the field and
-    the surviving points, so they are cached.  Raises DecodeFailure when no
-    codeword lies within that radius.
+    cofactor v of g1.  When g1 has degree < nprime it is returned before the
+    loop: g1 passes through every survivor, so that degree holds exactly
+    when the survivors lie on one codeword (no disagreement), and then the
+    loop would take no step and divide g1 by v = 1.  g0 and the Lagrange
+    basis depend only on the field and the surviving points, so they are
+    cached.  Raises DecodeFailure when no codeword lies within that radius.
     """
     field, nprime = rs.field, rs.nprime
     _check_length("received word", received, rs.n)
@@ -172,6 +180,8 @@ def rs_decode_ee(rs: RsParams, received: list) -> list[int]:
             for j, b in enumerate(basis):
                 g1[j] = add(g1[j], mul(y, b))
     r0, r1 = list(g0), _trim(g1)
+    if len(r1) <= nprime:
+        return r1 + [0] * (nprime - len(r1))
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= n1 + nprime:
         quo, rem = _poly_divmod(field, r0, r1)

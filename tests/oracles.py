@@ -1,12 +1,17 @@
-"""Slow reference versions of the seqkit kernels.
+"""Slow reference versions of the seqkit kernels and of the highnoise
+encoder.
 
 The package's containment and LCS kernels are bit-parallel or prune their
 search.  Tests compare the kernels against these plain versions, and the
-acceptance checks use them to re-verify books built with the kernels.
+acceptance checks use them to re-verify books built with the kernels.  The
+highnoise encoder reads its headered inner words from a per-spec table;
+hn_encode_oracle tags every symbol as it goes.
 """
 
 import itertools
 import math
+
+from delcodes.seqkit import Word
 
 
 def subseq_oracle(s, t) -> bool:
@@ -75,3 +80,15 @@ def table_multi_lcs(seqs):
             best = max(best, table[idx - st])
         table[idx] = best
     return table[total - 1]
+
+
+def hn_encode_oracle(spec, message):
+    """The highnoise channel word of message, by tagging each symbol s of
+    the i-th inner word with the position header as (i % D)*k + s: the
+    reference for hn_encode's table of tagged words."""
+    k = spec.inner.k
+    syms = []
+    for i, w in enumerate(spec.inner_words(message)):
+        base = (i % spec.D) * k
+        syms.extend(base + s for s in w.symbols)
+    return Word(tuple(syms), spec.D * k)

@@ -1,6 +1,8 @@
 """Header-concatenated scheme: spec derivation, block partition, the decode
 pipeline with its vote accounting, and headered-word validation."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from delcodes.highnoise import (
 from delcodes.innercode import inner_decode_unique
 from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
+from oracles import hn_encode_oracle
 
 F = Fraction
 
@@ -133,6 +136,31 @@ class TestEncode:
     def test_wrong_message_length(self, hn_desk):
         with pytest.raises(LengthMismatch):
             hn_encode(hn_desk, [0] * (hn_desk.n_prime + 1))
+        with pytest.raises(LengthMismatch):
+            hn_encode(hn_desk, [0] * (hn_desk.n_prime - 1))
+
+    def test_symbol_outside_field_rejected(self, hn_desk):
+        with pytest.raises(OutOfRange):
+            hn_encode(hn_desk, [0] * (hn_desk.n_prime - 1) + [hn_desk.q])
+
+    @pytest.mark.parametrize("q,overrides", [
+        (3, {"D": 2, "k": 9, "m": 2, "n": 3, "n_prime": 1}),
+        (5, {"D": 4, "k": 256, "m": 8, "seed": 5}),  # c10's spec
+    ])
+    def test_matches_oracle_on_every_message(self, q, overrides):
+        spec = hn_make_spec(F(1, 2), q, overrides=overrides)
+        assert "tagged_words" not in vars(spec)  # built on first encode
+        for msg in itertools.product(range(q), repeat=spec.n_prime):
+            assert hn_encode(spec, msg) == hn_encode_oracle(spec, msg), msg
+        assert len(spec.tagged_words) == spec.n * spec.q
+        assert {len(w) for w in spec.tagged_words} == {spec.m}
+
+    def test_matches_oracle_on_seeded_messages(self, hn_desk):
+        spec = hn_desk
+        rng = random.Random(21)
+        for _ in range(200):
+            msg = [rng.randrange(spec.q) for _ in range(spec.n_prime)]
+            assert hn_encode(spec, msg) == hn_encode_oracle(spec, msg), msg
 
 
 class TestPartition:

@@ -263,6 +263,51 @@ class TestAgreesWithBerlekampWelch:
             assert (outcome(rs_decode_ee, rs, word)
                     == outcome(berlekamp_welch, rs, word)), (word, npr)
 
+    # Boundary words of the return before Gao's loop, which is taken when
+    # the survivors' interpolant has degree < nprime.
+    SHAPES = [(16, 10, 4), (256, 12, 5)]
+
+    @pytest.mark.parametrize("q,n,npr", SHAPES)
+    def test_zero_codeword_under_erasures(self, q, n, npr):
+        # The interpolant of all-zero survivors trims to [].
+        rng = random.Random(q + 1)
+        rs = RsParams(make_field(q), n, npr)
+        for r in range(n + 1):
+            for _ in range(20):
+                word = corrupt([0] * n, set(rng.sample(range(n), r)), {})
+                assert (outcome(rs_decode_ee, rs, word)
+                        == outcome(berlekamp_welch, rs, word)), (word, npr)
+
+    @pytest.mark.parametrize("q,n,npr", SHAPES)
+    def test_exactly_nprime_survivors(self, q, n, npr):
+        # Any npr values lie on one polynomial of degree < npr.
+        rng = random.Random(q + 2)
+        rs = RsParams(make_field(q), n, npr)
+        for _ in range(200):
+            kept = set(rng.sample(range(n), npr))
+            word = [rng.randrange(q) if x in kept else ERASED
+                    for x in range(n)]
+            got = outcome(rs_decode_ee, rs, word)
+            assert got is not None
+            assert got == outcome(berlekamp_welch, rs, word), (word, npr)
+
+    @pytest.mark.parametrize("q,n,npr", SHAPES)
+    def test_one_wrong_value_at_either_end(self, q, n, npr):
+        # A clean codeword with one wrong value at the first or the last
+        # unerased position; with n - npr - 1 erasures or more there is no
+        # slack for it, so failures occur too.
+        rng = random.Random(q + 3)
+        rs = RsParams(make_field(q), n, npr)
+        for _ in range(200):
+            code = rs_encode(rs, [rng.randrange(q) for _ in range(npr)])
+            erasures = set(rng.sample(range(n), rng.randrange(n - npr + 1)))
+            kept = [x for x in range(n) if x not in erasures]
+            for p in (kept[0], kept[-1]):
+                wrong = {p: (code[p] + rng.randrange(1, q)) % q}
+                word = corrupt(code, erasures, wrong)
+                assert (outcome(rs_decode_ee, rs, word)
+                        == outcome(berlekamp_welch, rs, word)), (word, npr)
+
     def test_fields_sharing_an_erasure_set(self):
         # GF(4) and GF(5) decode alternately on the points (0, 1, 3), so a
         # cache keyed on the points alone would hand one field's
