@@ -13,7 +13,6 @@ from .errors import (
     InvalidOverride,
     LengthMismatch,
     NoMatch,
-    OutOfRange,
 )
 from .gf import FieldElem
 from .innercode import inner_decode_unique
@@ -89,11 +88,14 @@ class ConcatenatedSpec:
     nprime field values, plain ints, and the outer code works on ints
     throughout; only a decoded message comes back as ``FieldElem``s.  A
     subclass names its scheme in ``name`` and supplies ``encode``,
-    ``decode``, ``guarantee_fraction`` and ``report_sections``.  The vote,
-    the outer decode and the trial scoring here are for the unique decoders,
-    whose results carry one ``message`` and whose telemetry lists the
-    (position, value) votes in ``pairs``; the list decoder overrides the
-    scoring.
+    ``decode``, ``guarantee_fraction`` and ``report_sections``.  There is
+    one encode path: ``inner_words`` RS-encodes a message and looks up each
+    pair's channel symbols in ``pair_words`` (the inner codeword's own
+    unless the scheme tags them), which the encoder frames.  The unique
+    decoders split a received word into pieces and pass them to
+    ``decode_pieces``, the one vote-to-message step, whose telemetry lists
+    the votes in ``pairs``; the list decoder keeps its own inner and outer
+    steps and overrides the scoring.
     """
 
     def __post_init__(self):
@@ -117,52 +119,49 @@ class ConcatenatedSpec:
     def q(self) -> int:
         return self.rs.field.order
 
-    def pair_index(self, position: int, value: int) -> int:
-        n, q = self.n, self.q
-        if not 0 <= position < n:
-            raise OutOfRange(f"position {position} outside [0, {n})")
-        if not 0 <= value < q:
-            raise OutOfRange(f"value {value} outside [0, {q})")
-        return position * q + value
-
     def pair_of_index(self, index: int) -> tuple[int, int]:
         return divmod(index, self.q)
 
-    def inner_words(self, message) -> list:
-        """RS-encode the message of nprime field values, then inner-encode
-        each (position, value) pair of the codeword, in position order."""
-        return [self.inner.codewords[self.pair_index(i, c)]
+    @cached_property
+    def pair_words(self) -> tuple[tuple[int, ...], ...]:
+        """Each pair index i*q + c's channel symbols: its inner codeword."""
+        return tuple(cw.symbols for cw in self.inner.codewords)
+
+    def inner_words(self, message) -> list[tuple[int, ...]]:
+        """RS-encode the message of nprime field values (rs_encode checks
+        it) and give each (position, value) pair's channel symbols."""
+        words, q = self.pair_words, self.q
+        return [words[i * q + c]
                 for i, c in enumerate(rs_encode(self.rs, message))]
 
-    def vote(self, pieces) -> tuple[set[tuple[int, int]], int]:
-        """Inner-decode each received piece, a tuple of inner symbols, to a
-        (position, value) vote.
+    def decode_pieces(self, pieces, telemetry) -> DecodeResult:
+        """Vote one (position, value) pair per received piece, a tuple of
+        inner symbols, and errors-and-erasures decode the voted outer word.
 
-        Returns the set of voted pairs and how many pieces decoded; a piece
-        contained in no codeword, or in several, casts no vote.
+        A piece contained in no codeword, or in several, casts no vote; a
+        position with no vote or with conflicting votes is erased.  The
+        scheme's record is telemetry(voted, conflicts, erasures, pairs),
+        voted the number of pieces that cast a vote.  Raises DecodeFailure,
+        with the record attached, when the outer decoder cannot finish.
         """
+        inner, pair_of = self.inner, self.pair_of_index
         pairs: set[tuple[int, int]] = set()
-        decoded = 0
+        voted = 0
         for piece in pieces:
             try:
-                idx = inner_decode_unique(self.inner, piece)
+                idx = inner_decode_unique(inner, piece)
             except (NoMatch, Ambiguous):
                 continue
-            decoded += 1
-            pairs.add(self.pair_of_index(idx))
-        return pairs, decoded
-
-    def outer_decode(self, vector, telemetry) -> DecodeResult:
-        """Errors-and-erasures decode of the voted outer word.
-
-        Raises DecodeFailure, with the telemetry attached, when the outer
-        decoder cannot finish.
-        """
+            voted += 1
+            pairs.add(pair_of(idx))
+        vector, conflicts = outer_word(pairs, self.n)
+        record = telemetry(voted, conflicts, vector.count(ERASED),
+                           tuple(sorted(pairs)))
         try:
             msg = rs_decode_ee(self.rs, vector)
         except DecodeFailure as exc:
-            raise DecodeFailure(str(exc), telemetry=telemetry) from exc
-        return DecodeResult(tuple(map(self.rs.field.elem, msg)), telemetry)
+            raise DecodeFailure(str(exc), telemetry=record) from exc
+        return DecodeResult(tuple(map(self.rs.field.elem, msg)), record)
 
     def spans(self):
         """Inner codeword spans and buffer spans of a clean transmission:

@@ -27,7 +27,7 @@ from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
 from .errors import AlphabetMismatch, OutOfRange
 from .gf import make_field
 from .innercode import Codebook, CodebookKind, spec_codebook
-from .rsouter import ERASED, RsParams, outer_word, rs_encode
+from .rsouter import RsParams
 from .seqkit import Word
 
 
@@ -50,7 +50,7 @@ class HighNoiseSpec(ConcatenatedSpec):
         return 1 - self.epsilon
 
     @cached_property
-    def tagged_words(self) -> tuple[tuple[int, ...], ...]:
+    def pair_words(self) -> tuple[tuple[int, ...], ...]:
         """The inner codeword of each pair index i*q + c with every symbol s
         tagged by the header of position i, as (i % D)*k + s."""
         k, q = self.inner.k, self.q
@@ -135,13 +135,12 @@ def hn_encode(spec: HighNoiseSpec, message) -> Word:
     """RS-encode, wrap each outer symbol as (position, value), inner-encode,
     and tag every inner symbol s with the position header h as h*k + s.
 
-    The inner words come already tagged from ``spec.tagged_words``: n * q
-    tuples of m channel symbols, one per pair index, built on the spec's
-    first encode.  rs_encode checks the message."""
-    tagged, q = spec.tagged_words, spec.q
+    The inner words come already tagged from ``spec.inner_words``, which
+    reads them from ``spec.pair_words``, built on the spec's first encode;
+    here they are only concatenated."""
     syms: list[int] = []
-    for i, c in enumerate(rs_encode(spec.rs, message)):
-        syms.extend(tagged[i * q + c])
+    for w in spec.inner_words(message):
+        syms += w
     return Word._trusted(tuple(syms), spec.D * spec.inner.k)
 
 
@@ -154,8 +153,9 @@ def hn_partition_blocks(received: Word, k: int) -> list[tuple[int, ...]]:
 
 
 def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:
-    """Partition into blocks, vote one (position, value) pair per decodable
-    block, drop conflicting positions, and outer-decode the rest.
+    """Partition into blocks, keep those whose length can vote, and hand
+    them to the spec's one vote-to-message step: one (position, value) vote
+    per decodable block, conflicting positions dropped, outer decode.
 
     Raises DecodeFailure (telemetry attached) when the outer decoder cannot
     finish; under the deletion budget this cannot happen.
@@ -165,13 +165,8 @@ def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:
         raise AlphabetMismatch("received word does not match the spec alphabet")
     blocks = hn_partition_blocks(received, k)
     fitting = [b for b in blocks if shortest <= len(b) <= m]
-    pairs, decoded = spec.vote(fitting)
-    vector, conflicts = outer_word(pairs, spec.n)
-    return spec.outer_decode(vector, HnTelemetry(
-        block_count=len(blocks),
-        inner_successes=decoded,
-        conflicts_removed=conflicts,
-        erasures=vector.count(ERASED),
-        skipped_blocks=len(blocks) - len(fitting),
-        pairs=tuple(sorted(pairs)),
-    ))
+    return spec.decode_pieces(
+        fitting, lambda voted, conflicts, erasures, pairs: HnTelemetry(
+            block_count=len(blocks), inner_successes=voted,
+            conflicts_removed=conflicts, erasures=erasures,
+            skipped_blocks=len(blocks) - len(fitting), pairs=pairs))

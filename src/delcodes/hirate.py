@@ -26,7 +26,7 @@ from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
 from .errors import AlphabetMismatch, OutOfRange
 from .gf import make_field
 from .innercode import Codebook, CodebookKind, spec_codebook
-from .rsouter import ERASED, RsParams, outer_word
+from .rsouter import RsParams
 from .seqkit import Word, entropy
 
 
@@ -106,22 +106,15 @@ def run_threshold(delta, m: int) -> int:
 
 def br_derive(epsilon, q: int) -> dict:
     """Parameter derivations shared by both profiles: delta = 40*sqrt(eps),
-    beta = delta/4, n = q, and the outer margin covering a 12*sqrt(eps)
+    n = q, and n_prime = n minus an outer margin covering a 12*sqrt(eps)
     fraction of errors and erasures in the all-errors worst case."""
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise OutOfRange(f"epsilon {eps} must lie in (0, 1)")
     root = frac_sqrt(eps)
-    delta = 40 * root
     n = q
     margin = max(1, math.ceil(24 * root * n))
-    return {
-        "delta": delta,
-        "beta": delta / 4,
-        "n": n,
-        "n_prime": n - margin,
-        "margin": margin,
-    }
+    return {"delta": 40 * root, "n": n, "n_prime": n - margin}
 
 
 _PAPER_KEYS = {"m", "h", "seed", "attempt_cap", "zeros", "min_gap"}
@@ -256,12 +249,13 @@ def _min_erase(best, symbols, zpos, loss_needed):
 
 def br_encode(spec: HiRateSpec, message) -> Word:
     """RS-encode over GF(q^h), pair-label, inner-encode, join with buffers."""
-    out: list[int] = []
+    gap = (0,) * spec.buffer_len
+    syms: list[int] = []
     for i, w in enumerate(spec.inner_words(message)):
         if i:
-            out.extend([0] * spec.buffer_len)
-        out.extend(w.symbols)
-    return Word._trusted(tuple(out), 2)
+            syms += gap
+        syms += w
+    return Word._trusted(tuple(syms), 2)
 
 
 def br_windows(spec: HiRateSpec, received: Word) -> list[tuple[int, ...]]:
@@ -275,19 +269,15 @@ def br_windows(spec: HiRateSpec, received: Word) -> list[tuple[int, ...]]:
 
 
 def br_decode(spec: HiRateSpec, received: Word) -> DecodeResult:
-    """Window, vote, drop conflicting positions, outer-decode.
+    """Cut the received word into windows and hand them to the spec's one
+    vote-to-message step: vote, drop conflicting positions, outer-decode.
 
     Same accounting as the high-noise scheme; the pair payload identifies
     the outer position, so window alignment is never needed.
     """
     windows = br_windows(spec, received)
-    pairs, decoded = spec.vote(windows)
-    vector, conflicts = outer_word(pairs, spec.n)
-    return spec.outer_decode(vector, BrTelemetry(
-        window_count=len(windows),
-        inner_successes=decoded,
-        inner_failures=len(windows) - decoded,
-        conflicts_removed=conflicts,
-        erasures=vector.count(ERASED),
-        pairs=tuple(sorted(pairs)),
-    ))
+    return spec.decode_pieces(
+        windows, lambda voted, conflicts, erasures, pairs: BrTelemetry(
+            window_count=len(windows), inner_successes=voted,
+            inner_failures=len(windows) - voted, conflicts_removed=conflicts,
+            erasures=erasures, pairs=pairs))

@@ -154,7 +154,8 @@ def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     and the recovery budget at ell = ceil(1/delta^3); DESK may override
     all three.  The inner book holds one codeword per (position, value)
     pair; under either profile a build that falls short raises
-    InfeasibleAtDeskScale.
+    InfeasibleAtDeskScale, and PAPER_ASYMPTOTIC raises it before the build
+    when the list size exceeds the n * q codewords (a vacuous property).
     """
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
@@ -178,6 +179,10 @@ def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     ell = int(overrides.get("ell", math.ceil(1 / delta**3)))
     if ell < 1:
         raise OutOfRange(f"recovery budget must be >= 1, got {ell}")
+    if profile is Profile.PAPER_ASYMPTOTIC and list_size > n * q:
+        raise InfeasibleAtDeskScale(
+            f"inner list size {list_size} exceeds the {n * q} codewords of "
+            "the book, so its list property would hold for any book")
 
     inner = spec_codebook(CodebookKind.LISTDEC, 2, m, Fraction(1, 2) - delta,
                           list_size=list_size, target=n * q,
@@ -220,7 +225,7 @@ def ld_report(spec: ListDecSpec) -> dict:
 def ld_encode(spec: ListDecSpec, message) -> Word:
     """Outer-encode, pair-label each coordinate, inner-encode, concatenate."""
     return Word._trusted(
-        tuple(s for w in spec.inner_words(message) for s in w.symbols), 2)
+        tuple(s for w in spec.inner_words(message) for s in w), 2)
 
 
 def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, ...]]:

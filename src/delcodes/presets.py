@@ -5,8 +5,9 @@ its full target in seconds with the pinned seed, and the hirate desk chain
 was sized so the adversary's cheapest structural attacks (buffer kill,
 codeword split) all cost more than the whole deletion budget.  The paper
 shapes keep the published derivations; for hirate that is honest about
-being unbuildable at desk scale, which the CLI surfaces as a feasibility
-error rather than papering over.
+being unbuildable at desk scale, and for listdec about a list size beyond
+the whole book, which the CLI surfaces as a feasibility error rather than
+papering over.
 """
 
 from __future__ import annotations

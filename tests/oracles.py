@@ -1,16 +1,17 @@
-"""Slow reference versions of the seqkit kernels and of the highnoise
-encoder.
+"""Slow reference versions of the seqkit kernels and of the three
+encoders.
 
 The package's containment and LCS kernels are bit-parallel or prune their
 search.  Tests compare the kernels against these plain versions, and the
 acceptance checks use them to re-verify books built with the kernels.  The
-highnoise encoder reads its headered inner words from a per-spec table;
-hn_encode_oracle tags every symbol as it goes.
+encoders read each pair's channel symbols from a per-spec table;
+encode_oracle builds the word from the outer codeword and the inner book.
 """
 
 import itertools
 import math
 
+from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
 
 
@@ -82,13 +83,18 @@ def table_multi_lcs(seqs):
     return table[total - 1]
 
 
-def hn_encode_oracle(spec, message):
-    """The highnoise channel word of message, by tagging each symbol s of
-    the i-th inner word with the position header as (i % D)*k + s: the
-    reference for hn_encode's table of tagged words."""
-    k = spec.inner.k
+def encode_oracle(spec, message):
+    """The channel word of message, symbol by symbol: the inner codeword of
+    each outer pair (i, c), index i*q + c, tagged with the position header
+    as (i % D)*k + s for highnoise and preceded by buffer_len zeros for
+    hirate (but the first).  The reference for the encoders' table of pair
+    words."""
+    highnoise, hirate = spec.name == "highnoise", spec.name == "hirate"
     syms = []
-    for i, w in enumerate(spec.inner_words(message)):
-        base = (i % spec.D) * k
-        syms.extend(base + s for s in w.symbols)
-    return Word(tuple(syms), spec.D * k)
+    for i, c in enumerate(rs_encode(spec.rs, message)):
+        if hirate and i:
+            syms.extend([0] * spec.buffer_len)
+        base = (i % spec.D) * spec.inner.k if highnoise else 0
+        word = spec.inner.codewords[i * spec.q + c]
+        syms.extend(base + s for s in word.symbols)
+    return Word(tuple(syms), spec.D * spec.inner.k if highnoise else 2)

@@ -344,7 +344,7 @@ def test_c07_highnoise_end_to_end(acceptance_log):
         word = hn_encode(spec, msg)
         positions = []
         for b in sorted(rng.sample(range(spec.n), 3)):
-            pat = worst[spec.pair_index(b, truth[b])]
+            pat = worst[b * spec.q + truth[b]]
             positions.extend(b * spec.m + p for p in pat)
         assert len(positions) <= budget
         received = apply_deletions(word, DeletionPattern(tuple(sorted(positions))))

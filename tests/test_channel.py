@@ -2,6 +2,7 @@
 strategy and scheme, the exhaustive worst-case oracle, and the trial runner's
 deterministic reporting."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -24,6 +25,7 @@ from delcodes.channel import (
     trial_line,
     write_reports,
 )
+from delcodes.cli import _default_strategies
 from delcodes.errors import (
     BudgetExceeded,
     GuardExceeded,
@@ -394,3 +396,26 @@ class TestRunTrials:
             keys = dict(r.telemetry)
             assert "erasures" in keys
             assert "wrong_votes" in keys
+
+
+# SHA-256 of the record lines past each unique decoder's guarantee (six
+# default strategies, 5 seeds, master seed 77), where outer decodes fail:
+# 13 of highnoise's 90 trials and 12 of hirate's 60 score fail-decode, so
+# the telemetry a DecodeFailure carries is pinned as well.
+_PAST_GUARANTEE = {
+    "highnoise": ("hn_desk", (F(5, 8), F(3, 4), F(7, 8)), 13,
+        "e905eb7f47a48dabbbb7763509064624442a17fd50cfe554f5bbb38218b229e9"),
+    "hirate": ("br_desk", (F(1, 16), F(1, 8)), 12,
+        "5b070d8d255085bcd078ba6b65b049e513c728ed2ddde9fc2e1a20444491f302"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_PAST_GUARANTEE))
+def test_records_past_the_guarantee_are_pinned(request, scheme):
+    fixture, fractions, failures, digest = _PAST_GUARANTEE[scheme]
+    spec = request.getfixturevalue(fixture)
+    strategies = [Strategy(n) for n in _default_strategies()]
+    reports = run_trials(spec, strategies, fractions, 5, master_seed=77)
+    assert sum(r.outcome == "fail-decode" for r in reports) == failures
+    text = "".join(trial_line(r) + "\n" for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

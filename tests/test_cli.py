@@ -13,8 +13,8 @@ from delcodes.presets import SCHEMES, make_scheme_spec
 
 # Each build's exit code, SHA-256 of its stdout (every [rate],
 # [guarantee], [rate and recovery] and [inner check] value) and stderr.
-# The hirate paper book cannot be built at desk scale: it prints only
-# its error.
+# The hirate paper book cannot be built at desk scale, and the listdec
+# paper book would be vacuous: each prints only its error.
 _BUILDS = {
     ("highnoise", "desk"): (
         0, "a1b990a79cb94877e62f62b0d6f310655bccb3fc07fef4eaaced83be7d8086a6",
@@ -33,8 +33,9 @@ _BUILDS = {
         0, "2a17f30e34405ea93928fa24b4296f05250c59c784ca167b2709982bf8f2eb81",
         ""),
     ("listdec", "paper"): (
-        0, "585752a4f0e366a96dcb91095e4e58312bb9390f1079e4a752f3211f410e9a8a",
-        ""),
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "infeasible: inner list size 400 exceeds the 12 codewords of the "
+        "book, so its list property would hold for any book\n"),
 }
 
 
@@ -85,16 +86,27 @@ class TestBuild:
         assert "  ok = True\n" in check
         assert "violation:" not in out
 
-    @pytest.mark.parametrize("profile,vacuous", [("paper", True),
-                                                 ("desk", False)])
-    def test_listdec_check_says_when_it_is_vacuous(self, capsys, profile,
+    @pytest.mark.parametrize("sets,vacuous", [
+        pytest.param(("--set", "list_size=16"), True, id="list_size16-True"),
+        pytest.param((), False, id="desk-False"),
+    ])
+    def test_listdec_check_says_when_it_is_vacuous(self, capsys, sets,
                                                    vacuous):
-        # The paper preset's list size exceeds its book, so any book passes.
-        code, out, _ = run(capsys, "build", "--scheme", "listdec",
-                           "--profile", profile)
+        # A list size of 16 exceeds the desk book's 15 codewords, so any
+        # book passes.
+        code, out, _ = run(capsys, "build", "--scheme", "listdec", *sets)
         assert code == 0
         check = out.split("[inner check]\n", 1)[1]
         assert f"  vacuous = {vacuous}\n" in check
+
+    def test_listdec_paper_preset_is_infeasible(self, capsys):
+        # Its list size, 400, exceeds its 12-word book: no vacuous build.
+        code, out, err = run(capsys, "build", "--scheme", "listdec",
+                             "--profile", "paper")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("infeasible:")
+        assert "400" in err and "12" in err
 
     def test_failed_book_check_exits_one(self, capsys, monkeypatch):
         spec = make_scheme_spec("highnoise")

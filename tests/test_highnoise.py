@@ -19,6 +19,7 @@ from delcodes.errors import (
     OutOfRange,
 )
 from delcodes.highnoise import (
+    HnTelemetry,
     hn_decode,
     hn_encode,
     hn_make_spec,
@@ -28,7 +29,7 @@ from delcodes.highnoise import (
 from delcodes.innercode import inner_decode_unique
 from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
-from oracles import hn_encode_oracle
+from oracles import encode_oracle
 
 F = Fraction
 
@@ -96,16 +97,13 @@ class TestMakeSpec:
                                                 **inner})
 
     def test_pair_index_bijection(self, hn_desk):
+        # pair_of_index maps the n * q book indices onto the n * q pairs,
+        # and i*q + c inverts it
         spec = hn_desk
-        seen = set()
-        for i in range(spec.n):
-            for c in range(spec.q):
-                idx = spec.pair_index(i, c)
-                assert spec.pair_of_index(idx) == (i, c)
-                seen.add(idx)
-        assert seen == set(range(spec.n * spec.q))
-        with pytest.raises(OutOfRange):
-            spec.pair_index(spec.n, 0)
+        pairs = [spec.pair_of_index(idx) for idx in range(spec.n * spec.q)]
+        assert sorted(pairs) == [(i, c) for i in range(spec.n)
+                                 for c in range(spec.q)]
+        assert all(i * spec.q + c == idx for idx, (i, c) in enumerate(pairs))
 
     def test_rate_report_names_the_eps_squared_gap(self, hn_desk):
         rep = hn_rate_report(hn_desk)
@@ -130,7 +128,7 @@ class TestEncode:
         for i in range(spec.n):
             payload = tuple(s % spec.inner.k
                             for s in word.symbols[i * spec.m:(i + 1) * spec.m])
-            cw = spec.inner.codewords[spec.pair_index(i, 0)]
+            cw = spec.inner.codewords[i * spec.q]
             assert payload == cw.symbols
 
     def test_wrong_message_length(self, hn_desk):
@@ -149,18 +147,18 @@ class TestEncode:
     ])
     def test_matches_oracle_on_every_message(self, q, overrides):
         spec = hn_make_spec(F(1, 2), q, overrides=overrides)
-        assert "tagged_words" not in vars(spec)  # built on first encode
+        assert "pair_words" not in vars(spec)  # built on first encode
         for msg in itertools.product(range(q), repeat=spec.n_prime):
-            assert hn_encode(spec, msg) == hn_encode_oracle(spec, msg), msg
-        assert len(spec.tagged_words) == spec.n * spec.q
-        assert {len(w) for w in spec.tagged_words} == {spec.m}
+            assert hn_encode(spec, msg) == encode_oracle(spec, msg), msg
+        assert len(spec.pair_words) == spec.n * spec.q
+        assert {len(w) for w in spec.pair_words} == {spec.m}
 
     def test_matches_oracle_on_seeded_messages(self, hn_desk):
         spec = hn_desk
         rng = random.Random(21)
         for _ in range(200):
             msg = [rng.randrange(spec.q) for _ in range(spec.n_prime)]
-            assert hn_encode(spec, msg) == hn_encode_oracle(spec, msg), msg
+            assert hn_encode(spec, msg) == encode_oracle(spec, msg), msg
 
 
 class TestPartition:
@@ -253,7 +251,7 @@ class TestDecode:
 
     def test_min_length_block_decodes_uniquely(self, hn_desk):
         spec = hn_desk
-        idx = spec.pair_index(3, 5)
+        idx = 3 * spec.q + 5
         cw = spec.inner.codewords[idx]
         # any threshold-length subsequence of one codeword matches only it
         kept = cw.symbols[: spec.inner.separation_threshold]
@@ -269,7 +267,7 @@ class TestDecode:
         # an extra block, header 2 to stand apart from its neighbours,
         # voting a second value for position 0
         extra = tuple(2 * spec.inner.k + s for s in
-                      spec.inner.codewords[spec.pair_index(0, other)].symbols)
+                      spec.inner.codewords[0 * spec.q + other].symbols)
         syms = sent.symbols[:spec.m] + extra + sent.symbols[spec.m:]
         res = hn_decode(spec, Word(syms, spec.D * spec.inner.k))
         assert [e.value for e in res.message] == msg
@@ -302,8 +300,9 @@ class TestDecode:
                                   max_size=spec.n * spec.m))
         try:
             hn_decode(spec, Word(tuple(syms), spec.D * spec.inner.k))
-        except DecodeFailure:
-            pass
+        except DecodeFailure as exc:
+            # the scorer reads exc.telemetry.pairs on every failed trial
+            assert isinstance(exc.telemetry, HnTelemetry)
 
 
 class TestHeaderedWordIO:

@@ -1,6 +1,8 @@
 """Buffered dense-code scheme: derivations, window cutting, attack pricing,
 and the decode pipeline at desk scale."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from delcodes.errors import (
     OutOfRange,
 )
 from delcodes.hirate import (
+    BrTelemetry,
     br_decode,
     br_derive,
     br_encode,
@@ -29,6 +32,7 @@ from delcodes.hirate import (
 )
 from delcodes.presets import make_scheme_spec
 from delcodes.seqkit import Word
+from oracles import encode_oracle
 
 F = Fraction
 
@@ -45,15 +49,16 @@ def thr3_spec(br_desk):
 
 
 class TestDerive:
-    def test_forty_root_eps(self):
+    def test_forty_root_eps(self, br_desk):
         d = br_derive(F(1, 10000), 2)
         assert d["delta"] == F(2, 5)
-        assert d["beta"] == F(1, 10)
+        # beta defaults to delta / 4 of the possibly overridden delta
+        assert br_desk.inner.beta == br_desk.inner.delta / 4
 
     def test_margin_covers_all_error_worst_case(self):
         d = br_derive(F(1, 10000), 50)
         # 24*sqrt(eps)*n = 24*(1/100)*50 = 12
-        assert d["margin"] == 12
+        assert d["n"] - d["n_prime"] == 12
         assert d["n_prime"] == 38
 
     def test_epsilon_bounds(self):
@@ -178,12 +183,27 @@ class TestEncode:
         stride = spec.m + spec.buffer_len
         for i, c in enumerate(code):
             seg = word.symbols[i * stride: i * stride + spec.m]
-            cw = spec.inner.codewords[spec.pair_index(i, c)]
+            cw = spec.inner.codewords[i * spec.q + c]
             assert seg == cw.symbols
 
     def test_wrong_message_length(self, br_desk):
         with pytest.raises(LengthMismatch):
             br_encode(br_desk, [0, 0])
+
+    def test_matches_oracle_on_every_message(self):
+        # the desk shape with a two-symbol message: q^2 messages
+        spec = make_scheme_spec("hirate", overrides={"n_prime": 2})
+        assert "pair_words" not in vars(spec)  # built on first encode
+        for msg in itertools.product(range(spec.q), repeat=spec.n_prime):
+            assert br_encode(spec, msg) == encode_oracle(spec, msg), msg
+        assert spec.pair_words == tuple(w.symbols for w in spec.inner.codewords)
+
+    def test_matches_oracle_on_seeded_messages(self, br_desk):
+        spec = br_desk
+        rng = random.Random(22)
+        for _ in range(200):
+            msg = [rng.randrange(spec.q) for _ in range(spec.n_prime)]
+            assert br_encode(spec, msg) == encode_oracle(spec, msg), msg
 
 
 class TestWindows:
@@ -297,7 +317,7 @@ class TestDecode:
     def test_two_votes_for_one_position_are_a_conflict(self, br_desk):
         spec = br_desk
         sent = br_encode(spec, [2])
-        other = spec.inner.codewords[spec.pair_index(0, 3)].symbols
+        other = spec.inner.codewords[0 * spec.q + 3].symbols
         rec = Word(sent.symbols + (0,) * spec.buffer_len + other, 2)
         res = br_decode(spec, rec)
         assert [e.value for e in res.message] == [2]
@@ -330,8 +350,9 @@ class TestDecode:
                                   max_size=br_desk.encoded_length))
         try:
             br_decode(br_desk, Word(tuple(syms), 2))
-        except DecodeFailure:
-            pass
+        except DecodeFailure as exc:
+            # the scorer reads exc.telemetry.pairs on every failed trial
+            assert isinstance(exc.telemetry, BrTelemetry)
 
 
 class TestBinaryWordIO:

@@ -34,7 +34,7 @@ from delcodes.innercode import (
 from delcodes.highnoise import hn_make_spec
 from delcodes.hirate import br_make_spec
 from delcodes.listdec import ld_make_spec
-from delcodes.presets import make_scheme_spec
+from delcodes.presets import PRESETS
 from delcodes.seqkit import Word
 from oracles import subseq_oracle, table_multi_lcs
 
@@ -241,11 +241,14 @@ class TestGreedyListdec:
 
     def test_no_multi_lcs_before_list_size_minus_one_words(self, monkeypatch):
         # The paper-profile list size is far beyond its 12-word book, so
-        # no subset can ever be completed and none is searched.
+        # no subset can ever be completed and none is searched.  PAPER
+        # refuses that book; DESK builds it from the same parameters.
         def refuse(seqs):
             raise AssertionError("multi-word LCS called")
         monkeypatch.setattr(seqkit, "_multi_lcs", refuse)
-        spec = make_scheme_spec("listdec", Profile.PAPER_ASYMPTOTIC)
+        preset = PRESETS[("listdec", Profile.PAPER_ASYMPTOTIC)]
+        spec = ld_make_spec(preset["epsilon"], preset["q"], Profile.DESK,
+                            preset["overrides"])
         assert len(spec.inner) < spec.inner.list_size - 1
 
 

@@ -2,6 +2,7 @@
 candidate pipeline, and exhaustive containment at desk scale."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,10 @@ from delcodes.listdec import (
     ld_report,
     ld_windows,
 )
-from delcodes.presets import make_scheme_spec
+from delcodes.presets import PRESETS, make_scheme_spec
 from delcodes.rsouter import candidate_sets, rs_encode
 from delcodes.seqkit import Word
+from oracles import encode_oracle
 
 F = Fraction
 
@@ -52,7 +54,13 @@ def eps8_spec():
 
 class TestMakeSpec:
     def test_paper_derivation(self):
-        spec = make_scheme_spec("listdec", profile=Profile.PAPER_ASYMPTOTIC)
+        # The paper preset's list size, 400, exceeds its 12-word book, so
+        # PAPER refuses it; DESK derives the same parameters and builds it.
+        preset = PRESETS[("listdec", Profile.PAPER_ASYMPTOTIC)]
+        args = preset["epsilon"], preset["q"]
+        with pytest.raises(InfeasibleAtDeskScale, match="400 exceeds the 12"):
+            ld_make_spec(*args, Profile.PAPER_ASYMPTOTIC, preset["overrides"])
+        spec = ld_make_spec(*args, Profile.DESK, preset["overrides"])
         assert spec.epsilon == F(1, 5)
         assert spec.delta == F(1, 20)
         assert spec.window_len == 5  # ceil(0.55 * 8)
@@ -123,7 +131,7 @@ class TestEncode:
         assert len(word) == spec.encoded_length
         for i, c in enumerate(code):
             seg = word.symbols[i * spec.m:(i + 1) * spec.m]
-            cw = spec.inner.codewords[spec.pair_index(i, c)]
+            cw = spec.inner.codewords[i * spec.q + c]
             assert seg == cw.symbols
 
     def test_single_outer_position(self):
@@ -132,12 +140,27 @@ class TestEncode:
             "seed": 11})
         word = ld_encode(spec, [1])
         assert len(word) == spec.m
-        assert word == spec.inner.codewords[spec.pair_index(0, 1)]
+        assert word == spec.inner.codewords[0 * spec.q + 1]
         assert (1,) in message_values(ld_decode(spec, word))
 
     def test_wrong_message_length(self, ld_desk):
         with pytest.raises(LengthMismatch):
             ld_encode(ld_desk, [0, 0])
+
+    def test_matches_oracle_on_every_message(self):
+        # the desk shape with a two-symbol message: q^2 messages
+        spec = make_scheme_spec("listdec", overrides={"n_prime": 2})
+        assert "pair_words" not in vars(spec)  # built on first encode
+        for msg in itertools.product(range(spec.q), repeat=spec.n_prime):
+            assert ld_encode(spec, msg) == encode_oracle(spec, msg), msg
+        assert spec.pair_words == tuple(w.symbols for w in spec.inner.codewords)
+
+    def test_matches_oracle_on_seeded_messages(self, ld_desk):
+        spec = ld_desk
+        rng = random.Random(22)
+        for _ in range(200):
+            msg = [rng.randrange(spec.q) for _ in range(spec.n_prime)]
+            assert ld_encode(spec, msg) == encode_oracle(spec, msg), msg
 
 
 def grid(received, starts, length):
