@@ -114,8 +114,6 @@ def attack(strategy: Strategy, message, transmitted, scheme_spec,
     if name == "GREEDY_LCS":
         positions = _exhaustive_worst(message, transmitted, scheme_spec,
                                       budget)
-    elif name == "RANDOM":
-        positions = sorted(rng.sample(range(length), budget))
     elif name == "WINDOW_SHIFT":
         positions = list(range(budget))
     elif name == "BLOCK_ERASE":
@@ -123,17 +121,13 @@ def attack(strategy: Strategy, message, transmitted, scheme_spec,
     elif name == "MERGE_ATTACK":
         positions = _merge_attack(rng, scheme_spec, blocks, buffers,
                                   budget, length)
-    elif name == "BUFFER_KILL":
-        if buffers:
-            positions = _buffer_kill(rng, scheme_spec, buffers, budget)
-        else:
-            positions = sorted(rng.sample(range(length), budget))
-    elif name == "DENSITY_ATTACK":
-        if buffers:
-            positions = _density_attack(rng, scheme_spec, transmitted,
-                                        blocks, budget)
-        else:
-            positions = sorted(rng.sample(range(length), budget))
+    elif name == "BUFFER_KILL" and buffers:
+        positions = _buffer_kill(rng, scheme_spec, buffers, budget)
+    elif name == "DENSITY_ATTACK" and buffers:
+        positions = _density_attack(rng, scheme_spec, transmitted, blocks,
+                                    budget)
+    else:  # RANDOM, and the buffer attacks on a scheme without buffers
+        positions = sorted(rng.sample(range(length), budget))
 
     pattern = DeletionPattern(tuple(positions))
     if len(pattern) > budget:

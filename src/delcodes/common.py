@@ -88,9 +88,11 @@ class ConcatenatedSpec:
     nprime field values, plain ints, and the outer code works on ints
     throughout; only a decoded message comes back as ``FieldElem``s.  A
     subclass names its scheme in ``name`` and supplies ``encode``,
-    ``decode``, ``guarantee_fraction`` and ``report_sections``.  There is
-    one encode path: ``inner_words`` RS-encodes a message and looks up each
-    pair's channel symbols in ``pair_words`` (the inner codeword's own
+    ``decode``, ``guarantee_fraction`` and ``report_sections``; one that
+    puts buffers between codewords overrides ``spans``, whose last codeword
+    ends at ``encoded_length``, the length of a clean transmission.  There
+    is one encode path: ``inner_words`` RS-encodes a message and looks up
+    each pair's channel symbols in ``pair_words`` (the inner codeword's own
     unless the scheme tags them), which the encoder frames.  The unique
     decoders split a received word into pieces and pass them to
     ``decode_pieces``, the one vote-to-message step, whose telemetry lists
@@ -162,6 +164,11 @@ class ConcatenatedSpec:
         except DecodeFailure as exc:
             raise DecodeFailure(str(exc), telemetry=record) from exc
         return DecodeResult(tuple(map(self.rs.field.elem, msg)), record)
+
+    @property
+    def encoded_length(self) -> int:
+        """Length of a clean transmission: the end of the last codeword."""
+        return self.spans()[0][-1][1]
 
     def spans(self):
         """Inner codeword spans and buffer spans of a clean transmission:

@@ -72,12 +72,6 @@ def _poly_mod(a: int, f: int) -> int:
     return a
 
 
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
-
-
 def _poly_mulmod(a: int, b: int, f: int) -> int:
     return _poly_mod(_poly_mul(a, b), f)
 
@@ -107,24 +101,13 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _is_irreducible(f: int, w: int) -> bool:
-    # Rabin's test: x^(2^w) == x mod f, and for every prime divisor p of w
-    # gcd(x^(2^(w/p)) - x, f) must be trivial.
-    x = 0b10
-    if _poly_powmod(x, 1 << w, f) != _poly_mod(x, f):
-        return False
-    for p in _prime_factors(w):
-        h = _poly_powmod(x, 1 << (w // p), f) ^ _poly_mod(x, f)
-        if _poly_deg(_poly_gcd(f, h)) > 0:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _reduction_poly(w: int) -> int:
+    # The least irreducible f of degree w, by trial division: no polynomial
+    # of degree 1 to w // 2 divides it.
     for low in range(1 << w):
         f = (1 << w) | low
-        if _is_irreducible(f, w):
+        if all(_poly_mod(f, g) for g in range(2, 1 << (w // 2 + 1))):
             return f
     raise AssertionError(f"no irreducible polynomial of degree {w}")
 

@@ -119,7 +119,7 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
 def hn_rate_report(spec: HighNoiseSpec) -> dict:
     """Overall rate and its factor decomposition against the eps^2 claim."""
     log_alpha = math.log2(spec.D * spec.inner.k)
-    rate = spec.n_prime * math.log2(spec.q) / (spec.n * spec.m * log_alpha)
+    rate = spec.n_prime * math.log2(spec.q) / (spec.encoded_length * log_alpha)
     eps_sq = float(spec.epsilon) ** 2
     return {
         "rate": rate,

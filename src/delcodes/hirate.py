@@ -58,10 +58,6 @@ class HiRateSpec(ConcatenatedSpec):
         return run_threshold(self.inner.delta, self.m)
 
     @property
-    def encoded_length(self) -> int:
-        return self.n * self.m + (self.n - 1) * self.buffer_len
-
-    @property
     def guarantee_fraction(self) -> Fraction:
         """Largest deletion fraction the theorem still covers."""
         return self.epsilon
@@ -193,58 +189,31 @@ def br_guarantee_report(spec: HiRateSpec) -> dict:
     counting boundary zeros absorbed into adjacent buffers.
     """
     thr = spec.run_threshold
-    kill = spec.buffer_len - thr + 1
-    split = None
-    erase = None
     loss_needed = spec.m - spec.inner.separation_threshold + 1
-    for w in spec.inner.codewords:
-        zpos = [i for i, s in enumerate(w.symbols) if s == 0]
-        for a in range(len(zpos) - thr + 1):
-            span = zpos[a + thr - 1] - zpos[a] + 1
-            cost = span - thr
-            split = cost if split is None else min(split, cost)
-        erase = _min_erase(erase, w.symbols, zpos, loss_needed)
+    zeros = [[i for i, s in enumerate(w.symbols) if s == 0]
+             for w in spec.inner.codewords]
     return {
         "budget": int(spec.epsilon * spec.encoded_length),
         "run_threshold": thr,
-        "kill_cost": kill,
-        "split_cost": split,
-        "erase_cost": erase,
+        "kill_cost": spec.buffer_len - thr + 1,
+        "split_cost": min((z[a + thr - 1] - z[a] + 1 - thr for z in zeros
+                           for a in range(len(z) - thr + 1)), default=None),
+        "erase_cost": min(_erase_cost(z, spec.m, loss_needed) for z in zeros),
         "loss_needed": loss_needed,
     }
 
 
-def _end_moves(symbols, zpos, from_left: bool):
-    # Absorption moves at one end: deleting a whole run of ones lets the
-    # zero behind it merge into the adjacent buffer, losing run + 1 window
-    # symbols for run deletions.
-    moves = []
-    if not zpos:
-        return moves
-    idx = list(zpos) if from_left else [len(symbols) - 1 - p for p in reversed(zpos)]
-    prev = -1
-    for p in idx:
-        run = p - prev - 1
-        moves.append((run, run + 1))
-        prev = p
-    return moves
-
-
-def _min_erase(best, symbols, zpos, loss_needed):
-    left = _end_moves(symbols, zpos, True)
-    right = _end_moves(symbols, zpos, False)
-    for nl in range(len(left) + 1):
-        cl = sum(c for c, _ in left[:nl])
-        ll = sum(l for _, l in left[:nl])
-        for nr in range(len(right) + 1):
-            if nl + nr > len(zpos):
-                break
-            cost = cl + sum(c for c, _ in right[:nr])
-            loss = ll + sum(l for _, l in right[:nr])
-            remaining = max(0, loss_needed - loss)
-            cost += remaining  # interior deletions lose one symbol each
-            best = cost if best is None else min(best, cost)
-    return best
+def _erase_cost(zpos, m: int, loss_needed: int) -> int:
+    # Fewest deletions that shorten a window, a codeword of length m with
+    # zeros at zpos, by loss_needed symbols.  An end move deletes the ones
+    # before the next zero from that end, and the zero merges into the
+    # buffer: the a-th move from the left loses left[a] symbols for
+    # left[a] - a deletions, likewise from the right, and each interior
+    # deletion loses one symbol.
+    left = [0] + [p + 1 for p in zpos]
+    right = [0] + [m - p for p in reversed(zpos)]
+    return min(max(left[a] + right[b], loss_needed) - a - b
+               for a in range(len(left)) for b in range(len(left) - a))
 
 
 def br_encode(spec: HiRateSpec, message) -> Word:

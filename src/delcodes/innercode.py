@@ -311,16 +311,10 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
                     tuple(Word(a, k) for a in accepted), policy)
 
 
-def greedy_listdec(m: int, delta: Fraction, list_size: int,
-                   target_size: int | None = None,
-                   policy: CandidatePolicy = CandidatePolicy.LEX,
-                   seed: int = 0,
-                   attempt_cap: int = DEFAULT_ATTEMPT_CAP) -> Codebook:
+def greedy_listdec(m: int, delta: Fraction, list_size: int) -> Codebook:
     """Greedily collect binary words so that no list_size of them share a
     common subsequence of the threshold length."""
-    return _build(CodebookKind.LISTDEC, 2, m, delta, list_size=list_size,
-                  target_size=target_size, policy=policy, seed=seed,
-                  attempt_cap=attempt_cap)
+    return _build(CodebookKind.LISTDEC, 2, m, delta, list_size=list_size)
 
 
 def _containing(cb: Codebook, received: tuple[int, ...]):

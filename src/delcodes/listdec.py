@@ -78,10 +78,6 @@ class ListDecSpec(ConcatenatedSpec):
         return math.ceil(self.delta * self.m)
 
     @property
-    def encoded_length(self) -> int:
-        return self.n * self.m
-
-    @property
     def guarantee_fraction(self) -> Fraction:
         """Largest deletion fraction the list guarantee still covers."""
         return Fraction(1, 2) - self.epsilon

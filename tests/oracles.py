@@ -1,11 +1,13 @@
-"""Slow reference versions of the seqkit kernels and of the three
-encoders.
+"""Slow reference versions of the seqkit kernels, of the three encoders
+and of hirate's erase price.
 
 The package's containment and LCS kernels are bit-parallel or prune their
 search.  Tests compare the kernels against these plain versions, and the
 acceptance checks use them to re-verify books built with the kernels.  The
 encoders read each pair's channel symbols from a per-spec table;
 encode_oracle builds the word from the outer codeword and the inner book.
+hirate prices erasing a window in closed form; erase_cost_oracle tries
+every subsequence.
 """
 
 import itertools
@@ -98,3 +100,15 @@ def encode_oracle(spec, message):
         word = spec.inner.codewords[i * spec.q + c]
         syms.extend(base + s for s in word.symbols)
     return Word(tuple(syms), spec.D * spec.inner.k if highnoise else 2)
+
+
+def erase_cost_oracle(word, loss_needed):
+    """Fewest deletions after which the binary word, with the zeros left
+    at either end stripped (they merge into the neighbouring buffers), is
+    at least loss_needed symbols shorter, by trying its subsequences from
+    the longest down: the reference for hirate._erase_cost."""
+    m = len(word)
+    for kept in range(m, -1, -1):
+        if any(len(bytes(sub).strip(b"\0")) <= m - loss_needed
+               for sub in itertools.combinations(word, kept)):
+            return m - kept

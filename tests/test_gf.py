@@ -66,6 +66,14 @@ def test_gf4_reduction_polynomial_is_x2_x_1():
     assert f.mul(2, 3) == 1
 
 
+def test_reduction_polynomials_are_pinned():
+    # The least irreducible polynomial of each degree names the field
+    # elements; a search that picked another would relabel them all.
+    assert [gf._reduction_poly(w) for w in range(2, 17)] == [
+        0x7, 0xb, 0x13, 0x25, 0x43, 0x83, 0x11b, 0x203, 0x409, 0x805,
+        0x1009, 0x201b, 0x4021, 0x8003, 0x1002b]
+
+
 def test_prime_field_is_mod_arithmetic():
     f = make_field(11)
     assert f.add(7, 8) == 4

