@@ -117,7 +117,8 @@ def attack(strategy: Strategy, message, transmitted, scheme_spec,
     elif name == "WINDOW_SHIFT":
         positions = list(range(budget))
     elif name == "BLOCK_ERASE":
-        positions = _block_erase(rng, blocks, budget)
+        # Whole blocks only: a partially erased block still carries votes.
+        positions = _erase_groups(rng, [[b] for b in blocks], budget)
     elif name == "MERGE_ATTACK":
         positions = _merge_attack(rng, scheme_spec, blocks, buffers,
                                   budget, length)
@@ -136,17 +137,23 @@ def attack(strategy: Strategy, message, transmitted, scheme_spec,
     return pattern
 
 
-def _block_erase(rng, blocks, budget: int) -> list[int]:
-    # Whole blocks only: a partially erased block still carries votes.
-    sizes = [e - s for s, e in blocks]
-    order = list(range(len(blocks)))
+def _erase_groups(rng, groups, budget: int) -> list[int]:
+    # Erase whole span groups in random order, each while the budget lasts;
+    # a group of no symbols, or sharing a span already erased, is skipped.
+    order = list(range(len(groups)))
     rng.shuffle(order)
     out: list[int] = []
+    erased: set[tuple[int, int]] = set()
     remaining = budget
-    for b in order:
-        if sizes[b] and sizes[b] <= remaining:
-            out.extend(range(*blocks[b]))
-            remaining -= sizes[b]
+    for g in order:
+        group = groups[g]
+        cost = sum(e - s for s, e in group)
+        if not 0 < cost <= remaining or not erased.isdisjoint(group):
+            continue
+        for span in group:
+            out.extend(range(*span))
+        erased.update(group)
+        remaining -= cost
     return sorted(out)
 
 
@@ -154,22 +161,7 @@ def _merge_attack(rng, spec, blocks, buffers, budget: int,
                   length: int) -> list[int]:
     groups = spec.merge_victims(blocks, buffers)
     if groups is not None:
-        # Erase whole groups in random order, each while the budget lasts.
-        order = list(range(len(groups)))
-        rng.shuffle(order)
-        out: list[int] = []
-        erased: set[tuple[int, int]] = set()
-        remaining = budget
-        for g in order:
-            cost = sum(e - s for s, e in groups[g])
-            if (not 0 < cost <= remaining
-                    or any(span in erased for span in groups[g])):
-                continue
-            for span in groups[g]:
-                out.extend(range(*span))
-                erased.add(span)
-            remaining -= cost
-        return sorted(out)
+        return _erase_groups(rng, groups, budget)
     # No headers, no buffers: chew through one block junction.
     if len(blocks) < 2 or budget == 0:
         return []
@@ -302,23 +294,32 @@ def trial_line(r: TrialReport) -> str:
 
 
 def parse_trial_line(line: str) -> TrialReport:
+    """The report trial_line printed; ValueError, naming the problem, for
+    a line that lacks a field or holds a fraction with zero denominator."""
     parts = dict(item.split("=", 1) for item in line.split())
-    tel_text = parts["telemetry"]
-    telemetry: tuple[tuple[str, int], ...] = ()
-    if tel_text != "-":
-        telemetry = tuple((k, int(v)) for k, v in
-                          (item.split(":", 1) for item in tel_text.split(",")))
-    return TrialReport(
-        scheme=parts["scheme"],
-        strategy=parts["strategy"],
-        fraction=Fraction(parts["fraction"]),
-        seed_index=int(parts["seed"]),
-        budget=int(parts["budget"]),
-        pattern_size=int(parts["pattern"]),
-        outcome=parts["outcome"],
-        telemetry=telemetry,
-        wall_time=0.0,
-    )
+    try:
+        tel_text = parts["telemetry"]
+        telemetry: tuple[tuple[str, int], ...] = ()
+        if tel_text != "-":
+            telemetry = tuple(
+                (k, int(v)) for k, v in
+                (item.split(":", 1) for item in tel_text.split(",")))
+        return TrialReport(
+            scheme=parts["scheme"],
+            strategy=parts["strategy"],
+            fraction=Fraction(parts["fraction"]),
+            seed_index=int(parts["seed"]),
+            budget=int(parts["budget"]),
+            pattern_size=int(parts["pattern"]),
+            outcome=parts["outcome"],
+            telemetry=telemetry,
+            wall_time=0.0,
+        )
+    except KeyError as exc:
+        raise ValueError(f"trial record lacks field {exc}: {line!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"trial record fraction {parts['fraction']} has a "
+                         "zero denominator") from None
 
 
 def write_reports(reports, path) -> None:

@@ -1,12 +1,13 @@
-"""Command-line front end: build specs, corrupt words, sweep, report.
+"""Command-line front end: build specs, sweep trials, report.
 
 Exit codes are a contract for CI: 0 success, 1 a within-budget trial
 falsified a decoding guarantee or a built inner book failed its defining
 property (a real bug), 2 configuration or feasibility trouble.  Every
-command is deterministic given its flags: roundtrip and sweep derive every
-trial from the master --seed, and an inner book's seed is set with
---set seed=N.  Rationals are passed as NUM/DEN so threshold
-integerizations stay exact.
+command is deterministic given its flags: sweep derives every trial from
+the master --seed, and an inner book's seed is set with --set seed=N.
+Rationals (--eps, --fraction and every --set value) are passed as NUM/DEN
+so threshold integerizations stay exact; the spec builders give each
+override value its type.
 """
 
 from __future__ import annotations
@@ -37,19 +38,22 @@ from .seqkit import (
 _PROFILES = {"paper": Profile.PAPER_ASYMPTOTIC, "desk": Profile.DESK}
 
 
+def _rational(text: str) -> Fraction:
+    """An exact NUM/DEN (or integer) value; ValueError on a zero
+    denominator, so argparse or main exits 2."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_overrides(items: list[str]) -> dict:
     out = {}
     for item in items:
         if "=" not in item:
             raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
-        try:
-            out[key] = int(value)
-        except ValueError:
-            try:
-                out[key] = Fraction(value)
-            except ValueError:
-                out[key] = value
+        out[key] = _rational(value)
     return out
 
 
@@ -68,45 +72,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", choices=SCHEMES, default="highnoise")
         p.add_argument("--profile", choices=sorted(_PROFILES),
                        default="desk")
-        p.add_argument("--eps", type=Fraction, default=None,
+        p.add_argument("--eps", type=_rational, default=None,
                        metavar="NUM/DEN")
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--set", action="append", default=[],
                        metavar="KEY=VALUE", dest="overrides")
 
-    def records_format(p):
-        p.add_argument("--format", choices=["text", "records"],
-                       default="text", dest="fmt")
-
     p = sub.add_parser("build", help="construct a spec, print the rate "
                                      "report, check its inner book")
     common(p)
-
-    p = sub.add_parser("roundtrip",
-                       help="encode a random message, attack, decode, compare")
-    common(p)
-    p.add_argument("--seed", type=int, default=0, metavar="U64")
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--strategy", type=_parse_strategies, default=["RANDOM"],
-                   metavar="NAME[,NAME...]")
-    p.add_argument("--fraction", type=Fraction, default=None,
-                   metavar="NUM/DEN")
-    p.add_argument("--trials", type=int, default=1)
 
     p = sub.add_parser("sweep", help="full strategy x fraction x seed sweep")
     common(p)
     p.add_argument("--seed", type=int, default=0, metavar="U64")
     p.add_argument("--out", default=None, metavar="PATH")
-    records_format(p)
+    p.add_argument("--format", choices=["text", "records"], default="text",
+                   dest="fmt")
     p.add_argument("--strategy", type=_parse_strategies, default=None,
                    metavar="NAME[,NAME...]")
-    p.add_argument("--fraction", type=lambda t: [Fraction(x) for x in t.split(",")],
+    p.add_argument("--fraction",
+                   type=lambda t: [_rational(x) for x in t.split(",")],
                    default=None, metavar="NUM/DEN[,NUM/DEN...]")
     p.add_argument("--trials", type=int, default=20)
 
     p = sub.add_parser("report", help="summarize a sweep records file")
     p.add_argument("path", metavar="RECORDS")
-    records_format(p)
 
     p = sub.add_parser("count",
                        help="supersequence counting oracle and its bounds")
@@ -157,17 +147,17 @@ def _default_strategies() -> list[str]:
     return [n for n in STRATEGY_NAMES if n != "GREEDY_LCS"]
 
 
-def _sweep(ns: argparse.Namespace, fractions_for, always_lines=False) -> int:
+def cmd_sweep(ns: argparse.Namespace) -> int:
     names = ns.strategy if ns.strategy is not None else _default_strategies()
     strategies = [Strategy(n) for n in names]
     spec = _spec_for(ns)
     guarantee = spec.guarantee_fraction
-    reports = run_trials(spec, strategies, fractions_for(guarantee), ns.trials,
-                         master_seed=ns.seed)
+    reports = run_trials(spec, strategies, ns.fraction or [0, guarantee],
+                         ns.trials, master_seed=ns.seed)
     if ns.out:
         write_reports(reports, ns.out)
         print(f"{len(reports)} trial records written to {ns.out}")
-    if always_lines or ns.fmt == "records":
+    if ns.fmt == "records":
         for r in reports:
             print(trial_line(r))
     else:
@@ -179,16 +169,6 @@ def _sweep(ns: argparse.Namespace, fractions_for, always_lines=False) -> int:
               f"(guarantee fraction {guarantee})", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_roundtrip(ns: argparse.Namespace) -> int:
-    return _sweep(ns, lambda guarantee: [guarantee if ns.fraction is None
-                                         else ns.fraction],
-                  always_lines=True)
-
-
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    return _sweep(ns, lambda guarantee: ns.fraction or [Fraction(0), guarantee])
 
 
 def _summary(reports) -> None:
@@ -207,12 +187,7 @@ def _summary(reports) -> None:
 
 
 def cmd_report(ns: argparse.Namespace) -> int:
-    reports = read_reports(ns.path)
-    if ns.fmt == "records":
-        for r in reports:
-            print(trial_line(r))
-    else:
-        _summary(reports)
+    _summary(read_reports(ns.path))
     return 0
 
 
@@ -238,7 +213,6 @@ def cmd_count(ns: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "build": cmd_build,
-    "roundtrip": cmd_roundtrip,
     "sweep": cmd_sweep,
     "report": cmd_report,
     "count": cmd_count,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -31,9 +32,14 @@ class Profile(Enum):
     DESK = "DESK"
 
 
+_RATIONAL_KEYS = frozenset({"delta", "beta"})
+
+
 def check_overrides(overrides: dict, profile: Profile, paper_keys: set,
-                    desk_keys: set, required: tuple[str, ...] = ()) -> None:
-    """Reject override keys the profile does not take, and missing ones."""
+                    desk_keys: set, required: tuple[str, ...] = ()) -> dict:
+    """The overrides, typed: delta and beta as Fractions, every other key
+    as an int.  Rejects keys the profile does not take, missing required
+    ones and a non-integer value for an integer key."""
     allowed = paper_keys if profile is Profile.PAPER_ASYMPTOTIC else desk_keys
     unknown = set(overrides) - allowed
     if unknown:
@@ -42,6 +48,16 @@ def check_overrides(overrides: dict, profile: Profile, paper_keys: set,
     for key in required:
         if key not in overrides:
             raise InvalidOverride(f"override {key} must be supplied")
+    typed = {}
+    for key, value in overrides.items():
+        value = Fraction(value)
+        if key not in _RATIONAL_KEYS:
+            if value.denominator != 1:
+                raise InvalidOverride(
+                    f"override {key} must be an integer, got {value}")
+            value = int(value)
+        typed[key] = value
+    return typed
 
 
 def derive_seed(master: int, *parts) -> int:

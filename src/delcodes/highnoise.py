@@ -97,15 +97,15 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     eps = Fraction(epsilon)
     if not 0 < eps <= Fraction(1, 2):
         raise OutOfRange(f"epsilon {eps} out of theorem range (0, 1/2]")
-    overrides = dict(overrides or {})
-    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS)
+    overrides = check_overrides(overrides or {}, profile, _PAPER_KEYS,
+                                _DESK_KEYS)
 
     field = make_field(q)
-    D = int(overrides.get("D", math.ceil(8 / eps)))
-    k = int(overrides.get("k", math.ceil(64 / eps**3)))
-    m = int(overrides.get("m", math.ceil(12 * math.log2(q) / eps)))
-    n = int(overrides.get("n", q))
-    n_prime = int(overrides.get("n_prime", math.ceil(eps * n / 2)))
+    D = overrides.get("D", math.ceil(8 / eps))
+    k = overrides.get("k", math.ceil(64 / eps**3))
+    m = overrides.get("m", math.ceil(12 * math.log2(q) / eps))
+    n = overrides.get("n", q)
+    n_prime = overrides.get("n_prime", math.ceil(eps * n / 2))
 
     if D < 2:
         raise OutOfRange(f"header modulus must be >= 2, got {D}")

@@ -131,20 +131,20 @@ def br_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     InfeasibleAtDeskScale.
     """
     eps = Fraction(epsilon)
-    overrides = dict(overrides or {})
-    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS, ("m",))
+    overrides = check_overrides(overrides or {}, profile, _PAPER_KEYS,
+                                _DESK_KEYS, ("m",))
     if profile is Profile.PAPER_ASYMPTOTIC and eps >= Fraction(1, 1600):
         raise OutOfRange(
             f"epsilon {eps} forces delta = 40*sqrt(eps) >= 1; use DESK")
 
     derived = br_derive(eps, q)
-    delta = Fraction(overrides.get("delta", derived["delta"]))
-    beta = Fraction(overrides.get("beta", delta / 4))
-    m = int(overrides["m"])
-    h = int(overrides.get("h", 1))
-    n = int(overrides.get("n", derived["n"]))
-    n_prime = int(overrides.get("n_prime", derived["n_prime"]))
-    buffer_len = int(overrides.get("buffer_len", math.ceil(delta * m)))
+    delta = overrides.get("delta", derived["delta"])
+    beta = overrides.get("beta", delta / 4)
+    m = overrides["m"]
+    h = overrides.get("h", 1)
+    n = overrides.get("n", derived["n"])
+    n_prime = overrides.get("n_prime", derived["n_prime"])
+    buffer_len = overrides.get("buffer_len", math.ceil(delta * m))
 
     if not 0 < delta <= 1:
         raise OutOfRange(f"delta {delta} must lie in (0, 1]")

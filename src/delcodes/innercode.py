@@ -496,17 +496,17 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     """Build the inner book a scheme spec asks for: target codewords, one
     per (position, value) pair, or InfeasibleAtDeskScale.
 
-    overrides may set seed, attempt_cap and, for DENSE books, zeros and
-    min_gap.  Candidates are LEX while the k^m candidate space stays small,
+    overrides, as check_overrides typed them, may set seed, attempt_cap
+    and, for DENSE books, zeros and min_gap.  Candidates are LEX while the k^m candidate space stays small,
     SEEDED_RANDOM beyond.
     """
     # _build refuses m < 1, where k**m may not even be defined (k = 0).
     policy = (CandidatePolicy.LEX if m < 1 or k**m <= _LEX_SPACE_CAP
               else CandidatePolicy.SEEDED_RANDOM)
     return _build(kind, k, m, delta, target_size=target, policy=policy,
-                  seed=int(overrides.get("seed", 0)),
-                  attempt_cap=int(overrides.get("attempt_cap",
-                                                DEFAULT_ATTEMPT_CAP)),
+                  seed=overrides.get("seed", 0),
+                  attempt_cap=overrides.get("attempt_cap",
+                                            DEFAULT_ATTEMPT_CAP),
                   beta=beta, list_size=list_size,
                   zeros=overrides.get("zeros"),
                   min_gap=overrides.get("min_gap"))

@@ -60,14 +60,10 @@ class ListDecSpec(ConcatenatedSpec):
 
     name = "listdec"
 
-    @property
-    def alpha(self) -> Fraction:
-        """Agreement fraction the outer recovery demands."""
-        return self.epsilon
-
     @cached_property
     def agree_count(self) -> int:
-        return math.ceil(self.alpha * self.n)
+        """Agreements the outer recovery demands: ceil(epsilon * n)."""
+        return math.ceil(self.epsilon * self.n)
 
     @cached_property
     def window_len(self) -> int:
@@ -156,23 +152,22 @@ def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, 2):
         raise OutOfRange(f"epsilon {eps} out of theorem range (0, 1/2)")
-    overrides = dict(overrides or {})
-    check_overrides(overrides, profile, _PAPER_KEYS, _DESK_KEYS,
-                    ("m", "n", "n_prime"))
+    overrides = check_overrides(overrides or {}, profile, _PAPER_KEYS,
+                                _DESK_KEYS, ("m", "n", "n_prime"))
 
-    n, n_prime = int(overrides["n"]), int(overrides["n_prime"])
+    n, n_prime = overrides["n"], overrides["n_prime"]
     rs = RsParams(make_field(q), n, n_prime)
     if q ** n_prime > LIST_GUARD:
         raise InfeasibleAtDeskScale(
             f"outer recovery would enumerate {q}^{n_prime} messages, "
             f"above the brute-force guard {LIST_GUARD}")
 
-    delta = Fraction(overrides.get("delta", eps / 4))
+    delta = overrides.get("delta", eps / 4)
     if not 0 < delta < Fraction(1, 2):
         raise OutOfRange(f"window pitch delta {delta} outside (0, 1/2)")
-    m = int(overrides["m"])
-    list_size = int(overrides.get("list_size", math.ceil(1 / delta**2)))
-    ell = int(overrides.get("ell", math.ceil(1 / delta**3)))
+    m = overrides["m"]
+    list_size = overrides.get("list_size", math.ceil(1 / delta**2))
+    ell = overrides.get("ell", math.ceil(1 / delta**3))
     if ell < 1:
         raise OutOfRange(f"recovery budget must be >= 1, got {ell}")
     if profile is Profile.PAPER_ASYMPTOTIC and list_size > n * q:
@@ -209,7 +204,7 @@ def ld_report(spec: ListDecSpec) -> dict:
         "ell": spec.ell,
         "candidate_budget": spec.ell * spec.n,
         "message_space": spec.q ** spec.n_prime,
-        "alpha": float(spec.alpha),
+        "alpha": float(spec.epsilon),
         "agree_count": spec.agree_count,
         "recipe_s": s,
         "recipe_r": 2,

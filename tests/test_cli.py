@@ -4,11 +4,14 @@ and build determinism."""
 
 import dataclasses
 import hashlib
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 import delcodes.cli
-from delcodes.cli import main
+from delcodes.cli import build_parser, main
 from delcodes.presets import SCHEMES, make_scheme_spec
 
 # Each build's exit code, SHA-256 of its stdout (every [rate],
@@ -43,6 +46,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands():
+    """Every delcodes command in README's code blocks, continuations
+    joined, comments and shell tails dropped, $s taken as a scheme."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(), re.S | re.M)
+    for line in "".join(blocks).replace("\\\n", " ").splitlines():
+        words = shlex.split(line.replace("$s", SCHEMES[0]), comments=True)
+        if words[:1] == ["delcodes"]:
+            yield words[1:words.index("||") if "||" in words else None]
 
 
 class TestBuild:
@@ -121,7 +135,7 @@ class TestBuild:
         assert "  ok = False\n" in out
         assert "violation: duplicate codewords" in out.splitlines()
 
-    @pytest.mark.parametrize("command", ["build", "roundtrip", "sweep"])
+    @pytest.mark.parametrize("command", ["build", "sweep"])
     def test_codebook_flag_is_build_only(self, capsys, tmp_path, command):
         code, _, err = run(capsys, command, "--codebook",
                            str(tmp_path / "book"))
@@ -153,26 +167,29 @@ class TestBuild:
 
 
 class TestRoundtrip:
+    """One-cell sweeps printed as trial records: encode, attack, decode,
+    compare."""
+
     def test_buffer_kill_at_guarantee(self, capsys):
-        code, out, _ = run(capsys, "roundtrip", "--scheme", "hirate",
-                           "--strategy", "BUFFER_KILL",
-                           "--fraction", "7/372", "--trials", "2")
+        code, out, _ = run(capsys, "sweep", "--scheme", "hirate",
+                           "--strategy", "BUFFER_KILL", "--fraction", "7/372",
+                           "--trials", "2", "--format", "records")
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith("scheme=")]
         assert len(lines) == 2
         assert all("outcome=ok" in l for l in lines)
 
     def test_fraction_zero_succeeds(self, capsys):
-        code, out, _ = run(capsys, "roundtrip", "--scheme", "listdec",
+        code, out, _ = run(capsys, "sweep", "--scheme", "listdec",
                            "--strategy", "RANDOM", "--fraction", "0",
-                           "--trials", "1")
+                           "--trials", "1", "--format", "records")
         assert code == 0
         assert "pattern=0" in out
 
     def test_beyond_guarantee_is_reported_not_asserted(self, capsys):
-        code, out, _ = run(capsys, "roundtrip", "--scheme", "highnoise",
+        code, out, _ = run(capsys, "sweep", "--scheme", "highnoise",
                            "--strategy", "RANDOM", "--fraction", "9/10",
-                           "--trials", "2")
+                           "--trials", "2", "--format", "records")
         assert code == 0
         assert "scheme=highnoise" in out
 
@@ -249,6 +266,20 @@ class TestReport:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("line,problem", [
+        ("hello=world", "lacks field"),
+        ("scheme=hirate strategy=RANDOM fraction=1/0 seed=0 budget=0 "
+         "pattern=0 outcome=ok telemetry=-", "zero denominator"),
+    ], ids=["missing-fields", "zero-denominator"])
+    def test_malformed_record_is_config_error(self, capsys, tmp_path, line,
+                                              problem):
+        path = tmp_path / "trials.log"
+        path.write_text(line + "\n")
+        code, out, err = run(capsys, "report", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        assert problem in err
+
 
 class TestCount:
     def test_prints_exact_count_and_bounds(self, capsys):
@@ -294,8 +325,12 @@ class TestContract:
         code, _, _ = run(capsys, "build", "--scheme", "highnoise",
                          "--out", "x")
         assert code == 2
-        code, _, _ = run(capsys, "roundtrip", "--format", "records")
+        code, _, err = run(capsys, "report", "--format", "records", "PATH")
         assert code == 2
+        assert "unrecognized arguments: --format" in err
+        code, _, err = run(capsys, "roundtrip")
+        assert code == 2
+        assert "invalid choice: 'roundtrip'" in err
         code, _, _ = run(capsys, "build", "--seed", "7")
         assert code == 2
         # an override key the scheme does not take
@@ -315,7 +350,26 @@ class TestContract:
         assert err.startswith("infeasible:")
         assert "reached 18 of 21 codewords" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("build", "--eps", "1/0"),
+        ("sweep", "--fraction", "1/0", "--trials", "1"),
+        ("build", "--set", "delta=1/0"),
+        ("build", "--scheme", "hirate", "--set", "zeros=1/2"),
+        ("build", "--scheme", "hirate", "--set", "min_gap=1/2"),
+        ("build", "--set", "m=17/2"),
+    ], ids=["eps", "fraction", "delta", "zeros", "min_gap", "m"])
+    def test_malformed_value_is_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error" in err
+
     def test_listdec_outer_length_is_an_override(self, capsys):
         code, _, _ = run(capsys, "build", "--scheme", "listdec",
                          "--set", "n=2")
         assert code == 0
+
+    def test_readme_commands_parse(self):
+        commands = list(_readme_commands())
+        assert len(commands) >= 8
+        for argv in commands:
+            build_parser().parse_args(argv)

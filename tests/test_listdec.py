@@ -70,7 +70,6 @@ class TestMakeSpec:
         assert spec.epsilon == F(5, 12)
         assert spec.delta == F(1, 4)
         assert (spec.m, spec.n, spec.n_prime, spec.q) == (8, 3, 1, 5)
-        assert spec.alpha == spec.epsilon
         assert spec.agree_count == 2
         assert spec.window_len == 6
         assert spec.window_step == 2
