@@ -293,17 +293,23 @@ def trial_line(r: TrialReport) -> str:
             f"outcome={r.outcome} telemetry={tel}")
 
 
+def _split_token(token: str, sep: str) -> list[str]:
+    if sep not in token:
+        raise ValueError(f"trial record token {token!r} lacks {sep!r}")
+    return token.split(sep, 1)
+
+
 def parse_trial_line(line: str) -> TrialReport:
     """The report trial_line printed; ValueError, naming the problem, for
-    a line that lacks a field or holds a fraction with zero denominator."""
-    parts = dict(item.split("=", 1) for item in line.split())
+    a line that lacks a field or a separator, or has a zero denominator."""
+    parts = dict(_split_token(item, "=") for item in line.split())
     try:
         tel_text = parts["telemetry"]
         telemetry: tuple[tuple[str, int], ...] = ()
         if tel_text != "-":
             telemetry = tuple(
                 (k, int(v)) for k, v in
-                (item.split(":", 1) for item in tel_text.split(",")))
+                (_split_token(item, ":") for item in tel_text.split(",")))
         return TrialReport(
             scheme=parts["scheme"],
             strategy=parts["strategy"],
@@ -323,16 +329,12 @@ def parse_trial_line(line: str) -> TrialReport:
 
 
 def write_reports(reports, path) -> None:
-    text = "".join(trial_line(r) + "\n" for r in reports)
-    Path(path).write_text(text)
+    Path(path).write_text("".join(trial_line(r) + "\n" for r in reports))
 
 
 def read_reports(path) -> list[TrialReport]:
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            out.append(parse_trial_line(line))
-    return out
+    return [parse_trial_line(line)
+            for line in Path(path).read_text().splitlines() if line.strip()]
 
 
 def run_trials(spec, strategies, budget_fractions, num_seeds: int,

@@ -39,12 +39,19 @@ _PROFILES = {"paper": Profile.PAPER_ASYMPTOTIC, "desk": Profile.DESK}
 
 
 def _rational(text: str) -> Fraction:
-    """An exact NUM/DEN (or integer) value; ValueError on a zero
-    denominator, so argparse or main exits 2."""
+    """An exact NUM/DEN (or integer) value; ArgumentTypeError names the
+    problem, and argparse (a flag) or main (a --set value) exits 2."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [_rational(t) for t in text.split(",")]
 
 
 def _parse_overrides(items: list[str]) -> dict:
@@ -90,9 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="fmt")
     p.add_argument("--strategy", type=_parse_strategies, default=None,
                    metavar="NAME[,NAME...]")
-    p.add_argument("--fraction",
-                   type=lambda t: [_rational(x) for x in t.split(",")],
-                   default=None, metavar="NUM/DEN[,NUM/DEN...]")
+    p.add_argument("--fraction", type=_rationals, default=None,
+                   metavar="NUM/DEN[,NUM/DEN...]")
     p.add_argument("--trials", type=int, default=20)
 
     p = sub.add_parser("report", help="summarize a sweep records file")
@@ -231,7 +237,8 @@ def main(argv=None) -> int:
     except InfeasibleAtDeskScale as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (DeletionCodeError, ValueError, OSError) as exc:
+    except (DeletionCodeError, ValueError, argparse.ArgumentTypeError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
+    AlphabetMismatch,
     Ambiguous,
     DecodeFailure,
     InvalidOverride,
@@ -18,6 +19,7 @@ from .errors import (
 from .gf import FieldElem
 from .innercode import inner_decode_unique
 from .rsouter import ERASED, outer_word, rs_decode_ee, rs_encode
+from .seqkit import Word
 
 
 class Profile(Enum):
@@ -103,17 +105,15 @@ class ConcatenatedSpec:
     and ``rs.field.order``, each cached on first use.  A message goes in as
     nprime field values, plain ints, and the outer code works on ints
     throughout; only a decoded message comes back as ``FieldElem``s.  A
-    subclass names its scheme in ``name`` and supplies ``encode``,
-    ``decode``, ``guarantee_fraction`` and ``report_sections``; one that
-    puts buffers between codewords overrides ``spans``, whose last codeword
-    ends at ``encoded_length``, the length of a clean transmission.  There
-    is one encode path: ``inner_words`` RS-encodes a message and looks up
-    each pair's channel symbols in ``pair_words`` (the inner codeword's own
-    unless the scheme tags them), which the encoder frames.  The unique
-    decoders split a received word into pieces and pass them to
-    ``decode_pieces``, the one vote-to-message step, whose telemetry lists
-    the votes in ``pairs``; the list decoder keeps its own inner and outer
-    steps and overrides the scoring.
+    subclass names its scheme in ``name``, sets ``buffer_len``, the zeros
+    between neighbouring codewords, and supplies ``encode``, ``decode``,
+    ``guarantee_fraction`` and ``report_sections``.  ``channel_word``, the
+    one encode path, sends each pair's ``pair_words`` entry (the inner
+    codeword, unless the scheme tags it) over ``alphabet_size`` letters,
+    framed as ``spans`` says; the last codeword ends at ``encoded_length``.
+    Decoders test a received word with ``check_alphabet``; the unique ones
+    pass its pieces to ``decode_pieces``, the one vote-to-message step,
+    whose telemetry lists the votes in ``pairs``.
     """
 
     def __post_init__(self):
@@ -145,12 +145,28 @@ class ConcatenatedSpec:
         """Each pair index i*q + c's channel symbols: its inner codeword."""
         return tuple(cw.symbols for cw in self.inner.codewords)
 
-    def inner_words(self, message) -> list[tuple[int, ...]]:
+    @cached_property
+    def alphabet_size(self) -> int:
+        """Letters of the channel alphabet: the inner book's."""
+        return self.inner.k
+
+    def channel_word(self, message) -> Word:
         """RS-encode the message of nprime field values (rs_encode checks
-        it) and give each (position, value) pair's channel symbols."""
-        words, q = self.pair_words, self.q
-        return [words[i * q + c]
-                for i, c in enumerate(rs_encode(self.rs, message))]
+        it) and send each (position, value) pair's channel symbols, in
+        position order, with buffer_len zeros between neighbours."""
+        words, q, gap = self.pair_words, self.q, (0,) * self.buffer_len
+        syms: list[int] = []
+        for i, c in enumerate(rs_encode(self.rs, message)):
+            if i:
+                syms += gap
+            syms += words[i * q + c]
+        return Word._trusted(tuple(syms), self.alphabet_size)
+
+    def check_alphabet(self, received: Word) -> None:
+        """Refuse a received word over another alphabet than the channel's."""
+        if (size := received.alphabet_size) != self.alphabet_size:
+            raise AlphabetMismatch(
+                f"received word has {size} letters, not {self.alphabet_size}")
 
     def decode_pieces(self, pieces, telemetry) -> DecodeResult:
         """Vote one (position, value) pair per received piece, a tuple of
@@ -188,9 +204,11 @@ class ConcatenatedSpec:
 
     def spans(self):
         """Inner codeword spans and buffer spans of a clean transmission:
-        here codewords back to back, no buffers."""
-        m = self.m
-        return [(i * m, (i + 1) * m) for i in range(self.n)], []
+        codewords at stride m + buffer_len, each followed by a buffer but
+        the last; no buffer spans at all when buffer_len is 0."""
+        m, gap = self.m, self.buffer_len
+        blocks = [(i * (m + gap), i * (m + gap) + m) for i in range(self.n)]
+        return blocks, ([(e, e + gap) for _, e in blocks[:-1]] if gap else [])
 
     def merge_victims(self, blocks, buffers):
         """Span groups that MERGE_ATTACK erases whole, or None when the

@@ -19,11 +19,7 @@ class DivisionByZero(DeletionCodeError, ZeroDivisionError):
 
 
 class AlphabetMismatch(DeletionCodeError, ValueError):
-    """Words over different alphabet sizes were combined."""
-
-
-class NotBinary(DeletionCodeError, ValueError):
-    """A binary-only operation was applied to a non-binary word."""
+    """A word or book is over another alphabet than the operation takes."""
 
 
 class OutOfRange(DeletionCodeError, ValueError):

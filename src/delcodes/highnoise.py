@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import groupby
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
-from .errors import AlphabetMismatch, OutOfRange
+from .errors import OutOfRange
 from .gf import make_field
 from .innercode import Codebook, CodebookKind, spec_codebook
 from .rsouter import RsParams
@@ -39,6 +39,7 @@ class HighNoiseSpec(ConcatenatedSpec):
     rs: RsParams
 
     name = "highnoise"
+    buffer_len = 0
 
     @property
     def delta_in(self) -> Fraction:
@@ -48,6 +49,11 @@ class HighNoiseSpec(ConcatenatedSpec):
     def guarantee_fraction(self) -> Fraction:
         """Largest deletion fraction the theorem still covers."""
         return 1 - self.epsilon
+
+    @cached_property
+    def alphabet_size(self) -> int:
+        """D * k letters: a position header times k plus an inner symbol."""
+        return self.D * self.inner.k
 
     @cached_property
     def pair_words(self) -> tuple[tuple[int, ...], ...]:
@@ -118,7 +124,7 @@ def hn_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
 
 def hn_rate_report(spec: HighNoiseSpec) -> dict:
     """Overall rate and its factor decomposition against the eps^2 claim."""
-    log_alpha = math.log2(spec.D * spec.inner.k)
+    log_alpha = math.log2(spec.alphabet_size)
     rate = spec.n_prime * math.log2(spec.q) / (spec.encoded_length * log_alpha)
     eps_sq = float(spec.epsilon) ** 2
     return {
@@ -133,15 +139,8 @@ def hn_rate_report(spec: HighNoiseSpec) -> dict:
 
 def hn_encode(spec: HighNoiseSpec, message) -> Word:
     """RS-encode, wrap each outer symbol as (position, value), inner-encode,
-    and tag every inner symbol s with the position header h as h*k + s.
-
-    The inner words come already tagged from ``spec.inner_words``, which
-    reads them from ``spec.pair_words``, built on the spec's first encode;
-    here they are only concatenated."""
-    syms: list[int] = []
-    for w in spec.inner_words(message):
-        syms += w
-    return Word._trusted(tuple(syms), spec.D * spec.inner.k)
+    and tag every inner symbol s with the position header h as h*k + s."""
+    return spec.channel_word(message)
 
 
 def hn_partition_blocks(received: Word, k: int) -> list[tuple[int, ...]]:
@@ -160,9 +159,8 @@ def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:
     Raises DecodeFailure (telemetry attached) when the outer decoder cannot
     finish; under the deletion budget this cannot happen.
     """
+    spec.check_alphabet(received)
     k, m, shortest = spec.inner.k, spec.m, spec.inner.separation_threshold
-    if received.alphabet_size != spec.D * k:
-        raise AlphabetMismatch("received word does not match the spec alphabet")
     blocks = hn_partition_blocks(received, k)
     fitting = [b for b in blocks if shortest <= len(b) <= m]
     return spec.decode_pieces(

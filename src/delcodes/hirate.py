@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
-from .errors import AlphabetMismatch, OutOfRange
+from .errors import OutOfRange
 from .gf import make_field
 from .innercode import Codebook, CodebookKind, spec_codebook
 from .rsouter import RsParams
@@ -67,14 +67,6 @@ class HiRateSpec(ConcatenatedSpec):
 
     def decode(self, received: Word) -> DecodeResult:
         return br_decode(self, received)
-
-    def spans(self):
-        """Inner codeword spans, each followed by a buffer but the last."""
-        m, n = self.m, self.n
-        stride = m + self.buffer_len
-        blocks = [(i * stride, i * stride + m) for i in range(n)]
-        buffers = [(i * stride + m, (i + 1) * stride) for i in range(n - 1)]
-        return blocks, buffers
 
     def merge_victims(self, blocks, buffers):
         # A whole buffer: its two neighbouring codewords become one window.
@@ -218,20 +210,13 @@ def _erase_cost(zpos, m: int, loss_needed: int) -> int:
 
 def br_encode(spec: HiRateSpec, message) -> Word:
     """RS-encode over GF(q^h), pair-label, inner-encode, join with buffers."""
-    gap = (0,) * spec.buffer_len
-    syms: list[int] = []
-    for i, w in enumerate(spec.inner_words(message)):
-        if i:
-            syms += gap
-        syms += w
-    return Word._trusted(tuple(syms), 2)
+    return spec.channel_word(message)
 
 
 def br_windows(spec: HiRateSpec, received: Word) -> list[tuple[int, ...]]:
     """Strip the zeros off both ends of the received word and cut it at
     zero runs of threshold length; each window is a tuple of symbols."""
-    if received.alphabet_size != 2:
-        raise AlphabetMismatch("received word must be binary")
+    spec.check_alphabet(received)
     body = bytes(received.symbols).strip(b"\0")
     return [tuple(seg) for seg in
             re.split(b"\0{%d,}" % spec.run_threshold, body) if seg]

@@ -35,11 +35,11 @@ from functools import cached_property
 
 from . import seqkit
 from .errors import (
+    AlphabetMismatch,
     Ambiguous,
     GuardExceeded,
     InfeasibleAtDeskScale,
     NoMatch,
-    NotBinary,
     OutOfRange,
 )
 from .seqkit import Word
@@ -256,15 +256,13 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
         raise OutOfRange(f"target size must be >= 1, got {target_size}")
     ell = separation_threshold(m, delta)
 
+    if kind is not CodebookKind.UNIQUE and k != 2:
+        raise AlphabetMismatch(f"{kind.value} codebooks are binary")
     win = need = 0
     if kind is CodebookKind.DENSE:
-        if k != 2:
-            raise NotBinary("dense codebooks are binary")
         beta = Fraction(beta)
         win, need = seqkit.density_rule(m, beta)
     if kind is CodebookKind.LISTDEC:
-        if k != 2:
-            raise NotBinary("list-decodable codebooks are binary")
         if list_size is None or list_size < 2:
             raise OutOfRange(f"list size must be >= 2, got {list_size}")
 

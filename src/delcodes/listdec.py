@@ -27,11 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .common import ConcatenatedSpec, Profile, check_overrides, int_snapshot
-from .errors import (
-    AlphabetMismatch,
-    InfeasibleAtDeskScale,
-    OutOfRange,
-)
+from .errors import InfeasibleAtDeskScale, OutOfRange
 from .gf import FieldElem, make_field
 from .innercode import (
     Codebook,
@@ -59,6 +55,7 @@ class ListDecSpec(ConcatenatedSpec):
     rs: RsParams
 
     name = "listdec"
+    buffer_len = 0
 
     @cached_property
     def agree_count(self) -> int:
@@ -215,8 +212,7 @@ def ld_report(spec: ListDecSpec) -> dict:
 
 def ld_encode(spec: ListDecSpec, message) -> Word:
     """Outer-encode, pair-label each coordinate, inner-encode, concatenate."""
-    return Word._trusted(
-        tuple(s for w in spec.inner_words(message) for s in w), 2)
+    return spec.channel_word(message)
 
 
 def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, ...]]:
@@ -228,8 +224,7 @@ def ld_windows(spec: ListDecSpec, received: Word) -> list[tuple[int, ...]]:
     end.  A received word no longer than a window becomes a single window.
     The grid is position arithmetic only; nothing here inspects symbols.
     """
-    if received.alphabet_size != 2:
-        raise AlphabetMismatch("received word must be binary")
+    spec.check_alphabet(received)
     syms = received.symbols
     w = spec.window_len
     if len(syms) <= w:

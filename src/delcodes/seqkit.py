@@ -20,9 +20,9 @@ from fractions import Fraction
 from operator import le
 
 from .errors import (
+    AlphabetMismatch,
     GuardExceeded,
     LengthMismatch,
-    NotBinary,
     OutOfRange,
 )
 
@@ -203,7 +203,7 @@ def is_dense_seq(syms, win: int, need: int) -> bool:
 def is_beta_dense(s: Word, beta: Fraction) -> bool:
     """Whether s obeys the beta-density rule (see density_rule)."""
     if s.alphabet_size != 2:
-        raise NotBinary("density is defined for binary words only")
+        raise AlphabetMismatch("density is defined for binary words only")
     return is_dense_seq(s.symbols, *density_rule(len(s), beta))
 
 

@@ -270,7 +270,12 @@ class TestReport:
         ("hello=world", "lacks field"),
         ("scheme=hirate strategy=RANDOM fraction=1/0 seed=0 budget=0 "
          "pattern=0 outcome=ok telemetry=-", "zero denominator"),
-    ], ids=["missing-fields", "zero-denominator"])
+        ("scheme=hirate strategy", "token 'strategy' lacks '='"),
+        ("scheme=hirate strategy=RANDOM fraction=0 seed=0 budget=0 "
+         "pattern=0 outcome=ok telemetry=voted:3,erasures",
+         "token 'erasures' lacks ':'"),
+    ], ids=["missing-fields", "zero-denominator", "token-without-equals",
+            "telemetry-without-colon"])
     def test_malformed_record_is_config_error(self, capsys, tmp_path, line,
                                               problem):
         path = tmp_path / "trials.log"
@@ -350,18 +355,21 @@ class TestContract:
         assert err.startswith("infeasible:")
         assert "reached 18 of 21 codewords" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("build", "--eps", "1/0"),
-        ("sweep", "--fraction", "1/0", "--trials", "1"),
-        ("build", "--set", "delta=1/0"),
-        ("build", "--scheme", "hirate", "--set", "zeros=1/2"),
-        ("build", "--scheme", "hirate", "--set", "min_gap=1/2"),
-        ("build", "--set", "m=17/2"),
+    @pytest.mark.parametrize("argv,problem", [
+        (("build", "--eps", "1/0"), "zero denominator"),
+        (("sweep", "--fraction", "1/0", "--trials", "1"), "zero denominator"),
+        (("build", "--set", "delta=1/0"), "zero denominator"),
+        (("build", "--scheme", "hirate", "--set", "zeros=1/2"),
+         "must be an integer"),
+        (("build", "--scheme", "hirate", "--set", "min_gap=1/2"),
+         "must be an integer"),
+        (("build", "--set", "m=17/2"), "must be an integer"),
     ], ids=["eps", "fraction", "delta", "zeros", "min_gap", "m"])
-    def test_malformed_value_is_config_error(self, capsys, argv):
+    def test_malformed_value_is_config_error(self, capsys, argv, problem):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "error" in err
+        assert problem in err
 
     def test_listdec_outer_length_is_an_override(self, capsys):
         code, _, _ = run(capsys, "build", "--scheme", "listdec",

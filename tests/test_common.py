@@ -3,9 +3,10 @@ else determines, reads the outer shape (n, n_prime, q) from its RsParams
 and the inner block length m from its codebook, whose n * q codewords
 cover every (position, value) pair; the three builders take the same
 arguments.  And the contract every scheme keeps, checked once per scheme:
-its encoder equals the symbol-by-symbol oracle, it refuses a message of
-the wrong length, and its decoder refuses a word over another alphabet and
-is total on any word over its own."""
+its encoder equals the symbol-by-symbol oracle, its channel word is laid
+out as its spans say, it refuses a message of the wrong length, and its
+decoder refuses a word over another alphabet and is total on any word over
+its own."""
 
 import dataclasses
 import inspect
@@ -21,7 +22,7 @@ from delcodes.highnoise import HnTelemetry, hn_make_spec
 from delcodes.hirate import BrTelemetry, br_make_spec
 from delcodes.listdec import LdTelemetry, ld_make_spec
 from delcodes.presets import SCHEMES, make_scheme_spec
-from delcodes.rsouter import RsParams
+from delcodes.rsouter import RsParams, rs_encode
 from delcodes.seqkit import Word
 from oracles import encode_oracle
 
@@ -37,6 +38,8 @@ TELEMETRY = {"highnoise": HnTelemetry, "hirate": BrTelemetry,
              "listdec": LdTelemetry}
 
 SEEDS = {"highnoise": 21, "hirate": 22, "listdec": 22}
+
+BUFFERED = {"highnoise": False, "hirate": True, "listdec": False}
 
 # Small specs whose every message is encoded: (scheme, q, overrides).
 SMALL = {
@@ -54,7 +57,7 @@ def desk(request):
 
 
 def alphabet(spec) -> int:
-    return spec.encode([0] * spec.n_prime).alphabet_size
+    return spec.alphabet_size
 
 
 def test_spec_stores_no_copy_of_the_shape(desk):
@@ -102,6 +105,33 @@ def test_encoder_matches_oracle_on_seeded_messages(desk):
         word = desk.encode(msg)
         assert word == encode_oracle(desk, msg), msg
         assert len(word) == desk.encoded_length
+
+
+def test_channel_word_layout(desk):
+    # The spans tile [0, encoded_length) in order, codeword and buffer in
+    # turn; each codeword span of an encoding holds its pair's word and
+    # each buffer span only zeros, over the spec's alphabet.
+    spec = desk
+    rng = random.Random(SEEDS[spec.name])
+    msg = [rng.randrange(spec.q) for _ in range(spec.n_prime)]
+    word = spec.encode(msg)
+    assert spec.alphabet_size == word.alphabet_size
+    blocks, buffers = spec.spans()
+    assert len(blocks) == spec.n
+    assert len(buffers) == (spec.n - 1 if BUFFERED[spec.name] else 0)
+    assert (spec.buffer_len > 0) == BUFFERED[spec.name]
+    tiles = sorted(blocks + buffers)
+    assert tiles[0][0] == 0 and tiles[-1][1] == spec.encoded_length
+    assert all(e == s for (_, e), (s, _) in zip(tiles, tiles[1:]))
+    assert [e - s for s, e in blocks] == [spec.m] * spec.n
+    for (_, end), (start, _) in zip(blocks, blocks[1:]):
+        assert start - end == spec.buffer_len
+    syms = word.symbols
+    for i, c in enumerate(rs_encode(spec.rs, msg)):
+        start, end = blocks[i]
+        assert syms[start:end] == spec.pair_words[i * spec.q + c]
+    for start, end in buffers:
+        assert set(syms[start:end]) == {0}
 
 
 def test_wrong_message_length(desk):

@@ -12,12 +12,12 @@ import pytest
 from delcodes import innercode, seqkit
 from delcodes.common import Profile
 from delcodes.errors import (
+    AlphabetMismatch,
     Ambiguous,
     GuardExceeded,
     InfeasibleAtDeskScale,
     InvalidOverride,
     NoMatch,
-    NotBinary,
     OutOfRange,
 )
 from delcodes.innercode import (
@@ -157,7 +157,7 @@ class TestGreedyDense:
         assert cb.codewords == again.codewords
 
     def test_binary_only(self):
-        with pytest.raises(NotBinary):
+        with pytest.raises(AlphabetMismatch):
             innercode._build(DENSE, 3, 4, F(1, 4), beta=F(1, 2))
         with pytest.raises(OutOfRange):
             innercode._build(DENSE, 2, 4, F(1, 4), beta=F(2))
