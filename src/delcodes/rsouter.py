@@ -15,7 +15,11 @@ interpolation its degree is < nprime exactly when no survivor disagrees
 with a codeword, and then the loop would run no step and return the same
 coefficients.  Gao's interpolation data (the vanishing polynomial and the
 Lagrange basis of the unerased points) depends only on the field and those
-points, so it is computed once per point set and cached.
+points, so it is computed once per point set and cached.  The decoder meets
+the same few received words again and again (one per message when every
+vote is right), so each RsParams also remembers the outcome of its last
+words: the message coefficients, or the DecodeFailure message, keyed on the
+received word and cleared when it reaches _DECODE_MEMO entries.
 
 rs_list_recover_bruteforce searches all q^nprime messages for codewords that
 agree with per-position candidate sets often enough; it exists to make small
@@ -25,7 +29,7 @@ list-decoding experiments exact, not to be fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
 from .errors import DecodeFailure, GuardExceeded, LengthMismatch, OutOfRange
@@ -52,6 +56,12 @@ class RsParams:
             raise OutOfRange(
                 f"dimension {self.nprime} must lie in [1, {self.n}]")
 
+    @cached_property
+    def _decode_memo(self) -> dict[tuple, tuple[int, ...] | str]:
+        """Received word -> rs_decode_ee's coefficients, or the message of
+        its DecodeFailure; filled by rs_decode_ee."""
+        return {}
+
 
 def candidate_sets(pairs, n: int) -> list[set[int]]:
     """The values voted for at each of the positions 0..n-1 by (position,
@@ -68,11 +78,20 @@ def outer_word(pairs, n: int) -> tuple[list, int]:
 
     A position with exactly one voted value takes it; one with no vote or
     with conflicting votes is erased, since no vote there can be trusted.
+    One pass: each position keeps its first value, and a later different
+    value marks it as a clash; a repeated pair is no conflict.
     """
-    sets = candidate_sets(pairs, n)
-    conflicts = sum(1 for vs in sets if len(vs) > 1)
-    word = [next(iter(vs)) if len(vs) == 1 else ERASED for vs in sets]
-    return word, conflicts
+    word: list = [ERASED] * n
+    clashes: set[int] = set()
+    for i, v in pairs:
+        w = word[i]
+        if w is ERASED:
+            word[i] = v
+        elif w != v:
+            clashes.add(i)
+    for i in clashes:
+        word[i] = ERASED
+    return word, len(clashes)
 
 
 def poly_eval(field: Field, coeffs: list[int], x: int) -> int:
@@ -121,6 +140,11 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
+# Entries of one RsParams's decode memo; a full memo is cleared.  An entry
+# is a received word and its outcome: a full memo of an n = 8 code takes
+# under 1 MB.
+_DECODE_MEMO = 4096
+
 # Keys are (field, xs) with xs the unerased subset of the evaluation points
 # 0..n-1: one per erasure pattern met, and always the same one for a word
 # with no erasures.  256 entries hold every subset of an n = 8 code.
@@ -158,9 +182,35 @@ def rs_decode_ee(rs: RsParams, received: list) -> list[int]:
     loop would take no step and divide g1 by v = 1.  g0 and the Lagrange
     basis depend only on the field and the surviving points, so they are
     cached.  Raises DecodeFailure when no codeword lies within that radius.
+
+    Each outcome is also remembered in rs's memo, keyed on the received
+    word, which holds at most _DECODE_MEMO words and is cleared when full: a
+    repeated word gets a fresh list of the same coefficients, or a
+    DecodeFailure with the same message, without decoding again.  A word of
+    the wrong length is refused before the memo is read, and one holding a
+    value outside the field (OutOfRange) is never remembered.
     """
-    field, nprime = rs.field, rs.nprime
     _check_length("received word", received, rs.n)
+    memo = rs._decode_memo
+    key = tuple(received)
+    found = memo.get(key)
+    if found is None:
+        if len(memo) >= _DECODE_MEMO:
+            memo.clear()
+        try:
+            found = memo[key] = tuple(_decode(rs, received))
+        except DecodeFailure as exc:
+            memo[key] = str(exc)
+            raise
+    elif type(found) is str:
+        raise DecodeFailure(found)
+    return list(found)
+
+
+def _decode(rs: RsParams, received: list) -> list[int]:
+    """rs_decode_ee without its memo: Gao's decoder on a received word of
+    the right length."""
+    field, nprime = rs.field, rs.nprime
     xs, ys = [], []
     for x, v in enumerate(received):
         if v is ERASED:

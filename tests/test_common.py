@@ -6,7 +6,7 @@ arguments.  And the contract every scheme keeps, checked once per scheme:
 its encoder equals the symbol-by-symbol oracle, its channel word is laid
 out as its spans say, it refuses a message of the wrong length, and its
 decoder refuses a word over another alphabet and is total on any word over
-its own."""
+its own, and a unique decoder's repeated failure carries its own record."""
 
 import dataclasses
 import inspect
@@ -157,3 +157,35 @@ def test_decoder_is_total(desk, data):
         desk.decode(Word(tuple(syms), size))
     except DecodeFailure as exc:
         assert isinstance(exc.telemetry, TELEMETRY[desk.name])
+
+
+@pytest.mark.parametrize("fixture", ["hn_desk", "br_desk"])
+def test_repeated_failure_carries_its_own_record(request, fixture):
+    # The outer decoder remembers a failing vote vector, so the second
+    # decode of the same word fails from its memo; the scheme still attaches
+    # that decode's own record, equal to the first's.  The spec gets a fresh
+    # RsParams, so the first failure is really decoded.  The word is the
+    # first seeded splice of the halves of two messages' encodings that
+    # fails to decode.
+    desk = request.getfixturevalue(fixture)
+    rs = desk.rs
+    spec = dataclasses.replace(desk, rs=RsParams(rs.field, rs.n, rs.nprime))
+    rng = random.Random(SEEDS[spec.name])
+    while True:
+        a, b = ([rng.randrange(spec.q) for _ in range(spec.n_prime)]
+                for _ in range(2))
+        half = spec.encoded_length // 2
+        syms = spec.encode(a).symbols[:half] + spec.encode(b).symbols[half:]
+        word = Word(syms, alphabet(spec))
+        try:
+            spec.decode(word)
+        except DecodeFailure as exc:
+            first = exc
+            break
+    assert first.telemetry.inner_successes > 0
+    remembered = dict(spec.rs._decode_memo)
+    with pytest.raises(DecodeFailure) as second:
+        spec.decode(word)
+    assert spec.rs._decode_memo == remembered  # a hit, not a new entry
+    assert str(second.value) == str(first)
+    assert second.value.telemetry == first.telemetry

@@ -1,6 +1,8 @@
 """Outer code contract: exact recovery inside the error/erasure budget,
 checked exhaustively where the pattern space is small and by sampling above,
-and agreement with a Berlekamp-Welch oracle on every received word.
+and agreement with a Berlekamp-Welch oracle on every received word.  The
+decoder's memo changes no outcome, and the one-pass outer word equals the
+per-position set rule.
 """
 
 import itertools
@@ -15,12 +17,16 @@ from delcodes.errors import (
     LengthMismatch,
     OutOfRange,
 )
+from delcodes import rsouter
 from delcodes.gf import make_field
 from delcodes.rsouter import (
     ERASED,
     RsParams,
+    _decode,
     _interpolation_data,
     _poly_divmod,
+    candidate_sets,
+    outer_word,
     poly_eval,
     rs_decode_ee,
     rs_encode,
@@ -326,6 +332,137 @@ class TestAgreesWithBerlekampWelch:
         assert isinstance(g0, tuple)
         assert isinstance(bases, tuple)
         assert all(isinstance(b, tuple) for b in bases)
+
+
+def decode_outcome(decode, rs, received):
+    """The decoded coefficients, or the class and message of the error."""
+    try:
+        return decode(rs, list(received))
+    except (DecodeFailure, LengthMismatch, OutOfRange) as exc:
+        return type(exc), str(exc)
+
+
+def memo_corpus(rs, rng, count=300):
+    """Seeded received words of rs: clean codewords, erasures only, errors
+    inside the radius, and words past it or with too few survivors, so that
+    both results and every DecodeFailure message occur."""
+    q, n, npr = rs.field.order, rs.n, rs.nprime
+    words = []
+    for k in range(count):
+        code = rs_encode(rs, [rng.randrange(q) for _ in range(npr)])
+        kind = k % 4
+        if kind == 0:
+            r = t = 0
+        elif kind == 1:
+            r, t = rng.randrange(n - npr + 1), 0
+        elif kind == 2:
+            r = rng.randrange(n - npr + 1)
+            t = rng.randrange((n - npr - r) // 2 + 1)
+        else:
+            r = rng.randrange(n + 1)
+            t = (n - npr - r) // 2 + 1 + rng.randrange(2)
+        pos = rng.sample(range(n), min(n, r + max(t, 0)))
+        errors = {p: (code[p] + rng.randrange(1, q)) % q for p in pos[r:]}
+        words.append(tuple(corrupt(code, set(pos[:r]), errors)))
+    return words
+
+
+class TestDecodeMemo:
+    """rs_decode_ee remembers outcomes per received word; the memo's
+    oracle is _decode, the decoder without it."""
+
+    @pytest.fixture(params=["hn_desk", "br_desk", "gf5"])
+    def rs(self, request):
+        if request.param == "gf5":
+            return RsParams(make_field(5), 5, 2)
+        return request.getfixturevalue(request.param).rs
+
+    def test_cold_and_warm_memo_agree_with_the_plain_decoder(self, rs):
+        rng = random.Random(rs.field.order * 100 + rs.n)
+        corpus = memo_corpus(rs, rng)
+        plain = [decode_outcome(_decode, rs, w) for w in corpus]
+        kinds = {type(o) if isinstance(o, list) else o[0] for o in plain}
+        assert kinds == {list, DecodeFailure}
+        assert len(set(corpus)) < len(corpus)  # repeated words hit
+        shape = (rs.field, rs.n, rs.nprime)
+        cold = [decode_outcome(rs_decode_ee, RsParams(*shape), w)
+                for w in corpus]
+        warm_rs = RsParams(*shape)
+        for w in rng.sample(corpus, len(corpus)):
+            decode_outcome(rs_decode_ee, warm_rs, w)
+        assert len(warm_rs._decode_memo) == len(set(corpus))
+        warm = [decode_outcome(rs_decode_ee, warm_rs, w) for w in corpus]
+        assert cold == plain
+        assert warm == plain
+
+    def test_a_hit_returns_a_fresh_list(self, rs):
+        rs = RsParams(rs.field, rs.n, rs.nprime)
+        code = rs_encode(rs, [1] * rs.nprime)
+        first = rs_decode_ee(rs, code)
+        first.append(7)
+        first[0] = 0
+        assert rs_decode_ee(rs, code) == [1] * rs.nprime
+
+    def test_a_hit_raises_the_same_failure(self):
+        rs = RsParams(make_field(5), 5, 2)
+        word = [0, 1, 0, 1, ERASED]
+        raised = []
+        for _ in range(2):
+            with pytest.raises(DecodeFailure) as info:
+                rs_decode_ee(rs, word)
+            raised.append(info.value)
+        assert (DecodeFailure, str(raised[0])) == decode_outcome(
+            _decode, rs, word)
+        assert str(raised[1]) == str(raised[0])
+        assert raised[0] is not raised[1]
+        assert tuple(word) in rs._decode_memo
+
+    def test_malformed_words_are_not_remembered(self):
+        rs = RsParams(make_field(5), 5, 2)
+        for word, error in (([0, 1, 2, 3], LengthMismatch),
+                            ([0, 1, 2, 3, 5], OutOfRange),
+                            ([0, 1, -1, ERASED, 4], OutOfRange)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    rs_decode_ee(rs, word)
+        assert rs._decode_memo == {}
+
+    def test_memo_holds_at_most_its_cap(self, rs, monkeypatch):
+        monkeypatch.setattr(rsouter, "_DECODE_MEMO", 8)
+        rng = random.Random(rs.n)
+        corpus = memo_corpus(rs, rng, count=100)
+        fresh = RsParams(rs.field, rs.n, rs.nprime)
+        for w in corpus + corpus[::-1]:
+            assert (decode_outcome(rs_decode_ee, fresh, w)
+                    == decode_outcome(_decode, rs, w))
+            assert 1 <= len(fresh._decode_memo) <= 8
+
+
+def outer_word_by_sets(pairs, n):
+    """The per-position set rule outer_word replaced, as its oracle: one
+    voted value is kept, none or several erase the position."""
+    sets = candidate_sets(pairs, n)
+    word = [next(iter(vs)) if len(vs) == 1 else ERASED for vs in sets]
+    return word, sum(1 for vs in sets if len(vs) > 1)
+
+
+def test_outer_word_matches_the_set_rule():
+    rng = random.Random(26)
+    assert outer_word([], 3) == outer_word_by_sets([], 3) == ([ERASED] * 3, 0)
+    for _ in range(2000):
+        n, q = rng.randrange(1, 9), rng.randrange(2, 9)
+        pairs = [(rng.randrange(n), rng.randrange(q))
+                 for _ in range(rng.randrange(3 * n))]
+        pairs += rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        rng.shuffle(pairs)
+        expected = outer_word_by_sets(pairs, n)
+        assert outer_word(pairs, n) == expected, pairs
+        assert outer_word(set(pairs), n) == expected, pairs
+
+
+def test_repeated_votes_are_no_conflict():
+    assert outer_word([(1, 2), (0, 3), (1, 2)], 3) == ([3, 2, ERASED], 0)
+    assert outer_word([(1, 2), (1, 4), (1, 2)], 2) == ([ERASED, ERASED], 1)
 
 
 class TestListRecover:
