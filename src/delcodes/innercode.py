@@ -12,10 +12,12 @@ Three codebook kinds share one greedy engine:
 
 The separation threshold for a codebook correcting a delta fraction of
 deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
-(LCS <= ell - 1, or no full subset sharing an ell-subsequence).  A LISTDEC
+(LCS <= ell - 1, or no full subset sharing an ell-subsequence).  The
+accepted words are laid out once, growing, in a seqkit._LcsBook, so one
+bit-parallel pass gives a candidate's LCS with every one of them.  A LISTDEC
 build keeps, level by level, the subsets of accepted words that share an
 ell-subsequence, so a candidate is tested only against the subsets it could
-complete.
+complete, and the multi-word LCS of a subset stops once it reaches ell.
 
 Decoding asks which codewords contain a received word as a subsequence.  A
 piece as long as a codeword is contained only in an equal codeword, so it is
@@ -170,62 +172,73 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
 class _Sharing:
     """The subsets of accepted LISTDEC words that share a common subsequence
     of length ell: levels[j] holds the (j + 1)-subsets, as index tuples into
-    words in acceptance order.
+    words in acceptance order, which book lays out.
 
     A candidate breaks the list_size property only by completing a top-level
-    subset of list_size - 1 words.  Every subset tested already shares, so
-    once each member passes the pairwise test against the candidate, a group
-    of two shares outright and a larger group goes straight to the
-    multi-word LCS.  lcs caches one candidate's pairwise LCS by word index.
+    subset of list_size - 1 words.  admits reads the candidate's pairwise
+    LCS with every word from one pass over book, keeps the words it
+    reaches ell with as near, and add threads the candidate in with them.
+    Every subset tested already shares, so a subset within near of one word
+    shares with the candidate outright, and a larger one goes to the
+    multi-word LCS, which stops at ell.
 
     Nothing is built until list_size - 1 words are in: no subset can be
     completed before then, and at asymptotic-recipe list sizes (far beyond
     the target book) that moment never arrives.
     """
 
-    def __init__(self, words: list[tuple[int, ...]], ell: int,
-                 list_size: int):
+    def __init__(self, words: list[tuple[int, ...]], book: seqkit._LcsBook,
+                 ell: int, list_size: int):
         self.words = words
+        self.book = book
         self.ell = ell
         self.list_size = list_size
         self.levels: list[list[tuple[int, ...]]] | None = None
+        self.near: set[int] = set()
+
+    def _near(self, word: tuple[int, ...]) -> set[int]:
+        """The indices of the words whose LCS with word reaches ell."""
+        ell = self.ell
+        return {i for i, v in enumerate(self.book.lcs(word)) if v >= ell}
 
     def _shares(self, subset: tuple[int, ...], cand: tuple[int, ...],
-                lcs: dict[int, int]) -> bool:
-        for i in subset:
-            if i not in lcs:
-                lcs[i] = seqkit._lcs_seq(cand, self.words[i])
-            if lcs[i] < self.ell:
-                return False
-        return len(subset) == 1 or seqkit._multi_lcs(
-            [self.words[i] for i in subset] + [cand]) >= self.ell
+                near: set[int]) -> bool:
+        return near.issuperset(subset) and (
+            len(subset) == 1 or seqkit._multi_lcs(
+                [self.words[i] for i in subset] + [cand], self.ell)
+            == self.ell)
 
-    def first_completed(self, cand: tuple[int, ...],
-                        lcs: dict[int, int]) -> tuple[int, ...] | None:
-        """The first top-level subset that cand completes, if any."""
+    def admits(self, cand: tuple[int, ...]) -> bool:
+        """Whether cand completes no top-level subset."""
         if self.levels is None:
             if len(self.words) < self.list_size - 1:
-                return None
+                return True
             self.levels = [[] for _ in range(self.list_size - 1)]
-            for i in range(len(self.words)):
-                self.add(i, {})
-        return next((s for s in self.levels[-1]
-                     if self._shares(s, cand, lcs)), None)
+            for i, word in enumerate(self.words):
+                self._thread(i, self._near(word))
+        self.near = self._near(cand)
+        return not any(self._shares(s, cand, self.near)
+                       for s in self.levels[-1])
 
-    def add(self, idx: int, lcs: dict[int, int]) -> None:
-        """Thread word idx into the levels, which hold words before it.
+    def add(self, idx: int) -> None:
+        """Thread word idx, the candidate admits last passed, into the
+        levels."""
+        if self.levels is not None:
+            self._thread(idx, self.near)
+
+    def _thread(self, idx: int, near: set[int]) -> None:
+        """Thread word idx, whose LCS reaches ell with the words in near,
+        into the levels, which hold words before it.
 
         The subsets holding idx grow from the level below as it stood
         before idx; a level that gains nothing leaves nothing to grow above
         it."""
-        if self.levels is None:
-            return
         new = [[(idx,)]]
         for below in self.levels[:-1]:
             if not new[-1]:
                 break
             new.append([base + (idx,) for base in below
-                        if self._shares(base, self.words[idx], lcs)])
+                        if self._shares(base, self.words[idx], near)])
         for level, subsets in zip(self.levels, new):
             level.extend(subsets)
 
@@ -276,7 +289,8 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
         stream = _random_stream(k, m, rng, attempt_cap)
 
     accepted: list[tuple[int, ...]] = []
-    sharing = (_Sharing(accepted, ell, list_size)
+    book = seqkit._LcsBook()
+    sharing = (_Sharing(accepted, book, ell, list_size)
                if kind is CodebookKind.LISTDEC else None)
     for cand in stream:
         if kind is CodebookKind.DENSE and not (
@@ -284,15 +298,14 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
                 and seqkit.is_dense_seq(cand, win, need)):
             continue
         if sharing is None:
-            ok = all(seqkit._lcs_seq(cand, a) < ell for a in accepted)
+            ok = all(v < ell for v in book.lcs(cand))
         else:
-            lcs: dict[int, int] = {}
-            ok = (cand not in accepted
-                  and sharing.first_completed(cand, lcs) is None)
+            ok = cand not in accepted and sharing.admits(cand)
         if ok:
             accepted.append(cand)
+            book.append(cand)
             if sharing is not None:
-                sharing.add(len(accepted) - 1, lcs)
+                sharing.add(len(accepted) - 1)
             if target_size is not None and len(accepted) >= target_size:
                 break
 

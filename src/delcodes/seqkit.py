@@ -5,11 +5,13 @@ counting operations return exact integers (Python bignums); thresholds that
 come from rational parameters are computed with fractions.Fraction so no
 float rounding can move an integer boundary.
 
-Containment and pairwise LCS are bit-parallel: containment lays a whole
-book of words out as one big integer and tests a text against every word at
-once (_is_subseq_seq).  The LCS of several words is a dominant-point search
-that raises GuardExceeded past MULTI_LCS_GUARD dominance comparisons, a
-bound on its time.
+Containment and pairwise LCS are bit-parallel, and both run on a whole book
+at once: _LcsBook lays the words out as one big integer, and one pass of a
+text gives its LCS with every word (_LcsBook.lcs) or the words that contain
+it (_is_subseq_seq).  _lcs_seq runs the same LCS step on one pair.  The LCS
+of several words is a dominant-point search that can stop at a threshold
+length; it raises GuardExceeded past MULTI_LCS_GUARD dominance comparisons,
+a bound on its time.
 """
 
 from __future__ import annotations
@@ -88,21 +90,59 @@ def _lcs_seq(xs, ys) -> int:
     return len(ys) - v.bit_count()
 
 
-def _subseq_layout(words) -> tuple[dict[int, int], int, int]:
-    """A book of words as _is_subseq_seq reads it, word i a segment of
+class _LcsBook:
+    """A book of words laid out as one big integer, word i a segment of
     len(word) + 1 bits: its symbols from the low end up, then a guard bit.
+    append lays a new word out above the rest, so a growing book is never
+    laid out again.  masks maps each symbol to its positions in every word,
+    full is every position but the guards, and spans holds each word's
+    (low, high) bits."""
+
+    def __init__(self, words=()):
+        self.masks: dict[int, int] = {}
+        self.full = 0
+        self.spans: list[tuple[int, int]] = []
+        self.width = 0
+        for w in words:
+            self.append(w)
+
+    def append(self, word) -> None:
+        base = self.width
+        own: dict[int, int] = {}
+        bit = 1
+        for s in word:
+            own[s] = own.get(s, 0) | bit
+            bit <<= 1
+        for s, a in own.items():
+            self.masks[s] = self.masks.get(s, 0) | a << base
+        self.full |= (bit - 1) << base
+        self.spans.append((base, base + len(word)))
+        self.width = base + len(word) + 1
+
+    def lcs(self, text) -> list[int]:
+        """The LCS of text with each word, in order, in one pass: the step
+        of _lcs_seq runs on every segment at once.  u lies within v, so
+        v - u borrows nothing, and a carry out of a segment stops in its
+        guard bit, which full clears."""
+        full = v = self.full
+        mask_of = self.masks.get
+        for x in text:
+            u = v & mask_of(x, 0)
+            v = ((v + u) | (v - u)) & full
+        top = self.width
+        bits = f"{v:0{top}b}"
+        return [hi - lo - bits.count("1", top - hi, top - lo)
+                for lo, hi in self.spans]
+
+
+def _subseq_layout(words) -> tuple[dict[int, int], int, int]:
+    """A book of words as _is_subseq_seq reads it, in the _LcsBook layout.
     Returns occ (symbol -> its positions in every word, OR the guards), the
     mask of all but the guards, and the start (each segment's low bit)."""
-    occ: dict[int, int] = {}
-    guards = start = base = 0
-    for w in words:
-        start |= 1 << base
-        for s in w:
-            occ[s] = occ.get(s, 0) | 1 << base
-            base += 1
-        guards |= 1 << base
-        base += 1
-    return {s: a | guards for s, a in occ.items()}, ~guards, start
+    book = _LcsBook(words)
+    guards = ((1 << book.width) - 1) ^ book.full
+    return ({s: a | guards for s, a in book.masks.items()}, ~guards,
+            sum(1 << lo for lo, _ in book.spans))
 
 
 def _is_subseq_seq(text, occ: dict[int, int], live: int, state: int) -> int:
@@ -119,14 +159,17 @@ def _is_subseq_seq(text, occ: dict[int, int], live: int, state: int) -> int:
     return state
 
 
-def _multi_lcs(seqs) -> int:
+def _multi_lcs(seqs, ell: int | None = None) -> int:
     # Dominant-point search (Hakata & Imai 1992).  A point holds one prefix
     # length per word; level l is the set of Pareto-minimal points at which
     # some common subsequence of length l ends, each word embedding it
     # leftmost.  A point that dominates another can be extended by nothing
     # the smaller one cannot, so level l + 1 is the minimal set of the
     # one-symbol successors of level l, and the LCS length is the number of
-    # non-empty levels.
+    # non-empty levels.  Given a threshold ell, the search stops at level
+    # ell and drops every point too late in some word to reach it, so the
+    # result is ell when the words share a common subsequence of length ell
+    # and below ell otherwise.
     common = set(seqs[0]).intersection(*seqs[1:])
     steps = []
     for c in common:
@@ -144,12 +187,17 @@ def _multi_lcs(seqs) -> int:
         steps.append(cols)
     frontier = [(0,) * len(seqs)]
     length = compared = 0
-    while True:
+    while length != ell:
+        # A point at level length + 1 reaches ell only if every word has
+        # ell - length - 1 symbols left past it.
+        room = (None if ell is None
+                else tuple(len(s) - (ell - length - 1) for s in seqs))
         successors = set()
         for cols in steps:
             for point in frontier:
                 nxt = tuple(map(list.__getitem__, cols, point))
-                if None not in nxt:
+                if None not in nxt and (room is None
+                                        or all(map(le, nxt, room))):
                     successors.add(nxt)
         if not successors:
             return length
@@ -168,6 +216,7 @@ def _multi_lcs(seqs) -> int:
             else:
                 frontier.append(point)
         length += 1
+    return length
 
 
 def density_rule(m: int, beta: Fraction) -> tuple[int, int]:

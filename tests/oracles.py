@@ -1,5 +1,5 @@
-"""Slow reference versions of the seqkit kernels, of the three encoders
-and of hirate's erase price.
+"""Slow reference versions of the seqkit kernels, of the greedy inner
+book search, of the three encoders and of hirate's erase price.
 
 The package's containment and LCS kernels are bit-parallel or prune their
 search.  Tests compare the kernels against these plain versions, and the
@@ -55,6 +55,22 @@ def rolling_lcs(xs, ys):
                 row[j] = row[j - 1]
             prev_diag = tmp
     return row[len(ys)]
+
+
+def greedy_oracle(stream, ell, target=None, admit=None):
+    """The greedy book over a candidate stream by pairwise rolling_lcs:
+    each candidate that admit passes (every one, when admit is None) and
+    whose LCS with every word taken so far is below ell is taken, until
+    target words.  The reference for the UNIQUE and DENSE search of
+    innercode._build."""
+    book = []
+    for cand in stream:
+        if ((admit is None or admit(cand))
+                and all(rolling_lcs(cand, w) < ell for w in book)):
+            book.append(cand)
+            if len(book) == target:
+                break
+    return book
 
 
 def table_multi_lcs(seqs):

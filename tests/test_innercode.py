@@ -36,7 +36,7 @@ from delcodes.hirate import br_make_spec
 from delcodes.listdec import ld_make_spec
 from delcodes.presets import PRESETS
 from delcodes.seqkit import Word
-from oracles import subseq_oracle, table_multi_lcs
+from oracles import greedy_oracle, subseq_oracle, table_multi_lcs
 
 F = Fraction
 LEX = CandidatePolicy.LEX
@@ -163,6 +163,60 @@ class TestGreedyDense:
             innercode._build(DENSE, 2, 4, F(1, 4), beta=F(2))
 
 
+@pytest.mark.parametrize("kind,k,m,delta,target,policy,seed,extra,reached", [
+    (UNIQUE, 2, 8, F(1, 4), None, LEX, 0, {}, False),
+    (UNIQUE, 2, 10, F(3, 10), 4, LEX, 0, {}, True),
+    (UNIQUE, 3, 6, F(1, 3), None, LEX, 0, {}, False),
+    (UNIQUE, 4, 5, F(1, 2), 6, LEX, 0, {}, True),
+    (UNIQUE, 256, 2, F(1, 2), 16, LEX, 0, {}, True),
+    (UNIQUE, 2, 12, F(1, 4), None, RANDOM, 1, {}, False),
+    (UNIQUE, 3, 6, F(1, 3), 60, RANDOM, 4, {}, False),
+    (UNIQUE, 4, 8, F(1, 2), 3, RANDOM, 2, {}, True),
+    (UNIQUE, 256, 8, F(1, 2), 30, RANDOM, 3, {}, True),
+    (DENSE, 2, 8, F(1, 4), None, LEX, 0, {"beta": F(1, 2)}, False),
+    (DENSE, 2, 8, F(1, 4), 2, LEX, 0, {"beta": F(1, 2)}, True),
+    (DENSE, 2, 48, F(1, 16), 12, RANDOM, 1, {"beta": F(1, 24)}, True),
+    (DENSE, 2, 48, F(1, 16), 60, RANDOM, 5, {"beta": F(1, 24)}, False),
+    (DENSE, 2, 84, F(5, 84), 8, RANDOM, 3,
+     {"beta": F(1, 48), "zeros": 14, "min_gap": 4}, True),
+    (DENSE, 2, 40, F(1, 20), None, RANDOM, 5,
+     {"beta": F(1, 20), "zeros": 8, "min_gap": 3}, False),
+])
+def test_search_matches_pairwise_greedy(kind, k, m, delta, target, policy,
+                                        seed, extra, reached):
+    # The pairwise greedy takes the same candidate stream and the same
+    # density filter, and tests each candidate against each accepted word
+    # with the rolling-row dynamic program.
+    cap = 120
+    ell = innercode.separation_threshold(m, delta)
+    rng = random.Random(seed)
+    if policy is LEX:
+        stream = itertools.product(range(k), repeat=m)
+    elif kind is DENSE:
+        z, g = innercode.dense_layout(m, delta, extra.get("zeros"),
+                                      extra.get("min_gap"))
+        stream = innercode._random_dense_stream(m, rng, cap, z, g)
+    else:
+        stream = innercode._random_stream(k, m, rng, cap)
+    admit = None
+    if kind is DENSE:
+        win, need = seqkit.density_rule(m, extra["beta"])
+
+        def admit(c):
+            return c[0] == c[-1] == 1 and all(
+                sum(c[i:i + win]) >= need for i in range(max(1, m - win + 1)))
+    expected = greedy_oracle(stream, ell, target, admit)
+    assert (len(expected) == target) == reached
+    build = dict(target_size=target, policy=policy, seed=seed,
+                 attempt_cap=cap, **extra)
+    if target is not None and not reached:
+        with pytest.raises(InfeasibleAtDeskScale):
+            innercode._build(kind, k, m, delta, **build)
+        build["target_size"] = None
+    cb = innercode._build(kind, k, m, delta, **build)
+    assert [w.symbols for w in cb.codewords] == expected
+
+
 class TestGreedyListdec:
     def test_pair_trace(self):
         with pytest.raises(InfeasibleAtDeskScale, match="reached 2 of 4"):
@@ -247,7 +301,7 @@ class TestGreedyListdec:
         # The paper-profile list size is far beyond its 12-word book, so
         # no subset can ever be completed and none is searched.  PAPER
         # refuses that book; DESK builds it from the same parameters.
-        def refuse(seqs):
+        def refuse(*args):
             raise AssertionError("multi-word LCS called")
         monkeypatch.setattr(seqkit, "_multi_lcs", refuse)
         preset = PRESETS[("listdec", Profile.PAPER_ASYMPTOTIC)]

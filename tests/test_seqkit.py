@@ -210,6 +210,36 @@ class TestSubseqMatcher:
             assert kernel_subseq(text, w) == subseq_oracle(text, w)
 
 
+class TestBookLcs:
+    """seqkit._LcsBook, the LCS of one text with a whole book in one pass,
+    against the rolling-row dynamic program, after every append."""
+
+    @pytest.mark.parametrize("alphabet", [
+        (0, 1), tuple(range(3)), tuple(range(256)),
+        (0, 7, 0x110000, 2**21 - 1),
+    ], ids=["binary", "k3", "k256", "past-character-range"])
+    def test_matches_rolling_dp_after_every_append(self, alphabet):
+        rng = random.Random(20041104)
+        lengths = set()
+        for _ in range(60):
+            book, words = seqkit._LcsBook(), []
+            assert book.lcs((alphabet[0],)) == []
+            for _ in range(rng.randint(1, 6)):
+                word = tuple(rng.choice(alphabet)
+                             for _ in range(rng.randint(0, 10)))
+                book.append(word)
+                words.append(word)
+                lengths.add(len(word))
+                # Texts from empty to twice the longest word, and the
+                # words themselves.
+                texts = [tuple(rng.choice(alphabet) for _ in range(n))
+                         for n in (0, 1, rng.randint(2, 9), 20)] + words
+                for text in texts:
+                    assert book.lcs(text) == [rolling_lcs(text, w)
+                                              for w in words], (words, text)
+        assert lengths == set(range(11))
+
+
 class TestMultiwayCommon:
     def test_pair_reduces_to_lcs(self):
         a, b = (1, 0, 1, 1, 0), (0, 1, 1, 0, 1)
@@ -269,6 +299,19 @@ class TestMultiwayCommon:
             seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
                     for _ in range(rng.randint(2, 5))]
             assert seqkit._multi_lcs(seqs) == table_multi_lcs(seqs), seqs
+
+    def test_threshold_agrees_on_3000_seeded_instances(self):
+        # With a threshold t the search reaches t exactly when the words
+        # share a common subsequence of length t, and never passes it.
+        rng = random.Random(20141124)
+        for _ in range(3000):
+            k = rng.randint(2, 4)
+            seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
+                    for _ in range(rng.randint(2, 5))]
+            full = table_multi_lcs(seqs)
+            for t in range(max(map(len, seqs)) + 2):
+                got = seqkit._multi_lcs(seqs, t)
+                assert got <= t and (got == t) == (full >= t), (seqs, t)
 
 
 class TestDensity:
