@@ -172,29 +172,17 @@ def _merge_attack(rng, spec, blocks, buffers, budget: int,
 
 
 def _buffer_kill(rng, spec, buffers, budget: int) -> list[int]:
-    # Thin buffers by the decoder's run threshold, round-robin.
+    # Thin buffers by the decoder's run threshold, round-robin: round r
+    # takes the r-th run of thr symbols of every buffer that still holds
+    # one, buffers in a shuffled order, while the budget lasts.
     thr = spec.run_threshold
     order = list(range(len(buffers)))
     rng.shuffle(order)
-    taken = {b: 0 for b in order}
-    out: list[int] = []
-    remaining = budget
-    progress = True
-    while remaining >= thr and progress:
-        progress = False
-        for b in order:
-            size = buffers[b][1] - buffers[b][0]
-            take = min(thr, size - taken[b], remaining)
-            if take < thr:
-                continue
-            start = buffers[b][0] + taken[b]
-            out.extend(range(start, start + take))
-            taken[b] += take
-            remaining -= take
-            progress = True
-            if remaining < thr:
-                break
-    return sorted(out)
+    rounds = max((e - s) // thr for s, e in buffers)
+    starts = [buffers[b][0] + r * thr for r in range(rounds) for b in order
+              if buffers[b][0] + (r + 1) * thr <= buffers[b][1]]
+    return sorted(p for start in starts[:budget // thr]
+                  for p in range(start, start + thr))
 
 
 def _density_attack(rng, spec, transmitted, blocks,

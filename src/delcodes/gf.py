@@ -7,48 +7,29 @@ polynomial is chosen deterministically: the irreducible monic polynomial of
 degree w whose coefficient bitmask is smallest, so two runs (or two machines)
 always agree on the arithmetic.
 
-make_field picks the arithmetic once per field.  Prime fields use plain
-modular operations.  GF(2^w) multiplies, inverts, divides and raises to
-powers through log/antilog tables over the smallest primitive element, built
-with the polynomial arithmetic below; w is capped at 16, so the tables hold
-at most 2 * 2^16 entries.
+make_field builds fields of at most 2^16 elements, prime or 2-power: every
+spec holds n * q inner codewords, so none can build past that, and under
+the cap the plain algorithms are exact and fast.  Primes are found by trial
+division and use modular operations.  GF(2^w) multiplies, inverts, divides
+and raises to powers through log/antilog tables over the smallest primitive
+element, found by its period; the tables hold at most 2 * 2^16 entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import DivisionByZero, NotPrimePower, OutOfRange
 
-_MAX_EXT_DEGREE = 16
-
-# Witnesses sufficient for deterministic Miller-Rabin below 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The most elements a field make_field builds may have.
+_MAX_ORDER = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # Trial division: under _MAX_ORDER no divisor past 256 is tried.
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _poly_deg(a: int) -> int:
@@ -76,31 +57,6 @@ def _poly_mulmod(a: int, b: int, f: int) -> int:
     return _poly_mod(_poly_mul(a, b), f)
 
 
-def _poly_powmod(a: int, e: int, f: int) -> int:
-    r = 1
-    a = _poly_mod(a, f)
-    while e:
-        if e & 1:
-            r = _poly_mulmod(r, a, f)
-        a = _poly_mulmod(a, a, f)
-        e >>= 1
-    return r
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _reduction_poly(w: int) -> int:
     # The least irreducible f of degree w, by trial division: no polynomial
@@ -120,12 +76,16 @@ def _log_tables(w: int, f: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     i < 2^w - 1, and log[0] is unused.
     """
     n = (1 << w) - 1
-    factors = _prime_factors(n)
-    g = next(g for g in range(2, n + 1)
-             if all(_poly_powmod(g, n // p, f) != 1 for p in factors))
-    exp = [1]
-    for _ in range(n - 1):
-        exp.append(_poly_mulmod(exp[-1], g, f))
+    for g in range(2, n + 1):
+        # g is primitive when its powers run through all n nonzero
+        # elements before they return to 1; those powers are the table.
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = _poly_mulmod(x, g, f)
+        if len(exp) == n:
+            break
     log = [0] * (n + 1)
     for i, a in enumerate(exp):
         log[a] = i
@@ -212,14 +172,15 @@ class FieldElem:
 
 @lru_cache(maxsize=None)
 def make_field(order: int) -> Field:
-    """Build GF(order) for a prime order or order = 2^w with 1 <= w <= 16."""
-    if order < 2:
-        raise NotPrimePower(f"field order must be at least 2, got {order}")
+    """Build GF(order) for a prime or 2-power order under the one cap of
+    2^16, checked first: primes by trial division, GF(2^w) with tables
+    over the primitive element found by its period."""
+    if not 2 <= order <= _MAX_ORDER:
+        raise NotPrimePower(
+            f"field order must lie in [2, {_MAX_ORDER}], got {order}")
     if _is_prime(order):
         return Field(order)
     if order & (order - 1) == 0:
         w = order.bit_length() - 1
-        if w > _MAX_EXT_DEGREE:
-            raise NotPrimePower(f"2^{w} exceeds the supported extension degree")
         return Field(order, *_log_tables(w, _reduction_poly(w)))
-    raise NotPrimePower(f"{order} is neither prime nor a supported power of 2")
+    raise NotPrimePower(f"{order} is neither prime nor a power of 2")

@@ -8,10 +8,10 @@ float rounding can move an integer boundary.
 Containment and pairwise LCS are bit-parallel, and both run on a whole book
 at once: _LcsBook lays the words out as one big integer, and one pass of a
 text gives its LCS with every word (_LcsBook.lcs) or the words that contain
-it (_is_subseq_seq).  _lcs_seq runs the same LCS step on one pair.  The LCS
-of several words is a dominant-point search that can stop at a threshold
-length; it raises GuardExceeded past MULTI_LCS_GUARD dominance comparisons,
-a bound on its time.
+it (_is_subseq_seq).  _lcs_seq runs the same LCS step on one pair.  For
+several words a dominant-point search answers whether they share a common
+subsequence of a threshold length, stopping there; it raises GuardExceeded
+past MULTI_LCS_GUARD dominance comparisons, a bound on its time.
 """
 
 from __future__ import annotations
@@ -159,17 +159,16 @@ def _is_subseq_seq(text, occ: dict[int, int], live: int, state: int) -> int:
     return state
 
 
-def _multi_lcs(seqs, ell: int | None = None) -> int:
+def _multi_lcs(seqs, ell: int) -> int:
     # Dominant-point search (Hakata & Imai 1992).  A point holds one prefix
     # length per word; level l is the set of Pareto-minimal points at which
     # some common subsequence of length l ends, each word embedding it
     # leftmost.  A point that dominates another can be extended by nothing
     # the smaller one cannot, so level l + 1 is the minimal set of the
-    # one-symbol successors of level l, and the LCS length is the number of
-    # non-empty levels.  Given a threshold ell, the search stops at level
-    # ell and drops every point too late in some word to reach it, so the
-    # result is ell when the words share a common subsequence of length ell
-    # and below ell otherwise.
+    # one-symbol successors of level l.  The search stops at level ell and
+    # drops every point too late in some word to reach it, so the result is
+    # ell when the words share a common subsequence of length ell and below
+    # ell otherwise.
     common = set(seqs[0]).intersection(*seqs[1:])
     steps = []
     for c in common:
@@ -190,14 +189,12 @@ def _multi_lcs(seqs, ell: int | None = None) -> int:
     while length != ell:
         # A point at level length + 1 reaches ell only if every word has
         # ell - length - 1 symbols left past it.
-        room = (None if ell is None
-                else tuple(len(s) - (ell - length - 1) for s in seqs))
+        room = tuple(len(s) - (ell - length - 1) for s in seqs)
         successors = set()
         for cols in steps:
             for point in frontier:
                 nxt = tuple(map(list.__getitem__, cols, point))
-                if None not in nxt and (room is None
-                                        or all(map(le, nxt, room))):
+                if None not in nxt and all(map(le, nxt, room)):
                     successors.add(nxt)
         if not successors:
             return length

@@ -1,5 +1,6 @@
 """Slow reference versions of the seqkit kernels, of the greedy inner
-book search, of the three encoders and of hirate's erase price.
+book search, of the three encoders, of hirate's erase price, of GF(2^w)
+powers and of the BUFFER_KILL strategy.
 
 The package's containment and LCS kernels are bit-parallel or prune their
 search.  Tests compare the kernels against these plain versions, and the
@@ -7,12 +8,14 @@ acceptance checks use them to re-verify books built with the kernels.  The
 encoders read each pair's channel symbols from a per-spec table;
 encode_oracle builds the word from the outer codeword and the inner book.
 hirate prices erasing a window in closed form; erase_cost_oracle tries
-every subsequence.
+every subsequence.  The GF(2^w) tables are checked against square and
+multiply on gf's polynomial arithmetic.
 """
 
 import itertools
 import math
 
+from delcodes.gf import _poly_mod, _poly_mulmod
 from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
 
@@ -128,3 +131,45 @@ def erase_cost_oracle(word, loss_needed):
         if any(len(bytes(sub).strip(b"\0")) <= m - loss_needed
                for sub in itertools.combinations(word, kept)):
             return m - kept
+
+
+def poly_powmod(a, e, f):
+    """a^e modulo the polynomial f over GF(2), by square and multiply: the
+    reference for the GF(2^w) tables' pow, inv and div."""
+    r = 1
+    a = _poly_mod(a, f)
+    while e:
+        if e & 1:
+            r = _poly_mulmod(r, a, f)
+        a = _poly_mulmod(a, a, f)
+        e >>= 1
+    return r
+
+
+def buffer_kill_oracle(rng, spec, buffers, budget):
+    """BUFFER_KILL by its round-robin loop: each round, every buffer in a
+    shuffled order gives up its next run_threshold symbols if it still
+    holds that many and the budget still covers them.  The reference for
+    channel._buffer_kill."""
+    thr = spec.run_threshold
+    order = list(range(len(buffers)))
+    rng.shuffle(order)
+    taken = {b: 0 for b in order}
+    out = []
+    remaining = budget
+    progress = True
+    while remaining >= thr and progress:
+        progress = False
+        for b in order:
+            size = buffers[b][1] - buffers[b][0]
+            take = min(thr, size - taken[b], remaining)
+            if take < thr:
+                continue
+            start = buffers[b][0] + taken[b]
+            out.extend(range(start, start + take))
+            taken[b] += take
+            remaining -= take
+            progress = True
+            if remaining < thr:
+                break
+    return sorted(out)

@@ -5,7 +5,9 @@ deterministic reporting."""
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from delcodes.channel import (
     DeletionPattern,
     Strategy,
     TrialReport,
+    _buffer_kill,
     apply_deletions,
     attack,
     parse_trial_line,
@@ -37,7 +40,7 @@ from delcodes.highnoise import hn_encode, hn_make_spec
 from delcodes.hirate import br_encode
 from delcodes.listdec import ld_encode
 from delcodes.seqkit import Word
-from oracles import subseq_oracle
+from oracles import buffer_kill_oracle, subseq_oracle
 
 F = Fraction
 
@@ -238,6 +241,32 @@ class TestAttackDiscipline:
         for p in pat.positions:
             assert sent.symbols[p] == 0
             assert p % stride >= spec.m  # inside the buffer span
+
+    def test_buffer_kill_matches_round_robin_oracle(self, br_desk):
+        # Random buffers, thresholds, budgets and seeds, then every budget
+        # of the desk hirate word through attack, five seeds each.
+        rng = random.Random(174)
+        for _ in range(20_000):
+            spec = SimpleNamespace(run_threshold=rng.randint(1, 6))
+            buffers, pos = [], 0
+            for _ in range(rng.randint(1, 6)):
+                pos += rng.randint(0, 9)
+                buffers.append((pos, pos + rng.randint(0, 20)))
+                pos = buffers[-1][1]
+            budget = rng.randint(0, pos + 5)
+            seed = rng.randrange(1000)
+            assert (_buffer_kill(random.Random(seed), spec, buffers, budget)
+                    == buffer_kill_oracle(random.Random(seed), spec, buffers,
+                                          budget)), (spec, buffers, budget)
+        msg = [1]
+        sent = br_encode(br_desk, msg)
+        buffers = br_desk.spans()[1]
+        for budget in range(len(sent) + 1):
+            for seed in range(5):
+                pat = attack(Strategy("BUFFER_KILL", seed=seed), msg, sent,
+                             br_desk, budget)
+                assert list(pat.positions) == buffer_kill_oracle(
+                    random.Random(seed), br_desk, buffers, budget), budget
 
     def test_merge_attack_erases_separating_blocks(self, hn_desk):
         spec = hn_desk

@@ -165,6 +165,14 @@ class TestBuild:
         assert err.startswith("infeasible:")
         assert "reached 4 of 40 codewords" in err
 
+    def test_field_past_the_order_cap_is_refused(self, capsys):
+        # 65537 is prime, but no spec over it could hold its n * q inner
+        # codewords: the field is refused before any book is searched.
+        code, out, err = run(capsys, "build", "--q", "65537")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "65536" in err
+
 
 class TestRoundtrip:
     """One-cell sweeps printed as trial records: encode, attack, decode,

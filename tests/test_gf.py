@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from delcodes import gf
 from delcodes.errors import DivisionByZero, NotPrimePower, OutOfRange
 from delcodes.gf import make_field
+from oracles import poly_powmod
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 31, 32, 64]
 
@@ -15,13 +16,28 @@ SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 11, 13, 16, 17, 31, 32, 64]
 def test_prime_power_detection():
     for q in SMALL_ORDERS:
         assert make_field(q).order == q
-    for q in [1, 6, 10, 12, 14, 15, 18, 20, 100]:
+    # 65535 = 3 * 5 * 17 * 257
+    for q in [1, 6, 10, 12, 14, 15, 18, 20, 100, 65535]:
         with pytest.raises(NotPrimePower):
             make_field(q)
-    # odd prime powers, and 2-powers past the table cap of 2^16, are outside
-    # the supported representation
-    for q in [9, 25, 27, 49, 2**17]:
+    # odd prime powers (63001 = 251^2), and 2-powers past the cap of 2^16,
+    # are outside the supported representation
+    for q in [9, 25, 27, 49, 63001, 2**17]:
         with pytest.raises(NotPrimePower):
+            make_field(q)
+
+
+def test_order_cap_is_checked_first(monkeypatch):
+    # 65521 is the largest prime below 2^16.  Past 2^16 elements no order is
+    # tested for primality: 65537 and 2^61 - 1 are prime but refused.
+    assert make_field(65521).order == 65521
+
+    def refuse(n):
+        raise AssertionError(f"primality of {n} tested past the cap")
+
+    monkeypatch.setattr(gf, "_is_prime", refuse)
+    for q in [65537, 2**61 - 1, 2**17]:
+        with pytest.raises(NotPrimePower, match="65536"):
             make_field(q)
 
 
@@ -33,9 +49,9 @@ def assert_tables_match_polynomials(w, pairs):
     poly = gf._reduction_poly(w)
     for a, b, e in pairs:
         assert f.mul(a, b) == gf._poly_mulmod(a, b, poly)
-        assert f.pow(a, e) == gf._poly_powmod(a, e, poly)
+        assert f.pow(a, e) == poly_powmod(a, e, poly)
         if b:
-            inv_b = gf._poly_powmod(b, q - 2, poly)
+            inv_b = poly_powmod(b, q - 2, poly)
             assert f.inv(b) == inv_b
             assert f.div(a, b) == gf._poly_mulmod(a, inv_b, poly)
 

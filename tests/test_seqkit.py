@@ -240,10 +240,18 @@ class TestBookLcs:
         assert lengths == set(range(11))
 
 
+def assert_multi_lcs(seqs, v):
+    """The threshold search reaches v at t = v and falls short at t = v + 1,
+    so the words' common subsequences are at most v long."""
+    assert seqkit._multi_lcs(seqs, v) == v
+    assert seqkit._multi_lcs(seqs, v + 1) < v + 1
+
+
 class TestMultiwayCommon:
     def test_pair_reduces_to_lcs(self):
         a, b = (1, 0, 1, 1, 0), (0, 1, 1, 0, 1)
-        assert seqkit._multi_lcs([a, b]) == seqkit._lcs_seq(a, b) == 4
+        assert seqkit._lcs_seq(a, b) == 4
+        assert_multi_lcs([a, b], 4)
 
     def test_three_way_brute(self):
         words = [Word.from_digits(s, 2).symbols
@@ -255,50 +263,45 @@ class TestMultiwayCommon:
             sub = tuple(a[i] for i in range(6) if mask >> i & 1)
             if all(subseq_oracle(sub, w) for w in words):
                 best = max(best, len(sub))
-        assert seqkit._multi_lcs(words) == best
+        assert_multi_lcs(words, best)
 
     def test_trivial_cases(self):
         w = (1, 0, 1)
-        assert seqkit._multi_lcs([w]) == 3
-        assert seqkit._multi_lcs([w, w]) == 3
-        assert seqkit._multi_lcs([w, (), w]) == 0
-        assert seqkit._multi_lcs([w, (0, 0)]) == 1
+        assert_multi_lcs([w], 3)
+        assert_multi_lcs([w, w], 3)
+        assert_multi_lcs([w, (), w], 0)
+        assert_multi_lcs([w, (0, 0)], 1)
 
     def test_guard(self, monkeypatch):
-        # Word r is (0^r 1^r)* cut to 60 symbols: the search counts 92,293
-        # dominance comparisons, and the full table would hold 61^5 cells.
+        # Word r is (0^r 1^r)* cut to 60 symbols.  The five share a common
+        # subsequence as long as their least pairwise LCS, 36; searches to
+        # 20 and 30 count 14,430 and 72,625 dominance comparisons, and the
+        # full table would hold 61^5 cells.
         words = [tuple(j // r % 2 for j in range(60)) for r in range(1, 6)]
         pairwise = min(seqkit._lcs_seq(a, b)
                        for a, b in itertools.combinations(words, 2))
-        assert 2 <= seqkit._multi_lcs(words) <= pairwise
+        assert_multi_lcs(words, pairwise)
         monkeypatch.setattr(seqkit, "MULTI_LCS_GUARD", 1000)
-        with pytest.raises(GuardExceeded):
-            seqkit._multi_lcs(words)
+        for t in (20, 30):
+            with pytest.raises(GuardExceeded):
+                seqkit._multi_lcs(words, t)
 
     def test_guard_bounds_time_not_points(self):
-        # The frontier grows wide but the levels keep under 10^6 points in
-        # all, so a guard on points lets this search run for some 20 s.
-        # Counted by comparisons, it stops after about 2 s.
+        # Searched to 50 the frontier grows wide, but the levels keep some
+        # 37,000 points in all, so a guard on points lets this search run
+        # for some 12 s.  Counted by comparisons, it stops after about 3 s.
         rng = random.Random(0)
         words = [tuple(rng.randrange(2) for _ in range(100))
                  for _ in range(5)]
         with pytest.raises(GuardExceeded):
-            seqkit._multi_lcs(words)
+            seqkit._multi_lcs(words, 50)
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=150, deadline=None)  # a 9^5 table takes ~0.15 s
     def test_multi_lcs_matches_table_dp(self, n, k, data):
         seqs = [tuple(data.draw(st.lists(st.integers(0, k - 1), max_size=8)))
                 for _ in range(n)]
-        assert seqkit._multi_lcs(seqs) == table_multi_lcs(seqs)
-
-    def test_multi_lcs_agrees_on_3000_seeded_instances(self):
-        rng = random.Random(20141124)
-        for _ in range(3000):
-            k = rng.randint(2, 4)
-            seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
-                    for _ in range(rng.randint(2, 5))]
-            assert seqkit._multi_lcs(seqs) == table_multi_lcs(seqs), seqs
+        assert_multi_lcs(seqs, table_multi_lcs(seqs))
 
     def test_threshold_agrees_on_3000_seeded_instances(self):
         # With a threshold t the search reaches t exactly when the words
