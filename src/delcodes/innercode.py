@@ -14,10 +14,12 @@ The separation threshold for a codebook correcting a delta fraction of
 deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
 (LCS <= ell - 1, or no full subset sharing an ell-subsequence).  The
 accepted words are laid out once, growing, in a seqkit._LcsBook, so one
-bit-parallel pass gives a candidate's LCS with every one of them.  A LISTDEC
-build keeps, level by level, the subsets of accepted words that share an
-ell-subsequence, so a candidate is tested only against the subsets it could
-complete, and the multi-word LCS of a subset stops once it reaches ell.
+bit-parallel pass gives a candidate's LCS with every one of them.  From it
+a LISTDEC build keeps near_of, each word's earlier words whose LCS with it
+reaches ell, and full, the (list_size - 1)-subsets of words that share an
+ell-subsequence, the only subsets a candidate can complete; the multi-word
+LCS stops at ell.  A seeded UNIQUE or DENSE search for more than k^ell words
+is refused at once, as each word holds an ell-subsequence no other holds.
 
 Decoding asks which codewords contain a received word as a subsequence.  A
 piece as long as a codeword is contained only in an equal codeword, so it is
@@ -148,10 +150,6 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
     # One candidate = a composition of the slack over z + 1 one-runs, drawn
     # uniformly via stars and bars.
     slack = m - z - 2 - max(0, z - 1) * g
-    if z == 0:
-        for _ in range(cap):
-            yield (1,) * m
-        return
     for _ in range(cap):
         bars = sorted(rng.sample(range(slack + z), z))
         runs = []
@@ -169,78 +167,29 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
         yield tuple(syms)
 
 
-class _Sharing:
-    """The subsets of accepted LISTDEC words that share a common subsequence
-    of length ell: levels[j] holds the (j + 1)-subsets, as index tuples into
-    words in acceptance order, which book lays out.
+def _shares(words: list[tuple[int, ...]], subset: tuple[int, ...],
+            word: tuple[int, ...], near: set[int], ell: int) -> bool:
+    """Whether word shares an ell-subsequence with the words at subset's
+    indices; near holds the indices whose LCS with word reaches ell."""
+    return near.issuperset(subset) and (
+        len(subset) == 1 or seqkit._multi_lcs(
+            [words[i] for i in subset] + [word], ell) == ell)
 
-    A candidate breaks the list_size property only by completing a top-level
-    subset of list_size - 1 words.  admits reads the candidate's pairwise
-    LCS with every word from one pass over book, keeps the words it
-    reaches ell with as near, and add threads the candidate in with them.
-    Every subset tested already shares, so a subset within near of one word
-    shares with the candidate outright, and a larger one goes to the
-    multi-word LCS, which stops at ell.
 
-    Nothing is built until list_size - 1 words are in: no subset can be
-    completed before then, and at asymptotic-recipe list sizes (far beyond
-    the target book) that moment never arrives.
-    """
-
-    def __init__(self, words: list[tuple[int, ...]], book: seqkit._LcsBook,
-                 ell: int, list_size: int):
-        self.words = words
-        self.book = book
-        self.ell = ell
-        self.list_size = list_size
-        self.levels: list[list[tuple[int, ...]]] | None = None
-        self.near: set[int] = set()
-
-    def _near(self, word: tuple[int, ...]) -> set[int]:
-        """The indices of the words whose LCS with word reaches ell."""
-        ell = self.ell
-        return {i for i, v in enumerate(self.book.lcs(word)) if v >= ell}
-
-    def _shares(self, subset: tuple[int, ...], cand: tuple[int, ...],
-                near: set[int]) -> bool:
-        return near.issuperset(subset) and (
-            len(subset) == 1 or seqkit._multi_lcs(
-                [self.words[i] for i in subset] + [cand], self.ell)
-            == self.ell)
-
-    def admits(self, cand: tuple[int, ...]) -> bool:
-        """Whether cand completes no top-level subset."""
-        if self.levels is None:
-            if len(self.words) < self.list_size - 1:
-                return True
-            self.levels = [[] for _ in range(self.list_size - 1)]
-            for i, word in enumerate(self.words):
-                self._thread(i, self._near(word))
-        self.near = self._near(cand)
-        return not any(self._shares(s, cand, self.near)
-                       for s in self.levels[-1])
-
-    def add(self, idx: int) -> None:
-        """Thread word idx, the candidate admits last passed, into the
-        levels."""
-        if self.levels is not None:
-            self._thread(idx, self.near)
-
-    def _thread(self, idx: int, near: set[int]) -> None:
-        """Thread word idx, whose LCS reaches ell with the words in near,
-        into the levels, which hold words before it.
-
-        The subsets holding idx grow from the level below as it stood
-        before idx; a level that gains nothing leaves nothing to grow above
-        it."""
-        new = [[(idx,)]]
-        for below in self.levels[:-1]:
-            if not new[-1]:
-                break
-            new.append([base + (idx,) for base in below
-                        if self._shares(base, self.words[idx], near)])
-        for level, subsets in zip(self.levels, new):
-            level.extend(subsets)
+def _closed_by(words: list[tuple[int, ...]], near_of: list[set[int]],
+               size: int, ell: int) -> list[tuple[int, ...]]:
+    """The size-subsets of earlier words, as ascending index tuples, that
+    share an ell-subsequence with the last word.  Their members lie
+    pairwise in near_of; a subset that stops sharing grows no further, as
+    sharing is monotone."""
+    word, near = words[-1], near_of[-1]
+    order = sorted(near)
+    subsets: list[tuple[int, ...]] = [()]
+    for _ in range(size):
+        subsets = [s + (e,) for s in subsets for e in order
+                   if e > (s[-1] if s else -1) and near_of[e].issuperset(s)
+                   and _shares(words, s + (e,), word, near, ell)]
+    return subsets
 
 
 def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
@@ -279,6 +228,14 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
         if list_size is None or list_size < 2:
             raise OutOfRange(f"list size must be >= 2, got {list_size}")
 
+    if (policy is CandidatePolicy.SEEDED_RANDOM
+            and kind is not CodebookKind.LISTDEC
+            and target_size is not None and target_size > k**ell):
+        raise InfeasibleAtDeskScale(
+            f"{kind.value} inner codebook cannot hold {target_size} "
+            f"codewords: each holds a subsequence of length {ell} that no "
+            f"other holds, so at most {k}^{ell} = {k**ell} fit")
+
     rng = random.Random(seed)
     if policy is CandidatePolicy.LEX:
         stream = itertools.product(range(k), repeat=m)
@@ -290,24 +247,32 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
 
     accepted: list[tuple[int, ...]] = []
     book = seqkit._LcsBook()
-    sharing = (_Sharing(accepted, book, ell, list_size)
-               if kind is CodebookKind.LISTDEC else None)
+    near_of: list[set[int]] = []
+    full: list[tuple[int, ...]] = []
     for cand in stream:
         if kind is CodebookKind.DENSE and not (
                 cand[0] == 1 and cand[-1] == 1
                 and seqkit.is_dense_seq(cand, win, need)):
             continue
-        if sharing is None:
-            ok = all(v < ell for v in book.lcs(cand))
+        lcs = book.lcs(cand)
+        if kind is not CodebookKind.LISTDEC:
+            if any(v >= ell for v in lcs):
+                continue
         else:
-            ok = cand not in accepted and sharing.admits(cand)
-        if ok:
-            accepted.append(cand)
-            book.append(cand)
-            if sharing is not None:
-                sharing.add(len(accepted) - 1)
-            if target_size is not None and len(accepted) >= target_size:
-                break
+            near = {i for i, v in enumerate(lcs) if v >= ell}
+            if cand in accepted or any(
+                    _shares(accepted, s, cand, near, ell) for s in full):
+                continue
+        accepted.append(cand)
+        book.append(cand)
+        if target_size is not None and len(accepted) >= target_size:
+            break
+        if kind is CodebookKind.LISTDEC:
+            # Nothing below list_size - 1 words can close a full subset.
+            near_of.append(near)
+            if len(accepted) >= list_size - 1:
+                full.extend(s + (len(accepted) - 1,) for s in _closed_by(
+                    accepted, near_of, list_size - 2, ell))
 
     if target_size is not None and len(accepted) < target_size:
         budget = (f"after all {k}^{m} candidates"
@@ -508,8 +473,8 @@ def spec_codebook(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     per (position, value) pair, or InfeasibleAtDeskScale.
 
     overrides, as check_overrides typed them, may set seed, attempt_cap
-    and, for DENSE books, zeros and min_gap.  Candidates are LEX while the k^m candidate space stays small,
-    SEEDED_RANDOM beyond.
+    and, for DENSE books, zeros and min_gap.  Candidates are LEX while the
+    k^m candidate space stays small, SEEDED_RANDOM beyond.
     """
     # _build refuses m < 1, where k**m may not even be defined (k = 0).
     policy = (CandidatePolicy.LEX if m < 1 or k**m <= _LEX_SPACE_CAP

@@ -49,13 +49,19 @@ class ListDecSpec(ConcatenatedSpec):
     """delta is the window pitch; the inner book separates at 1/2 - delta."""
 
     epsilon: Fraction
-    delta: Fraction
-    ell: int
     inner: Codebook
     rs: RsParams
 
     name = "listdec"
     buffer_len = 0
+
+    @cached_property
+    def delta(self) -> Fraction:
+        return Fraction(1, 2) - self.inner.delta
+
+    @cached_property
+    def ell(self) -> int:
+        return math.ceil(1 / self.delta**3)
 
     @cached_property
     def agree_count(self) -> int:
@@ -129,7 +135,7 @@ class LdDecodeResult:
 
 
 _PAPER_KEYS = {"m", "n", "n_prime", "seed", "attempt_cap"}
-_DESK_KEYS = _PAPER_KEYS | {"delta", "list_size", "ell"}
+_DESK_KEYS = _PAPER_KEYS | {"delta", "list_size"}
 
 
 def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
@@ -139,10 +145,10 @@ def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     q is the outer field size.  The outer length n, dimension n_prime and
     inner block length m have no closed form at finite scale, so both
     profiles take them from overrides.  PAPER_ASYMPTOTIC pins the grid
-    pitch at delta = epsilon/4, the inner list size at ceil(1/delta^2),
-    and the recovery budget at ell = ceil(1/delta^3); DESK may override
-    all three.  The inner book holds one codeword per (position, value)
-    pair; under either profile a build that falls short raises
+    pitch at delta = epsilon/4 and the inner list size at ceil(1/delta^2);
+    DESK may override both.  The recovery budget ell = ceil(1/delta^3)
+    follows from delta.  The inner book holds one codeword per (position,
+    value) pair; under either profile a build that falls short raises
     InfeasibleAtDeskScale, and PAPER_ASYMPTOTIC raises it before the build
     when the list size exceeds the n * q codewords (a vacuous property).
     """
@@ -164,9 +170,6 @@ def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
         raise OutOfRange(f"window pitch delta {delta} outside (0, 1/2)")
     m = overrides["m"]
     list_size = overrides.get("list_size", math.ceil(1 / delta**2))
-    ell = overrides.get("ell", math.ceil(1 / delta**3))
-    if ell < 1:
-        raise OutOfRange(f"recovery budget must be >= 1, got {ell}")
     if profile is Profile.PAPER_ASYMPTOTIC and list_size > n * q:
         raise InfeasibleAtDeskScale(
             f"inner list size {list_size} exceeds the {n * q} codewords of "
@@ -175,7 +178,7 @@ def ld_make_spec(epsilon, q: int, profile: Profile = Profile.DESK,
     inner = spec_codebook(CodebookKind.LISTDEC, 2, m, Fraction(1, 2) - delta,
                           list_size=list_size, target=n * q,
                           overrides=overrides)
-    return ListDecSpec(eps, delta, ell, inner, rs)
+    return ListDecSpec(eps, inner, rs)
 
 
 def ld_report(spec: ListDecSpec) -> dict:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import delcodes.cli
+from delcodes import innercode, seqkit
 from delcodes.cli import build_parser, main
 from delcodes.presets import SCHEMES, make_scheme_spec
 
@@ -113,6 +114,19 @@ class TestBuild:
         check = out.split("[inner check]\n", 1)[1]
         assert f"  vacuous = {vacuous}\n" in check
 
+    def test_book_at_its_target_searches_no_subset(self, capsys,
+                                                    monkeypatch):
+        # The 15th and last word meets the target before the subsets it
+        # closes would be searched, and no earlier word can close one of
+        # list size - 1 = 15 words.
+        def refuse(*args):
+            raise AssertionError("multi-word LCS called")
+        monkeypatch.setattr(seqkit, "_multi_lcs", refuse)
+        code, out, _ = run(capsys, "build", "--scheme", "listdec",
+                           "--set", "list_size=16")
+        assert code == 0
+        assert "inner codebook: 15 codewords" in out
+
     def test_listdec_paper_preset_is_infeasible(self, capsys):
         # Its list size, 400, exceeds its 12-word book: no vacuous build.
         code, out, err = run(capsys, "build", "--scheme", "listdec",
@@ -164,6 +178,20 @@ class TestBuild:
         assert out == ""
         assert err.startswith("infeasible:")
         assert "reached 4 of 40 codewords" in err
+
+    def test_seeded_target_past_k_to_the_ell_is_refused(self, capsys,
+                                                         monkeypatch):
+        # GF(1024) asks the highnoise desk book (k = 256, ell = 2) for
+        # 1024^2 codewords.  Each would hold a 2-subsequence that no other
+        # holds, and there are only 256^2 of those, so the search is
+        # refused before any candidate is drawn.
+        def refuse(*args):
+            raise AssertionError("candidate stream opened")
+        monkeypatch.setattr(innercode, "_random_stream", refuse)
+        code, out, err = run(capsys, "build", "--q", "1024")
+        assert (code, out) == (2, "")
+        assert err.startswith("infeasible:")
+        assert "1048576" in err and "65536" in err
 
     def test_field_past_the_order_cap_is_refused(self, capsys):
         # 65537 is prime, but no spec over it could hold its n * q inner
@@ -331,6 +359,11 @@ class TestContract:
     def test_unknown_override_is_config_error(self, capsys):
         code, _, err = run(capsys, "build", "--scheme", "highnoise",
                            "--set", "gremlins=9")
+        assert code == 2
+        assert "error:" in err
+        # listdec's ell is ceil(1/delta^3), read from delta, not a key
+        code, _, err = run(capsys, "build", "--scheme", "listdec",
+                           "--set", "ell=5")
         assert code == 2
         assert "error:" in err
 

@@ -31,7 +31,7 @@ FIXTURES = {"highnoise": "hn_desk", "hirate": "br_desk", "listdec": "ld_desk"}
 FIELDS = {
     "highnoise": ["epsilon", "D", "inner", "rs"],
     "hirate": ["epsilon", "buffer_len", "h", "inner", "rs"],
-    "listdec": ["epsilon", "delta", "ell", "inner", "rs"],
+    "listdec": ["epsilon", "inner", "rs"],
 }
 
 TELEMETRY = {"highnoise": HnTelemetry, "hirate": BrTelemetry,

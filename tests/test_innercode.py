@@ -156,6 +156,15 @@ class TestGreedyDense:
                                  zeros=14, min_gap=4)
         assert cb.codewords == again.codewords
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 84])
+    def test_stream_without_zeros_is_all_ones(self, m):
+        # Stars and bars with no bar to place: every candidate is the
+        # all-ones word, and none draws from the RNG.
+        rng = random.Random(7)
+        stream = innercode._random_dense_stream(m, rng, 5, 0, 2)
+        assert list(stream) == [(1,) * m] * 5
+        assert rng.getstate() == random.Random(7).getstate()
+
     def test_binary_only(self):
         with pytest.raises(AlphabetMismatch):
             innercode._build(DENSE, 3, 4, F(1, 4), beta=F(1, 2))
@@ -238,6 +247,14 @@ class TestGreedyListdec:
                               target_size=1)
         assert len(cb) == 1
 
+    def test_duplicate_refused_before_any_subset_is_full(self):
+        # 50 draws from the four words of length 2 repeat some before all
+        # four are in, while no subset of list_size - 1 = 4 words is full
+        # to refuse them.
+        cb = innercode._build(LISTDEC, 2, 2, F(1, 2), list_size=5,
+                              policy=RANDOM, seed=0, attempt_cap=50)
+        assert sorted(digits(cb)) == ["00", "01", "10", "11"]
+
     @pytest.mark.parametrize("m,delta,lsz", [
         (8, F(1, 4), 2), (8, F(1, 2), 3), (10, F(1, 4), 3), (12, F(1, 2), 4),
     ])
@@ -267,6 +284,7 @@ class TestGreedyListdec:
         (8, F(1, 2), 3, None, RANDOM, 3),
         (7, F(1, 4), 4, 7, RANDOM, 4),
         (6, F(1, 4), 4, 8, RANDOM, 7),
+        (5, F(1, 2), 5, 7, LEX, 0),
     ])
     def test_sharing_search_matches_brute_force(self, m, delta, lsz, target,
                                                 policy, seed):
