@@ -57,10 +57,6 @@ _LEX_SPACE_CAP = 1 << 20
 # Most window states count_dense_words will track.
 _DENSE_STATE_GUARD = 1 << 21
 
-# Most probe words check_codebook scans for a LISTDEC book; a larger book
-# is refused rather than checked on part of its probe space.
-_PROBE_GUARD = 1 << 14
-
 
 class CodebookKind(Enum):
     UNIQUE = "UNIQUE"
@@ -105,7 +101,8 @@ class Codebook:
 
     @cached_property
     def _layout(self) -> tuple[dict[int, int], int, int]:
-        """The codewords' seqkit._subseq_layout, built by the first decode."""
+        """The codewords' seqkit._subseq_layout, built by the first decode
+        or check."""
         return seqkit._subseq_layout(cw.symbols for cw in self.codewords)
 
 
@@ -404,60 +401,62 @@ def check_codebook(cb: Codebook) -> dict:
     """Re-verify the defining property of a codebook.
 
     Returns a report dict with an ``ok`` flag.  UNIQUE and DENSE books get
-    the full pairwise LCS check; LISTDEC books are checked against every
-    binary probe word of length ell, and a book whose 2^ell probe words
-    exceed _PROBE_GUARD raises GuardExceeded.  A LISTDEC report also says
-    whether the check is ``vacuous``: a book with fewer codewords than its
-    list size passes whatever its words are.
+    the full pairwise LCS check.  A LISTDEC book is checked against every
+    binary probe word of length ell, walked as a trie on the decoders'
+    containment layout; the walk is exact at every ell.  A LISTDEC report
+    also says whether the check is ``vacuous``: a book with fewer codewords
+    than its list size passes whatever its words are.
     """
     ell = cb.separation_threshold
-    report: dict = {"kind": cb.kind.value, "size": len(cb.codewords),
-                    "separation_threshold": ell, "ok": True, "violations": []}
     words = cb.codewords
+    bad: list[str] = []
+    report: dict = {"kind": cb.kind.value, "size": len(words),
+                    "separation_threshold": ell, "ok": True, "violations": bad}
     if len(set(w.symbols for w in words)) != len(words):
-        report["ok"] = False
-        report["violations"].append("duplicate codewords")
-    for w in words:
-        if len(w) != cb.m or w.alphabet_size != cb.k:
-            report["ok"] = False
-            report["violations"].append("codeword shape mismatch")
-            break
+        bad.append("duplicate codewords")
+    if any(len(w) != cb.m or w.alphabet_size != cb.k for w in words):
+        bad.append("codeword shape mismatch")
 
+    worst = 0
     if cb.kind in (CodebookKind.UNIQUE, CodebookKind.DENSE):
-        worst = 0
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                v = seqkit._lcs_seq(words[i].symbols, words[j].symbols)
-                worst = max(worst, v)
-                if v >= ell:
-                    report["ok"] = False
-                    report["violations"].append(f"pair ({i}, {j}) has lcs {v}")
+        for i, j in itertools.combinations(range(len(words)), 2):
+            v = seqkit._lcs_seq(words[i].symbols, words[j].symbols)
+            worst = max(worst, v)
+            if v >= ell:
+                bad.append(f"pair ({i}, {j}) has lcs {v}")
         report["max_pairwise_lcs"] = worst
         if cb.kind is CodebookKind.DENSE:
             for i, w in enumerate(words):
                 if not (w.symbols and w.symbols[0] == 1 and w.symbols[-1] == 1
                         and seqkit.is_beta_dense(w, cb.beta)):
-                    report["ok"] = False
-                    report["violations"].append(f"codeword {i} not dense")
+                    bad.append(f"codeword {i} not dense")
+        report["ok"] = not bad
         return report
 
     # LISTDEC: no received word of length ell may match list_size codewords.
-    if 2**ell > _PROBE_GUARD:
-        raise GuardExceeded(f"{2**ell} probe words of length {ell} exceed "
-                            f"the guard {_PROBE_GUARD}")
-    lsz = cb.list_size
-    worst_list = 0
-    for enc in range(2**ell):
-        probe = tuple((enc >> (ell - 1 - i)) & 1 for i in range(ell))
-        hits = sum(1 for _ in _containing(cb, probe))
-        worst_list = max(worst_list, hits)
-        if hits >= lsz:
-            report["ok"] = False
-            report["violations"].append(
-                f"word {''.join(map(str, probe))} matches {hits} codewords"
-            )
-    report["max_list_size"] = worst_list
-    report["vacuous"] = lsz > len(words)
+    # Each probe prefix carries the _is_subseq_seq state of the words holding
+    # it.  Step d keeps a word only if its match leaves room for the ell - d
+    # probe symbols from d on, and a prefix held by fewer than list_size
+    # words and by no more than the worst probe so far is not extended.
+    occ, _, start = cb._layout
+    room, lo = [0] * ell, 0
+    for w in words:
+        for d in range(max(0, ell - len(w)), ell):
+            room[d] |= ((2 << (len(w) - ell + d)) - 1) << lo
+        lo += len(w) + 1
+    stack = [("", start)]
+    while stack:
+        probe, state = stack.pop()
+        hits = state.bit_count()
+        if len(probe) == ell:
+            worst = max(worst, hits)
+            if hits >= cb.list_size:
+                bad.append(f"word {probe} matches {hits} codewords")
+        elif hits >= cb.list_size or hits > worst:
+            stack += [(probe + str(s), seqkit._is_subseq_seq(
+                (s,), occ, room[len(probe)], state)) for s in (1, 0)]
+    report.update(ok=not bad, max_list_size=worst,
+                  vacuous=cb.list_size > len(words))
     return report
 
 

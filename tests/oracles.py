@@ -1,6 +1,6 @@
 """Slow reference versions of the seqkit kernels, of the greedy inner
-book search, of the three encoders, of hirate's erase price, of GF(2^w)
-powers and of the BUFFER_KILL strategy.
+book search and its LISTDEC check, of the three encoders, of hirate's erase
+price, of GF(2^w) powers and of the BUFFER_KILL strategy.
 
 The package's containment and LCS kernels are bit-parallel or prune their
 search.  Tests compare the kernels against these plain versions, and the
@@ -9,13 +9,15 @@ encoders read each pair's channel symbols from a per-spec table;
 encode_oracle builds the word from the outer codeword and the inner book.
 hirate prices erasing a window in closed form; erase_cost_oracle tries
 every subsequence.  The GF(2^w) tables are checked against square and
-multiply on gf's polynomial arithmetic.
+multiply on gf's polynomial arithmetic.  probe_scan reads every binary
+probe word of a LISTDEC book where the check walks a pruned trie.
 """
 
 import itertools
 import math
 
 from delcodes.gf import _poly_mod, _poly_mulmod
+from delcodes.innercode import _containing
 from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
 
@@ -102,6 +104,23 @@ def table_multi_lcs(seqs):
             best = max(best, table[idx - st])
         table[idx] = best
     return table[total - 1]
+
+
+def probe_scan(cb):
+    """The most codewords of the LISTDEC book cb that any binary word of
+    length ell holds as a subsequence, and a violation line for each word,
+    in lexicographic order, held by list_size or more: every one of the
+    2^ell probe words, one containment test each.  The reference for the
+    LISTDEC walk of innercode.check_codebook."""
+    ell = cb.separation_threshold
+    worst, lines = 0, []
+    for probe in itertools.product((0, 1), repeat=ell):
+        hits = sum(1 for _ in _containing(cb, probe))
+        worst = max(worst, hits)
+        if hits >= cb.list_size:
+            lines.append(
+                f"word {''.join(map(str, probe))} matches {hits} codewords")
+    return worst, lines
 
 
 def encode_oracle(spec, message):

@@ -114,6 +114,16 @@ class TestBuild:
         check = out.split("[inner check]\n", 1)[1]
         assert f"  vacuous = {vacuous}\n" in check
 
+    def test_listdec_book_past_2_to_the_14_probe_words_is_checked(self,
+                                                                  capsys):
+        # ell = 18: all 2^18 probe words are walked, none refused.
+        code, out, _ = run(capsys, "build", "--scheme", "listdec",
+                           "--set", "m=24")
+        assert code == 0
+        check = out.split("[inner check]\n", 1)[1]
+        assert "  separation_threshold = 18\n" in check
+        assert "  ok = True\n" in check
+
     def test_book_at_its_target_searches_no_subset(self, capsys,
                                                     monkeypatch):
         # The 15th and last word meets the target before the subsets it

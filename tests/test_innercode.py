@@ -14,7 +14,6 @@ from delcodes.common import Profile
 from delcodes.errors import (
     AlphabetMismatch,
     Ambiguous,
-    GuardExceeded,
     InfeasibleAtDeskScale,
     InvalidOverride,
     NoMatch,
@@ -34,9 +33,9 @@ from delcodes.innercode import (
 from delcodes.highnoise import hn_make_spec
 from delcodes.hirate import br_make_spec
 from delcodes.listdec import ld_make_spec
-from delcodes.presets import PRESETS
+from delcodes.presets import PRESETS, make_scheme_spec
 from delcodes.seqkit import Word
-from oracles import greedy_oracle, subseq_oracle, table_multi_lcs
+from oracles import greedy_oracle, probe_scan, subseq_oracle, table_multi_lcs
 
 F = Fraction
 LEX = CandidatePolicy.LEX
@@ -555,11 +554,67 @@ class TestCheckCodebook:
         broken = dataclasses.replace(cb, codewords=cb.codewords + cb.codewords[:1])
         assert not check_codebook(broken)["ok"]
 
-    def test_listdec_past_probe_guard_refused(self):
-        # ell = 15: 2^15 probe words, past the guard; no part of them is
-        # checked in place of all.
-        cb = innercode._build(LISTDEC, 2, 20, F(1, 4), list_size=3,
-                              target_size=2)
-        assert cb.separation_threshold == 15
-        with pytest.raises(GuardExceeded):
-            check_codebook(cb)
+    @pytest.mark.parametrize("m,ell", [(20, 15), (24, 18), (32, 24)])
+    def test_listdec_checked_past_2_to_the_14_probe_words(self, m, ell):
+        # Every one of the 2^ell probe words is walked: the desk book at a
+        # larger m passes, and a copy holding one codeword list_size times
+        # fails on the probe words that codeword holds.
+        cb = make_scheme_spec("listdec", overrides={"m": m}).inner
+        assert cb.separation_threshold == ell
+        rep = check_codebook(cb)
+        assert rep["ok"] and rep["max_list_size"] == 3
+        w = cb.codewords[0]
+        broken = dataclasses.replace(
+            cb, codewords=cb.codewords + (w,) * (cb.list_size - 1))
+        rep = check_codebook(broken)
+        assert not rep["ok"] and rep["max_list_size"] >= cb.list_size
+        dup, *words = rep["violations"]
+        assert dup == "duplicate codewords" and words
+        for line in words:
+            probe = tuple(map(int, line.split()[1]))
+            assert len(probe) == ell and subseq_oracle(probe, w.symbols)
+
+
+def random_listdec_books(count, seed):
+    """Books of 0-11 random binary words of length m in 3-12, some with a
+    word repeated and some with a word of another length, at every ell
+    from 0 to m and list sizes 2-5.  A word longer than m comes only with
+    ell < m: at ell = m the scan looks probes up as whole codewords."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(3, 12)
+        ell = rng.randint(0, m)
+        words = [tuple(rng.randrange(2) for _ in range(m))
+                 for _ in range(rng.randint(0, 11))]
+        if words and rng.random() < 0.3:
+            words += [rng.choice(words)] * rng.randint(1, 3)
+        if words and rng.random() < 0.2:
+            words[0] = tuple(rng.randrange(2) for _ in range(
+                rng.randint(0, m + 2 if ell < m else m)))
+        yield Codebook(LISTDEC, 2, m, F(m - ell, m), None, rng.randint(2, 5),
+                       tuple(Word(w, 2) for w in words), LEX)
+
+
+def assert_check_matches_probe_scan(cb):
+    rep = check_codebook(cb)
+    lines = [v for v in rep["violations"] if v.startswith("word ")]
+    assert (rep["max_list_size"], lines) == probe_scan(cb)
+    return bool(lines)
+
+
+def test_listdec_check_matches_probe_scan_on_corpus():
+    # Every LEX LISTDEC book for m 4-10, and 300 seeded books of random
+    # words, many of which fail the check.
+    lex = (greedy_listdec(m, delta, lsz) for m in range(4, 11)
+           for delta in (F(1, 4), F(1, 3), F(1, 2)) for lsz in range(2, 6))
+    failed = [assert_check_matches_probe_scan(cb)
+              for cb in itertools.chain(lex, random_listdec_books(300, 30))]
+    assert len(failed) == 384 and sum(failed) >= 100
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_scheme_spec("listdec").inner, id="desk"),
+    pytest.param(lambda: greedy_listdec(10, F(1, 4), 3), id="c05"),
+])
+def test_listdec_check_matches_probe_scan_on_construct_books(build):
+    assert not assert_check_matches_probe_scan(build())
