@@ -12,13 +12,12 @@ Three codebook kinds share one greedy engine:
 
 The separation threshold for a codebook correcting a delta fraction of
 deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
-(LCS <= ell - 1, or no full subset sharing an ell-subsequence).  The
+(LCS <= ell - 1, or no list_size words sharing an ell-subsequence).  The
 accepted words are laid out once, growing, in a seqkit._LcsBook, so one
-bit-parallel pass gives a candidate's LCS with every one of them.  From it
-a LISTDEC build keeps near_of, each word's earlier words whose LCS with it
-reaches ell, and full, the (list_size - 1)-subsets of words that share an
-ell-subsequence, the only subsets a candidate can complete; the multi-word
-LCS stops at ell.  A seeded UNIQUE or DENSE search for more than k^ell words
+bit-parallel pass gives a candidate's LCS with every one of them.  A
+LISTDEC build reads from it the candidate's near words, those whose LCS
+with it reaches ell, and walks the candidate's own ell-subsequences
+against them.  A seeded UNIQUE or DENSE search for more than k^ell words
 is refused at once, as each word holds an ell-subsequence no other holds.
 
 Decoding asks which codewords contain a received word as a subsequence.  A
@@ -164,31 +163,6 @@ def _random_dense_stream(m: int, rng: random.Random, cap: int, z: int, g: int):
         yield tuple(syms)
 
 
-def _shares(words: list[tuple[int, ...]], subset: tuple[int, ...],
-            word: tuple[int, ...], near: set[int], ell: int) -> bool:
-    """Whether word shares an ell-subsequence with the words at subset's
-    indices; near holds the indices whose LCS with word reaches ell."""
-    return near.issuperset(subset) and (
-        len(subset) == 1 or seqkit._multi_lcs(
-            [words[i] for i in subset] + [word], ell) == ell)
-
-
-def _closed_by(words: list[tuple[int, ...]], near_of: list[set[int]],
-               size: int, ell: int) -> list[tuple[int, ...]]:
-    """The size-subsets of earlier words, as ascending index tuples, that
-    share an ell-subsequence with the last word.  Their members lie
-    pairwise in near_of; a subset that stops sharing grows no further, as
-    sharing is monotone."""
-    word, near = words[-1], near_of[-1]
-    order = sorted(near)
-    subsets: list[tuple[int, ...]] = [()]
-    for _ in range(size):
-        subsets = [s + (e,) for s in subsets for e in order
-                   if e > (s[-1] if s else -1) and near_of[e].issuperset(s)
-                   and _shares(words, s + (e,), word, near, ell)]
-    return subsets
-
-
 def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
            target_size: int | None = None,
            policy: CandidatePolicy = CandidatePolicy.LEX, seed: int = 0,
@@ -203,6 +177,14 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     DENSE books take beta and LISTDEC books list_size.  Under the
     SEEDED_RANDOM policy DENSE candidates follow the wide-gap layout from
     dense_layout; zeros/min_gap override its defaults.
+
+    A LISTDEC candidate is refused if it repeats a word, or if
+    seqkit._multi_lcs finds one of its own ell-subsequences in
+    list_size - 1 of its near words: only a word whose LCS with it reaches
+    ell can hold one.  check_codebook walks every binary probe word
+    instead, so it shares no search with the build; both are checked
+    against tests/oracles.py (probe_scan, table_multi_lcs and
+    shares_subsequence).
     """
     delta = Fraction(delta)
     if k < 2:
@@ -244,8 +226,6 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
 
     accepted: list[tuple[int, ...]] = []
     book = seqkit._LcsBook()
-    near_of: list[set[int]] = []
-    full: list[tuple[int, ...]] = []
     for cand in stream:
         if kind is CodebookKind.DENSE and not (
                 cand[0] == 1 and cand[-1] == 1
@@ -256,20 +236,14 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
             if any(v >= ell for v in lcs):
                 continue
         else:
-            near = {i for i, v in enumerate(lcs) if v >= ell}
-            if cand in accepted or any(
-                    _shares(accepted, s, cand, near, ell) for s in full):
+            near = [w for w, v in zip(accepted, lcs) if v >= ell]
+            if cand in accepted or len(near) >= list_size - 1 and (
+                    seqkit._multi_lcs([cand, *near], ell, list_size) == ell):
                 continue
         accepted.append(cand)
         book.append(cand)
         if target_size is not None and len(accepted) >= target_size:
             break
-        if kind is CodebookKind.LISTDEC:
-            # Nothing below list_size - 1 words can close a full subset.
-            near_of.append(near)
-            if len(accepted) >= list_size - 1:
-                full.extend(s + (len(accepted) - 1,) for s in _closed_by(
-                    accepted, near_of, list_size - 2, ell))
 
     if target_size is not None and len(accepted) < target_size:
         budget = (f"after all {k}^{m} candidates"
@@ -403,9 +377,11 @@ def check_codebook(cb: Codebook) -> dict:
     Returns a report dict with an ``ok`` flag.  UNIQUE and DENSE books get
     the full pairwise LCS check.  A LISTDEC book is checked against every
     binary probe word of length ell, walked as a trie on the decoders'
-    containment layout; the walk is exact at every ell.  A LISTDEC report
-    also says whether the check is ``vacuous``: a book with fewer codewords
-    than its list size passes whatever its words are.
+    containment layout; the walk is exact at every ell.  The build walks
+    only each candidate's own subsequences against its near words, so the
+    check does not rest on the build's search.  A LISTDEC report also says
+    whether the check is ``vacuous``: a book with fewer codewords than its
+    list size passes whatever its words are.
     """
     ell = cb.separation_threshold
     words = cb.codewords
@@ -439,11 +415,7 @@ def check_codebook(cb: Codebook) -> dict:
     # probe symbols from d on, and a prefix held by fewer than list_size
     # words and by no more than the worst probe so far is not extended.
     occ, _, start = cb._layout
-    room, lo = [0] * ell, 0
-    for w in words:
-        for d in range(max(0, ell - len(w)), ell):
-            room[d] |= ((2 << (len(w) - ell + d)) - 1) << lo
-        lo += len(w) + 1
+    room = seqkit._room(words, ell)
     stack = [("", start)]
     while stack:
         probe, state = stack.pop()

@@ -9,9 +9,10 @@ Containment and pairwise LCS are bit-parallel, and both run on a whole book
 at once: _LcsBook lays the words out as one big integer, and one pass of a
 text gives its LCS with every word (_LcsBook.lcs) or the words that contain
 it (_is_subseq_seq).  _lcs_seq runs the same LCS step on one pair.  For
-several words a dominant-point search answers whether they share a common
-subsequence of a threshold length, stopping there; it raises GuardExceeded
-past MULTI_LCS_GUARD dominance comparisons, a bound on its time.
+several words _multi_lcs walks the subsequences of the first as a trie on
+that layout, one containment step per symbol, and says whether one of a
+threshold length lies in enough of the words; _room keeps only the matches
+that leave room to reach that length.
 """
 
 from __future__ import annotations
@@ -19,19 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
 
-from .errors import (
-    AlphabetMismatch,
-    GuardExceeded,
-    LengthMismatch,
-    OutOfRange,
-)
-
-# Most dominance comparisons one _multi_lcs call may make, each new point
-# counted against every point kept before it.  The filter's time grows with
-# the square of the frontier, so a bound on points would not bound it.
-MULTI_LCS_GUARD = 10**7
+from .errors import AlphabetMismatch, LengthMismatch, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -159,61 +149,52 @@ def _is_subseq_seq(text, occ: dict[int, int], live: int, state: int) -> int:
     return state
 
 
-def _multi_lcs(seqs, ell: int) -> int:
-    # Dominant-point search (Hakata & Imai 1992).  A point holds one prefix
-    # length per word; level l is the set of Pareto-minimal points at which
-    # some common subsequence of length l ends, each word embedding it
-    # leftmost.  A point that dominates another can be extended by nothing
-    # the smaller one cannot, so level l + 1 is the minimal set of the
-    # one-symbol successors of level l.  The search stops at level ell and
-    # drops every point too late in some word to reach it, so the result is
-    # ell when the words share a common subsequence of length ell and below
-    # ell otherwise.
-    common = set(seqs[0]).intersection(*seqs[1:])
-    steps = []
-    for c in common:
-        # cols[i][p] is the prefix length just past the first c at or after
-        # position p of word i, or None when word i has no such c.
-        cols = []
-        for s in seqs:
-            col = [None] * (len(s) + 1)
-            nxt = None
-            for p in range(len(s) - 1, -1, -1):
-                if s[p] == c:
-                    nxt = p + 1
-                col[p] = nxt
-            cols.append(col)
-        steps.append(cols)
-    frontier = [(0,) * len(seqs)]
-    length = compared = 0
-    while length != ell:
-        # A point at level length + 1 reaches ell only if every word has
-        # ell - length - 1 symbols left past it.
-        room = tuple(len(s) - (ell - length - 1) for s in seqs)
-        successors = set()
-        for cols in steps:
-            for point in frontier:
-                nxt = tuple(map(list.__getitem__, cols, point))
-                if None not in nxt and all(map(le, nxt, room)):
-                    successors.add(nxt)
-        if not successors:
-            return length
-        # In lexicographic order a point can only be dominated by one
-        # before it.
-        frontier = []
-        for point in sorted(successors):
-            compared += len(frontier)
-            if compared > MULTI_LCS_GUARD:
-                raise GuardExceeded(
-                    f"multi-LCS search passed {MULTI_LCS_GUARD} dominance "
-                    f"comparisons")
-            for kept in frontier:
-                if all(map(le, kept, point)):
-                    break
-            else:
-                frontier.append(point)
-        length += 1
-    return length
+def _room(words, ell: int) -> list[int]:
+    """room[d] is, in the _LcsBook layout of words, the positions where
+    step d of a walk toward an ell-subsequence may match: those that leave
+    ell - d - 1 symbols past them.  A word shorter than ell has none.  The
+    positions below d are left out too, as step d never reaches them, so
+    each depth's mask is the last one moved up by a position."""
+    live = lo = 0
+    for w in words:
+        if len(w) >= ell:
+            live |= ((2 << (len(w) - ell)) - 1) << lo
+        lo += len(w) + 1
+    return [live << d for d in range(ell)]
+
+
+def _multi_lcs(seqs, ell: int, need: int) -> int:
+    """ell when some ell-subsequence of seqs[0] lies in at least need of
+    the words, seqs[0] counted; otherwise the longest prefix of one that
+    the walk reached, below ell.
+
+    The walk runs over the subsequences of seqs[0] as a trie, on the
+    _subseq_layout of all the words, one _is_subseq_seq step per symbol.
+    A prefix is kept while seqs[0] and need - 1 others hold it with room
+    to finish, and a (depth, state) pair seen before is not walked again:
+    what lies below it depends on nothing else."""
+    occ, _, start = _subseq_layout(seqs)
+    room = _room(seqs, ell)
+    own = (2 << len(seqs[0])) - 1
+    symbols = set(seqs[0])
+    seen = set()
+    stack = [(0, start)]
+    reached = 0
+    while stack:
+        depth, state = stack.pop()
+        if depth == ell:
+            return ell
+        if depth > reached:
+            reached = depth
+        live = room[depth]
+        depth += 1
+        for s in symbols:
+            nxt = _is_subseq_seq((s,), occ, live, state)
+            if nxt & own and nxt.bit_count() >= need and (
+                    (depth, nxt) not in seen):
+                seen.add((depth, nxt))
+                stack.append((depth, nxt))
+    return reached
 
 
 def density_rule(m: int, beta: Fraction) -> tuple[int, int]:

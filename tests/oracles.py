@@ -10,7 +10,9 @@ encode_oracle builds the word from the outer codeword and the inner book.
 hirate prices erasing a window in closed form; erase_cost_oracle tries
 every subsequence.  The GF(2^w) tables are checked against square and
 multiply on gf's polynomial arithmetic.  probe_scan reads every binary
-probe word of a LISTDEC book where the check walks a pruned trie.
+probe word of a LISTDEC book where the check walks a pruned trie, and
+shares_subsequence tries every subsequence of a word where the build's
+multi-word test walks them pruned.
 """
 
 import itertools
@@ -80,8 +82,8 @@ def greedy_oracle(stream, ell, target=None, admit=None):
 
 def table_multi_lcs(seqs):
     """Multi-word LCS by the full dynamic program over the flat
-    prod(len + 1) table: the reference for the dominant-point
-    seqkit._multi_lcs."""
+    prod(len + 1) table: the reference for seqkit._multi_lcs when every
+    word must hold the subsequence."""
     dims = [len(s) + 1 for s in seqs]
     total = math.prod(dims)
     strides = [0] * len(dims)
@@ -104,6 +106,14 @@ def table_multi_lcs(seqs):
             best = max(best, table[idx - st])
         table[idx] = best
     return table[total - 1]
+
+
+def shares_subsequence(seqs, ell, need):
+    """Whether some ell-subsequence of seqs[0] lies in at least need of the
+    words, seqs[0] counted: every distinct one, one subseq_oracle test per
+    word.  The reference for seqkit._multi_lcs with any need."""
+    return any(sum(subseq_oracle(sub, w) for w in seqs) >= need
+               for sub in set(itertools.combinations(seqs[0], ell)))
 
 
 def probe_scan(cb):

@@ -126,9 +126,9 @@ class TestBuild:
 
     def test_book_at_its_target_searches_no_subset(self, capsys,
                                                     monkeypatch):
-        # The 15th and last word meets the target before the subsets it
-        # closes would be searched, and no earlier word can close one of
-        # list size - 1 = 15 words.
+        # A candidate is walked only against list size - 1 = 15 near
+        # words, and the target is met at the 15th word, so no candidate
+        # ever has that many.
         def refuse(*args):
             raise AssertionError("multi-word LCS called")
         monkeypatch.setattr(seqkit, "_multi_lcs", refuse)
@@ -136,6 +136,21 @@ class TestBuild:
                            "--set", "list_size=16")
         assert code == 0
         assert "inner codebook: 15 codewords" in out
+
+    def test_large_list_size_book_builds_the_same_words(self, capsys):
+        # 28 words of length 8 that nearly all share 6-subsequences, so
+        # they hold very many sharing subsets of list size - 1 = 15 words.
+        # The digest is of the words, one digit line each.
+        sets = ("--q", "7", "--set", "list_size=16", "--set", "n=4")
+        code, out, _ = run(capsys, "build", "--scheme", "listdec", *sets)
+        assert code == 0
+        assert "inner codebook: 28 codewords" in out
+        book = make_scheme_spec("listdec", q=7,
+                                overrides={"list_size": 16, "n": 4}).inner
+        text = "\n".join("".join(map(str, w.symbols))
+                         for w in book.codewords)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "34cdb4ee06c2f65364152a28b8b5255c1bae18b5a6d1496257606356f6a8dd94")
 
     def test_listdec_paper_preset_is_infeasible(self, capsys):
         # Its list size, 400, exceeds its 12-word book: no vacuous build.

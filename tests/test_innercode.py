@@ -248,8 +248,8 @@ class TestGreedyListdec:
 
     def test_duplicate_refused_before_any_subset_is_full(self):
         # 50 draws from the four words of length 2 repeat some before all
-        # four are in, while no subset of list_size - 1 = 4 words is full
-        # to refuse them.
+        # four are in, while fewer than list_size - 1 = 4 near words could
+        # refuse them by a shared subsequence.
         cb = innercode._build(LISTDEC, 2, 2, F(1, 2), list_size=5,
                               policy=RANDOM, seed=0, attempt_cap=50)
         assert sorted(digits(cb)) == ["00", "01", "10", "11"]
@@ -316,8 +316,8 @@ class TestGreedyListdec:
 
     def test_no_multi_lcs_before_list_size_minus_one_words(self, monkeypatch):
         # The paper-profile list size is far beyond its 12-word book, so
-        # no subset can ever be completed and none is searched.  PAPER
-        # refuses that book; DESK builds it from the same parameters.
+        # no candidate ever has list_size - 1 near words and no walk runs.
+        # PAPER refuses that book; DESK builds it from the same parameters.
         def refuse(*args):
             raise AssertionError("multi-word LCS called")
         monkeypatch.setattr(seqkit, "_multi_lcs", refuse)

@@ -12,9 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delcodes import seqkit
-from delcodes.errors import GuardExceeded, LengthMismatch, OutOfRange
+from delcodes.errors import LengthMismatch, OutOfRange
 from delcodes.seqkit import Word
-from oracles import brute_lcs, rolling_lcs, subseq_oracle, table_multi_lcs
+from oracles import (
+    brute_lcs,
+    rolling_lcs,
+    shares_subsequence,
+    subseq_oracle,
+    table_multi_lcs,
+)
 
 
 def all_words(k, m):
@@ -243,8 +249,8 @@ class TestBookLcs:
 def assert_multi_lcs(seqs, v):
     """The threshold search reaches v at t = v and falls short at t = v + 1,
     so the words' common subsequences are at most v long."""
-    assert seqkit._multi_lcs(seqs, v) == v
-    assert seqkit._multi_lcs(seqs, v + 1) < v + 1
+    assert seqkit._multi_lcs(seqs, v, len(seqs)) == v
+    assert seqkit._multi_lcs(seqs, v + 1, len(seqs)) < v + 1
 
 
 class TestMultiwayCommon:
@@ -272,29 +278,23 @@ class TestMultiwayCommon:
         assert_multi_lcs([w, (), w], 0)
         assert_multi_lcs([w, (0, 0)], 1)
 
-    def test_guard(self, monkeypatch):
+    def test_periodic_words_share_their_least_pairwise_lcs(self):
         # Word r is (0^r 1^r)* cut to 60 symbols.  The five share a common
-        # subsequence as long as their least pairwise LCS, 36; searches to
-        # 20 and 30 count 14,430 and 72,625 dominance comparisons, and the
-        # full table would hold 61^5 cells.
+        # subsequence as long as their least pairwise LCS, 36, and the full
+        # table would hold 61^5 cells.
         words = [tuple(j // r % 2 for j in range(60)) for r in range(1, 6)]
         pairwise = min(seqkit._lcs_seq(a, b)
                        for a, b in itertools.combinations(words, 2))
+        assert pairwise == 36
         assert_multi_lcs(words, pairwise)
-        monkeypatch.setattr(seqkit, "MULTI_LCS_GUARD", 1000)
-        for t in (20, 30):
-            with pytest.raises(GuardExceeded):
-                seqkit._multi_lcs(words, t)
 
-    def test_guard_bounds_time_not_points(self):
-        # Searched to 50 the frontier grows wide, but the levels keep some
-        # 37,000 points in all, so a guard on points lets this search run
-        # for some 12 s.  Counted by comparisons, it stops after about 3 s.
+    def test_long_random_words_share_a_half_length_subsequence(self):
+        # Five random 100-bit words share a subsequence of half their
+        # length; the full table would hold 101^5 cells.
         rng = random.Random(0)
         words = [tuple(rng.randrange(2) for _ in range(100))
                  for _ in range(5)]
-        with pytest.raises(GuardExceeded):
-            seqkit._multi_lcs(words, 50)
+        assert seqkit._multi_lcs(words, 50, 5) == 50
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=150, deadline=None)  # a 9^5 table takes ~0.15 s
@@ -313,8 +313,22 @@ class TestMultiwayCommon:
                     for _ in range(rng.randint(2, 5))]
             full = table_multi_lcs(seqs)
             for t in range(max(map(len, seqs)) + 2):
-                got = seqkit._multi_lcs(seqs, t)
+                got = seqkit._multi_lcs(seqs, t, len(seqs))
                 assert got <= t and (got == t) == (full >= t), (seqs, t)
+
+    def test_shared_by_need_words_matches_brute_force(self):
+        # With need below the word count the search asks whether some
+        # t-subsequence of the first word lies in need of the words.
+        rng = random.Random(20261020)
+        for _ in range(3000):
+            k = rng.randint(2, 4)
+            seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
+                    for _ in range(rng.randint(1, 5))]
+            for t in range(max(map(len, seqs)) + 2):
+                for need in range(1, len(seqs) + 1):
+                    got = seqkit._multi_lcs(seqs, t, need)
+                    assert got <= t and (got == t) == shares_subsequence(
+                        seqs, t, need), (seqs, t, need)
 
 
 class TestDensity:
