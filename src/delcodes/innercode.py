@@ -16,9 +16,9 @@ deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
 accepted words are laid out once, growing, in a seqkit._LcsBook, so one
 bit-parallel pass gives a candidate's LCS with every one of them.  A
 LISTDEC build reads from it the candidate's near words, those whose LCS
-with it reaches ell, and walks the candidate's own ell-subsequences
-against them.  A seeded UNIQUE or DENSE search for more than k^ell words
-is refused at once, as each word holds an ell-subsequence no other holds.
+with it reaches ell, and walks the candidate's ell-subsequences there.
+A seeded UNIQUE or DENSE search for more than k^ell words is refused at
+once, as each word holds an ell-subsequence no other holds.
 
 Decoding asks which codewords contain a received word as a subsequence.  A
 piece as long as a codeword is contained only in an equal codeword, so it is
@@ -181,10 +181,10 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     A LISTDEC candidate is refused if it repeats a word, or if
     seqkit._multi_lcs finds one of its own ell-subsequences in
     list_size - 1 of its near words: only a word whose LCS with it reaches
-    ell can hold one.  check_codebook walks every binary probe word
-    instead, so it shares no search with the build; both are checked
-    against tests/oracles.py (probe_scan, table_multi_lcs and
-    shares_subsequence).
+    ell can hold one.  The walk reads them, by index, in the build's own
+    _LcsBook.  check_codebook walks every binary probe word instead, so
+    it shares no search with the build; both are checked against
+    tests/oracles.py (probe_scan, table_multi_lcs and shares_subsequence).
     """
     delta = Fraction(delta)
     if k < 2:
@@ -236,9 +236,9 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
             if any(v >= ell for v in lcs):
                 continue
         else:
-            near = [w for w, v in zip(accepted, lcs) if v >= ell]
-            if cand in accepted or len(near) >= list_size - 1 and (
-                    seqkit._multi_lcs([cand, *near], ell, list_size) == ell):
+            near = [i for i, v in enumerate(lcs) if v >= ell]
+            if m in lcs or len(near) >= list_size - 1 and seqkit._multi_lcs(
+                    cand, book, near, ell, list_size) == ell:
                 continue
         accepted.append(cand)
         book.append(cand)
@@ -415,7 +415,8 @@ def check_codebook(cb: Codebook) -> dict:
     # probe symbols from d on, and a prefix held by fewer than list_size
     # words and by no more than the worst probe so far is not extended.
     occ, _, start = cb._layout
-    room = seqkit._room(words, ell)
+    los = itertools.accumulate((len(w) + 1 for w in words), initial=0)
+    room = seqkit._room([(lo, lo + len(w)) for lo, w in zip(los, words)], ell)
     stack = [("", start)]
     while stack:
         probe, state = stack.pop()
@@ -426,7 +427,7 @@ def check_codebook(cb: Codebook) -> dict:
                 bad.append(f"word {probe} matches {hits} codewords")
         elif hits >= cb.list_size or hits > worst:
             stack += [(probe + str(s), seqkit._is_subseq_seq(
-                (s,), occ, room[len(probe)], state)) for s in (1, 0)]
+                (s,), occ, room << len(probe), state)) for s in (1, 0)]
     report.update(ok=not bad, max_list_size=worst,
                   vacuous=cb.list_size > len(words))
     return report

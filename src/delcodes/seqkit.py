@@ -8,11 +8,11 @@ float rounding can move an integer boundary.
 Containment and pairwise LCS are bit-parallel, and both run on a whole book
 at once: _LcsBook lays the words out as one big integer, and one pass of a
 text gives its LCS with every word (_LcsBook.lcs) or the words that contain
-it (_is_subseq_seq).  _lcs_seq runs the same LCS step on one pair.  For
-several words _multi_lcs walks the subsequences of the first as a trie on
-that layout, one containment step per symbol, and says whether one of a
-threshold length lies in enough of the words; _room keeps only the matches
-that leave room to reach that length.
+it (_is_subseq_seq).  _lcs_seq runs the same LCS step on one pair.
+_multi_lcs walks the subsequences of a word as a trie on a book's own
+layout, one containment step per symbol, and says whether one of a
+threshold length lies in enough of the book's words it names; _room keeps
+only the matches that leave room to reach that length.
 """
 
 from __future__ import annotations
@@ -60,20 +60,22 @@ class Word:
         return Word(syms, alphabet_size)
 
 
+def _positions(word) -> dict[int, int]:
+    """Each symbol of word -> the bits of its positions, from bit 0 up."""
+    own: dict[int, int] = {}
+    for i, s in enumerate(word):
+        own[s] = own.get(s, 0) | 1 << i
+    return own
+
+
 def _lcs_seq(xs, ys) -> int:
     # Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004).  Bit j of v is 0
     # where the LCS of the text read so far with ys[:j+1] grows by one over
     # ys[:j]; each text symbol updates every column in one big-int step.
     if len(xs) < len(ys):
         xs, ys = ys, xs
-    masks: dict[int, int] = {}
-    bit = 1
-    for y in ys:
-        masks[y] = masks.get(y, 0) | bit
-        bit <<= 1
-    full = bit - 1
-    v = full
-    mask_of = masks.get
+    full = v = (1 << len(ys)) - 1
+    mask_of = _positions(ys).get
     for x in xs:
         u = v & mask_of(x, 0)
         v = ((v + u) | (v - u)) & full
@@ -98,14 +100,9 @@ class _LcsBook:
 
     def append(self, word) -> None:
         base = self.width
-        own: dict[int, int] = {}
-        bit = 1
-        for s in word:
-            own[s] = own.get(s, 0) | bit
-            bit <<= 1
-        for s, a in own.items():
+        for s, a in _positions(word).items():
             self.masks[s] = self.masks.get(s, 0) | a << base
-        self.full |= (bit - 1) << base
+        self.full |= ((1 << len(word)) - 1) << base
         self.spans.append((base, base + len(word)))
         self.width = base + len(word) + 1
 
@@ -149,36 +146,38 @@ def _is_subseq_seq(text, occ: dict[int, int], live: int, state: int) -> int:
     return state
 
 
-def _room(words, ell: int) -> list[int]:
-    """room[d] is, in the _LcsBook layout of words, the positions where
-    step d of a walk toward an ell-subsequence may match: those that leave
-    ell - d - 1 symbols past them.  A word shorter than ell has none.  The
-    positions below d are left out too, as step d never reaches them, so
-    each depth's mask is the last one moved up by a position."""
-    live = lo = 0
-    for w in words:
-        if len(w) >= ell:
-            live |= ((2 << (len(w) - ell)) - 1) << lo
-        lo += len(w) + 1
-    return [live << d for d in range(ell)]
+def _room(spans, ell: int) -> int:
+    """In a layout of segments spanning the (low, high) bits given, the
+    positions where step 0 of a walk toward an ell-subsequence may match:
+    those that leave ell - 1 symbols past them.  A word shorter than ell
+    has none.  Step d matches within this mask moved up d positions."""
+    live = 0
+    for lo, hi in spans:
+        if hi - lo >= ell:
+            live |= ((2 << (hi - lo - ell)) - 1) << lo
+    return live
 
 
-def _multi_lcs(seqs, ell: int, need: int) -> int:
-    """ell when some ell-subsequence of seqs[0] lies in at least need of
-    the words, seqs[0] counted; otherwise the longest prefix of one that
-    the walk reached, below ell.
+def _multi_lcs(cand, book: _LcsBook, near, ell: int, need: int) -> int:
+    """ell when some ell-subsequence of cand lies in at least need of the
+    words, cand and those of book indexed by near; otherwise the longest
+    prefix of one that the walk reached, below ell.
 
-    The walk runs over the subsequences of seqs[0] as a trie, on the
-    _subseq_layout of all the words, one _is_subseq_seq step per symbol.
-    A prefix is kept while seqs[0] and need - 1 others hold it with room
-    to finish, and a (depth, state) pair seen before is not walked again:
-    what lies below it depends on nothing else."""
-    occ, _, start = _subseq_layout(seqs)
-    room = _room(seqs, ell)
-    own = (2 << len(seqs[0])) - 1
-    symbols = set(seqs[0])
+    The walk runs over cand's subsequences as a trie on book's layout, cand
+    a segment below it, the step of _is_subseq_seq inline.  Its start and
+    room hold only cand's and near's segments, so no other word counts.  A
+    prefix is kept while cand and need - 1 others hold it with room to
+    finish, and a (depth, state) pair seen before is not walked again."""
+    m, base = len(cand), len(cand) + 1
+    spans = [(0, m)] + [(lo + base, hi + base)
+                        for lo, hi in (book.spans[i] for i in near)]
+    room = _room(spans, ell)
+    guards = (((1 << book.width) - 1) ^ book.full) << base | 1 << m
+    occ = [book.masks.get(s, 0) << base | a | guards
+           for s, a in _positions(cand).items()]
+    mine = (2 << m) - 1
     seen = set()
-    stack = [(0, start)]
+    stack = [(0, sum(1 << lo for lo, _ in spans))]
     reached = 0
     while stack:
         depth, state = stack.pop()
@@ -186,11 +185,11 @@ def _multi_lcs(seqs, ell: int, need: int) -> int:
             return ell
         if depth > reached:
             reached = depth
-        live = room[depth]
+        live = room << depth
         depth += 1
-        for s in symbols:
-            nxt = _is_subseq_seq((s,), occ, live, state)
-            if nxt & own and nxt.bit_count() >= need and (
+        for a in occ:
+            nxt = (a & ~(a - state) & live) << 1
+            if nxt & mine and nxt.bit_count() >= need and (
                     (depth, nxt) not in seen):
                 seen.add((depth, nxt))
                 stack.append((depth, nxt))

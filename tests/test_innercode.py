@@ -2,6 +2,7 @@
 re-verification and decode round-trips."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -313,6 +314,31 @@ class TestGreedyListdec:
         cb = innercode._build(LISTDEC, 2, m, delta, target_size=target,
                               **build)
         assert [w.symbols for w in cb.codewords] == expected
+
+    @pytest.mark.parametrize("build,digest", [
+        pytest.param(lambda: greedy_listdec(10, F(1, 4), 3),
+                     "107aaba394519ed93be96ce0f7e3ae3a"
+                     "6457bff799bd5ba85aa2a78f1b5335f2", id="c05"),
+        pytest.param(lambda: make_scheme_spec("listdec").inner,
+                     "e0b1f67623aaa128e3b367246010b7d9"
+                     "3ab28c7153decd7e0e65022abe588079", id="desk"),
+    ])
+    def test_walk_reads_the_build_layout(self, monkeypatch, build, digest):
+        # The walk lays out no words of its own and steps inline, so
+        # neither _subseq_layout nor _is_subseq_seq is called; the books
+        # keep the SHA-256 of their words that the benchmark pins.
+        def refuse(*args):
+            raise AssertionError("words laid out again")
+        monkeypatch.setattr(seqkit, "_subseq_layout", refuse)
+        monkeypatch.setattr(seqkit, "_is_subseq_seq", refuse)
+        walks = []
+        walk = seqkit._multi_lcs
+        monkeypatch.setattr(seqkit, "_multi_lcs",
+                            lambda *args: walks.append(args) or walk(*args))
+        h = hashlib.sha256()
+        for w in build().codewords:
+            h.update((",".join(map(str, w.symbols)) + "\n").encode())
+        assert h.hexdigest() == digest and walks
 
     def test_no_multi_lcs_before_list_size_minus_one_words(self, monkeypatch):
         # The paper-profile list size is far beyond its 12-word book, so

@@ -246,11 +246,17 @@ class TestBookLcs:
         assert lengths == set(range(11))
 
 
+def multi_lcs(seqs, ell, need):
+    """seqkit._multi_lcs of seqs[0] against all of seqs[1:], as one book."""
+    return seqkit._multi_lcs(seqs[0], seqkit._LcsBook(seqs[1:]),
+                             range(len(seqs) - 1), ell, need)
+
+
 def assert_multi_lcs(seqs, v):
     """The threshold search reaches v at t = v and falls short at t = v + 1,
     so the words' common subsequences are at most v long."""
-    assert seqkit._multi_lcs(seqs, v, len(seqs)) == v
-    assert seqkit._multi_lcs(seqs, v + 1, len(seqs)) < v + 1
+    assert multi_lcs(seqs, v, len(seqs)) == v
+    assert multi_lcs(seqs, v + 1, len(seqs)) < v + 1
 
 
 class TestMultiwayCommon:
@@ -294,7 +300,7 @@ class TestMultiwayCommon:
         rng = random.Random(0)
         words = [tuple(rng.randrange(2) for _ in range(100))
                  for _ in range(5)]
-        assert seqkit._multi_lcs(words, 50, 5) == 50
+        assert multi_lcs(words, 50, 5) == 50
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=150, deadline=None)  # a 9^5 table takes ~0.15 s
@@ -313,7 +319,7 @@ class TestMultiwayCommon:
                     for _ in range(rng.randint(2, 5))]
             full = table_multi_lcs(seqs)
             for t in range(max(map(len, seqs)) + 2):
-                got = seqkit._multi_lcs(seqs, t, len(seqs))
+                got = multi_lcs(seqs, t, len(seqs))
                 assert got <= t and (got == t) == (full >= t), (seqs, t)
 
     def test_shared_by_need_words_matches_brute_force(self):
@@ -326,9 +332,46 @@ class TestMultiwayCommon:
                     for _ in range(rng.randint(1, 5))]
             for t in range(max(map(len, seqs)) + 2):
                 for need in range(1, len(seqs) + 1):
-                    got = seqkit._multi_lcs(seqs, t, need)
+                    got = multi_lcs(seqs, t, need)
                     assert got <= t and (got == t) == shares_subsequence(
                         seqs, t, need), (seqs, t, need)
+
+    def test_words_outside_near_never_count(self):
+        # The build hands the walk its whole book and the indices of the
+        # near words.  The book also holds words outside near, some of them
+        # supersequences of cand that hold every subsequence of it, words
+        # of other lengths and an empty word; only the near words count.
+        rng = random.Random(20261021)
+        masked = 0
+        for _ in range(1000):
+            k = rng.randint(2, 3)
+            cand = tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
+            words = []
+            for _ in range(rng.randint(1, 6)):
+                if rng.random() < 0.3:
+                    word = list(cand)
+                    for _ in range(rng.randint(0, 3)):
+                        word.insert(rng.randint(0, len(word)),
+                                    rng.randrange(k))
+                else:
+                    word = [rng.randrange(k)
+                            for _ in range(rng.randint(0, 10))]
+                words.append(tuple(word))
+            words.insert(rng.randint(0, len(words)), ())
+            near = sorted(rng.sample(range(len(words)),
+                                     rng.randint(0, len(words))))
+            book = seqkit._LcsBook(words)
+            for t in range(len(cand) + 2):
+                for need in range(1, len(near) + 2):
+                    shared = shares_subsequence(
+                        [cand, *(words[i] for i in near)], t, need)
+                    got = seqkit._multi_lcs(cand, book, near, t, need)
+                    assert got <= t and (got == t) == shared, (
+                        cand, words, near, t, need)
+                    masked += not shared and shares_subsequence(
+                        [cand, *words], t, need)
+        # Many cases would share if the words outside near counted.
+        assert masked >= 1000
 
 
 class TestDensity:
