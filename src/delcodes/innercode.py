@@ -16,7 +16,9 @@ deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
 accepted words are laid out once, growing, in a seqkit._LcsBook, so one
 bit-parallel pass gives a candidate's LCS with every one of them.  A
 LISTDEC build reads from it the candidate's near words, those whose LCS
-with it reaches ell, and walks the candidate's ell-subsequences there.
+with it reaches ell, and walks the candidate's ell-subsequences there.  A
+shared word a walk finds is kept in a second _LcsBook, where one pass
+refuses any later candidate holding it, with no LCS pass or walk.
 A seeded UNIQUE or DENSE search for more than k^ell words is refused at
 once, as each word holds an ell-subsequence no other holds.
 
@@ -182,9 +184,13 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     seqkit._multi_lcs finds one of its own ell-subsequences in
     list_size - 1 of its near words: only a word whose LCS with it reaches
     ell can hold one.  The walk reads them, by index, in the build's own
-    _LcsBook.  check_codebook walks every binary probe word instead, so
-    it shares no search with the build; both are checked against
-    tests/oracles.py (probe_scan, table_multi_lcs and shares_subsequence).
+    _LcsBook.  The word a walk finds is kept, and a later candidate that
+    holds a kept word is refused before its LCS pass.  That is exact: the
+    book only grows, so the list_size - 1 words that hold the kept word are
+    still there and near the candidate, and its walk would refuse it too.
+    check_codebook walks every binary probe word instead, so it shares no
+    search with the build; both are checked against tests/oracles.py
+    (probe_scan, table_multi_lcs and shares_subsequence).
     """
     delta = Fraction(delta)
     if k < 2:
@@ -225,21 +231,24 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
         stream = _random_stream(k, m, rng, attempt_cap)
 
     accepted: list[tuple[int, ...]] = []
-    book = seqkit._LcsBook()
+    book, blocked = seqkit._LcsBook(), seqkit._LcsBook()
     for cand in stream:
         if kind is CodebookKind.DENSE and not (
                 cand[0] == 1 and cand[-1] == 1
                 and seqkit.is_dense_seq(cand, win, need)):
             continue
-        lcs = book.lcs(cand)
         if kind is not CodebookKind.LISTDEC:
-            if any(v >= ell for v in lcs):
+            if any(v >= ell for v in book.lcs(cand)):
                 continue
+        elif blocked.holds(cand) or m in (lcs := book.lcs(cand)):
+            continue
         else:
             near = [i for i, v in enumerate(lcs) if v >= ell]
-            if m in lcs or len(near) >= list_size - 1 and seqkit._multi_lcs(
-                    cand, book, near, ell, list_size) == ell:
-                continue
+            if len(near) >= list_size - 1:
+                word = seqkit._multi_lcs(cand, book, near, ell, list_size)
+                if word is not None:
+                    blocked.append(word)
+                    continue
         accepted.append(cand)
         book.append(cand)
         if target_size is not None and len(accepted) >= target_size:

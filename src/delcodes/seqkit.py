@@ -7,12 +7,13 @@ float rounding can move an integer boundary.
 
 Containment and pairwise LCS are bit-parallel, and both run on a whole book
 at once: _LcsBook lays the words out as one big integer, and one pass of a
-text gives its LCS with every word (_LcsBook.lcs) or the words that contain
-it (_is_subseq_seq).  _lcs_seq runs the same LCS step on one pair.
-_multi_lcs walks the subsequences of a word as a trie on a book's own
-layout, one containment step per symbol, and says whether one of a
-threshold length lies in enough of the book's words it names; _room keeps
-only the matches that leave room to reach that length.
+text gives its LCS with every word (_LcsBook.lcs), whether it holds any
+word (_LcsBook.holds), or the words that contain it (_is_subseq_seq).
+_lcs_seq runs the same LCS step on one pair.  _multi_lcs walks the
+subsequences of a word as a trie on a book's own layout, one containment
+step per symbol, and returns one of a threshold length that lies in enough
+of the book's words it names, or None; _room keeps only the matches that
+leave room to reach that length.
 """
 
 from __future__ import annotations
@@ -87,39 +88,53 @@ class _LcsBook:
     len(word) + 1 bits: its symbols from the low end up, then a guard bit.
     append lays a new word out above the rest, so a growing book is never
     laid out again.  masks maps each symbol to its positions in every word,
-    full is every position but the guards, and spans holds each word's
-    (low, high) bits."""
+    full is every position but the guards, lows and guards each word's low
+    and guard bits, and spans holds each word's (low, high) bits."""
 
     def __init__(self, words=()):
         self.masks: dict[int, int] = {}
-        self.full = 0
+        self.full = self.lows = self.guards = 0
         self.spans: list[tuple[int, int]] = []
         self.width = 0
         for w in words:
             self.append(w)
 
     def append(self, word) -> None:
-        base = self.width
+        base, top = self.width, self.width + len(word)
         for s, a in _positions(word).items():
             self.masks[s] = self.masks.get(s, 0) | a << base
         self.full |= ((1 << len(word)) - 1) << base
-        self.spans.append((base, base + len(word)))
-        self.width = base + len(word) + 1
+        self.lows |= 1 << base
+        self.guards |= 1 << top
+        self.spans.append((base, top))
+        self.width = top + 1
 
-    def lcs(self, text) -> list[int]:
-        """The LCS of text with each word, in order, in one pass: the step
-        of _lcs_seq runs on every segment at once.  u lies within v, so
-        v - u borrows nothing, and a carry out of a segment stops in its
-        guard bit, which full clears."""
+    def _pass(self, text) -> int:
+        """The state after text, the step of _lcs_seq run on every segment
+        at once: a word's LCS with text is its length less its segment's 1
+        bits.  u lies within v, so v - u borrows nothing, and a carry out of
+        a segment stops in its guard bit, which full clears."""
         full = v = self.full
         mask_of = self.masks.get
         for x in text:
             u = v & mask_of(x, 0)
             v = ((v + u) | (v - u)) & full
+        return v
+
+    def lcs(self, text) -> list[int]:
+        """The LCS of text with each word, in order, in one pass."""
         top = self.width
-        bits = f"{v:0{top}b}"
+        bits = f"{self._pass(text):0{top}b}"
         return [hi - lo - bits.count("1", top - hi, top - lo)
                 for lo, hi in self.spans]
+
+    def holds(self, text) -> bool:
+        """Whether some word is a subsequence of text, in one pass: a word
+        is when its segment of the state is all zeros.  Subtracting lows,
+        one bit at each segment's low end, borrows through such a segment
+        and clears its guard bit, and stops short of any other guard."""
+        guards = self.guards
+        return bool(~((self._pass(text) | guards) - self.lows) & guards)
 
 
 def _subseq_layout(words) -> tuple[dict[int, int], int, int]:
@@ -127,9 +142,8 @@ def _subseq_layout(words) -> tuple[dict[int, int], int, int]:
     Returns occ (symbol -> its positions in every word, OR the guards), the
     mask of all but the guards, and the start (each segment's low bit)."""
     book = _LcsBook(words)
-    guards = ((1 << book.width) - 1) ^ book.full
-    return ({s: a | guards for s, a in book.masks.items()}, ~guards,
-            sum(1 << lo for lo, _ in book.spans))
+    return ({s: a | book.guards for s, a in book.masks.items()},
+            ~book.guards, book.lows)
 
 
 def _is_subseq_seq(text, occ: dict[int, int], live: int, state: int) -> int:
@@ -158,42 +172,45 @@ def _room(spans, ell: int) -> int:
     return live
 
 
-def _multi_lcs(cand, book: _LcsBook, near, ell: int, need: int) -> int:
-    """ell when some ell-subsequence of cand lies in at least need of the
-    words, cand and those of book indexed by near; otherwise the longest
-    prefix of one that the walk reached, below ell.
+def _multi_lcs(cand, book: _LcsBook, near, ell: int,
+               need: int) -> tuple[int, ...] | None:
+    """An ell-subsequence of cand, as a tuple, that lies in at least need of
+    the words, cand and those of book indexed by near; None if none does.
 
     The walk runs over cand's subsequences as a trie on book's layout, cand
     a segment below it, the step of _is_subseq_seq inline.  Its start and
     room hold only cand's and near's segments, so no other word counts.  A
     prefix is kept while cand and need - 1 others hold it with room to
-    finish, and a (depth, state) pair seen before is not walked again."""
+    finish, and a (depth, state) pair seen before is not walked again.
+    Each entry of the walk names the entry it grew from and its last
+    symbol, so only the word found is spelled out."""
     m, base = len(cand), len(cand) + 1
     spans = [(0, m)] + [(lo + base, hi + base)
                         for lo, hi in (book.spans[i] for i in near)]
     room = _room(spans, ell)
-    guards = (((1 << book.width) - 1) ^ book.full) << base | 1 << m
-    occ = [book.masks.get(s, 0) << base | a | guards
+    guards = book.guards << base | 1 << m
+    occ = [(s, book.masks.get(s, 0) << base | a | guards)
            for s, a in _positions(cand).items()]
     mine = (2 << m) - 1
     seen = set()
-    stack = [(0, sum(1 << lo for lo, _ in spans))]
-    reached = 0
+    stack = [(0, sum(1 << lo for lo, _ in spans), None, None)]
     while stack:
-        depth, state = stack.pop()
+        depth, state, _, _ = node = stack.pop()
         if depth == ell:
-            return ell
-        if depth > reached:
-            reached = depth
+            word = []
+            while node[2]:
+                word.append(node[3])
+                node = node[2]
+            return tuple(reversed(word))
         live = room << depth
         depth += 1
-        for a in occ:
+        for s, a in occ:
             nxt = (a & ~(a - state) & live) << 1
             if nxt & mine and nxt.bit_count() >= need and (
                     (depth, nxt) not in seen):
                 seen.add((depth, nxt))
-                stack.append((depth, nxt))
-    return reached
+                stack.append((depth, nxt, node, s))
+    return None
 
 
 def density_rule(m: int, beta: Fraction) -> tuple[int, int]:

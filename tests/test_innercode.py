@@ -340,6 +340,55 @@ class TestGreedyListdec:
             h.update((",".join(map(str, w.symbols)) + "\n").encode())
         assert h.hexdigest() == digest and walks
 
+    @pytest.mark.parametrize("build,walks,digest", [
+        pytest.param(lambda: greedy_listdec(10, F(1, 4), 3), 106,
+                     "107aaba394519ed93be96ce0f7e3ae3a"
+                     "6457bff799bd5ba85aa2a78f1b5335f2", id="c05"),
+        pytest.param(lambda: make_scheme_spec("listdec").inner, 22,
+                     "e0b1f67623aaa128e3b367246010b7d9"
+                     "3ab28c7153decd7e0e65022abe588079", id="desk"),
+        pytest.param(lambda: make_scheme_spec("listdec",
+                                              overrides={"m": 20}).inner, 57,
+                     "71b435d54e833e62e6d3ce4b07ee6b66"
+                     "2ff4490e2fcbbb74250ef98302c0e433", id="m20"),
+    ])
+    def test_kept_words_refuse_only_what_the_walk_refuses(
+            self, monkeypatch, build, walks, digest):
+        # A candidate that holds a word kept from an earlier walk is
+        # refused before its own walk.  The walk, against its near words
+        # in the book as it stood (the words below it: the stream is LEX),
+        # must refuse it too.  The walks each build makes are pinned, and
+        # its words keep their SHA-256.
+        refused, walked = [], []
+        holds, walk = seqkit._LcsBook.holds, seqkit._multi_lcs
+
+        def recorded(book, text):
+            found = holds(book, text)
+            if found:
+                refused.append(text)
+            return found
+        monkeypatch.setattr(seqkit._LcsBook, "holds", recorded)
+        monkeypatch.setattr(seqkit, "_multi_lcs",
+                            lambda *args: walked.append(args) or walk(*args))
+        cb = build()
+        words = [w.symbols for w in cb.codewords]
+        h = hashlib.sha256()
+        for w in words:
+            h.update((",".join(map(str, w)) + "\n").encode())
+        assert h.hexdigest() == digest and len(walked) == walks
+        assert cb.candidate_policy is LEX and words == sorted(words)
+        ell, book, below = cb.separation_threshold, seqkit._LcsBook(), 0
+        for cand in refused:
+            for w in words[below:]:
+                if w > cand:
+                    break
+                book.append(w)
+                below += 1
+            near = [i for i, w in enumerate(words[:below])
+                    if seqkit._lcs_seq(cand, w) >= ell]
+            assert walk(cand, book, near, ell, cb.list_size) is not None, cand
+        assert refused
+
     def test_no_multi_lcs_before_list_size_minus_one_words(self, monkeypatch):
         # The paper-profile list size is far beyond its 12-word book, so
         # no candidate ever has list_size - 1 near words and no walk runs.

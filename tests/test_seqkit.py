@@ -218,7 +218,8 @@ class TestSubseqMatcher:
 
 class TestBookLcs:
     """seqkit._LcsBook, the LCS of one text with a whole book in one pass,
-    against the rolling-row dynamic program, after every append."""
+    against the rolling-row dynamic program, and whether the text holds
+    some word of it, against subseq_oracle, after every append."""
 
     @pytest.mark.parametrize("alphabet", [
         (0, 1), tuple(range(3)), tuple(range(256)),
@@ -230,6 +231,7 @@ class TestBookLcs:
         for _ in range(60):
             book, words = seqkit._LcsBook(), []
             assert book.lcs((alphabet[0],)) == []
+            assert not book.holds((alphabet[0],))
             for _ in range(rng.randint(1, 6)):
                 word = tuple(rng.choice(alphabet)
                              for _ in range(rng.randint(0, 10)))
@@ -243,20 +245,32 @@ class TestBookLcs:
                 for text in texts:
                     assert book.lcs(text) == [rolling_lcs(text, w)
                                               for w in words], (words, text)
+                    assert book.holds(text) == any(
+                        subseq_oracle(w, text) for w in words), (words, text)
         assert lengths == set(range(11))
 
 
+def checked(word, cand, near, ell, need):
+    """A word seqkit._multi_lcs returned, or None, after checking it by
+    subseq_oracle: ell symbols, in cand and in need - 1 of the near words."""
+    assert word is None or len(word) == ell and subseq_oracle(word, cand) and (
+        sum(subseq_oracle(word, w) for w in near) >= need - 1), (word, cand)
+    return word
+
+
 def multi_lcs(seqs, ell, need):
-    """seqkit._multi_lcs of seqs[0] against all of seqs[1:], as one book."""
-    return seqkit._multi_lcs(seqs[0], seqkit._LcsBook(seqs[1:]),
-                             range(len(seqs) - 1), ell, need)
+    """seqkit._multi_lcs of seqs[0] against all of seqs[1:], as one book,
+    checked."""
+    return checked(seqkit._multi_lcs(seqs[0], seqkit._LcsBook(seqs[1:]),
+                                     range(len(seqs) - 1), ell, need),
+                   seqs[0], seqs[1:], ell, need)
 
 
 def assert_multi_lcs(seqs, v):
-    """The threshold search reaches v at t = v and falls short at t = v + 1,
+    """The threshold search returns a word at t = v and None at t = v + 1,
     so the words' common subsequences are at most v long."""
-    assert multi_lcs(seqs, v, len(seqs)) == v
-    assert multi_lcs(seqs, v + 1, len(seqs)) < v + 1
+    assert multi_lcs(seqs, v, len(seqs)) is not None
+    assert multi_lcs(seqs, v + 1, len(seqs)) is None
 
 
 class TestMultiwayCommon:
@@ -300,7 +314,7 @@ class TestMultiwayCommon:
         rng = random.Random(0)
         words = [tuple(rng.randrange(2) for _ in range(100))
                  for _ in range(5)]
-        assert multi_lcs(words, 50, 5) == 50
+        assert multi_lcs(words, 50, 5) is not None
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=150, deadline=None)  # a 9^5 table takes ~0.15 s
@@ -310,8 +324,8 @@ class TestMultiwayCommon:
         assert_multi_lcs(seqs, table_multi_lcs(seqs))
 
     def test_threshold_agrees_on_3000_seeded_instances(self):
-        # With a threshold t the search reaches t exactly when the words
-        # share a common subsequence of length t, and never passes it.
+        # With a threshold t the search returns a word exactly when the
+        # words share a common subsequence of length t.
         rng = random.Random(20141124)
         for _ in range(3000):
             k = rng.randint(2, 4)
@@ -320,7 +334,7 @@ class TestMultiwayCommon:
             full = table_multi_lcs(seqs)
             for t in range(max(map(len, seqs)) + 2):
                 got = multi_lcs(seqs, t, len(seqs))
-                assert got <= t and (got == t) == (full >= t), (seqs, t)
+                assert (got is not None) == (full >= t), (seqs, t)
 
     def test_shared_by_need_words_matches_brute_force(self):
         # With need below the word count the search asks whether some
@@ -333,7 +347,7 @@ class TestMultiwayCommon:
             for t in range(max(map(len, seqs)) + 2):
                 for need in range(1, len(seqs) + 1):
                     got = multi_lcs(seqs, t, need)
-                    assert got <= t and (got == t) == shares_subsequence(
+                    assert (got is not None) == shares_subsequence(
                         seqs, t, need), (seqs, t, need)
 
     def test_words_outside_near_never_count(self):
@@ -365,8 +379,10 @@ class TestMultiwayCommon:
                 for need in range(1, len(near) + 2):
                     shared = shares_subsequence(
                         [cand, *(words[i] for i in near)], t, need)
-                    got = seqkit._multi_lcs(cand, book, near, t, need)
-                    assert got <= t and (got == t) == shared, (
+                    got = checked(
+                        seqkit._multi_lcs(cand, book, near, t, need),
+                        cand, [words[i] for i in near], t, need)
+                    assert (got is not None) == shared, (
                         cand, words, near, t, need)
                     masked += not shared and shares_subsequence(
                         [cand, *words], t, need)
