@@ -14,13 +14,15 @@ The separation threshold for a codebook correcting a delta fraction of
 deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
 (LCS <= ell - 1, or no list_size words sharing an ell-subsequence).  The
 accepted words are laid out once, growing, in a seqkit._LcsBook, so one
-bit-parallel pass gives a candidate's LCS with every one of them.  A
-LISTDEC build reads from it the candidate's near words, those whose LCS
-with it reaches ell, and walks the candidate's ell-subsequences there.  A
-shared word a walk finds is kept in a second _LcsBook, where one pass
-refuses any later candidate holding it, with no LCS pass or walk.
-A seeded UNIQUE or DENSE search for more than k^ell words is refused at
-once, as each word holds an ell-subsequence no other holds.
+bit-parallel pass of seqkit._lcs_seq, the one LCS kernel, gives a
+candidate's LCS with every one of them.  A LISTDEC build reads from it the
+candidate's near words, those whose LCS with it reaches ell, and walks the
+candidate's ell-subsequences there.  A shared word a walk finds is kept in
+a second _LcsBook, where one pass refuses any later candidate holding it,
+with no LCS pass or walk.  A seeded UNIQUE or DENSE search for more than
+k^ell words is refused at once, as each word holds an ell-subsequence no
+other holds.  check_codebook lays a UNIQUE or DENSE book out the same way,
+from its last word back, and makes one pass per word.
 
 Decoding asks which codewords contain a received word as a subsequence.  A
 piece as long as a codeword is contained only in an equal codeword, so it is
@@ -384,7 +386,8 @@ def check_codebook(cb: Codebook) -> dict:
     """Re-verify the defining property of a codebook.
 
     Returns a report dict with an ``ok`` flag.  UNIQUE and DENSE books get
-    the full pairwise LCS check.  A LISTDEC book is checked against every
+    every pair's LCS, from one seqkit._lcs_seq pass per word over the words
+    after it, laid out once.  A LISTDEC book is checked against every
     binary probe word of length ell, walked as a trie on the decoders'
     containment layout; the walk is exact at every ell.  The build walks
     only each candidate's own subsequences against its near words, so the
@@ -404,11 +407,14 @@ def check_codebook(cb: Codebook) -> dict:
 
     worst = 0
     if cb.kind in (CodebookKind.UNIQUE, CodebookKind.DENSE):
-        for i, j in itertools.combinations(range(len(words)), 2):
-            v = seqkit._lcs_seq(words[i].symbols, words[j].symbols)
-            worst = max(worst, v)
-            if v >= ell:
-                bad.append(f"pair ({i}, {j}) has lcs {v}")
+        book, rows = seqkit._LcsBook(), []
+        for w in reversed(words):
+            rows.append(book.lcs(w.symbols))
+            book.append(w.symbols)
+        for i, row in enumerate(reversed(rows)):
+            worst = max([worst, *row])
+            bad += [f"pair ({i}, {j}) has lcs {v}"
+                    for j, v in enumerate(reversed(row), i + 1) if v >= ell]
         report["max_pairwise_lcs"] = worst
         if cb.kind is CodebookKind.DENSE:
             for i, w in enumerate(words):

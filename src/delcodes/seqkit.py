@@ -5,15 +5,16 @@ counting operations return exact integers (Python bignums); thresholds that
 come from rational parameters are computed with fractions.Fraction so no
 float rounding can move an integer boundary.
 
-Containment and pairwise LCS are bit-parallel, and both run on a whole book
-at once: _LcsBook lays the words out as one big integer, and one pass of a
+Containment and LCS are bit-parallel, and both run on a whole book at
+once: _LcsBook lays the words out as one big integer, and one pass of a
 text gives its LCS with every word (_LcsBook.lcs), whether it holds any
 word (_LcsBook.holds), or the words that contain it (_is_subseq_seq).
-_lcs_seq runs the same LCS step on one pair.  _multi_lcs walks the
-subsequences of a word as a trie on a book's own layout, one containment
-step per symbol, and returns one of a threshold length that lies in enough
-of the book's words it names, or None; _room keeps only the matches that
-leave room to reach that length.
+_lcs_seq, that pass, is the one LCS kernel: the greedy build and the
+UNIQUE and DENSE check make one pass per word through it.  _multi_lcs
+walks the subsequences of a word as a trie on a book's own layout, one
+containment step per symbol, and returns one of a threshold length that
+lies in enough of the book's words it names, or None; _room keeps only the
+matches that leave room to reach that length.
 """
 
 from __future__ import annotations
@@ -69,18 +70,20 @@ def _positions(word) -> dict[int, int]:
     return own
 
 
-def _lcs_seq(xs, ys) -> int:
-    # Bit-parallel LCS (Allison & Dix 1986; Hyyro 2004).  Bit j of v is 0
-    # where the LCS of the text read so far with ys[:j+1] grows by one over
-    # ys[:j]; each text symbol updates every column in one big-int step.
-    if len(xs) < len(ys):
-        xs, ys = ys, xs
-    full = v = (1 << len(ys)) - 1
-    mask_of = _positions(ys).get
-    for x in xs:
+def _lcs_seq(text, book: _LcsBook) -> int:
+    """One pass of text over every word of book at once, the bit-parallel
+    LCS step (Allison & Dix 1986; Hyyro 2004): bit j of a segment is 0
+    where the LCS of the text read so far with the word's first j + 1
+    symbols grows by one over its first j.  Returns the state: a word's LCS
+    with text is its length less its segment's 1 bits.  u lies within v, so
+    v - u borrows nothing, and a carry out of a segment stops in its guard
+    bit, which full clears."""
+    full = v = book.full
+    mask_of = book.masks.get
+    for x in text:
         u = v & mask_of(x, 0)
         v = ((v + u) | (v - u)) & full
-    return len(ys) - v.bit_count()
+    return v
 
 
 class _LcsBook:
@@ -89,7 +92,8 @@ class _LcsBook:
     append lays a new word out above the rest, so a growing book is never
     laid out again.  masks maps each symbol to its positions in every word,
     full is every position but the guards, lows and guards each word's low
-    and guard bits, and spans holds each word's (low, high) bits."""
+    and guard bits, and spans holds each word's (low, high) bits.  lcs and
+    holds read the state of one _lcs_seq pass, the one LCS kernel."""
 
     def __init__(self, words=()):
         self.masks: dict[int, int] = {}
@@ -109,22 +113,10 @@ class _LcsBook:
         self.spans.append((base, top))
         self.width = top + 1
 
-    def _pass(self, text) -> int:
-        """The state after text, the step of _lcs_seq run on every segment
-        at once: a word's LCS with text is its length less its segment's 1
-        bits.  u lies within v, so v - u borrows nothing, and a carry out of
-        a segment stops in its guard bit, which full clears."""
-        full = v = self.full
-        mask_of = self.masks.get
-        for x in text:
-            u = v & mask_of(x, 0)
-            v = ((v + u) | (v - u)) & full
-        return v
-
     def lcs(self, text) -> list[int]:
         """The LCS of text with each word, in order, in one pass."""
         top = self.width
-        bits = f"{self._pass(text):0{top}b}"
+        bits = f"{_lcs_seq(text, self):0{top}b}"
         return [hi - lo - bits.count("1", top - hi, top - lo)
                 for lo, hi in self.spans]
 
@@ -134,7 +126,7 @@ class _LcsBook:
         one bit at each segment's low end, borrows through such a segment
         and clears its guard bit, and stops short of any other guard."""
         guards = self.guards
-        return bool(~((self._pass(text) | guards) - self.lows) & guards)
+        return bool(~((_lcs_seq(text, self) | guards) - self.lows) & guards)
 
 
 def _subseq_layout(words) -> tuple[dict[int, int], int, int]:

@@ -1,5 +1,5 @@
 """Slow reference versions of the seqkit kernels, of the greedy inner
-book search and its LISTDEC check, of the three encoders, of hirate's erase
+book search and its checks, of the three encoders, of hirate's erase
 price, of GF(2^w) powers and of the BUFFER_KILL strategy.
 
 The package's containment and LCS kernels are bit-parallel or prune their
@@ -9,19 +9,21 @@ encoders read each pair's channel symbols from a per-spec table;
 encode_oracle builds the word from the outer codeword and the inner book.
 hirate prices erasing a window in closed form; erase_cost_oracle tries
 every subsequence.  The GF(2^w) tables are checked against square and
-multiply on gf's polynomial arithmetic.  probe_scan reads every binary
-probe word of a LISTDEC book where the check walks a pruned trie, and
-shares_subsequence tries every subsequence of a word where the build's
-multi-word test walks them pruned.
+multiply on gf's polynomial arithmetic.  pairwise_check runs the dynamic
+program on every pair of a UNIQUE or DENSE book where the check makes one
+bit-parallel pass per word.  probe_scan reads every binary probe word of a
+LISTDEC book where the check walks a pruned trie, and shares_subsequence
+tries every subsequence of a word where the build's multi-word test walks
+them pruned.
 """
 
 import itertools
 import math
 
 from delcodes.gf import _poly_mod, _poly_mulmod
-from delcodes.innercode import _containing
+from delcodes.innercode import CodebookKind, _containing, separation_threshold
 from delcodes.rsouter import rs_encode
-from delcodes.seqkit import Word
+from delcodes.seqkit import Word, is_beta_dense
 
 
 def subseq_oracle(s, t) -> bool:
@@ -46,7 +48,8 @@ def brute_lcs(a, b):
 
 def rolling_lcs(xs, ys):
     """Pairwise LCS by the O(|xs| * |ys|) dynamic program with one rolling
-    row: the reference for the bit-parallel seqkit._lcs_seq."""
+    row: the reference for each word's LCS from a pass of the bit-parallel
+    seqkit._lcs_seq over a whole book (read out by _LcsBook.lcs)."""
     if len(xs) < len(ys):
         xs, ys = ys, xs
     if not ys:
@@ -62,6 +65,32 @@ def rolling_lcs(xs, ys):
                 row[j] = row[j - 1]
             prev_diag = tmp
     return row[len(ys)]
+
+
+def pairwise_check(cb):
+    """The check_codebook report of the UNIQUE or DENSE book cb, one
+    rolling_lcs per pair of codewords in itertools.combinations order: the
+    reference for the check's one pass per word."""
+    words = [w.symbols for w in cb.codewords]
+    ell = separation_threshold(cb.m, cb.delta)
+    bad = []
+    if len(set(words)) != len(words):
+        bad.append("duplicate codewords")
+    if any(len(w) != cb.m or w.alphabet_size != cb.k for w in cb.codewords):
+        bad.append("codeword shape mismatch")
+    worst = 0
+    for (i, a), (j, b) in itertools.combinations(enumerate(words), 2):
+        v = rolling_lcs(a, b)
+        worst = max(worst, v)
+        if v >= ell:
+            bad.append(f"pair ({i}, {j}) has lcs {v}")
+    if cb.kind is CodebookKind.DENSE:
+        bad += [f"codeword {i} not dense" for i, w in enumerate(cb.codewords)
+                if not (w.symbols and w.symbols[0] == 1 == w.symbols[-1]
+                        and is_beta_dense(w, cb.beta))]
+    return {"kind": cb.kind.value, "size": len(words),
+            "separation_threshold": ell, "ok": not bad, "violations": bad,
+            "max_pairwise_lcs": worst}
 
 
 def greedy_oracle(stream, ell, target=None, admit=None):

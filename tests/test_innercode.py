@@ -36,7 +36,13 @@ from delcodes.hirate import br_make_spec
 from delcodes.listdec import ld_make_spec
 from delcodes.presets import PRESETS, make_scheme_spec
 from delcodes.seqkit import Word
-from oracles import greedy_oracle, probe_scan, subseq_oracle, table_multi_lcs
+from oracles import (
+    greedy_oracle,
+    pairwise_check,
+    probe_scan,
+    subseq_oracle,
+    table_multi_lcs,
+)
 
 F = Fraction
 LEX = CandidatePolicy.LEX
@@ -104,11 +110,11 @@ class TestGreedyUnique:
         cb = innercode._build(UNIQUE, k, m, delta)
         ell = cb.separation_threshold
         chosen = set(w.symbols for w in cb.codewords)
+        book = seqkit._LcsBook(chosen)
         for cand in itertools.product(range(k), repeat=m):
             if cand in chosen:
                 continue
-            assert any(seqkit._lcs_seq(cand, w.symbols) >= ell
-                       for w in cb.codewords), cand
+            assert max(book.lcs(cand)) >= ell, cand
 
 
 class TestGreedyDense:
@@ -384,8 +390,7 @@ class TestGreedyListdec:
                     break
                 book.append(w)
                 below += 1
-            near = [i for i, w in enumerate(words[:below])
-                    if seqkit._lcs_seq(cand, w) >= ell]
+            near = [i for i, v in enumerate(book.lcs(cand)) if v >= ell]
             assert walk(cand, book, near, ell, cb.list_size) is not None, cand
         assert refused
 
@@ -693,3 +698,51 @@ def test_listdec_check_matches_probe_scan_on_corpus():
 ])
 def test_listdec_check_matches_probe_scan_on_construct_books(build):
     assert not assert_check_matches_probe_scan(build())
+
+
+def random_pairwise_books(count, seed):
+    """UNIQUE books over k in {2, 3, 4} and binary DENSE books of 0-12
+    random words of length m in 2-10, at every ell from 1 to m.  Some hold
+    a copy of a word with a few symbols redrawn, which plants a pair of
+    LCS near m, some a word repeated, and some a word of another length
+    (the empty word among them; never length 1, which is shorter than a
+    density window at beta = 1/2 and makes the check raise).  DENSE words
+    lean to ones, so some are dense and some are not."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice((2, 3, 4))
+        kind = DENSE if k == 2 and rng.random() < 0.5 else UNIQUE
+
+        def draw(n):
+            if kind is DENSE:
+                return tuple(int(rng.random() < 0.7) for _ in range(n))
+            return tuple(rng.randrange(k) for _ in range(n))
+        m = rng.randint(2, 10)
+        words = [draw(m) for _ in range(rng.randint(0, 12))]
+        if words and rng.random() < 0.5:
+            words.append(tuple(s if rng.random() < 0.7 else draw(1)[0]
+                               for s in rng.choice(words)))
+        if words and rng.random() < 0.3:
+            words.append(rng.choice(words))
+        if words and rng.random() < 0.2:
+            words[rng.randrange(len(words))] = draw(
+                rng.choice((0, *range(2, m + 3))))
+        rng.shuffle(words)
+        yield Codebook(kind, k, m, F(rng.randint(0, m - 1), m),
+                       rng.choice((F(1, 2), F(1))) if kind is DENSE else None,
+                       None, tuple(Word(w, k) for w in words), LEX)
+
+
+def test_pairwise_check_matches_rolling_lcs_on_corpus():
+    # The whole report, violations in order, against one rolling_lcs per
+    # pair: the highnoise and hirate desk books at three seeds, and 200
+    # seeded books, many of which fail the check.
+    desk = (make_scheme_spec(scheme, overrides={"seed": seed}).inner
+            for scheme in ("highnoise", "hirate") for seed in (1, 2, 3))
+    sizes, failed = set(), 0
+    for cb in itertools.chain(desk, random_pairwise_books(200, 34)):
+        rep = check_codebook(cb)
+        assert rep == pairwise_check(cb)
+        sizes.add(len(cb))
+        failed += not rep["ok"]
+    assert {0, 1, 16, 64} <= sizes and failed >= 80
