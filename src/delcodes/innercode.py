@@ -14,15 +14,19 @@ The separation threshold for a codebook correcting a delta fraction of
 deletions is ell = ceil((1 - delta) * m); acceptance tests are strict
 (LCS <= ell - 1, or no list_size words sharing an ell-subsequence).  The
 accepted words are laid out once, growing, in a seqkit._LcsBook, so one
-bit-parallel pass of seqkit._lcs_seq, the one LCS kernel, gives a
-candidate's LCS with every one of them.  A LISTDEC build reads from it the
-candidate's near words, those whose LCS with it reaches ell, and walks the
-candidate's ell-subsequences there.  A shared word a walk finds is kept in
-a second _LcsBook, where one pass refuses any later candidate holding it,
-with no LCS pass or walk.  A seeded UNIQUE or DENSE search for more than
-k^ell words is refused at once, as each word holds an ell-subsequence no
-other holds.  check_codebook lays a UNIQUE or DENSE book out the same way,
-from its last word back, and makes one pass per word.
+bit-parallel pass of seqkit._lcs_seq, the one LCS kernel, tells which of
+them a candidate's LCS reaches ell with (_LcsBook.reach), a few big-int
+operations for the whole book.  A UNIQUE or DENSE candidate is refused if
+any is.  A LISTDEC build reads from the same pass the words equal to the
+candidate and its near words, those it reaches ell with, and walks the
+candidate's ell-subsequences there.  Every shared word a walk finds is
+kept in a second _LcsBook, where one pass refuses any later candidate
+holding one, with no LCS pass or walk.  A seeded UNIQUE or DENSE search
+for more than k^ell words is refused at once, as each word holds an
+ell-subsequence no other holds.  check_codebook lays a UNIQUE or DENSE
+book out the same way, from its last word back, makes one pass per word
+and reads a row of LCS values in full only when one may set a new
+maximum or break the rule.
 
 Decoding asks which codewords contain a received word as a subsequence.  A
 piece as long as a codeword is contained only in an equal codeword, so it is
@@ -185,11 +189,12 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     A LISTDEC candidate is refused if it repeats a word, or if
     seqkit._multi_lcs finds one of its own ell-subsequences in
     list_size - 1 of its near words: only a word whose LCS with it reaches
-    ell can hold one.  The walk reads them, by index, in the build's own
-    _LcsBook.  The word a walk finds is kept, and a later candidate that
-    holds a kept word is refused before its LCS pass.  That is exact: the
-    book only grows, so the list_size - 1 words that hold the kept word are
-    still there and near the candidate, and its walk would refuse it too.
+    ell can hold one.  The walk reads them, by their guard bits, in the
+    build's own _LcsBook.  Every word a walk finds is kept, and a later
+    candidate that holds a kept word is refused before its LCS pass.  That
+    is exact: the book only grows, so the list_size - 1 words that hold the
+    kept word are still there and near the candidate, and its walk would
+    refuse it too.
     check_codebook walks every binary probe word instead, so it shares no
     search with the build; both are checked against tests/oracles.py
     (probe_scan, table_multi_lcs and shares_subsequence).
@@ -240,17 +245,17 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
                 and seqkit.is_dense_seq(cand, win, need)):
             continue
         if kind is not CodebookKind.LISTDEC:
-            if any(v >= ell for v in book.lcs(cand)):
+            if book.reach(seqkit._lcs_seq(cand, book), ell):
                 continue
-        elif blocked.holds(cand) or m in (lcs := book.lcs(cand)):
+        elif blocked.holds(cand) or book.reach(
+                state := seqkit._lcs_seq(cand, book), m):
             continue
-        else:
-            near = [i for i, v in enumerate(lcs) if v >= ell]
-            if len(near) >= list_size - 1:
-                word = seqkit._multi_lcs(cand, book, near, ell, list_size)
-                if word is not None:
-                    blocked.append(word)
-                    continue
+        elif ((near := book.reach(state, ell)).bit_count() >= list_size - 1
+              and (shared := seqkit._multi_lcs(cand, book, near, ell,
+                                               list_size))):
+            for word in shared:
+                blocked.append(word)
+            continue
         accepted.append(cand)
         book.append(cand)
         if target_size is not None and len(accepted) >= target_size:
@@ -266,7 +271,7 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     return Codebook(kind, k, m, delta,
                     beta if kind is CodebookKind.DENSE else None,
                     list_size if kind is CodebookKind.LISTDEC else None,
-                    tuple(Word(a, k) for a in accepted), policy)
+                    tuple(Word._trusted(a, k) for a in accepted), policy)
 
 
 def greedy_listdec(m: int, delta: Fraction, list_size: int) -> Codebook:
@@ -387,9 +392,12 @@ def check_codebook(cb: Codebook) -> dict:
 
     Returns a report dict with an ``ok`` flag.  UNIQUE and DENSE books get
     every pair's LCS, from one seqkit._lcs_seq pass per word over the words
-    after it, laid out once.  A LISTDEC book is checked against every
-    binary probe word of length ell, walked as a trie on the decoders'
-    containment layout; the walk is exact at every ell.  The build walks
+    after it, laid out once; a pass is read in full only if some LCS in it
+    exceeds the largest so far or reaches ell.  Only words of the book's
+    shape are tested for density; the others are reported as misshapen.
+    A LISTDEC book is checked against every binary probe word of length
+    ell, walked as a trie on the decoders' containment layout; the walk is
+    exact at every ell.  The build walks
     only each candidate's own subsequences against its near words, so the
     check does not rest on the build's search.  A LISTDEC report also says
     whether the check is ``vacuous``: a book with fewer codewords than its
@@ -408,19 +416,23 @@ def check_codebook(cb: Codebook) -> dict:
     worst = 0
     if cb.kind in (CodebookKind.UNIQUE, CodebookKind.DENSE):
         book, rows = seqkit._LcsBook(), []
-        for w in reversed(words):
-            rows.append(book.lcs(w.symbols))
-            book.append(w.symbols)
-        for i, row in enumerate(reversed(rows)):
-            worst = max([worst, *row])
+        for i in range(len(words) - 1, -1, -1):
+            state = seqkit._lcs_seq(words[i].symbols, book)
+            if book.reach(state, min(worst + 1, ell)):
+                row = book.lcs(state)[::-1]
+                rows.append((i, row))
+                worst = max(worst, *row)
+            book.append(words[i].symbols)
+        for i, row in reversed(rows):
             bad += [f"pair ({i}, {j}) has lcs {v}"
-                    for j, v in enumerate(reversed(row), i + 1) if v >= ell]
+                    for j, v in enumerate(row, i + 1) if v >= ell]
         report["max_pairwise_lcs"] = worst
         if cb.kind is CodebookKind.DENSE:
-            for i, w in enumerate(words):
-                if not (w.symbols and w.symbols[0] == 1 and w.symbols[-1] == 1
-                        and seqkit.is_beta_dense(w, cb.beta)):
-                    bad.append(f"codeword {i} not dense")
+            win, need = seqkit.density_rule(cb.m, cb.beta)
+            bad += [f"codeword {i} not dense" for i, w in enumerate(words)
+                    if len(w) == cb.m and w.alphabet_size == cb.k and not (
+                        w.symbols[0] == 1 == w.symbols[-1]
+                        and seqkit.is_dense_seq(w.symbols, win, need))]
         report["ok"] = not bad
         return report
 

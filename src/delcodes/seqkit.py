@@ -7,14 +7,15 @@ float rounding can move an integer boundary.
 
 Containment and LCS are bit-parallel, and both run on a whole book at
 once: _LcsBook lays the words out as one big integer, and one pass of a
-text gives its LCS with every word (_LcsBook.lcs), whether it holds any
-word (_LcsBook.holds), or the words that contain it (_is_subseq_seq).
-_lcs_seq, that pass, is the one LCS kernel: the greedy build and the
-UNIQUE and DENSE check make one pass per word through it.  _multi_lcs
-walks the subsequences of a word as a trie on a book's own layout, one
-containment step per symbol, and returns one of a threshold length that
-lies in enough of the book's words it names, or None; _room keeps only the
-matches that leave room to reach that length.
+text through _lcs_seq, the one LCS kernel, gives a state from which
+_LcsBook.reach reads the words whose LCS with the text reaches a threshold
+and _LcsBook.lcs each word's LCS.  _LcsBook.holds asks whether the text
+holds any word, and _is_subseq_seq which words contain the text.  The
+greedy build and the UNIQUE and DENSE check make one pass per word.
+_multi_lcs walks the subsequences of a word as a trie on a book's own
+layout, one containment step per symbol, and returns every one of a
+threshold length it reaches that lies in enough of the book's words it
+names; _room keeps only the matches that leave room to reach that length.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphabetMismatch, LengthMismatch, OutOfRange
+from .errors import LengthMismatch, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,17 @@ class _LcsBook:
     append lays a new word out above the rest, so a growing book is never
     laid out again.  masks maps each symbol to its positions in every word,
     full is every position but the guards, lows and guards each word's low
-    and guard bits, and spans holds each word's (low, high) bits.  lcs and
-    holds read the state of one _lcs_seq pass, the one LCS kernel."""
+    and guard bits, and spans holds each word's (low, high) bits; longest
+    is the longest word's length and mixed whether the lengths differ.
+    reach and lcs read the state of one _lcs_seq pass, the one LCS kernel,
+    and holds makes its own."""
 
     def __init__(self, words=()):
         self.masks: dict[int, int] = {}
         self.full = self.lows = self.guards = 0
         self.spans: list[tuple[int, int]] = []
-        self.width = 0
+        self.width = self.longest = 0
+        self.mixed = False
         for w in words:
             self.append(w)
 
@@ -110,13 +114,40 @@ class _LcsBook:
         self.full |= ((1 << len(word)) - 1) << base
         self.lows |= 1 << base
         self.guards |= 1 << top
+        self.mixed |= bool(self.spans) and len(word) != self.longest
+        self.longest = max(self.longest, len(word))
         self.spans.append((base, top))
         self.width = top + 1
 
-    def lcs(self, text) -> list[int]:
-        """The LCS of text with each word, in order, in one pass."""
+    def reach(self, state: int, t: int) -> int:
+        """The guard bits of the words whose LCS with a text is at least t,
+        read from the state of the text's _lcs_seq pass: a word's LCS is
+        the number of zeros in its segment.  A round peels the lowest one
+        bit off every segment at once, y & (y - lows), and sets the guards
+        again, so no borrow leaves its segment.  t - 1 rounds on the
+        state's complement leave a one in each segment that had t zeros or
+        more, and subtracting lows keeps the guard of each such segment.
+        When every word has length L and L - t < t - 1, L - t rounds on the
+        state itself are fewer: they empty each segment that had at most
+        L - t ones, and subtracting lows clears the guard of each empty
+        segment and of no other (see holds)."""
+        guards, lows, longest = self.guards, self.lows, self.longest
+        if t <= 0:
+            return guards
+        if t > longest:
+            return 0
+        ones = not self.mixed and longest - t < t - 1
+        y = state | guards if ones else state ^ (self.full | guards)
+        for _ in range(longest - t if ones else t - 1):
+            y = y & (y - lows) | guards
+        y -= lows
+        return (~y if ones else y) & guards
+
+    def lcs(self, state: int) -> list[int]:
+        """The LCS of a text with each word, in order, read from the state
+        of its _lcs_seq pass."""
         top = self.width
-        bits = f"{_lcs_seq(text, self):0{top}b}"
+        bits = f"{state:0{top}b}"
         return [hi - lo - bits.count("1", top - hi, top - lo)
                 for lo, hi in self.spans]
 
@@ -164,27 +195,38 @@ def _room(spans, ell: int) -> int:
     return live
 
 
-def _multi_lcs(cand, book: _LcsBook, near, ell: int,
-               need: int) -> tuple[int, ...] | None:
-    """An ell-subsequence of cand, as a tuple, that lies in at least need of
-    the words, cand and those of book indexed by near; None if none does.
+# Most words one _multi_lcs walk returns.  No walk of the listdec builds
+# at m = 8 to 48 finds more than 16, but long words that share much can
+# hold exponentially many.
+_MOST_SHARED = 64
+
+
+def _multi_lcs(cand, book: _LcsBook, near: int, ell: int,
+               need: int) -> list[tuple[int, ...]]:
+    """The ell-subsequences of cand, as tuples, that the walk finds in at
+    least need of the words: cand and those of book whose guard bits near
+    holds, up to _MOST_SHARED of them.  Empty if and only if no
+    ell-subsequence of cand lies in need of them.
 
     The walk runs over cand's subsequences as a trie on book's layout, cand
     a segment below it, the step of _is_subseq_seq inline.  Its start and
     room hold only cand's and near's segments, so no other word counts.  A
     prefix is kept while cand and need - 1 others hold it with room to
-    finish, and a (depth, state) pair seen before is not walked again.
+    finish, and a (depth, state) pair seen before is not walked again: the
+    words below it were found, or not, the first time, so the walk may
+    return fewer than all shared words but never none when one exists.
     Each entry of the walk names the entry it grew from and its last
-    symbol, so only the word found is spelled out."""
+    symbol, so only the words found are spelled out."""
     m, base = len(cand), len(cand) + 1
     spans = [(0, m)] + [(lo + base, hi + base)
-                        for lo, hi in (book.spans[i] for i in near)]
+                        for lo, hi in book.spans if near >> hi & 1]
     room = _room(spans, ell)
     guards = book.guards << base | 1 << m
     occ = [(s, book.masks.get(s, 0) << base | a | guards)
            for s, a in _positions(cand).items()]
     mine = (2 << m) - 1
     seen = set()
+    found = []
     stack = [(0, sum(1 << lo for lo, _ in spans), None, None)]
     while stack:
         depth, state, _, _ = node = stack.pop()
@@ -193,7 +235,10 @@ def _multi_lcs(cand, book: _LcsBook, near, ell: int,
             while node[2]:
                 word.append(node[3])
                 node = node[2]
-            return tuple(reversed(word))
+            found.append(tuple(reversed(word)))
+            if len(found) == _MOST_SHARED:
+                return found
+            continue
         live = room << depth
         depth += 1
         for s, a in occ:
@@ -202,7 +247,7 @@ def _multi_lcs(cand, book: _LcsBook, near, ell: int,
                     (depth, nxt) not in seen):
                 seen.add((depth, nxt))
                 stack.append((depth, nxt, node, s))
-    return None
+    return found
 
 
 def density_rule(m: int, beta: Fraction) -> tuple[int, int]:
@@ -233,13 +278,6 @@ def is_dense_seq(syms, win: int, need: int) -> bool:
         if count < need:
             return False
     return True
-
-
-def is_beta_dense(s: Word, beta: Fraction) -> bool:
-    """Whether s obeys the beta-density rule (see density_rule)."""
-    if s.alphabet_size != 2:
-        raise AlphabetMismatch("density is defined for binary words only")
-    return is_dense_seq(s.symbols, *density_rule(len(s), beta))
 
 
 def entropy(delta: float | Fraction) -> float:

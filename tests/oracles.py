@@ -23,7 +23,7 @@ import math
 from delcodes.gf import _poly_mod, _poly_mulmod
 from delcodes.innercode import CodebookKind, _containing, separation_threshold
 from delcodes.rsouter import rs_encode
-from delcodes.seqkit import Word, is_beta_dense
+from delcodes.seqkit import Word
 
 
 def subseq_oracle(s, t) -> bool:
@@ -49,7 +49,8 @@ def brute_lcs(a, b):
 def rolling_lcs(xs, ys):
     """Pairwise LCS by the O(|xs| * |ys|) dynamic program with one rolling
     row: the reference for each word's LCS from a pass of the bit-parallel
-    seqkit._lcs_seq over a whole book (read out by _LcsBook.lcs)."""
+    seqkit._lcs_seq over a whole book (read out by _LcsBook.lcs, or
+    against a threshold by _LcsBook.reach)."""
     if len(xs) < len(ys):
         xs, ys = ys, xs
     if not ys:
@@ -70,7 +71,9 @@ def rolling_lcs(xs, ys):
 def pairwise_check(cb):
     """The check_codebook report of the UNIQUE or DENSE book cb, one
     rolling_lcs per pair of codewords in itertools.combinations order: the
-    reference for the check's one pass per word."""
+    reference for the check's one pass per word.  A DENSE book's words of
+    its shape are tested against its density rule, every window of
+    ceil(beta * m) symbols summed on its own."""
     words = [w.symbols for w in cb.codewords]
     ell = separation_threshold(cb.m, cb.delta)
     bad = []
@@ -85,9 +88,13 @@ def pairwise_check(cb):
         if v >= ell:
             bad.append(f"pair ({i}, {j}) has lcs {v}")
     if cb.kind is CodebookKind.DENSE:
+        win = math.ceil(cb.beta * cb.m)
+        need = math.ceil(cb.beta * cb.m / 10)
         bad += [f"codeword {i} not dense" for i, w in enumerate(cb.codewords)
-                if not (w.symbols and w.symbols[0] == 1 == w.symbols[-1]
-                        and is_beta_dense(w, cb.beta))]
+                if len(w) == cb.m and w.alphabet_size == cb.k and not (
+                    w.symbols[0] == 1 == w.symbols[-1] and all(
+                        sum(w.symbols[j:j + win]) >= need
+                        for j in range(max(cb.m - win, 0) + 1)))]
     return {"kind": cb.kind.value, "size": len(words),
             "separation_threshold": ell, "ok": not bad, "violations": bad,
             "max_pairwise_lcs": worst}
@@ -140,7 +147,8 @@ def table_multi_lcs(seqs):
 def shares_subsequence(seqs, ell, need):
     """Whether some ell-subsequence of seqs[0] lies in at least need of the
     words, seqs[0] counted: every distinct one, one subseq_oracle test per
-    word.  The reference for seqkit._multi_lcs with any need."""
+    word.  The reference for seqkit._multi_lcs with any need, which
+    returns such words, none exactly when there are none."""
     return any(sum(subseq_oracle(sub, w) for w in seqs) >= need
                for sub in set(itertools.combinations(seqs[0], ell)))
 

@@ -47,7 +47,8 @@ class TestWord:
 def kernel_lcs(a, b):
     """The LCS of a with b by the kernel, one pass of a over the one-word
     book of b."""
-    return seqkit._LcsBook([b]).lcs(a)[0]
+    book = seqkit._LcsBook([b])
+    return book.lcs(seqkit._lcs_seq(a, book))[0]
 
 
 def lcs_both_ways(a, b):
@@ -236,7 +237,7 @@ class TestBookLcs:
         lengths = set()
         for _ in range(60):
             book, words = seqkit._LcsBook(), []
-            assert book.lcs((alphabet[0],)) == []
+            assert book.lcs(seqkit._lcs_seq((alphabet[0],), book)) == []
             assert not book.holds((alphabet[0],))
             for _ in range(rng.randint(1, 6)):
                 word = tuple(rng.choice(alphabet)
@@ -249,34 +250,81 @@ class TestBookLcs:
                 texts = [tuple(rng.choice(alphabet) for _ in range(n))
                          for n in (0, 1, rng.randint(2, 9), 20)] + words
                 for text in texts:
-                    assert book.lcs(text) == [rolling_lcs(text, w)
-                                              for w in words], (words, text)
+                    assert book.lcs(seqkit._lcs_seq(text, book)) == [
+                        rolling_lcs(text, w) for w in words], (words, text)
                     assert book.holds(text) == any(
                         subseq_oracle(w, text) for w in words), (words, text)
         assert lengths == set(range(11))
 
 
-def checked(word, cand, near, ell, need):
-    """A word seqkit._multi_lcs returned, or None, after checking it by
-    subseq_oracle: ell symbols, in cand and in need - 1 of the near words."""
-    assert word is None or len(word) == ell and subseq_oracle(word, cand) and (
-        sum(subseq_oracle(word, w) for w in near) >= need - 1), (word, cand)
-    return word
+class TestReach:
+    """seqkit._LcsBook.reach, the guard bits of the words whose LCS with a
+    text reaches t, peeled from the state of one pass, against the full
+    per-word readout _LcsBook.lcs and the rolling-row dynamic program."""
+
+    def test_matches_full_readout_on_seeded_corpus(self):
+        # Books of 0, 1 or 2-8 words over k in {2, 3, 5}, of one length
+        # (0 to 12) or mixed lengths, the empty word among them; every t
+        # from -1 to two past the longest word.  The threshold test peels
+        # the state's zeros on mixed books, and on books of one length
+        # whichever side takes fewer rounds; both must occur.
+        rng = random.Random(20261035)
+        sizes, kinds, sides = set(), set(), set()
+        for _ in range(400):
+            k = rng.choice((2, 3, 5))
+            n = rng.choice((0, 1, rng.randint(2, 8)))
+            one = rng.random() < 0.5
+            size = rng.randint(0, 12)
+            lengths = [size if one else rng.randint(0, 12) for _ in range(n)]
+            words = [tuple(rng.randrange(k) for _ in range(x))
+                     for x in lengths]
+            book = seqkit._LcsBook(words)
+            longest = max(lengths, default=0)
+            sizes.add(min(n, 2))
+            kinds.add((len(set(lengths)) > 1, 0 in lengths))
+            texts = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 16)))
+                     for _ in range(3)] + words[:1]
+            for text in texts:
+                state = seqkit._lcs_seq(text, book)
+                row = book.lcs(state)
+                assert row == [rolling_lcs(text, w) for w in words]
+                for t in range(-1, longest + 3):
+                    assert book.reach(state, t) == sum(
+                        1 << hi for (_, hi), v in zip(book.spans, row)
+                        if v >= t), (words, text, t)
+                    if n and 1 <= t <= longest:
+                        sides.add(len(set(lengths)) == 1
+                                  and longest - t < t - 1)
+        assert sizes == {0, 1, 2} and sides == {True, False}
+        assert kinds == {(False, False), (False, True), (True, False),
+                         (True, True)}
+
+
+def checked(words, cand, near, ell, need):
+    """The words seqkit._multi_lcs returned, after checking each by
+    subseq_oracle: ell symbols, in cand and in need - 1 of the near words,
+    no word twice."""
+    assert len(set(words)) == len(words), (words, cand)
+    for word in words:
+        assert len(word) == ell and subseq_oracle(word, cand) and (
+            sum(subseq_oracle(word, w) for w in near) >= need - 1), (
+                word, cand)
+    return words
 
 
 def multi_lcs(seqs, ell, need):
     """seqkit._multi_lcs of seqs[0] against all of seqs[1:], as one book,
     checked."""
-    return checked(seqkit._multi_lcs(seqs[0], seqkit._LcsBook(seqs[1:]),
-                                     range(len(seqs) - 1), ell, need),
+    book = seqkit._LcsBook(seqs[1:])
+    return checked(seqkit._multi_lcs(seqs[0], book, book.guards, ell, need),
                    seqs[0], seqs[1:], ell, need)
 
 
 def assert_multi_lcs(seqs, v):
-    """The threshold search returns a word at t = v and None at t = v + 1,
+    """The threshold search returns words at t = v and none at t = v + 1,
     so the words' common subsequences are at most v long."""
-    assert multi_lcs(seqs, v, len(seqs)) is not None
-    assert multi_lcs(seqs, v + 1, len(seqs)) is None
+    assert multi_lcs(seqs, v, len(seqs))
+    assert not multi_lcs(seqs, v + 1, len(seqs))
 
 
 class TestMultiwayCommon:
@@ -316,11 +364,12 @@ class TestMultiwayCommon:
 
     def test_long_random_words_share_a_half_length_subsequence(self):
         # Five random 100-bit words share a subsequence of half their
-        # length; the full table would hold 101^5 cells.
+        # length; the full table would hold 101^5 cells.  They share so
+        # many that the walk stops at the most words it returns.
         rng = random.Random(0)
         words = [tuple(rng.randrange(2) for _ in range(100))
                  for _ in range(5)]
-        assert multi_lcs(words, 50, 5) is not None
+        assert len(multi_lcs(words, 50, 5)) == seqkit._MOST_SHARED
 
     @given(st.integers(2, 5), st.integers(2, 4), st.data())
     @settings(max_examples=150, deadline=None)  # a 9^5 table takes ~0.15 s
@@ -340,12 +389,15 @@ class TestMultiwayCommon:
             full = table_multi_lcs(seqs)
             for t in range(max(map(len, seqs)) + 2):
                 got = multi_lcs(seqs, t, len(seqs))
-                assert (got is not None) == (full >= t), (seqs, t)
+                assert bool(got) == (full >= t), (seqs, t)
 
     def test_shared_by_need_words_matches_brute_force(self):
         # With need below the word count the search asks whether some
-        # t-subsequence of the first word lies in need of the words.
+        # t-subsequence of the first word lies in need of the words.  The
+        # walk goes on past the first such word and returns every one it
+        # spells out, each checked, so many results hold more than one.
         rng = random.Random(20261020)
+        several = 0
         for _ in range(3000):
             k = rng.randint(2, 4)
             seqs = [tuple(rng.randrange(k) for _ in range(rng.randint(0, 8)))
@@ -353,11 +405,13 @@ class TestMultiwayCommon:
             for t in range(max(map(len, seqs)) + 2):
                 for need in range(1, len(seqs) + 1):
                     got = multi_lcs(seqs, t, need)
-                    assert (got is not None) == shares_subsequence(
+                    assert bool(got) == shares_subsequence(
                         seqs, t, need), (seqs, t, need)
+                    several += len(got) > 1
+        assert several >= 10000
 
     def test_words_outside_near_never_count(self):
-        # The build hands the walk its whole book and the indices of the
+        # The build hands the walk its whole book and the guard bits of the
         # near words.  The book also holds words outside near, some of them
         # supersequences of cand that hold every subsequence of it, words
         # of other lengths and an empty word; only the near words count.
@@ -381,14 +435,15 @@ class TestMultiwayCommon:
             near = sorted(rng.sample(range(len(words)),
                                      rng.randint(0, len(words))))
             book = seqkit._LcsBook(words)
+            bits = sum(1 << book.spans[i][1] for i in near)
             for t in range(len(cand) + 2):
                 for need in range(1, len(near) + 2):
                     shared = shares_subsequence(
                         [cand, *(words[i] for i in near)], t, need)
                     got = checked(
-                        seqkit._multi_lcs(cand, book, near, t, need),
+                        seqkit._multi_lcs(cand, book, bits, t, need),
                         cand, [words[i] for i in near], t, need)
-                    assert (got is not None) == shared, (
+                    assert bool(got) == shared, (
                         cand, words, near, t, need)
                     masked += not shared and shares_subsequence(
                         [cand, *words], t, need)
@@ -396,26 +451,32 @@ class TestMultiwayCommon:
         assert masked >= 1000
 
 
+def beta_dense(word, beta):
+    """Whether a binary Word obeys the beta-density rule for its length."""
+    return seqkit.is_dense_seq(word.symbols,
+                               *seqkit.density_rule(len(word), beta))
+
+
 class TestDensity:
     def test_window_counting(self):
         # beta = 1/4, m = 16: window 4, need ceil(4/10) = 1
         beta = Fraction(1, 4)
-        assert seqkit.is_beta_dense(Word.from_digits("1001100110011001", 2), beta)
-        assert not seqkit.is_beta_dense(Word.from_digits("1000011001100111", 2), beta)
+        assert beta_dense(Word.from_digits("1001100110011001", 2), beta)
+        assert not beta_dense(Word.from_digits("1000011001100111", 2), beta)
 
     def test_short_word_uses_whole(self):
-        assert seqkit.is_beta_dense(Word.from_digits("10", 2), Fraction(3, 4))
+        assert beta_dense(Word.from_digits("10", 2), Fraction(3, 4))
 
     def test_beta_m_below_one(self):
         with pytest.raises(OutOfRange):
-            seqkit.is_beta_dense(Word.from_digits("1111", 2), Fraction(1, 8))
+            beta_dense(Word.from_digits("1111", 2), Fraction(1, 8))
 
     @given(st.lists(st.integers(0, 1), min_size=4, max_size=12))
     def test_all_ones_always_dense_all_zeros_never(self, bits):
         m = len(bits)
         beta = Fraction(1, 2)
-        assert seqkit.is_beta_dense(Word((1,) * m, 2), beta)
-        assert not seqkit.is_beta_dense(Word((0,) * m, 2), beta)
+        assert beta_dense(Word((1,) * m, 2), beta)
+        assert not beta_dense(Word((0,) * m, 2), beta)
 
 
 class TestEntropy:
