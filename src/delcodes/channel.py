@@ -9,7 +9,8 @@ compromise here is exhaustive enumeration where it is affordable
 plus named strategies that reproduce each failure case the constructions
 defend against: erasing whole blocks, merging same-header neighbours,
 killing or forging buffers, and shifting the decoding grid.  Every
-strategy is budget-respecting by hard assertion, and the runner records
+strategy is budget-respecting by hard assertion; a zero budget is the empty
+pattern whatever the strategy, so none is run.  The runner records
 ground-truth accounting (wrong votes, surviving blocks) per trial so a
 broken bound shows up even when decoding happens to succeed.
 """
@@ -25,13 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .common import derive_seed
-from .errors import (
-    BudgetExceeded,
-    GuardExceeded,
-    InvalidOverride,
-    OutOfRange,
-    PatternOutOfRange,
-)
+from .errors import BudgetExceeded, GuardExceeded, InvalidOverride, OutOfRange
 from .seqkit import Word
 
 STRATEGY_NAMES = (
@@ -56,7 +51,7 @@ class DeletionPattern:
         prev = -1
         for p in self.positions:
             if p <= prev:
-                raise PatternOutOfRange(
+                raise OutOfRange(
                     "pattern positions must be strictly increasing and >= 0")
             prev = p
 
@@ -79,7 +74,7 @@ def apply_deletions(w, p: DeletionPattern):
     """The subsequence of w omitting exactly the pattern positions, as a
     word over the same alphabet."""
     if p.positions and p.positions[-1] >= len(w.symbols):
-        raise PatternOutOfRange(
+        raise OutOfRange(
             f"position {p.positions[-1]} outside word of length {len(w)}")
     return Word._trusted(_kept(w.symbols, p.positions), w.alphabet_size)
 
@@ -95,7 +90,8 @@ def _kept(syms: tuple[int, ...], positions) -> tuple[int, ...]:
 def attack(strategy: Strategy, message, transmitted, scheme_spec,
            budget: int) -> DeletionPattern:
     """A budget-respecting deletion pattern against transmitted, the
-    encoding of message, deterministic given the seed.
+    encoding of message, deterministic given the seed, and empty at
+    budget 0.
 
     Strategies tied to a geometry the spec does not have degrade to the
     closest meaningful thing: BUFFER_KILL and DENSITY_ATTACK fall back to
@@ -105,10 +101,11 @@ def attack(strategy: Strategy, message, transmitted, scheme_spec,
     length = len(transmitted.symbols)
     if not 0 <= budget <= length:
         raise OutOfRange(f"budget {budget} outside [0, {length}]")
+    if budget == 0:
+        return DeletionPattern(())
     rng = random.Random(strategy.seed)
-    # Codeword and buffer spans of the clean transmitted word, clamped.
-    blocks, buffers = ([(min(s, length), min(e, length)) for s, e in spans]
-                       for spans in scheme_spec.spans())
+    # Codeword and buffer spans of the clean transmitted word.
+    blocks, buffers = scheme_spec.spans()
     name = strategy.name
 
     if name == "GREEDY_LCS":
@@ -139,7 +136,7 @@ def attack(strategy: Strategy, message, transmitted, scheme_spec,
 
 def _erase_groups(rng, groups, budget: int) -> list[int]:
     # Erase whole span groups in random order, each while the budget lasts;
-    # a group of no symbols, or sharing a span already erased, is skipped.
+    # a group sharing a span already erased is skipped.
     order = list(range(len(groups)))
     rng.shuffle(order)
     out: list[int] = []
@@ -148,7 +145,7 @@ def _erase_groups(rng, groups, budget: int) -> list[int]:
     for g in order:
         group = groups[g]
         cost = sum(e - s for s, e in group)
-        if not 0 < cost <= remaining or not erased.isdisjoint(group):
+        if cost > remaining or not erased.isdisjoint(group):
             continue
         for span in group:
             out.extend(range(*span))
@@ -163,7 +160,7 @@ def _merge_attack(rng, spec, blocks, buffers, budget: int,
     if groups is not None:
         return _erase_groups(rng, groups, budget)
     # No headers, no buffers: chew through one block junction.
-    if len(blocks) < 2 or budget == 0:
+    if len(blocks) < 2:
         return []
     boundary = blocks[rng.randrange(len(blocks) - 1)][1]
     span = min(budget, blocks[0][1] - blocks[0][0])

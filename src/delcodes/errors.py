@@ -23,7 +23,8 @@ class AlphabetMismatch(DeletionCodeError, ValueError):
 
 
 class OutOfRange(DeletionCodeError, ValueError):
-    """A numeric argument lies outside its documented range."""
+    """A numeric argument, or a deletion pattern position, lies outside its
+    documented range."""
 
 
 class LengthMismatch(DeletionCodeError, ValueError):
@@ -61,10 +62,6 @@ class InfeasibleAtDeskScale(DeletionCodeError):
 
 class InvalidOverride(DeletionCodeError, ValueError):
     """A parameter override is unknown or breaks a consistency requirement."""
-
-
-class PatternOutOfRange(DeletionCodeError, ValueError):
-    """A deletion pattern refers to positions outside the word."""
 
 
 class BudgetExceeded(DeletionCodeError):

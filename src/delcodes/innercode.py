@@ -6,6 +6,8 @@ Three codebook kinds share one greedy engine:
   any sufficiently long received subsequence identifies its codeword.
 * DENSE: UNIQUE restricted to binary words that are beta-dense and begin and
   end with 1, which keeps zero runs short enough to never look like a buffer.
+  That word rule is seqkit.is_dense_word, which the build's candidate filter
+  and check_codebook both call.
 * LISTDEC: no ``list_size`` codewords share a common subsequence of threshold
   length, so every long-enough received word matches at most list_size - 1
   codewords.
@@ -240,9 +242,8 @@ def _build(kind: CodebookKind, k: int, m: int, delta: Fraction, *,
     accepted: list[tuple[int, ...]] = []
     book, blocked = seqkit._LcsBook(), seqkit._LcsBook()
     for cand in stream:
-        if kind is CodebookKind.DENSE and not (
-                cand[0] == 1 and cand[-1] == 1
-                and seqkit.is_dense_seq(cand, win, need)):
+        if kind is CodebookKind.DENSE and not seqkit.is_dense_word(
+                cand, win, need):
             continue
         if kind is not CodebookKind.LISTDEC:
             if book.reach(seqkit._lcs_seq(cand, book), ell):
@@ -430,9 +431,8 @@ def check_codebook(cb: Codebook) -> dict:
         if cb.kind is CodebookKind.DENSE:
             win, need = seqkit.density_rule(cb.m, cb.beta)
             bad += [f"codeword {i} not dense" for i, w in enumerate(words)
-                    if len(w) == cb.m and w.alphabet_size == cb.k and not (
-                        w.symbols[0] == 1 == w.symbols[-1]
-                        and seqkit.is_dense_seq(w.symbols, win, need))]
+                    if len(w) == cb.m and w.alphabet_size == cb.k
+                    and not seqkit.is_dense_word(w.symbols, win, need)]
         report["ok"] = not bad
         return report
 

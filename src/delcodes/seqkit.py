@@ -264,16 +264,16 @@ def density_rule(m: int, beta: Fraction) -> tuple[int, int]:
     return math.ceil(beta * m), math.ceil(beta * m / 10)
 
 
-def is_dense_seq(syms, win: int, need: int) -> bool:
-    """Sliding-window scan of a binary symbol tuple: every win symbols hold
-    at least need ones.  A word shorter than one window is judged whole."""
-    m = len(syms)
-    if win >= m:
-        return sum(syms) >= need
+def is_dense_word(syms, win: int, need: int) -> bool:
+    """The DENSE word rule on a binary symbol tuple, with win and need from
+    density_rule: its first and last symbols are 1 and every window of win
+    symbols holds at least need ones."""
+    if not syms[0] == 1 == syms[-1]:
+        return False
     count = sum(syms[:win])
     if count < need:
         return False
-    for i in range(win, m):
+    for i in range(win, len(syms)):
         count += syms[i] - syms[i - win]
         if count < need:
             return False

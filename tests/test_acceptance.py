@@ -27,6 +27,7 @@ from delcodes.innercode import (CandidatePolicy, CodebookKind, _build,
 from delcodes.rsouter import RsParams, rs_decode_ee, rs_encode
 from delcodes.seqkit import Word, count_supersequences
 from oracles import rolling_lcs, subseq_oracle
+from pins import BOOKS, book_digest
 
 
 def _note(log, line):
@@ -477,8 +478,8 @@ def test_c11_rate_reports(acceptance_log, capsys):
           f"(uncapped builds meet the size bound: {cells})")
 
 
-# SHA-256 of c12's record files (telemetry included) and of the desk inner
-# books' codeword lists.  They pin the bytes across commits: a change that
+# SHA-256 of c12's record files (telemetry included); the desk inner books'
+# pins are pins.BOOKS.  They pin the bytes across commits: a change that
 # moves RNG use, a telemetry value or a codeword fails here even though two
 # runs in one process still agree.
 _C12_RECORDS = {
@@ -486,18 +487,6 @@ _C12_RECORDS = {
     "br": "ed68f722d8fc70070c640571287cffb204d00f2487d84b97432081aab237d275",
     "ld": "c7511db1850c06228cdbfc3dfb23bea27f28cf717311cdee0e6b8a2049fbfa20",
 }
-_C12_BOOKS = {
-    "hn": "0edfbb948f221aaa08b7d4e1fad5fa9ea26c96514969e6c87b06168be2915da2",
-    "br": "74c9057d7bd1f5af0cb3c8864b22cf1144c6f0bde6d25540281c09a34ecc56c5",
-    "ld": "e0b1f67623aaa128e3b367246010b7d93ab28c7153decd7e0e65022abe588079",
-}
-
-
-def _book_digest(book):
-    h = hashlib.sha256()
-    for w in book.codewords:
-        h.update((",".join(map(str, w.symbols)) + "\n").encode())
-    return h.hexdigest()
 
 
 def test_c12_sweep_determinism(acceptance_log, tmp_path, hn_desk, br_desk,
@@ -505,20 +494,19 @@ def test_c12_sweep_determinism(acceptance_log, tmp_path, hn_desk, br_desk,
     t0 = time.monotonic()
     names = ("RANDOM", "BLOCK_ERASE", "BUFFER_KILL", "DENSITY_ATTACK",
              "MERGE_ATTACK", "WINDOW_SHIFT")
-    for tag, spec, guarantee in (("hn", hn_desk, F(1, 2)),
-                                 ("br", br_desk, br_desk.epsilon),
-                                 ("ld", ld_desk, F(1, 2) - ld_desk.epsilon)):
+    for tag, spec in (("hn", hn_desk), ("br", br_desk), ("ld", ld_desk)):
         strategies = [Strategy(n) for n in names]
         files = []
         for run in (1, 2):
-            reports = run_trials(spec, strategies, [F(0), guarantee], 3,
+            reports = run_trials(spec, strategies,
+                                 [F(0), spec.guarantee_fraction], 3,
                                  master_seed=99)
             path = tmp_path / f"{tag}-{run}.log"
             write_reports(reports, path)
             files.append(path.read_bytes())
         assert files[0] == files[1], tag
         assert hashlib.sha256(files[0]).hexdigest() == _C12_RECORDS[tag], tag
-        assert _book_digest(spec.inner) == _C12_BOOKS[tag], tag
+        assert book_digest(spec.inner) == BOOKS[spec.name], tag
     _note(acceptance_log,
           f"12 same-seed sweeps byte-identical and match the pinned digests: "
           f"PASS (three schemes, {time.monotonic()-t0:.1f}s)")

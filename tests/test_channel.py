@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delcodes import innercode
+from delcodes import channel, innercode
 from delcodes.channel import (
     EXHAUSTIVE_PATTERN_CAP,
     STRATEGY_NAMES,
@@ -29,13 +29,8 @@ from delcodes.channel import (
     write_reports,
 )
 from delcodes.cli import _default_strategies
-from delcodes.errors import (
-    BudgetExceeded,
-    GuardExceeded,
-    InvalidOverride,
-    OutOfRange,
-    PatternOutOfRange,
-)
+from delcodes.errors import (BudgetExceeded, GuardExceeded, InvalidOverride,
+                             OutOfRange)
 from delcodes.highnoise import hn_encode, hn_make_spec
 from delcodes.hirate import br_encode
 from delcodes.listdec import ld_encode
@@ -78,7 +73,7 @@ class TestPattern:
     def test_strictly_increasing_enforced(self):
         DeletionPattern((0, 3, 9))
         for bad in [(1, 1), (3, 2), (-1, 0)]:
-            with pytest.raises(PatternOutOfRange):
+            with pytest.raises(OutOfRange):
                 DeletionPattern(bad)
 
     def test_len_counts_deletions(self):
@@ -99,7 +94,7 @@ class TestApply:
         assert len(got) == 0
 
     def test_past_end_rejected(self):
-        with pytest.raises(PatternOutOfRange):
+        with pytest.raises(OutOfRange):
             apply_deletions(word("012"), DeletionPattern((3,)))
 
     def test_headered_words_supported(self, hn_desk):
@@ -179,6 +174,20 @@ class TestAttackDiscipline:
                                  budget)
                     assert len(pat) <= budget
                     apply_deletions(sent, pat)  # also validates positions
+
+    def test_zero_budget_runs_no_strategy(self, monkeypatch, scheme_word):
+        # attack answers budget 0 itself, before it seeds an rng: no
+        # strategy helper is reached, and every strategy deletes nothing.
+        def refuse(*args):
+            raise AssertionError("strategy run at budget 0")
+        for helper in ("_erase_groups", "_merge_attack", "_buffer_kill",
+                       "_density_attack", "_exhaustive_worst"):
+            monkeypatch.setattr(channel, helper, refuse)
+        monkeypatch.setattr(channel, "random", SimpleNamespace(Random=refuse))
+        spec, msg, sent = scheme_word
+        for name in STRATEGY_NAMES:
+            pat = attack(Strategy(name, seed=5), msg, sent, spec, 0)
+            assert pat.positions == (), name
 
     def test_greedy_matches_the_pattern_scan(self, scheme_word):
         spec, msg, sent = scheme_word

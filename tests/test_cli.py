@@ -227,7 +227,7 @@ class TestBuild:
         assert err.startswith("error:") and "65536" in err
 
 
-class TestRoundtrip:
+class TestSweepRecords:
     """One-cell sweeps printed as trial records: encode, attack, decode,
     compare."""
 

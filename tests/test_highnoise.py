@@ -260,7 +260,7 @@ class TestDecode:
         assert t.erasures == spec.D + 1
 
 
-class TestHeaderedWordIO:
+class TestHeaderedSymbols:
     def test_out_of_range_symbols_rejected(self):
         # header 4 makes symbol 16, outside the D*k = 16 letters
         with pytest.raises(OutOfRange):

@@ -327,7 +327,7 @@ class TestDecode:
         assert t.erasures == 1
 
 
-class TestBinaryWordIO:
+class TestBinaryDigits:
     def test_ascii_roundtrip(self):
         w = bits("10110")
         assert w.symbols == (1, 0, 1, 1, 0)

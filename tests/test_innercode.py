@@ -2,7 +2,6 @@
 re-verification and decode round-trips."""
 
 import dataclasses
-import hashlib
 import itertools
 import math
 import random
@@ -43,6 +42,7 @@ from oracles import (
     subseq_oracle,
     table_multi_lcs,
 )
+from pins import BOOKS, book_digest
 
 F = Fraction
 LEX = CandidatePolicy.LEX
@@ -140,8 +140,8 @@ class TestGreedyDense:
         cb = innercode._build(DENSE, 2, 6, F(1, 2), beta=F(1, 3))
         for w in cb.codewords:
             assert w.symbols[0] == 1 and w.symbols[-1] == 1
-            assert seqkit.is_dense_seq(w.symbols,
-                                       *seqkit.density_rule(6, F(1, 3)))
+            assert seqkit.is_dense_word(w.symbols,
+                                        *seqkit.density_rule(6, F(1, 3)))
 
     def test_random_policy_wide_gap_layout(self):
         cb = innercode._build(DENSE, 2, 84, F(5, 84), beta=F(1, 48),
@@ -322,18 +322,15 @@ class TestGreedyListdec:
                               **build)
         assert [w.symbols for w in cb.codewords] == expected
 
-    @pytest.mark.parametrize("build,digest", [
-        pytest.param(lambda: greedy_listdec(10, F(1, 4), 3),
-                     "107aaba394519ed93be96ce0f7e3ae3a"
-                     "6457bff799bd5ba85aa2a78f1b5335f2", id="c05"),
-        pytest.param(lambda: make_scheme_spec("listdec").inner,
-                     "e0b1f67623aaa128e3b367246010b7d9"
-                     "3ab28c7153decd7e0e65022abe588079", id="desk"),
+    @pytest.mark.parametrize("build,pin", [
+        pytest.param(lambda: greedy_listdec(10, F(1, 4), 3), "c05", id="c05"),
+        pytest.param(lambda: make_scheme_spec("listdec").inner, "listdec",
+                     id="desk"),
     ])
-    def test_walk_reads_the_build_layout(self, monkeypatch, build, digest):
+    def test_walk_reads_the_build_layout(self, monkeypatch, build, pin):
         # The walk lays out no words of its own and steps inline, so
         # neither _subseq_layout nor _is_subseq_seq is called; the books
-        # keep the SHA-256 of their words that the benchmark pins.
+        # keep their pinned SHA-256, which the benchmark pins too.
         def refuse(*args):
             raise AssertionError("words laid out again")
         monkeypatch.setattr(seqkit, "_subseq_layout", refuse)
@@ -342,25 +339,19 @@ class TestGreedyListdec:
         walk = seqkit._multi_lcs
         monkeypatch.setattr(seqkit, "_multi_lcs",
                             lambda *args: walks.append(args) or walk(*args))
-        h = hashlib.sha256()
-        for w in build().codewords:
-            h.update((",".join(map(str, w.symbols)) + "\n").encode())
-        assert h.hexdigest() == digest and walks
+        assert book_digest(build()) == BOOKS[pin] and walks
 
-    @pytest.mark.parametrize("build,walks,digest", [
-        pytest.param(lambda: greedy_listdec(10, F(1, 4), 3), 63,
-                     "107aaba394519ed93be96ce0f7e3ae3a"
-                     "6457bff799bd5ba85aa2a78f1b5335f2", id="c05"),
+    @pytest.mark.parametrize("build,walks,pin", [
+        pytest.param(lambda: greedy_listdec(10, F(1, 4), 3), 63, "c05",
+                     id="c05"),
         pytest.param(lambda: make_scheme_spec("listdec").inner, 14,
-                     "e0b1f67623aaa128e3b367246010b7d9"
-                     "3ab28c7153decd7e0e65022abe588079", id="desk"),
+                     "listdec", id="desk"),
         pytest.param(lambda: make_scheme_spec("listdec",
                                               overrides={"m": 20}).inner, 23,
-                     "71b435d54e833e62e6d3ce4b07ee6b66"
-                     "2ff4490e2fcbbb74250ef98302c0e433", id="m20"),
+                     "listdec.m20", id="m20"),
     ])
     def test_kept_words_refuse_only_what_the_walk_refuses(
-            self, monkeypatch, build, walks, digest):
+            self, monkeypatch, build, walks, pin):
         # A candidate that holds a word kept from an earlier walk is
         # refused before its own walk.  The walk, against its near words
         # in the book as it stood (the words below it: the stream is LEX),
@@ -379,10 +370,7 @@ class TestGreedyListdec:
                             lambda *args: walked.append(args) or walk(*args))
         cb = build()
         words = [w.symbols for w in cb.codewords]
-        h = hashlib.sha256()
-        for w in words:
-            h.update((",".join(map(str, w)) + "\n").encode())
-        assert h.hexdigest() == digest and len(walked) == walks
+        assert book_digest(cb) == BOOKS[pin] and len(walked) == walks
         assert cb.candidate_policy is LEX and words == sorted(words)
         ell, book, below = cb.separation_threshold, seqkit._LcsBook(), 0
         for cand in refused:
@@ -604,8 +592,7 @@ class TestDenseCounting:
     def brute(m, beta):
         n = 0
         for bits in itertools.product((0, 1), repeat=m):
-            if bits[0] == 1 and bits[-1] == 1 and seqkit.is_dense_seq(
-                    bits, *seqkit.density_rule(m, beta)):
+            if seqkit.is_dense_word(bits, *seqkit.density_rule(m, beta)):
                 n += 1
         return n
 

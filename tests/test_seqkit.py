@@ -173,7 +173,7 @@ def books(alphabet, max_words=6, max_len=10):
     return draw()
 
 
-class TestSubseqMatcher:
+class TestBookSubseq:
     """seqkit._is_subseq_seq, one pass over a whole book, against the
     two-pointer oracle."""
 
@@ -452,9 +452,9 @@ class TestMultiwayCommon:
 
 
 def beta_dense(word, beta):
-    """Whether a binary Word obeys the beta-density rule for its length."""
-    return seqkit.is_dense_seq(word.symbols,
-                               *seqkit.density_rule(len(word), beta))
+    """Whether a binary Word obeys the DENSE word rule for its length."""
+    return seqkit.is_dense_word(word.symbols,
+                                *seqkit.density_rule(len(word), beta))
 
 
 class TestDensity:
@@ -463,9 +463,16 @@ class TestDensity:
         beta = Fraction(1, 4)
         assert beta_dense(Word.from_digits("1001100110011001", 2), beta)
         assert not beta_dense(Word.from_digits("1000011001100111", 2), beta)
+        # Dense windows, but a word must also begin and end with 1.
+        assert not beta_dense(Word.from_digits("0001100110011001", 2), beta)
+        assert not beta_dense(Word.from_digits("1001100110011000", 2), beta)
 
     def test_short_word_uses_whole(self):
-        assert beta_dense(Word.from_digits("10", 2), Fraction(3, 4))
+        # beta = 1, m = 21: the one window is the word, and needs 3 ones.
+        assert beta_dense(Word.from_digits("1" + "0" * 9 + "1" + "0" * 9 + "1",
+                                           2), Fraction(1))
+        assert not beta_dense(Word.from_digits("1" + "0" * 19 + "1", 2),
+                              Fraction(1))
 
     def test_beta_m_below_one(self):
         with pytest.raises(OutOfRange):
