@@ -80,10 +80,11 @@ def apply_deletions(w, p: DeletionPattern):
 
 
 def _kept(syms: tuple[int, ...], positions) -> tuple[int, ...]:
-    # The slices between the ascending positions, joined.
-    kept = []
-    for a, b in zip((-1, *positions), (*positions, len(syms))):
-        kept += syms[a + 1:b]
+    # The ascending positions deleted from one copy, last first, so no
+    # deletion moves a position still to come.
+    kept = list(syms)
+    for p in reversed(positions):
+        del kept[p]
     return tuple(kept)
 
 
@@ -231,7 +232,7 @@ def _exhaustive_worst(message, transmitted, spec, budget: int) -> list[int]:
     if total > EXHAUSTIVE_PATTERN_CAP:
         raise GuardExceeded(
             f"{total} patterns exceed the exhaustive cap {EXHAUSTIVE_PATTERN_CAP}")
-    score = spec.scorer(message)
+    score = spec.scorer(message, transmitted)
     outcomes: dict[tuple[int, ...], str] = {}
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(length), size):
@@ -354,7 +355,8 @@ def run_trials(spec, strategies, budget_fractions, num_seeds: int,
                 pattern = attack(replace(strat, seed=tseed), msg,
                                  transmitted, spec, budget)
                 received = apply_deletions(transmitted, pattern)
-                outcome, snapshot = spec.scorer(msg)(pattern, received)
+                outcome, snapshot = spec.scorer(msg, transmitted)(
+                    pattern, received)
                 wall = time.perf_counter() - t0
                 reports.append(TrialReport(
                     scheme=spec.name, strategy=strat.name, fraction=frac,

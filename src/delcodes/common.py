@@ -215,11 +215,28 @@ class ConcatenatedSpec:
         scheme has no headers or buffers to exploit."""
         return None
 
-    def scorer(self, msg):
-        """Scores received words of the message msg, whose truth it computes
-        once: (pattern, received) -> (outcome, snapshot with wrong votes)."""
-        expected = tuple(self.rs.field.elem(v) for v in msg)
-        truth = rs_encode(self.rs, msg)
+    @cached_property
+    def _pair_of_word(self) -> dict[tuple[int, ...], tuple[int, int]]:
+        """Each pair's channel symbols -> the pair; the inner book's words
+        are distinct, and so are the pair words."""
+        return {w: self.pair_of_index(idx)
+                for idx, w in enumerate(self.pair_words)}
+
+    def scorer(self, msg, sent: Word):
+        """Scores received words of the message msg, sent as the clean word
+        sent, which must be self.encode(msg): (pattern, received) ->
+        (outcome, snapshot with wrong votes).  The truth, msg's outer
+        codeword, is read once off sent, where codeword span i spells
+        pair i's channel symbols, so msg is not RS-encoded again.  A sent
+        word whose spans do not spell the pairs 0..n-1 is refused with a
+        ValueError; the clean word of another message is not detected."""
+        expected = tuple(map(self.rs.field.elem, msg))
+        syms, pair_of_word = sent.symbols, self._pair_of_word
+        pairs = [pair_of_word.get(syms[s:e], (None, None))
+                 for s, e in self.spans()[0]]
+        if [i for i, _ in pairs] != list(range(self.n)):
+            raise ValueError(f"sent is not a clean word of {self.name}")
+        truth = [c for _, c in pairs]
         def score(pattern, received):
             try:
                 res = self.decode(received)

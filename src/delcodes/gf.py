@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DivisionByZero, NotPrimePower, OutOfRange
 
@@ -155,8 +155,19 @@ class Field:
             return 0 if e else 1
         return self._exp[log[a] * e % (self.order - 1)]
 
+    @cached_property
+    def _elems(self) -> dict[int, FieldElem]:
+        """Value -> its one FieldElem, filled by elem."""
+        return {}
+
     def elem(self, v: int) -> FieldElem:
-        return FieldElem(self._check(v), self)
+        """The element of value v, one cached FieldElem per value: v is
+        checked before anything is cached, so the cache holds at most
+        order entries."""
+        found = self._elems.get(v)
+        if found is None:
+            found = self._elems[v] = FieldElem(self._check(v), self)
+        return found
 
 
 @dataclass(frozen=True)

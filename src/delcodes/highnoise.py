@@ -5,8 +5,9 @@ is encoded by a UNIQUE inner codebook, and every inner symbol carries a small
 header: the position index mod D.  A channel symbol is one letter of the
 alphabet of size D*k that encodes (header, payload) as header*k + payload.
 Headers let the decoder cut the received word into blocks without trusting
-symbol counts; the pair payload then pins the outer position exactly, so
-header arithmetic never has to be inverted.
+symbol counts, in one scan: a block runs while symbols stay in the
+[h*k, h*k + k) range of its first symbol.  The pair payload then pins the
+outer position exactly, so header arithmetic never has to be inverted.
 
 Decoding collects one (position, value) vote per surviving block, drops
 positions with conflicting votes, and hands the rest to the errors-and-
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 
 from .common import ConcatenatedSpec, DecodeResult, Profile, check_overrides
 from .errors import OutOfRange
@@ -146,9 +146,19 @@ def hn_encode(spec: HighNoiseSpec, message) -> Word:
 def hn_partition_blocks(received: Word, k: int) -> list[tuple[int, ...]]:
     """Cut the received word into maximal constant-header runs (equal
     header h = symbol // k), and return each run's payloads (symbol - h*k)
-    as a tuple of inner symbols, in one pass over the run."""
-    return [tuple(map((h * k).__rsub__, run))
-            for h, run in groupby(received.symbols, k.__rfloordiv__)]
+    as a tuple of inner symbols, in one scan: a run goes on while symbols
+    stay in [base, base + k), base = h*k of its first symbol."""
+    runs: list[list[int]] = []
+    base = top = 0
+    for s in received.symbols:
+        if base <= s < top:
+            run.append(s - base)
+        else:
+            base = s - s % k
+            top = base + k
+            run = [s - base]
+            runs.append(run)
+    return list(map(tuple, runs))
 
 
 def hn_decode(spec: HighNoiseSpec, received: Word) -> DecodeResult:

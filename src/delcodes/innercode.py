@@ -283,29 +283,32 @@ def greedy_listdec(m: int, delta: Fraction, list_size: int) -> Codebook:
 
 def _containing(cb: Codebook, received: tuple[int, ...]):
     """Indices, ascending, of the codewords that contain the symbol tuple
-    received as a subsequence.  Every codeword has length m, so a received
-    word of length m or more is contained only in codewords equal to it."""
+    received as a subsequence, as a sequence.  Every codeword has length
+    m, so a received word of length m or more is contained only in
+    codewords equal to it: its _by_word hits.  A shorter one is read off
+    the live bits of one _is_subseq_seq pass."""
     if len(received) >= cb.m:
-        yield from cb._by_word.get(received, ())
-        return
+        return cb._by_word.get(received, ())
     live = seqkit._is_subseq_seq(received, *cb._layout)
+    found = []
     while live:
         low = live & -live
-        yield (low.bit_length() - 1) // (cb.m + 1)
+        found.append((low.bit_length() - 1) // (cb.m + 1))
         live ^= low
+    return found
 
 
 def inner_decode_unique(cb: Codebook, received: tuple[int, ...]) -> int:
     """Index of the unique codeword containing the symbol tuple received
-    as a subsequence."""
-    found = -1
-    for i in _containing(cb, received):
-        if found >= 0:
-            raise Ambiguous(f"codewords {found} and {i} both contain received")
-        found = i
-    if found < 0:
-        raise NoMatch("no codeword contains the received word")
-    return found
+    as a subsequence.  NoMatch when none does; Ambiguous, naming the first
+    two indices, when several do."""
+    found = _containing(cb, received)
+    if len(found) == 1:
+        return found[0]
+    if found:
+        raise Ambiguous(
+            f"codewords {found[0]} and {found[1]} both contain received")
+    raise NoMatch("no codeword contains the received word")
 
 
 def inner_decode_list(cb: Codebook, received: tuple[int, ...]) -> list[int]:

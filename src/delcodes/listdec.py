@@ -90,10 +90,11 @@ class ListDecSpec(ConcatenatedSpec):
     def report_sections(self) -> list[tuple[str, dict]]:
         return [("rate and recovery", ld_report(self))]
 
-    def scorer(self, msg):
+    def scorer(self, msg, sent: Word):
         """List-decode scoring for the message msg: "ok" when the list
-        holds the message, else "missing", and the telemetry snapshot."""
-        expected = tuple(self.rs.field.elem(v) for v in msg)
+        holds the message, else "missing", and the telemetry snapshot.
+        The clean word sent is not read: no vote is scored against it."""
+        expected = tuple(map(self.rs.field.elem, msg))
         def score(pattern, received):
             res = ld_decode(self, received)
             outcome = "ok" if expected in res.messages else "missing"

@@ -4,12 +4,13 @@ RsParams is the code's one description: the field, the block length n and
 the dimension nprime, checked once when it is made.  The entry points take
 it and read and return plain ints, the field values 0..q-1.  Messages are
 coefficient vectors of polynomials of degree < nprime; the codeword is the
-evaluation at the points 0, 1, ..., n - 1.  Decoding handles erasures
-(ERASED entries) by restriction and errors by Gao's algorithm (Gao,
-"A new algorithm for decoding Reed-Solomon codes", 2003): with r erasures
-and t errors, recovery is guaranteed whenever r + 2t <= n - nprime.  A word
-whose survivors already lie on one polynomial of degree < nprime returns
-before the Euclidean loop.  That is exact, not a second decoder: Gao's
+evaluation at the points 0, 1, ..., n - 1, by Horner's rule from the top
+coefficient.  Decoding handles erasures (ERASED entries) by restriction
+and errors by Gao's algorithm (Gao, "A new algorithm for decoding
+Reed-Solomon codes", 2003): with r erasures and t errors, recovery is
+guaranteed whenever r + 2t <= n - nprime.  A word whose survivors already
+lie on one polynomial of degree < nprime returns before the Euclidean
+loop.  That is exact, not a second decoder: Gao's
 interpolant passes through every survivor, so by uniqueness of
 interpolation its degree is < nprime exactly when no survivor disagrees
 with a codeword, and then the loop would run no step and return the same
@@ -95,10 +96,15 @@ def outer_word(pairs, n: int) -> tuple[list, int]:
 
 
 def poly_eval(field: Field, coeffs: list[int], x: int) -> int:
-    """Evaluate sum coeffs[i] * x^i by Horner's rule."""
+    """Evaluate sum coeffs[i] * x^i by Horner's rule, from the top
+    coefficient (0 for no coefficients), so the first step multiplies no
+    zero: equal to Horner from 0 when every coefficient lies in the
+    field."""
+    if not coeffs:
+        return 0
     add, mul = field.add, field.mul
-    acc = 0
-    for c in reversed(coeffs):
+    acc, *rest = reversed(coeffs)
+    for c in rest:
         acc = add(mul(acc, x), c)
     return acc
 
@@ -109,7 +115,8 @@ def _check_length(what: str, seq, length: int) -> None:
 
 
 def rs_encode(rs: RsParams, message) -> list[int]:
-    """Evaluate the polynomial of the nprime message symbols at 0..n-1."""
+    """Evaluate the polynomial of the nprime message symbols at 0..n-1,
+    each point by poly_eval's Horner from the top coefficient."""
     field = rs.field
     coeffs = [field._check(c) for c in message]
     _check_length("message", coeffs, rs.nprime)

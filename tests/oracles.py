@@ -1,6 +1,7 @@
 """Slow reference versions of the seqkit kernels, of the greedy inner
 book search and its checks, of the three encoders, of hirate's erase
-price, of GF(2^w) powers and of the BUFFER_KILL strategy.
+price, of GF(2^w) powers, of the BUFFER_KILL strategy and of the unique
+decoders' per-word steps.
 
 The package's containment and LCS kernels are bit-parallel or prune their
 search.  Tests compare the kernels against these plain versions, and the
@@ -14,12 +15,17 @@ program on every pair of a UNIQUE or DENSE book where the check makes one
 bit-parallel pass per word.  probe_scan reads every binary probe word of a
 LISTDEC book where the check walks a pruned trie, and shares_subsequence
 tries every subsequence of a word where the build's multi-word test walks
-them pruned.
+them pruned.  The unique decoders' steps each have a plain version:
+groupby_blocks splits a headered word with itertools.groupby, sliced_kept
+joins the slices between deleted positions, unique_oracle votes index by
+index through innercode._containing and horner_from_zero evaluates from an
+accumulator of 0.
 """
 
 import itertools
 import math
 
+from delcodes.errors import Ambiguous, NoMatch
 from delcodes.gf import _poly_mod, _poly_mulmod
 from delcodes.innercode import CodebookKind, _containing, separation_threshold
 from delcodes.rsouter import rs_encode
@@ -239,3 +245,45 @@ def buffer_kill_oracle(rng, spec, buffers, budget):
             if remaining < thr:
                 break
     return sorted(out)
+
+
+def groupby_blocks(symbols, k):
+    """The symbols cut into maximal runs of one header h = s // k, each run
+    as its payloads s - h*k, by itertools.groupby: the reference for
+    highnoise.hn_partition_blocks."""
+    return [tuple(s - h * k for s in run)
+            for h, run in itertools.groupby(symbols, lambda s: s // k)]
+
+
+def sliced_kept(syms, positions):
+    """syms without the ascending positions, as the slices between them
+    joined: the reference for channel._kept."""
+    kept = []
+    for a, b in zip((-1, *positions), (*positions, len(syms))):
+        kept += syms[a + 1:b]
+    return tuple(kept)
+
+
+def unique_oracle(cb, received):
+    """The index of the one codeword containing received, read index by
+    index through innercode._containing; NoMatch when none does, Ambiguous
+    naming the first two when several do.  The reference for
+    innercode.inner_decode_unique."""
+    found = -1
+    for i in _containing(cb, received):
+        if found >= 0:
+            raise Ambiguous(f"codewords {found} and {i} both contain received")
+        found = i
+    if found < 0:
+        raise NoMatch("no codeword contains the received word")
+    return found
+
+
+def horner_from_zero(field, coeffs, x):
+    """sum coeffs[i] * x^i by Horner's rule from an accumulator of 0: the
+    reference for rsouter.poly_eval and rs_encode, which start at the top
+    coefficient."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc

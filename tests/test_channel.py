@@ -35,7 +35,7 @@ from delcodes.highnoise import hn_encode, hn_make_spec
 from delcodes.hirate import br_encode
 from delcodes.listdec import ld_encode
 from delcodes.seqkit import Word
-from oracles import buffer_kill_oracle, subseq_oracle
+from oracles import buffer_kill_oracle, sliced_kept, subseq_oracle
 
 F = Fraction
 
@@ -50,7 +50,7 @@ def scan_worst(message, transmitted, spec, budget):
     for size in range(1, budget + 1):
         for combo in itertools.combinations(range(len(transmitted)), size):
             pattern = DeletionPattern(combo)
-            outcome, _ = spec.scorer(message)(
+            outcome, _ = spec.scorer(message, transmitted)(
                 pattern, apply_deletions(transmitted, pattern))
             if outcome != "ok":
                 return combo
@@ -96,6 +96,20 @@ class TestApply:
     def test_past_end_rejected(self):
         with pytest.raises(OutOfRange):
             apply_deletions(word("012"), DeletionPattern((3,)))
+
+    def test_one_copy_matches_the_slices(self):
+        # Seeded words of length 0 to 11 under the empty pattern, the
+        # first and the last position, the whole word and seeded patterns.
+        rng = random.Random(5)
+        for n in range(12):
+            syms = tuple(rng.randrange(4) for _ in range(n))
+            ends = sorted({0, n - 1}) if n else []
+            patterns = [(), tuple(range(n)), tuple(ends)]
+            patterns += [(p,) for p in ends]
+            patterns += [tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+                         for _ in range(30)]
+            for pos in patterns:
+                assert channel._kept(syms, pos) == sliced_kept(syms, pos)
 
     def test_headered_words_supported(self, hn_desk):
         sent = hn_encode(hn_desk, [0, 0])
@@ -316,7 +330,8 @@ class TestExhaustiveOracle:
         # Erasing block 1 merges blocks 0 and 2, both with header 0, into
         # one run longer than m: every position is erased.
         assert pat.positions == (2, 3)
-        outcome, _ = tiny_spec.scorer([1])(pat, apply_deletions(sent, pat))
+        outcome, _ = tiny_spec.scorer([1], sent)(
+            pat, apply_deletions(sent, pat))
         assert outcome == "fail-decode"
 
     def test_greedy_matches_the_pattern_scan(self, tiny_spec):

@@ -6,7 +6,8 @@ arguments.  And the contract every scheme keeps, checked once per scheme:
 its encoder equals the symbol-by-symbol oracle, its channel word is laid
 out as its spans say, it refuses a message of the wrong length, and its
 decoder refuses a word over another alphabet and is total on any word over
-its own, and a unique decoder's repeated failure carries its own record."""
+its own, a unique decoder's repeated failure carries its own record, and
+a unique scheme's scorer counts wrong votes against the RS codeword."""
 
 import dataclasses
 import inspect
@@ -16,13 +17,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delcodes.channel import DeletionPattern
 from delcodes.errors import AlphabetMismatch, DecodeFailure, LengthMismatch
 from delcodes.gf import make_field
 from delcodes.highnoise import HnTelemetry, hn_make_spec
 from delcodes.hirate import BrTelemetry, br_make_spec
 from delcodes.listdec import LdTelemetry, ld_make_spec
 from delcodes.presets import SCHEMES, make_scheme_spec
-from delcodes.rsouter import RsParams, rs_encode
+from delcodes.rsouter import ERASED, RsParams, outer_word, rs_encode
 from delcodes.seqkit import Word
 from oracles import encode_oracle
 
@@ -189,3 +191,51 @@ def test_repeated_failure_carries_its_own_record(request, fixture):
     assert spec.rs._decode_memo == remembered  # a hit, not a new entry
     assert str(second.value) == str(first)
     assert second.value.telemetry == first.telemetry
+
+
+@pytest.mark.parametrize("fixture", ["hn_desk", "br_desk"])
+def test_scorer_counts_wrong_votes_against_the_codeword(request, fixture):
+    # The scorer reads its truth off the sent word; its wrong votes equal
+    # those counted against the RS codeword of the message, on seeded
+    # splices of two messages' encodings, which cast wrong votes.
+    spec = request.getfixturevalue(fixture)
+    rng = random.Random(SEEDS[spec.name])
+    most = 0
+    for _ in range(40):
+        a, b = ([rng.randrange(spec.q) for _ in range(spec.n_prime)]
+                for _ in range(2))
+        sent = spec.encode(a)
+        cut = rng.randrange(spec.encoded_length + 1)
+        word = Word(sent.symbols[:cut] + spec.encode(b).symbols[cut:],
+                    alphabet(spec))
+        try:
+            tel = spec.decode(word).telemetry
+        except DecodeFailure as exc:
+            tel = exc.telemetry
+        votes, _ = outer_word(tel.pairs, spec.n)
+        wrong = sum(1 for v, t in zip(votes, rs_encode(spec.rs, a))
+                    if v is not ERASED and v != t)
+        _, snapshot = spec.scorer(a, sent)(DeletionPattern(()), word)
+        assert dict(snapshot)["wrong_votes"] == wrong
+        most = max(most, wrong)
+    assert most > 0
+
+
+@pytest.mark.parametrize("fixture", ["hn_desk", "br_desk"])
+def test_scorer_refuses_a_sent_word_that_is_not_clean(request, fixture):
+    # The truth is read off sent's spans, so a sent word whose spans do
+    # not spell pairs 0..n-1 in order is refused, not read as some other
+    # codeword: two spans swapped, a span's symbol changed, a shifted word.
+    spec = request.getfixturevalue(fixture)
+    msg = [1] * spec.n_prime
+    syms = list(spec.encode(msg).symbols)
+    (s0, e0), (s1, e1) = spec.spans()[0][:2]
+    swapped = list(syms)
+    swapped[s0:e0], swapped[s1:e1] = syms[s1:e1], syms[s0:e0]
+    changed = list(syms)
+    changed[s0] = (syms[s0] + 1) % alphabet(spec)
+    shifted = syms[1:] + syms[:1]
+    for bad in (swapped, changed, shifted):
+        with pytest.raises(ValueError, match="not a clean word"):
+            spec.scorer(msg, Word(tuple(bad), alphabet(spec)))
+    spec.scorer(msg, spec.encode(msg))

@@ -159,11 +159,24 @@ def test_division_by_zero():
 
 
 def test_elem_validates_range():
-    f = make_field(5)
+    f = gf.Field(5)
+    for bad in (5, 6, -1, -5):
+        with pytest.raises(OutOfRange):
+            f.elem(bad)
+    # a refused value leaves nothing cached
+    assert not f._elems
+
+
+def test_elem_is_one_cached_element_per_value():
+    f = make_field(7)
+    for v in range(7):
+        e = f.elem(v)
+        assert e == gf.FieldElem(v, f) and e.value == v and e.field is f
+        assert f.elem(v) is e
+    assert sorted(f._elems) == list(range(7))
     with pytest.raises(OutOfRange):
-        f.elem(5)
-    with pytest.raises(OutOfRange):
-        f.elem(-1)
+        f.elem(7)
+    assert len(f._elems) == 7
 
 
 def test_make_field_is_cached():

@@ -1,6 +1,7 @@
 """Header-concatenated scheme: spec derivation, block partition, the decode
 pipeline with its vote accounting, and headered-word validation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from delcodes.highnoise import (
 from delcodes.innercode import inner_decode_unique
 from delcodes.rsouter import rs_encode
 from delcodes.seqkit import Word
+from oracles import groupby_blocks
 
 F = Fraction
 
@@ -160,6 +162,25 @@ class TestPartition:
         # maximality: neighbouring runs differ in header
         for a, b in zip(headers, headers[1:]):
             assert a != b
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 7])
+    def test_one_scan_matches_groupby(self, k):
+        # Seeded words over D = 5 headers, half of them drawn from the
+        # payloads 0 and k - 1 only, so runs meet at every header boundary;
+        # k = 1 makes every symbol a run of its own.
+        D = 5
+        edges = sorted({h * k + p for h in range(D) for p in (0, k - 1)})
+        every = tuple(range(D * k))
+        words = [(), (0,), (D * k - 1,), every, every[::-1], tuple(edges),
+                 tuple(edges[::-1])]
+        rng = random.Random(k)
+        for _ in range(400):
+            pool = edges if rng.random() < 0.5 else every
+            words.append(tuple(rng.choice(pool)
+                               for _ in range(rng.randrange(30))))
+        for syms in words:
+            assert (hn_partition_blocks(Word(syms, D * k), k)
+                    == groupby_blocks(syms, k)), syms
 
 
 class TestDecode:

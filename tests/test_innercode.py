@@ -41,6 +41,7 @@ from oracles import (
     probe_scan,
     subseq_oracle,
     table_multi_lcs,
+    unique_oracle,
 )
 from pins import BOOKS, book_digest
 
@@ -494,12 +495,14 @@ def decode_inputs(cb, seed, count=300):
 
 
 def assert_matches_scan(book, inputs):
-    """The decoders agree with the oracle scans on every input, and every
-    outcome kind occurs at least once."""
+    """The decoders agree with the oracle scans on every input, the unique
+    one also with its vote through _containing, and every outcome kind
+    occurs at least once."""
     seen = set()
     for received in inputs:
         want = outcome(scan_decode_unique, book, received)
-        assert outcome(inner_decode_unique, book, received) == want
+        assert (outcome(inner_decode_unique, book, received) == want
+                == outcome(unique_oracle, book, received))
         assert inner_decode_list(book, received) == scan_decode_list(book,
                                                                      received)
         seen.add(want[0] if isinstance(want, tuple) else int)
@@ -535,6 +538,16 @@ class TestIndexedDecoderOracle:
             tuple(rng.choice(symbols) for _ in range(rng.randint(1, m)))
             for _ in range(300)]
         assert_matches_scan(book, inputs)
+
+    def test_repeated_codeword_is_ambiguous_at_full_length(self):
+        # A piece of length m is looked up by its symbols; a word spelled
+        # by several codewords names the first two.
+        words = ((0, 1, 1), (1, 0, 1), (0, 1, 1), (0, 1, 1))
+        book = Codebook(UNIQUE, 2, 3, F(1, 3), None, None,
+                        tuple(Word(w, 2) for w in words), LEX)
+        assert outcome(inner_decode_unique, book, (0, 1, 1)) == (
+            Ambiguous, "codewords 0 and 2 both contain received")
+        assert_matches_scan(book, decode_inputs(book, seed=3))
 
     def test_layout_builds_on_first_decode(self):
         book = innercode._build(UNIQUE, 3, 6, F(1, 3))

@@ -32,6 +32,7 @@ from delcodes.rsouter import (
     rs_encode,
     rs_list_recover_bruteforce,
 )
+from oracles import horner_from_zero
 
 
 def _nullspace_vector(field, rows, ncols):
@@ -159,6 +160,21 @@ class TestEncode:
         code = rs_encode(RsParams(make_field(4), 4, 2), [1, 1])
         # 1 + x at the four field points 0,1,2,3
         assert code == [1, 0, 3, 2]
+
+    @pytest.mark.parametrize("q", [2, 5, 7, 8, 16])
+    def test_horner_from_the_top_matches_horner_from_zero(self, q):
+        field = make_field(q)
+        rng = random.Random(q)
+        assert poly_eval(field, [], 1) == 0
+        for n in range(1, q + 1):
+            for nprime in range(1, n + 1):
+                for _ in range(4):
+                    msg = [rng.randrange(q) for _ in range(nprime)]
+                    want = [horner_from_zero(field, msg, x)
+                            for x in range(n)]
+                    assert rs_encode(RsParams(field, n, nprime), msg) == want
+                    assert [poly_eval(field, msg, x)
+                            for x in range(n)] == want
 
 
 class TestDecodeErrorsAndErasures:
